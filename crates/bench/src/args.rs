@@ -180,14 +180,12 @@ pub struct DaemonArgs {
     /// `--worker`: run as an analysis worker process over stdin/stdout
     /// instead of a TCP daemon (spawned by the supervisor, not by hand).
     pub worker: bool,
-    /// `--in-process`: run jobs on in-process threads instead of worker
-    /// processes (the pre-supervisor behavior; loses crash isolation).
+    /// `--in-process`: the transport choice — worker threads call the job
+    /// path themselves instead of handing it to worker processes (same
+    /// job path and bytes; loses crash isolation).
     pub in_process: bool,
     /// `--queue-cap N`: in-memory job-ring bound (overflow spills).
     pub queue_capacity: Option<usize>,
-    /// `--parse-workers N`: parse-stage threads (the pipeline front
-    /// half; interp slots are `--workers`).
-    pub parse_workers: Option<usize>,
     /// `--cache-cap N`: result-cache capacity in entries, all shards.
     pub cache_capacity: Option<usize>,
     /// `--cache-shards N`: number of cache shards.
@@ -236,13 +234,6 @@ pub fn parse_daemon_args(args: &[String]) -> Result<DaemonArgs, String> {
             }
             "--queue-cap" => {
                 d.queue_capacity = Some(positive(&value(args, i, "--queue-cap")?, "--queue-cap")?);
-                i += 2;
-            }
-            "--parse-workers" => {
-                d.parse_workers = Some(positive(
-                    &value(args, i, "--parse-workers")?,
-                    "--parse-workers",
-                )?);
                 i += 2;
             }
             "--cache-cap" => {

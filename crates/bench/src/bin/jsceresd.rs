@@ -5,12 +5,11 @@
 //!
 //!   --addr HOST:PORT        listen address (default 127.0.0.1:7015;
 //!                           port 0 picks a free port)
-//!   --workers <n>           analysis worker processes (default 2)
-//!   --parse-workers <n>     parse-stage threads: the pipeline front
-//!                           half, overlapping one job's parse with
-//!                           another's interp (default 2)
-//!   --in-process            run jobs on in-process threads instead of
-//!                           worker processes (no crash isolation)
+//!   --workers <n>           analysis worker processes, and as many
+//!                           parse-stage threads (default 2)
+//!   --in-process            worker threads run each job themselves
+//!                           instead of in worker processes: same job
+//!                           path and bytes, no crash isolation
 //!   --worker                run as a worker process over stdin/stdout
 //!                           (spawned by the supervisor, not by hand)
 //!   --queue-cap <n>         in-memory job-ring capacity (default 64);
@@ -45,8 +44,9 @@
 //! By default the daemon re-executes itself `--workers` times in
 //! `--worker` mode and runs every job in one of those processes; a
 //! worker crash costs one job and a supervised restart, never the
-//! daemon. Deployment, failure drills, and the full lifecycle are in
-//! `docs/OPERATIONS.md`.
+//! daemon. Both transports run a job through the same
+//! `ceres_core::supervisor::run_job`. Deployment, failure drills, and
+//! the full lifecycle are in `docs/OPERATIONS.md`.
 //!
 //! The daemon prints `listening on ADDR` once ready and exits 0 after a
 //! client sends `{"op":"shutdown"}` (or SIGTERM/SIGINT arrives) and the
@@ -62,8 +62,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: jsceresd [--addr HOST:PORT] [--workers N] [--parse-workers N]\n\
-         \x20               [--in-process] [--worker]\n\
+        "usage: jsceresd [--addr HOST:PORT] [--workers N] [--in-process] [--worker]\n\
          \x20               [--queue-cap N] [--spill-dir DIR]\n\
          \x20               [--cache-cap N] [--cache-shards N] [--cache-dir DIR]\n\
          \x20               [--mode light|loop|dep] [--seed N] [--watchdog-ticks N]\n\
@@ -112,9 +111,6 @@ fn parse_args() -> DaemonOptions {
     };
     if let Some(n) = daemon.queue_capacity {
         config.queue_capacity = n;
-    }
-    if let Some(n) = daemon.parse_workers {
-        config.parse_workers = n;
     }
     if let Some(n) = daemon.cache_capacity {
         config.cache_capacity = n;

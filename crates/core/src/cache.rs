@@ -19,10 +19,10 @@
 //! deliberately *excluded*: they only decide whether a run is cancelled,
 //! never what a completed run computes.
 //!
-//! The cache itself is a bounded insert-order map: `insert_or_get` is the
-//! only write path, so concurrent clients racing on the same key converge
-//! on the first stored payload (last-write-wins would break the
-//! byte-identity guarantee).
+//! The cache itself is [`ShardedCache`]: bounded insert-order shards whose
+//! only write path is `insert_or_get`, so concurrent clients racing on the
+//! same key converge on the first stored payload (last-write-wins would
+//! break the byte-identity guarantee).
 
 #![deny(missing_docs)]
 
@@ -189,23 +189,8 @@ impl CacheKey {
 }
 
 // ---------------------------------------------------------------------
-// The cache
+// The sharded, persistent cache
 // ---------------------------------------------------------------------
-
-/// A bounded, insert-ordered result cache: fingerprint → stored response
-/// payload. Eviction is FIFO on insert order (the serving layer's access
-/// pattern is dominated by repeat-whole-requests, where FIFO and LRU
-/// behave identically and FIFO needs no touch bookkeeping on the hot hit
-/// path).
-#[derive(Debug)]
-pub struct ResultCache {
-    entries: HashMap<String, String>,
-    order: VecDeque<String>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
 
 /// Cache occupancy and traffic counters (surfaced through the daemon's
 /// `stats` op; see [`crate::obs::ServeCounters`]).
@@ -222,107 +207,6 @@ pub struct CacheStats {
     /// Maximum entries stored at once.
     pub capacity: usize,
 }
-
-impl ResultCache {
-    /// An empty cache bounded to `capacity` entries (min 1).
-    pub fn new(capacity: usize) -> ResultCache {
-        ResultCache {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Look up a key, counting the hit or miss.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<String> {
-        match self.entries.get(&key.fingerprint()) {
-            Some(payload) => {
-                self.hits += 1;
-                Some(payload.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Store `payload` under `key` unless the key is already present, and
-    /// return the canonical stored payload either way. First-writer-wins
-    /// is what makes warm hits byte-identical even when two clients race
-    /// on the same cold key.
-    pub fn insert_or_get(&mut self, key: &CacheKey, payload: String) -> String {
-        let fp = key.fingerprint();
-        if let Some(existing) = self.entries.get(&fp) {
-            return existing.clone();
-        }
-        if self.entries.len() >= self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.entries.remove(&oldest);
-                self.evictions += 1;
-            }
-        }
-        self.entries.insert(fp.clone(), payload.clone());
-        self.order.push_back(fp);
-        payload
-    }
-
-    /// Whether a fingerprint is currently stored (no traffic counted).
-    pub fn contains_fingerprint(&self, fingerprint: &str) -> bool {
-        self.entries.contains_key(fingerprint)
-    }
-
-    /// Insert by precomputed fingerprint — the shard-file replay path.
-    /// Follows the exact bounded FIFO discipline of [`Self::insert_or_get`]
-    /// so replaying an append-only log reproduces the final in-memory
-    /// state the writer had.
-    pub fn insert_raw(&mut self, fingerprint: String, payload: String) {
-        if self.entries.contains_key(&fingerprint) {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.entries.remove(&oldest);
-                self.evictions += 1;
-            }
-        }
-        self.entries.insert(fingerprint.clone(), payload);
-        self.order.push_back(fingerprint);
-    }
-
-    /// Live entries in insertion order (for shard-file compaction).
-    pub fn iter_in_order(&self) -> impl Iterator<Item = (&String, &String)> {
-        self.order
-            .iter()
-            .filter_map(move |fp| self.entries.get(fp).map(|p| (fp, p)))
-    }
-
-    /// Zero the traffic counters (hits/misses/evictions) — used after a
-    /// persistence replay so stats describe this process's clients only.
-    pub fn reset_traffic(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
-    }
-
-    /// Current counters snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            len: self.entries.len(),
-            capacity: self.capacity,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded, persistent cache
-// ---------------------------------------------------------------------
 
 /// Stats for a [`ShardedCache`]: the aggregate view plus per-shard
 /// traffic and the persistence counters (surfaced through the daemon's
@@ -344,19 +228,60 @@ pub struct ShardedCacheStats {
     pub persistent: bool,
 }
 
-/// State guarded by one shard's lock: the bounded FIFO cache plus the
-/// shard's write-through file handle (when persistence is on).
+/// One shard, guarded by its own lock: a bounded, insert-ordered map
+/// fingerprint → stored payload, its traffic counters, and its
+/// write-through file handle (when persistence is on). Eviction is FIFO
+/// on insert order (the serving layer's access pattern is dominated by
+/// repeat-whole-requests, where FIFO and LRU behave identically and FIFO
+/// needs no touch bookkeeping on the hot hit path).
 #[derive(Debug)]
 struct Shard {
-    cache: ResultCache,
+    entries: HashMap<String, String>,
+    order: VecDeque<String>,
+    capacity: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
     file: Option<std::fs::File>,
     persisted: u64,
 }
 
-/// A hash-sharded [`ResultCache`]: keys are routed to one of N shards by
-/// the leading bits of their fingerprint, each shard has its own lock and
-/// its own FIFO eviction window, and — when a cache directory is
-/// configured — its own append-only write-through file.
+impl Shard {
+    /// Store a fingerprint that is not present yet, evicting the oldest
+    /// entry at capacity. Both write paths — fresh inserts and shard-file
+    /// replay — go through here, so replaying an append-only log
+    /// reproduces the writer's final FIFO window.
+    fn insert(&mut self, fingerprint: String, payload: String) {
+        if self.entries.len() >= self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.entries.remove(&oldest);
+                self.evictions += 1;
+            }
+        }
+        self.order.push_back(fingerprint.clone());
+        self.entries.insert(fingerprint, payload);
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            len: self.entries.len(),
+            capacity: self.capacity,
+        }
+    }
+}
+
+/// A hash-sharded result cache: keys are routed to one of N shards by the
+/// leading bits of their fingerprint, each shard has its own lock and its
+/// own FIFO eviction window, and — when a cache directory is configured —
+/// its own append-only write-through file. A single shard is the
+/// unsharded case.
+///
+/// `insert_or_get` is the only write path, so concurrent clients racing
+/// on the same key converge on the first stored payload (last-write-wins
+/// would break the byte-identity guarantee).
 ///
 /// Persistence is what makes warm starts real: on open, every shard file
 /// is replayed through the same bounded insert path (so the reloaded
@@ -397,31 +322,33 @@ impl ShardedCache {
         let mut loaded = 0u64;
         let mut load_corrupt = 0u64;
         for id in 0..n {
-            let mut cache = ResultCache::new(per_shard);
-            let file = match dir {
-                Some(d) => {
-                    let path = d.join(format!("shard-{id:02}.log"));
-                    let (l, c) = load_shard_file(&path, &mut cache);
-                    loaded += l;
-                    load_corrupt += c;
-                    compact_shard_file(&path, &cache)?;
-                    Some(
-                        std::fs::OpenOptions::new()
-                            .create(true)
-                            .append(true)
-                            .open(&path)?,
-                    )
-                }
-                None => None,
-            };
-            // Loading must not count as traffic: hits/misses describe
-            // this process's clients, not the replay.
-            cache.reset_traffic();
-            out.push(std::sync::Mutex::new(Shard {
-                cache,
-                file,
+            let mut shard = Shard {
+                entries: HashMap::new(),
+                order: VecDeque::new(),
+                capacity: per_shard,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                file: None,
                 persisted: 0,
-            }));
+            };
+            if let Some(d) = dir {
+                let path = d.join(format!("shard-{id:02}.log"));
+                let (l, c) = load_shard_file(&path, &mut shard);
+                loaded += l;
+                load_corrupt += c;
+                compact_shard_file(&path, &shard)?;
+                shard.file = Some(
+                    std::fs::OpenOptions::new()
+                        .create(true)
+                        .append(true)
+                        .open(&path)?,
+                );
+            }
+            // Loading must not count as traffic: evictions describe this
+            // process's clients, not the replay.
+            shard.evictions = 0;
+            out.push(std::sync::Mutex::new(shard));
         }
         Ok(ShardedCache {
             shards: out,
@@ -437,11 +364,16 @@ impl ShardedCache {
         (head as usize) % self.shards.len()
     }
 
-    /// Look up a key, locking only its shard.
+    /// Look up a key, counting the hit or miss and locking only its shard.
     pub fn lookup(&self, key: &CacheKey) -> Option<String> {
         let fp = key.fingerprint();
-        let shard = &self.shards[self.shard_of(&fp)];
-        relock_shard(shard).cache.lookup(key)
+        let mut shard = relock_shard(&self.shards[self.shard_of(&fp)]);
+        let hit = shard.entries.get(&fp).cloned();
+        match hit {
+            Some(_) => shard.hits += 1,
+            None => shard.misses += 1,
+        }
+        hit
     }
 
     /// Store `payload` under `key` unless present (first-writer-wins),
@@ -449,24 +381,24 @@ impl ShardedCache {
     /// through to the shard file before this returns.
     pub fn insert_or_get(&self, key: &CacheKey, payload: String) -> String {
         let fp = key.fingerprint();
-        let shard = &self.shards[self.shard_of(&fp)];
-        let mut s = relock_shard(shard);
-        let fresh = !s.cache.contains_fingerprint(&fp);
-        let stored = s.cache.insert_or_get(key, payload);
-        if fresh {
-            if let Some(file) = s.file.as_mut() {
-                use std::io::Write;
-                let line = format!("{fp}\t{}\t{stored}\n", sha256_hex(stored.as_bytes()));
-                if file
-                    .write_all(line.as_bytes())
-                    .and_then(|_| file.flush())
-                    .is_ok()
-                {
-                    s.persisted += 1;
-                }
+        let mut guard = relock_shard(&self.shards[self.shard_of(&fp)]);
+        let shard = &mut *guard;
+        if let Some(existing) = shard.entries.get(&fp) {
+            return existing.clone();
+        }
+        if let Some(file) = shard.file.as_mut() {
+            use std::io::Write;
+            let line = format!("{fp}\t{}\t{payload}\n", sha256_hex(payload.as_bytes()));
+            if file
+                .write_all(line.as_bytes())
+                .and_then(|_| file.flush())
+                .is_ok()
+            {
+                shard.persisted += 1;
             }
         }
-        stored
+        shard.insert(fp, payload.clone());
+        payload
     }
 
     /// Number of shards.
@@ -487,7 +419,7 @@ impl ShardedCache {
         let mut persisted = 0u64;
         for shard in &self.shards {
             let s = relock_shard(shard);
-            let st = s.cache.stats();
+            let st = s.stats();
             total.hits += st.hits;
             total.misses += st.misses;
             total.evictions += st.evictions;
@@ -507,47 +439,47 @@ impl ShardedCache {
     }
 }
 
-/// Replay one shard file through `cache`, verifying each entry's
-/// checksum. Returns `(loaded, corrupt)`. Damage is treated as a suffix:
-/// parsing stops at the first bad line (write-through appends are
-/// sequential, so a torn write can only be the tail).
-fn load_shard_file(path: &std::path::Path, cache: &mut ResultCache) -> (u64, u64) {
-    let Ok(text) = std::fs::read_to_string(path) else {
+/// Replay one shard file into `shard`, verifying each entry's checksum.
+/// Returns `(loaded, corrupt)`. The file is read as bytes, and damage is
+/// treated as a suffix: parsing stops at the first record that is not
+/// whole, valid UTF-8 with a matching checksum (write-through appends are
+/// sequential and each is flushed whole, so a torn write can only be the
+/// tail), and every record before it still loads.
+fn load_shard_file(path: &std::path::Path, shard: &mut Shard) -> (u64, u64) {
+    let Ok(bytes) = std::fs::read(path) else {
         return (0, 0);
     };
     let mut loaded = 0u64;
-    let mut corrupt = 0u64;
-    for line in text.lines() {
-        let parsed = (|| {
-            let (fp, rest) = line.split_once('\t')?;
-            let (digest, payload) = rest.split_once('\t')?;
-            if digest != sha256_hex(payload.as_bytes()) {
-                return None;
-            }
-            Some((fp.to_string(), payload.to_string()))
-        })();
-        match parsed {
-            Some((fp, payload)) => {
-                cache.insert_raw(fp, payload);
-                loaded += 1;
-            }
-            None => {
-                corrupt += 1;
-                break;
-            }
+    for record in bytes.split_inclusive(|&b| b == b'\n') {
+        let Some((fp, payload)) = parse_shard_record(record) else {
+            return (loaded, 1);
+        };
+        if !shard.entries.contains_key(fp) {
+            shard.insert(fp.to_string(), payload.to_string());
         }
+        loaded += 1;
     }
-    (loaded, corrupt)
+    (loaded, 0)
+}
+
+/// Parse one `"<fingerprint>\t<sha256hex>\t<payload>\n"` record, or `None`
+/// if it lacks its newline, is not UTF-8, or fails its checksum.
+fn parse_shard_record(record: &[u8]) -> Option<(&str, &str)> {
+    let line = std::str::from_utf8(record.strip_suffix(b"\n")?).ok()?;
+    let (fp, rest) = line.split_once('\t')?;
+    let (digest, payload) = rest.split_once('\t')?;
+    (digest == sha256_hex(payload.as_bytes())).then_some((fp, payload))
 }
 
 /// Rewrite a shard file to exactly the live entries in insertion order
 /// (drops evicted and corrupt records accumulated in the append-only
 /// log).
-fn compact_shard_file(path: &std::path::Path, cache: &ResultCache) -> std::io::Result<()> {
+fn compact_shard_file(path: &std::path::Path, shard: &Shard) -> std::io::Result<()> {
     use std::io::Write;
     let tmp = path.with_extension("log.tmp");
     let mut f = std::fs::File::create(&tmp)?;
-    for (fp, payload) in cache.iter_in_order() {
+    for fp in &shard.order {
+        let payload = &shard.entries[fp];
         writeln!(f, "{fp}\t{}\t{payload}", sha256_hex(payload.as_bytes()))?;
     }
     f.flush()?;
@@ -643,19 +575,19 @@ mod tests {
 
     #[test]
     fn cache_hit_returns_stored_payload_and_counts() {
-        let mut cache = ResultCache::new(8);
+        let cache = ShardedCache::open(8, 1, None).unwrap();
         let k = key("var a = 0;", Mode::Dependence, 2015, None);
         assert_eq!(cache.lookup(&k), None);
         let stored = cache.insert_or_get(&k, "payload-one".to_string());
         assert_eq!(stored, "payload-one");
         assert_eq!(cache.lookup(&k).as_deref(), Some("payload-one"));
-        let s = cache.stats();
+        let s = cache.stats().total;
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
     }
 
     #[test]
     fn first_writer_wins_on_racing_inserts() {
-        let mut cache = ResultCache::new(8);
+        let cache = ShardedCache::open(8, 1, None).unwrap();
         let k = key("var a = 0;", Mode::Dependence, 2015, None);
         assert_eq!(cache.insert_or_get(&k, "first".to_string()), "first");
         // A racing second writer (e.g. a concurrent client that also ran
@@ -777,7 +709,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_oldest() {
-        let mut cache = ResultCache::new(2);
+        let cache = ShardedCache::open(2, 1, None).unwrap();
         let k1 = key("one", Mode::Dependence, 1, None);
         let k2 = key("two", Mode::Dependence, 1, None);
         let k3 = key("three", Mode::Dependence, 1, None);
@@ -787,7 +719,83 @@ mod tests {
         assert_eq!(cache.lookup(&k1), None, "oldest entry evicted");
         assert_eq!(cache.lookup(&k2).as_deref(), Some("2"));
         assert_eq!(cache.lookup(&k3).as_deref(), Some("3"));
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.stats().len, 2);
+        assert_eq!(cache.stats().total.evictions, 1);
+        assert_eq!(cache.stats().total.len, 2);
+    }
+
+    /// Open a one-shard cache over `bytes` as its shard log, and check the
+    /// load: it never fails, damage counts at most once, every record
+    /// before `intact` is served, and nothing is served but the payload
+    /// written under its key.
+    fn reload_damaged_shard(
+        dir: &std::path::Path,
+        bytes: &[u8],
+        written: &[(CacheKey, String)],
+        intact: usize,
+        what: &str,
+    ) -> ShardedCacheStats {
+        std::fs::write(dir.join("shard-00.log"), bytes).unwrap();
+        let cache = ShardedCache::open(16, 1, Some(dir))
+            .unwrap_or_else(|e| panic!("{what}: open failed: {e}"));
+        let stats = cache.stats();
+        assert!(stats.load_corrupt <= 1, "{what}: {stats:?}");
+        for (i, (k, payload)) in written.iter().enumerate() {
+            match cache.lookup(k) {
+                Some(got) => assert_eq!(&got, payload, "{what}: wrong payload for entry {i}"),
+                None => assert!(i >= intact, "{what}: intact entry {i} was dropped"),
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn shard_log_survives_every_cut_and_bit_flip() {
+        let dir = tmpdir("fuzz");
+        let written: Vec<(CacheKey, String)> = (0..3)
+            .map(|i| {
+                (
+                    key(&format!("var f = {i};"), Mode::Dependence, 2015, None),
+                    format!("p{i}"),
+                )
+            })
+            .collect();
+        {
+            let cache = ShardedCache::open(16, 1, Some(&dir)).unwrap();
+            for (k, payload) in &written {
+                cache.insert_or_get(k, payload.clone());
+            }
+        }
+        let log = std::fs::read(dir.join("shard-00.log")).unwrap();
+        // Byte offset at which each record ends.
+        let ends: Vec<usize> = log
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(ends.len(), written.len());
+        let whole_before = |at: usize| ends.iter().filter(|&&end| end <= at).count();
+        for cut in 0..=log.len() {
+            let what = format!("cut at {cut}");
+            let stats = reload_damaged_shard(&dir, &log[..cut], &written, whole_before(cut), &what);
+            assert_eq!(stats.loaded as usize, whole_before(cut), "{what}");
+            assert_eq!(
+                stats.load_corrupt,
+                u64::from(!ends.contains(&cut) && cut > 0),
+                "{what}"
+            );
+        }
+        for bit in 0..log.len() * 8 {
+            let mut bytes = log.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            reload_damaged_shard(
+                &dir,
+                &bytes,
+                &written,
+                whole_before(bit / 8),
+                &format!("bit {bit} flipped"),
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -122,6 +122,25 @@ impl Default for FleetPolicy {
     }
 }
 
+/// Tick budget used for an injected hang when the policy does not set one:
+/// long enough that no real workload at test scale comes near it, short
+/// enough that the watchdog trips in well under a second.
+const HANG_FALLBACK_TICKS: u64 = 2_000_000;
+
+/// Spin the interpreter on `for(;;){}` under the policy's tick budget. The
+/// budget always trips, so this returns the same `watchdog:` error on every
+/// run — an injected hang (fleet fault plan or a served `inject:"hang"`)
+/// is deterministic and exercises the *real* cancellation path rather
+/// than a simulated one.
+pub fn injected_hang(policy: &FleetPolicy) -> JobError {
+    let mut interp = ceres_interp::Interp::new(2015);
+    interp.max_ticks = Some(policy.tick_budget.unwrap_or(HANG_FALLBACK_TICKS));
+    match interp.eval_source("for (;;) {}") {
+        Err(c) => JobError::from_control(&c),
+        Ok(()) => JobError::Fatal("injected hang terminated without tripping".to_string()),
+    }
+}
+
 /// One classified loop nest, reduced to plain data (Table 3 row).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NestReport {

@@ -68,9 +68,7 @@ pub mod tasks;
 pub mod welford;
 pub mod whatif;
 
-pub use cache::{
-    sha256, sha256_hex, CacheKey, CacheStats, ResultCache, ShardedCache, ShardedCacheStats,
-};
+pub use cache::{sha256, sha256_hex, CacheKey, CacheStats, ShardedCache, ShardedCacheStats};
 pub use classify::{
     amdahl_bound, amdahl_speedup, classify_nests, static_features, Difficulty, Divergence,
     NestClassification,
@@ -83,7 +81,8 @@ pub use fleet::{
 };
 pub use obs::{
     chrome_trace, emit_progress, install_progress_sink, AppMetrics, Counters, FleetMetrics,
-    PhaseSpan, Progress, ProgressSinkGuard, RunObs, ServeCounters, METRICS_SCHEMA_VERSION,
+    PhaseSpan, Progress, ProgressSink, ProgressSinkGuard, RunObs, ServeCounters,
+    METRICS_SCHEMA_VERSION,
 };
 pub use parallel::{
     equivalence, run_parallel, EquivalenceReport, ParallelError, ParallelRunOutput, ParallelSpec,

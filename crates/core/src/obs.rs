@@ -100,15 +100,18 @@ pub enum Progress {
     Partial(String),
 }
 
+/// A thread's progress callback (see [`install_progress_sink`]).
+pub type ProgressSink = Box<dyn FnMut(&Progress)>;
+
 thread_local! {
-    static PROGRESS_SINK: RefCell<Option<Box<dyn FnMut(&Progress)>>> = const { RefCell::new(None) };
+    static PROGRESS_SINK: RefCell<Option<ProgressSink>> = const { RefCell::new(None) };
 }
 
 /// Restores the previously installed sink (usually `None`) when
 /// dropped, so a panicking attempt cannot leak its sink into the next
 /// job that reuses the thread.
 pub struct ProgressSinkGuard {
-    prev: Option<Box<dyn FnMut(&Progress)>>,
+    prev: Option<ProgressSink>,
     armed: bool,
 }
 
@@ -125,7 +128,7 @@ impl Drop for ProgressSinkGuard {
 /// returned guard. The pipeline's span recording points call the sink
 /// synchronously, so a job wrapper (see `serve`/`supervisor`) installs
 /// one on the runner thread to stream phase frames mid-run.
-pub fn install_progress_sink(sink: Box<dyn FnMut(&Progress)>) -> ProgressSinkGuard {
+pub fn install_progress_sink(sink: ProgressSink) -> ProgressSinkGuard {
     let prev = PROGRESS_SINK.with(|cell| cell.borrow_mut().replace(sink));
     ProgressSinkGuard { prev, armed: true }
 }

@@ -28,13 +28,16 @@
 //!    insert is written through to a shard file and reloaded on the next
 //!    start, so a restarted daemon serves warm hits **byte-identically**
 //!    with zero new interpreter ticks.
-//! 3. **Process-isolated execution.** With a
+//! 3. **One job path, two transports.** Every served job is supervised by
+//!    [`crate::supervisor::run_job`], and nothing else. With a
 //!    [`crate::supervisor::WorkerSpec`] configured (the `jsceresd`
 //!    default), each worker thread owns one worker *process*
-//!    (`jsceresd --worker`); a crash costs one job, the supervisor
-//!    restarts the worker with bounded backoff, and the daemon keeps
-//!    serving. Without a spec (library/test default) jobs run on
-//!    in-process threads exactly as before.
+//!    (`jsceresd --worker`) that calls `run_job` with its stdout as the
+//!    frame sink; a crash costs one job, the supervisor restarts the
+//!    worker with bounded backoff, and the daemon keeps serving. Without
+//!    a spec (library/test default, `jsceresd --in-process`) the worker
+//!    thread calls `run_job` itself, with the client's channel as the
+//!    sink.
 //! 4. **Spill-to-disk admission.** The in-memory ring holds up to
 //!    `queue_capacity` jobs; overflow is appended to a crash-safe
 //!    [`SpillQueue`] segment file and drained strictly FIFO behind the
@@ -46,12 +49,12 @@
 //!    re-architected as a pipeline): a *parse stage* pulls admitted
 //!    jobs, runs the parse+rewrite front half
 //!    ([`crate::pipeline::prepare_source`]) and emits the early phase
-//!    frames, then hands off to the *interp stage* (the worker slots,
-//!    threads or processes). Stages of different jobs overlap — while
-//!    one job holds an interp slot mid-dependence-analysis, the next
-//!    job's parse runs on a parse thread, and an unparseable job is
-//!    rejected without ever occupying an interp slot. Spilled jobs
-//!    replay through the same two stages.
+//!    frames, then hands off to the *interp stage* (the worker slots;
+//!    the parse pool has one thread per slot). Stages of different jobs
+//!    overlap — while one job holds an interp slot
+//!    mid-dependence-analysis, the next job's parse runs on a parse
+//!    thread, and an unparseable job is rejected without ever occupying
+//!    an interp slot. Spilled jobs replay through the same two stages.
 //!
 //! Shutdown is a graceful drain: a `shutdown` op (or
 //! [`ServerHandle::shutdown`], or SIGTERM via
@@ -72,12 +75,12 @@
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::fleet::{
-    supervise, AppOutcome, AppReport, FleetJob, FleetPolicy, JobError, JobWork, API_SCHEMA_VERSION,
+    injected_hang, AppOutcome, AppReport, FleetPolicy, JobError, JobWork, API_SCHEMA_VERSION,
 };
 use crate::obs::{FleetMetrics, ServeCounters};
 use crate::pipeline::{analyze, AnalyzeOptions, Document, WebServer};
 use crate::spill::SpillQueue;
-use crate::supervisor::{SlotOutcome, WorkerSlot, WorkerSpec};
+use crate::supervisor::{run_job, SlotOutcome, WorkerResponse, WorkerSlot, WorkerSpec};
 use ceres_instrument::Mode;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -87,11 +90,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// Tick budget for an injected hang when the policy does not set one
-/// (mirrors the fleet harness): long enough for any real request, short
-/// enough that the watchdog trips quickly.
-const HANG_FALLBACK_TICKS: u64 = 2_000_000;
 
 /// How often an idle connection handler wakes up to check for drain.
 const READ_POLL: Duration = Duration::from_millis(200);
@@ -239,8 +237,10 @@ pub fn request_wire_json(req: &AnalysisRequest, opts: &AnalyzeOptions) -> String
 /// one-shot response is the degenerate case — a single terminal frame
 /// rendered as the legacy envelope. Every response line on the wire
 /// (both backends, both schemas) goes through [`render_frame`], so
-/// there is exactly one place envelope bytes are assembled.
-#[derive(Debug, Clone)]
+/// there is exactly one place envelope bytes are assembled. Between a
+/// worker process and the supervisor a frame travels as its serde form
+/// (`{"Phase":{"phase":…,"start_ticks":…,"end_ticks":…}}`).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Frame {
     /// The job passed admission and is queued; `queue_depth` is its
     /// position-ish depth at admission (ring length, plus spill depth
@@ -477,21 +477,12 @@ pub fn inject_fault(
     inner: JobWork,
 ) -> Result<JobWork, String> {
     let slug = slug.to_string();
-    let budget = policy.tick_budget.unwrap_or(HANG_FALLBACK_TICKS);
+    let policy = policy.clone();
     match kind {
         "panic" => Ok(Arc::new(move |_, _| {
             panic!("injected fault: panic in {slug}")
         })),
-        "hang" => Ok(Arc::new(move |_, _| {
-            let mut interp = ceres_interp::Interp::new(2015);
-            interp.max_ticks = Some(budget);
-            match interp.eval_source("for (;;) {}") {
-                Err(c) => Err(JobError::from_control(&c)),
-                Ok(()) => Err(JobError::Fatal(
-                    "injected hang terminated without tripping".to_string(),
-                )),
-            }
-        })),
+        "hang" => Ok(Arc::new(move |_, _| Err(injected_hang(&policy)))),
         "error" => Ok(Arc::new(move |worker, attempt| {
             if attempt == 1 {
                 Err(JobError::Transient(format!(
@@ -514,9 +505,35 @@ pub fn inject_fault(
     }
 }
 
+impl ResolvedJob {
+    /// Finish resolving `req` to `work`: wrap it in the request's
+    /// injected fault, if any, which also makes the job uncacheable.
+    /// Shared by every resolver, so injection means the same everywhere.
+    pub fn for_request(
+        req: &AnalysisRequest,
+        policy: &FleetPolicy,
+        app: String,
+        slug: String,
+        source: String,
+        work: JobWork,
+    ) -> Result<ResolvedJob, String> {
+        let work = match &req.inject {
+            Some(kind) => inject_fault(kind, &slug, policy, work)?,
+            None => work,
+        };
+        Ok(ResolvedJob {
+            app,
+            slug,
+            source,
+            work,
+            cacheable: req.inject.is_none(),
+        })
+    }
+}
+
 /// A resolver for raw-source requests only (no workload registry):
-/// rejects `app` requests. Used by core tests; the daemon layers the
-/// registry on top of the same [`source_work`]/[`inject_fault`] pieces.
+/// rejects `app` requests. Used by core tests, and by the daemon's
+/// registry resolver for every request that names `source`.
 pub fn source_resolver(policy: FleetPolicy) -> Resolver {
     Arc::new(move |req, opts| {
         if req.app.is_some() {
@@ -526,24 +543,20 @@ pub fn source_resolver(policy: FleetPolicy) -> Resolver {
             .source
             .clone()
             .ok_or_else(|| "request needs `app` or `source`".to_string())?;
-        let slug = "inline".to_string();
-        let mut work = source_work(
+        let work = source_work(
             "inline".to_string(),
-            slug.clone(),
+            "inline".to_string(),
             source.clone(),
             opts.clone(),
         );
-        let cacheable = req.inject.is_none();
-        if let Some(kind) = &req.inject {
-            work = inject_fault(kind, &slug, &policy, work)?;
-        }
-        Ok(ResolvedJob {
-            app: "inline".to_string(),
-            slug,
+        ResolvedJob::for_request(
+            req,
+            &policy,
+            "inline".to_string(),
+            "inline".to_string(),
             source,
             work,
-            cacheable,
-        })
+        )
     })
 }
 
@@ -570,91 +583,77 @@ pub fn request_options(
     Ok(b.build())
 }
 
+/// The fields every job fragment leads with.
+fn fragment_head(fingerprint: &str, app: &str, slug: &str, status: &str, attempts: u32) -> String {
+    format!(
+        "\"key\":\"{fingerprint}\",\"app\":\"{}\",\"slug\":\"{}\",\"status\":\"{}\",\"attempts\":{attempts}",
+        json_escape(app),
+        json_escape(slug),
+        json_escape(status),
+    )
+}
+
 /// Build the result fragment for a finished job. `Ok` outcomes carry
 /// the canonical report + deterministic single-run metrics; failures
-/// carry the status label and detail. Compact JSON throughout — the
-/// protocol is line-delimited. Shared verbatim by the in-process
-/// backend and [`crate::supervisor::worker_serve_stdio`], which is what
-/// keeps envelopes byte-identical across execution backends.
+/// carry the status label and detail ([`failure_fragment`]). Compact
+/// JSON throughout — the protocol is line-delimited. Built only by
+/// [`crate::supervisor::run_job`], whichever transport runs it, which is
+/// what keeps envelopes byte-identical across backends.
 pub fn result_fragment(key: &CacheKey, outcome: &AppOutcome) -> (bool, String) {
-    let head = format!(
-        "\"key\":\"{}\",\"app\":\"{}\",\"slug\":\"{}\",\"status\":\"{}\",\"attempts\":{}",
-        key.fingerprint(),
-        json_escape(&outcome.app),
-        json_escape(&outcome.slug),
-        json_escape(&outcome.status.label()),
+    let fingerprint = key.fingerprint();
+    let status = outcome.status.label();
+    let Some(report) = &outcome.report else {
+        let detail = outcome.status.detail().unwrap_or("");
+        let fragment = failure_fragment(
+            &fingerprint,
+            &outcome.app,
+            &outcome.slug,
+            &status,
+            outcome.attempts,
+            detail,
+        );
+        return (false, fragment);
+    };
+    let head = fragment_head(
+        &fingerprint,
+        &outcome.app,
+        &outcome.slug,
+        &status,
         outcome.attempts,
     );
-    match &outcome.report {
-        Some(report) => {
-            let canonical = report.canonical();
-            let metrics = FleetMetrics::single(
-                &canonical.app,
-                &canonical.slug,
-                &canonical.mode,
-                &canonical.obs,
-                true,
-            );
-            let report_json = serde_json::to_string(&canonical).expect("AppReport serializes");
-            let metrics_json = serde_json::to_string(&metrics).expect("FleetMetrics serializes");
-            (
-                true,
-                format!("{head},\"report\":{report_json},\"metrics\":{metrics_json}"),
-            )
-        }
-        None => {
-            let detail = outcome.status.detail().unwrap_or("");
-            (
-                false,
-                format!("{head},\"error\":\"{}\"", json_escape(detail)),
-            )
-        }
-    }
+    let canonical = report.canonical();
+    let metrics = FleetMetrics::single(
+        &canonical.app,
+        &canonical.slug,
+        &canonical.mode,
+        &canonical.obs,
+        true,
+    );
+    let report_json = serde_json::to_string(&canonical).expect("AppReport serializes");
+    let metrics_json = serde_json::to_string(&metrics).expect("FleetMetrics serializes");
+    (
+        true,
+        format!("{head},\"report\":{report_json},\"metrics\":{metrics_json}"),
+    )
 }
 
-/// Map a pipeline progress event to its streamed frame, if it has one.
-/// The parse stage already emitted `parse`/`rewrite` (the exec stage
-/// re-lowers from source and would re-record them), and sub-spans like
-/// `interp.compile` are an implementation detail — so the back half of
-/// the stream carries `interp`/`analyze`/`report` phases plus the
-/// `partial` timing row. Shared by the in-process sink and the worker
-/// process's stdout emitter, which keeps both backends' streams
-/// identical.
-pub(crate) fn frame_for_progress(p: &crate::obs::Progress) -> Option<Frame> {
-    match p {
-        crate::obs::Progress::Phase(span) => match span.phase.as_str() {
-            "interp" | "analyze" | "report" => Some(Frame::Phase {
-                phase: span.phase.clone(),
-                start_ticks: span.start_ticks,
-                end_ticks: span.end_ticks,
-            }),
-            _ => None,
-        },
-        crate::obs::Progress::Partial(fragment) => Some(Frame::Partial {
-            fragment: fragment.clone(),
-        }),
-    }
-}
-
-/// Wrap a job's work so each attempt runs with a progress sink that
-/// forwards phase/partial frames to the client's reply channel. The
-/// sink is installed *inside* the closure — i.e. on the supervised
-/// runner thread, where the pipeline's recording points fire — and the
-/// guard uninstalls it even when the attempt panics. Retried attempts
-/// re-emit their frames; `seq` stays monotonic because the connection
-/// handler stamps it at write time.
-fn streamed_work(inner: JobWork, reply: mpsc::Sender<Frame>) -> JobWork {
-    // `Sender` is `Send` but not `Sync`; `JobWork` must be both.
-    let reply = Mutex::new(reply);
-    Arc::new(move |worker, attempt| {
-        let tx = relock(&reply).clone();
-        let _guard = crate::obs::install_progress_sink(Box::new(move |p| {
-            if let Some(frame) = frame_for_progress(p) {
-                let _ = tx.send(frame);
-            }
-        }));
-        inner(worker, attempt)
-    })
+/// The fragment of a job that ended without a report: the
+/// [`result_fragment`] head, then the error. Every failure the server
+/// reports — a failed outcome, a parse-stage rejection, a crashed or
+/// unspawnable worker, a bad worker job line — is rendered here.
+pub fn failure_fragment(
+    fingerprint: &str,
+    app: &str,
+    slug: &str,
+    status: &str,
+    attempts: u32,
+    error: &str,
+) -> String {
+    format!(
+        "{},\"error\":\"{}\"",
+        fragment_head(fingerprint, app, slug, status, attempts),
+        json_escape(error)
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -668,12 +667,11 @@ fn streamed_work(inner: JobWork, reply: mpsc::Sender<Frame>) -> JobWork {
 pub struct ServeConfig {
     /// Worker slots executing the interp/analyze back half of queued
     /// jobs (threads, or — with [`ServeConfig::worker_spec`] set —
-    /// worker processes, one per slot).
+    /// worker processes, one per slot), and as many parse-stage threads
+    /// running the front half (resolve + parse/rewrite + early frames),
+    /// which overlaps the next job's parse with the previous job's
+    /// interp.
     pub workers: usize,
-    /// Parse-stage threads: the pipeline front half (resolve +
-    /// parse/rewrite + early frames) runs here, overlapping the next
-    /// job's parse with the previous job's interp.
-    pub parse_workers: usize,
     /// In-memory job-ring capacity; overflow spills to disk.
     pub queue_capacity: usize,
     /// Result-cache capacity, in entries (split across shards).
@@ -688,7 +686,9 @@ pub struct ServeConfig {
     /// temp directory, deleted on clean shutdown.
     pub spill_dir: Option<PathBuf>,
     /// How to spawn worker processes. `Some` ⇒ process-isolated
-    /// execution with supervised restart; `None` ⇒ in-process threads.
+    /// execution with supervised restart; `None` ⇒ each worker thread
+    /// runs its jobs itself (the same job path, without crash
+    /// isolation).
     pub worker_spec: Option<WorkerSpec>,
     /// Supervision policy for every served job.
     pub policy: FleetPolicy,
@@ -702,7 +702,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 2,
-            parse_workers: 2,
             queue_capacity: 64,
             cache_capacity: 256,
             cache_shards: 8,
@@ -716,32 +715,28 @@ impl Default for ServeConfig {
     }
 }
 
-/// One admitted unit of work awaiting the parse stage: a self-contained
-/// wire-format job spec (also the spill payload), whether the client
-/// asked for the streaming protocol, and where to send frames. Replayed
-/// spill jobs have no reply channel — their results go to the cache
-/// only.
+/// One admitted unit of work: a self-contained wire-format job spec
+/// (also the spill payload and the worker job line) and where to send
+/// its frames. Replayed spill jobs have no reply channel — their results
+/// go to the cache only. Every frame goes to the channel; the
+/// connection handler drops non-terminal frames for one-shot clients.
 struct QueuedJob {
     wire: String,
-    stream: bool,
     reply: Option<mpsc::Sender<Frame>>,
 }
 
-/// A job past the parse stage, holding a slot in the bounded exec
-/// queue: the original spec (the exec backend re-lowers from it), the
-/// resolved [`PreparedJob`], and the client channel.
+impl QueuedJob {
+    fn send(&self, frame: Frame) {
+        if let Some(reply) = &self.reply {
+            let _ = reply.send(frame);
+        }
+    }
+}
+
+/// A job past the parse stage, holding a slot in the bounded exec queue.
 struct ExecJob {
-    wire: String,
-    stream: bool,
-    reply: Option<mpsc::Sender<Frame>>,
+    job: QueuedJob,
     prepared: PreparedJob,
-}
-
-/// A client parked on a spilled job: its frame channel plus whether it
-/// asked for the streaming protocol.
-struct Waiter {
-    reply: mpsc::Sender<Frame>,
-    stream: bool,
 }
 
 /// Queue state under the mutex: the bounded admission ring, the
@@ -762,7 +757,7 @@ struct QueueState {
     /// True when the spill directory was operator-chosen (backlog
     /// survives restarts); false for the ephemeral default.
     spill_persistent: bool,
-    waiters: HashMap<u64, Waiter>,
+    waiters: HashMap<u64, mpsc::Sender<Frame>>,
     /// False once drain begins: workers exit when the ring is empty.
     open: bool,
 }
@@ -880,38 +875,18 @@ fn begin_drain(shared: &Arc<Shared>) {
         let persistent = q.spill_persistent;
         let tail: Vec<QueuedJob> = q.memory.drain(..).collect();
         for job in tail {
-            let persisted = match q.spill.as_mut() {
-                Some(spill) => spill.push(&job.wire).is_ok(),
-                None => false,
-            };
-            if persisted {
-                flushed += 1;
-            }
-            if let Some(reply) = job.reply {
-                if job.stream {
-                    let _ = reply.send(Frame::Notice {
-                        notice: "draining: flushing the queued tail".to_string(),
-                    });
-                }
-                let _ = reply.send(Frame::Error {
-                    fragment: drain_flush_fragment(persisted && persistent),
-                });
+            let persisted = q.spill.as_mut().is_some_and(|s| s.push(&job.wire).is_ok());
+            flushed += u64::from(persisted);
+            if let Some(reply) = &job.reply {
+                tell_flushed(reply, persisted && persistent);
             }
         }
         // Jobs already spilled stay in the segment file; answer their
         // waiting clients the same way. Jobs already past the parse
         // stage (the exec queue) count as started: they run to
         // completion and answer normally.
-        let waiters: Vec<Waiter> = q.waiters.drain().map(|(_, w)| w).collect();
-        for w in waiters {
-            if w.stream {
-                let _ = w.reply.send(Frame::Notice {
-                    notice: "draining: flushing the queued tail".to_string(),
-                });
-            }
-            let _ = w.reply.send(Frame::Error {
-                fragment: drain_flush_fragment(persistent),
-            });
+        for (_, reply) in q.waiters.drain() {
+            tell_flushed(&reply, persistent);
         }
     }
     shared.bump(|c| c.jobs_flushed_on_drain += flushed);
@@ -920,16 +895,20 @@ fn begin_drain(shared: &Arc<Shared>) {
     let _ = TcpStream::connect(shared.addr);
 }
 
-/// The explicit answer a queued-but-unstarted client gets at drain time.
-fn drain_flush_fragment(persisted: bool) -> String {
-    if persisted {
-        error_fragment(
+/// The explicit answer a queued-but-unstarted client gets at drain time:
+/// a notice (streaming clients only see it), then the terminal error.
+fn tell_flushed(reply: &mpsc::Sender<Frame>, persisted: bool) {
+    let _ = reply.send(Frame::Notice {
+        notice: "draining: flushing the queued tail".to_string(),
+    });
+    let _ = reply.send(Frame::Error {
+        fragment: error_fragment(if persisted {
             "draining: job flushed to the spill queue; it will run after \
-             restart — retry then for a cache hit",
-        )
-    } else {
-        error_fragment("draining: job not started; retry")
-    }
+             restart — retry then for a cache hit"
+        } else {
+            "draining: job not started; retry"
+        }),
+    });
 }
 
 /// Start serving on `listener` (bind it yourself; `127.0.0.1:0` works
@@ -996,21 +975,19 @@ pub fn serve(listener: TcpListener, config: ServeConfig, resolver: Resolver) -> 
         addr,
     });
 
-    let mut workers: Vec<_> = (0..config.workers.max(1))
-        .map(|worker_id| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("jsceresd-worker-{worker_id}"))
-                .spawn(move || exec_loop(&shared, worker_id))
-                .expect("spawn worker")
-        })
-        .collect();
-    for parse_id in 0..config.parse_workers.max(1) {
-        let shared = Arc::clone(&shared);
+    let mut workers = Vec::new();
+    for id in 0..config.workers.max(1) {
+        let (exec, parse) = (Arc::clone(&shared), Arc::clone(&shared));
         workers.push(
             std::thread::Builder::new()
-                .name(format!("jsceresd-parse-{parse_id}"))
-                .spawn(move || parse_loop(&shared))
+                .name(format!("jsceresd-worker-{id}"))
+                .spawn(move || exec_loop(&exec))
+                .expect("spawn worker"),
+        );
+        workers.push(
+            std::thread::Builder::new()
+                .name(format!("jsceresd-parse-{id}"))
+                .spawn(move || parse_loop(&parse))
                 .expect("spawn parse worker"),
         );
     }
@@ -1074,16 +1051,9 @@ fn next_job(shared: &Arc<Shared>) -> Option<QueuedJob> {
         }
         if let Some(spill) = q.spill.as_mut() {
             if let Some((seq, wire)) = spill.pop() {
-                let (reply, stream) = match q.waiters.remove(&seq) {
-                    Some(w) => (Some(w.reply), w.stream),
-                    None => (None, false),
-                };
+                let reply = q.waiters.remove(&seq);
                 q.parsing += 1;
-                return Some(QueuedJob {
-                    wire,
-                    stream,
-                    reply,
-                });
+                return Some(QueuedJob { wire, reply });
             }
         }
         q = shared
@@ -1093,36 +1063,14 @@ fn next_job(shared: &Arc<Shared>) -> Option<QueuedJob> {
     }
 }
 
-/// Parse + resolve a queued wire spec back into runnable work. (The
-/// spec was validated at admission; failures here are replay-era drift,
-/// e.g. a registry app renamed between restarts.)
+/// A queued job's spec parsed and resolved by the parse stage: what the
+/// exec stage needs to run it and to store and report its result.
 struct PreparedJob {
+    req: AnalysisRequest,
     key: CacheKey,
     cacheable: bool,
-    /// Canonical source + mode, kept so the parse stage can run the
-    /// pipeline front half ([`crate::pipeline::prepare_source`]).
-    source: String,
-    mode: Mode,
-    job: FleetJob,
-}
-
-fn prepare_job(shared: &Arc<Shared>, wire: &str) -> Result<PreparedJob, String> {
-    let req: AnalysisRequest =
-        serde_json::from_str(wire).map_err(|e| format!("bad queued job spec: {e}"))?;
-    let opts = request_options(&req, &shared.config)?;
-    let resolved = (shared.resolver)(&req, &opts)?;
-    let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
-    Ok(PreparedJob {
-        key,
-        cacheable: resolved.cacheable,
-        source: resolved.source,
-        mode: opts.mode,
-        job: FleetJob {
-            app: resolved.app,
-            slug: resolved.slug,
-            work: resolved.work,
-        },
-    })
+    app: String,
+    slug: String,
 }
 
 /// Pipeline stage 1 (one thread of the parse pool): pull admitted jobs
@@ -1141,66 +1089,59 @@ fn parse_loop(shared: &Arc<Shared>) {
 
 /// Resolve one job and run its parse/rewrite front half, then hand it
 /// to the exec queue — or fail it here, before it can occupy an interp
-/// slot. Streaming jobs get their early `phase` frames from this stage;
-/// an unparseable streaming job is rejected with a terminal `error`
-/// without ever touching the back stage.
-fn stage_parse(shared: &Arc<Shared>, item: QueuedJob) {
-    let prepared = match prepare_job(shared, &item.wire) {
-        Ok(p) => p,
-        Err(e) => {
+/// slot.
+fn stage_parse(shared: &Arc<Shared>, job: QueuedJob) {
+    match prepare_job(shared, &job) {
+        Ok(prepared) => enqueue_exec(shared, ExecJob { job, prepared }),
+        Err(fragment) => {
             shared.bump(|c| c.jobs_failed += 1);
-            if let Some(reply) = item.reply {
-                let _ = reply.send(Frame::Error {
-                    fragment: error_fragment(&e),
-                });
-            }
-            return;
+            job.send(Frame::Error { fragment });
         }
-    };
+    }
+}
+
+/// Parse + resolve a queued spec; for a streaming job also run the
+/// front half and send its early `phase` frames, so an unparseable
+/// streaming job is rejected with a terminal `error` without ever
+/// touching the back stage. `Err` is that error's fragment. (The spec
+/// was validated at admission; other failures here are replay-era
+/// drift, e.g. a registry app renamed between restarts.)
+fn prepare_job(shared: &Arc<Shared>, job: &QueuedJob) -> Result<PreparedJob, String> {
+    let req: AnalysisRequest = serde_json::from_str(&job.wire)
+        .map_err(|e| error_fragment(&format!("bad queued job spec: {e}")))?;
+    let opts = request_options(&req, &shared.config).map_err(|e| error_fragment(&e))?;
+    let resolved = (shared.resolver)(&req, &opts).map_err(|e| error_fragment(&e))?;
+    let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
     // One-shot jobs skip the front half (the exec stage re-parses
     // internally anyway, and their failure bytes must stay identical to
     // the pre-pipeline server); streaming jobs pay a microseconds-scale
     // double parse to get early frames and early rejection.
-    if item.stream {
-        match crate::pipeline::prepare_source(&prepared.source, prepared.mode) {
-            Ok(front) => {
-                if let Some(reply) = &item.reply {
-                    for span in &front.spans {
-                        let _ = reply.send(Frame::Phase {
-                            phase: span.phase.clone(),
-                            start_ticks: span.start_ticks,
-                            end_ticks: span.end_ticks,
-                        });
-                    }
-                }
-            }
-            Err(e) => {
-                shared.bump(|c| c.jobs_failed += 1);
-                if let Some(reply) = item.reply {
-                    let _ = reply.send(Frame::Error {
-                        fragment: format!(
-                            "\"key\":\"{}\",\"app\":\"{}\",\"slug\":\"{}\",\
-                             \"status\":\"failed\",\"attempts\":0,\"error\":\"{}\"",
-                            prepared.key.fingerprint(),
-                            json_escape(&prepared.job.app),
-                            json_escape(&prepared.job.slug),
-                            json_escape(&e),
-                        ),
-                    });
-                }
-                return;
-            }
+    if req.stream == Some(true) {
+        let front = crate::pipeline::prepare_source(&resolved.source, opts.mode).map_err(|e| {
+            failure_fragment(
+                &key.fingerprint(),
+                &resolved.app,
+                &resolved.slug,
+                "failed",
+                0,
+                &e,
+            )
+        })?;
+        for span in front.spans {
+            job.send(Frame::Phase {
+                phase: span.phase,
+                start_ticks: span.start_ticks,
+                end_ticks: span.end_ticks,
+            });
         }
     }
-    enqueue_exec(
-        shared,
-        ExecJob {
-            wire: item.wire,
-            stream: item.stream,
-            reply: item.reply,
-            prepared,
-        },
-    );
+    Ok(PreparedJob {
+        req,
+        key,
+        cacheable: resolved.cacheable,
+        app: resolved.app,
+        slug: resolved.slug,
+    })
 }
 
 /// Hand a parsed job to the exec queue, blocking while it is at
@@ -1243,127 +1184,87 @@ fn next_exec_job(shared: &Arc<Shared>) -> Option<ExecJob> {
 }
 
 /// Pipeline stage 2 (one thread per interp slot): run parsed jobs on
-/// this worker's backend and send each client its terminal frame.
-fn exec_loop(shared: &Arc<Shared>, worker_id: usize) {
+/// this worker's transport, store cacheable results (first-writer-wins:
+/// concurrent cold misses on the same key converge on one stored byte
+/// sequence and, with persistence on, one write-through line), and send
+/// each client its terminal frame.
+fn exec_loop(shared: &Arc<Shared>) {
     let mut slot = shared.config.worker_spec.clone().map(WorkerSlot::new);
-    while let Some(job) = next_exec_job(shared) {
-        let (ok, fragment, ticks) = execute_job(shared, worker_id, slot.as_mut(), &job);
+    while let Some(ExecJob { job, prepared }) = next_exec_job(shared) {
+        let resp = match slot.as_mut() {
+            Some(slot) => run_on_slot(shared, slot, &job, &prepared),
+            None => {
+                let reply = job.reply.clone();
+                run_job(
+                    &prepared.req,
+                    &shared.config,
+                    &shared.resolver,
+                    Box::new(move |frame| {
+                        if let Some(reply) = &reply {
+                            let _ = reply.send(frame);
+                        }
+                    }),
+                )
+            }
+        };
+        let fragment = if resp.ok && prepared.cacheable {
+            shared.cache.insert_or_get(&prepared.key, resp.fragment)
+        } else {
+            resp.fragment
+        };
         shared.bump(|c| {
-            c.interp_ticks += ticks;
-            if ok {
+            c.interp_ticks += resp.ticks;
+            if resp.ok {
                 c.jobs_ok += 1;
             } else {
                 c.jobs_failed += 1;
             }
         });
-        if let Some(reply) = &job.reply {
-            let frame = if ok {
-                Frame::Result {
-                    ok: true,
-                    cached: false,
-                    fragment,
-                }
-            } else {
-                Frame::Error { fragment }
-            };
-            let _ = reply.send(frame);
-        }
-    }
-    if let Some(s) = slot.as_mut() {
-        s.shutdown();
+        job.send(if resp.ok {
+            Frame::Result {
+                ok: true,
+                cached: false,
+                fragment,
+            }
+        } else {
+            Frame::Error { fragment }
+        });
     }
 }
 
-/// Run one parsed job on this worker's backend and return
-/// `(ok, fragment, ticks)` with the fragment already deduplicated
-/// through the cache (first-writer-wins) when cacheable. Streaming
-/// jobs run with a frame path back to the client: the process backend
-/// forwards the worker pipe's frame lines, the in-process backend
-/// installs a progress sink on the runner thread.
-fn execute_job(
-    shared: &Arc<Shared>,
-    worker_id: usize,
-    slot: Option<&mut WorkerSlot>,
-    job: &ExecJob,
-) -> (bool, String, u64) {
-    let prepared = &job.prepared;
-    let (ok, fragment, ticks) = match slot {
-        // Process backend: ship the job line to this slot's worker
-        // process; a dead worker is restarted with bounded backoff.
-        Some(slot) => {
-            let streaming = job.stream && job.reply.is_some();
-            let (outcome, restarts) = slot.run(&job.wire, &mut |frame| {
-                if streaming {
-                    if let Some(reply) = &job.reply {
-                        let _ = reply.send(frame);
-                    }
-                }
-            });
-            if restarts > 0 {
-                shared.bump(|c| c.worker_restarts += restarts);
-            }
-            match outcome {
-                SlotOutcome::Done(resp) => (resp.ok, resp.fragment, resp.ticks),
-                SlotOutcome::Crashed { attempts } => (
-                    false,
-                    format!(
-                        "\"key\":\"{}\",\"app\":\"{}\",\"slug\":\"{}\",\
-                         \"status\":\"worker-crashed\",\"attempts\":{attempts},\
-                         \"error\":\"worker process died while running this job; \
-                         a fresh worker was started\"",
-                        prepared.key.fingerprint(),
-                        json_escape(&prepared.job.app),
-                        json_escape(&prepared.job.slug),
-                    ),
-                    0,
-                ),
-                SlotOutcome::Unavailable(e) => (
-                    false,
-                    format!(
-                        "\"key\":\"{}\",\"app\":\"{}\",\"slug\":\"{}\",\
-                         \"status\":\"failed\",\"attempts\":0,\"error\":\"{}\"",
-                        prepared.key.fingerprint(),
-                        json_escape(&prepared.job.app),
-                        json_escape(&prepared.job.slug),
-                        json_escape(&e),
-                    ),
-                    0,
-                ),
-            }
-        }
-        // In-process backend: the original thread-pool path, with the
-        // work wrapped in a streaming progress sink when the client
-        // asked for frames.
-        None => {
-            let outcome = match (&job.reply, job.stream) {
-                (Some(reply), true) => {
-                    let streamed = FleetJob {
-                        app: prepared.job.app.clone(),
-                        slug: prepared.job.slug.clone(),
-                        work: streamed_work(Arc::clone(&prepared.job.work), reply.clone()),
-                    };
-                    supervise(&streamed, worker_id, &shared.config.policy)
-                }
-                _ => supervise(&prepared.job, worker_id, &shared.config.policy),
-            };
-            let ticks = outcome
-                .report
-                .as_ref()
-                .map(|r| r.obs.counters.interp_ticks)
-                .unwrap_or(0);
-            let (ok, fragment) = result_fragment(&prepared.key, &outcome);
-            (ok, fragment, ticks)
-        }
+/// Ship one job line to this slot's worker process, forwarding its
+/// frames to the client; a dead worker is restarted with bounded
+/// backoff, and a job it could not finish fails with a
+/// [`failure_fragment`].
+fn run_on_slot(
+    shared: &Shared,
+    slot: &mut WorkerSlot,
+    job: &QueuedJob,
+    prepared: &PreparedJob,
+) -> WorkerResponse {
+    let (outcome, restarts) = slot.run(&job.wire, &mut |frame| job.send(frame));
+    if restarts > 0 {
+        shared.bump(|c| c.worker_restarts += restarts);
+    }
+    let failed = |status: &str, attempts: u32, error: &str| {
+        WorkerResponse::failed(failure_fragment(
+            &prepared.key.fingerprint(),
+            &prepared.app,
+            &prepared.slug,
+            status,
+            attempts,
+            error,
+        ))
     };
-    let fragment = if ok && prepared.cacheable {
-        // First-writer-wins: concurrent cold misses on the same key
-        // converge on one stored byte sequence (and, with persistence
-        // on, one write-through line).
-        shared.cache.insert_or_get(&prepared.key, fragment)
-    } else {
-        fragment
-    };
-    (ok, fragment, ticks)
+    match outcome {
+        SlotOutcome::Done(resp) => resp,
+        SlotOutcome::Crashed { attempts } => failed(
+            "worker-crashed",
+            attempts,
+            "worker process died while running this job; a fresh worker was started",
+        ),
+        SlotOutcome::Unavailable(e) => failed("failed", 0, &e),
+    }
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
@@ -1502,23 +1403,26 @@ fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
 /// the stages interleaved behind the channel.
 struct FrameWriter<'a> {
     out: &'a mut dyn Write,
+    shared: &'a Shared,
     schema: u32,
     id: &'a str,
     seq: u64,
-    /// Non-terminal frames written (feeds the `frames_streamed` counter).
-    streamed: u64,
 }
 
 impl FrameWriter<'_> {
+    /// Write one frame. A non-terminal frame is counted in
+    /// `frames_streamed` as soon as it is written, so by the time a
+    /// client reads its terminal frame `stats` includes its whole stream.
     fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
         self.seq += 1;
-        if !frame.is_terminal() {
-            self.streamed += 1;
-        }
         write_line(
             self.out,
             &render_frame(self.schema, self.id, self.seq, frame),
-        )
+        )?;
+        if !frame.is_terminal() {
+            self.shared.bump(|c| c.frames_streamed += 1);
+        }
+        Ok(())
     }
 }
 
@@ -1543,10 +1447,10 @@ fn handle_analyze(
     };
     let mut fw = FrameWriter {
         out,
+        shared,
         schema,
         id,
         seq: 0,
-        streamed: 0,
     };
 
     let opts = match request_options(req, &shared.config) {
@@ -1618,13 +1522,7 @@ fn handle_analyze(
                 .map(|spill| spill.push(&wire).map(|seq| (seq, spill.len() as u64)));
             match pushed {
                 Some(Ok((seq, depth))) => {
-                    q.waiters.insert(
-                        seq,
-                        Waiter {
-                            reply: tx,
-                            stream: stream_mode,
-                        },
-                    );
+                    q.waiters.insert(seq, tx);
                     drop(q);
                     shared.bump(|c| {
                         c.jobs_spilled += 1;
@@ -1649,7 +1547,6 @@ fn handle_analyze(
         } else {
             q.memory.push_back(QueuedJob {
                 wire,
-                stream: stream_mode,
                 reply: Some(tx),
             });
             let depth = q.memory.len() as u64;
@@ -1690,29 +1587,16 @@ fn handle_analyze(
     }
 
     loop {
-        match rx.recv() {
-            Ok(frame) => {
-                let terminal = frame.is_terminal();
-                if stream_mode || terminal {
-                    fw.send(&frame)?;
-                }
-                if terminal {
-                    break;
-                }
-            }
-            Err(_) => {
-                fw.send(&Frame::Error {
-                    fragment: error_fragment("worker exited before finishing the job"),
-                })?;
-                break;
-            }
+        let frame = rx.recv().unwrap_or_else(|_| Frame::Error {
+            fragment: error_fragment("worker exited before finishing the job"),
+        });
+        if frame.is_terminal() {
+            return fw.send(&frame);
+        }
+        if stream_mode {
+            fw.send(&frame)?;
         }
     }
-    if fw.streamed > 0 {
-        let streamed = fw.streamed;
-        shared.bump(|c| c.frames_streamed += streamed);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1875,27 +1759,79 @@ mod tests {
         server.shutdown();
     }
 
+    /// Holds the job whose source is `marker` inside its interp slot:
+    /// `(started, released)` under a lock, with the resolver that gates
+    /// the marker's work on it.
+    type Latch = Arc<(Mutex<(bool, bool)>, Condvar)>;
+
+    fn gated_resolver(policy: FleetPolicy, marker: String, latch: &Latch) -> Resolver {
+        let (inner, latch) = (source_resolver(policy), Arc::clone(latch));
+        Arc::new(move |req, opts| {
+            let mut job = inner(req, opts)?;
+            if req.source.as_deref() == Some(marker.as_str()) {
+                let (work, latch) = (job.work, Arc::clone(&latch));
+                job.work = Arc::new(move |worker, attempt| {
+                    let mut s = latch.0.lock().unwrap();
+                    s.0 = true;
+                    latch.1.notify_all();
+                    drop(latch.1.wait_while(s, |s| !s.1).unwrap());
+                    work(worker, attempt)
+                });
+            }
+            Ok(job)
+        })
+    }
+
     #[test]
     fn overflow_spills_to_disk_and_every_client_still_gets_its_answer() {
-        // A 1-worker, 2-slot ring with a burst of 8 jobs: at least some
-        // must overflow to the spill file, and every client must still
-        // get a real (non-rejected) response.
-        let server = start(ServeConfig {
+        // A 1-worker, 2-slot ring with a burst of 8 jobs: burst-0 holds
+        // the only interp slot on a latch while the other 7 arrive. At
+        // most 2 (exec queue) + 1 (parse thread) + 2 (ring) fit in
+        // memory, so at least 2 must overflow to the spill file — and
+        // every client must still get a real (non-rejected) response.
+        let source = |i: usize| {
+            format!(
+                "var b{i} = 0; for (var i = 0; i < {n}; i++) {{ b{i} += i; }}",
+                n = 50 + i
+            )
+        };
+        let latch = Latch::default();
+        let config = ServeConfig {
             workers: 1,
             queue_capacity: 2,
             ..ServeConfig::default()
-        });
+        };
+        let resolver = gated_resolver(config.policy.clone(), source(0), &latch);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let server = serve(listener, config, resolver);
         let addr = server.local_addr();
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                // Distinct sources: no cache short-circuits.
-                let req = format!(
-                    r#"{{"id":"burst-{i}","source":"var b{i} = 0; for (var i = 0; i < {n}; i++) {{ b{i} += i; }}","mode":"dependence"}}"#,
-                    n = 50 + i
-                );
-                std::thread::spawn(move || roundtrip(addr, &req))
-            })
-            .collect();
+        let send = |i: usize| {
+            // Distinct sources: no cache short-circuits.
+            let req = format!(
+                r#"{{"id":"burst-{i}","source":"{}","mode":"dependence"}}"#,
+                source(i)
+            );
+            std::thread::spawn(move || roundtrip(addr, &req))
+        };
+        let mut handles = vec![send(0)];
+        let started = latch.0.lock().unwrap();
+        let (started, wait) = latch
+            .1
+            .wait_timeout_while(started, Duration::from_secs(60), |s| !s.0)
+            .unwrap();
+        assert!(!wait.timed_out(), "burst-0 never started");
+        drop(started);
+        handles.extend((1..8).map(send));
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while server.counters().jobs_spilled < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the burst never spilled"
+            );
+            std::thread::yield_now();
+        }
+        latch.0.lock().unwrap().1 = true;
+        latch.1.notify_all();
         for h in handles {
             let r = h.join().unwrap();
             assert!(r.contains("\"ok\":true"), "{r}");

@@ -20,7 +20,8 @@
 //! Layout under the spill directory:
 //!
 //! ```text
-//! spill.log       append-only records: "<seq:016x> <sha256hex> <payload>\n"
+//! spill.log       append-only records: "<seq:016x> <checksum> <payload>\n",
+//!                 checksum = sha256 of "<seq:016x> <payload>"
 //! spill.consumed  ASCII decimal seq of the last consumed record
 //! ```
 //!
@@ -98,47 +99,47 @@ impl SpillQueue {
 
         let mut index = VecDeque::new();
         let mut stats = SpillStats::default();
-        let mut next_seq = consumed + 1;
+        let mut next_seq = consumed.saturating_add(1);
         let mut write_offset = 0u64;
         if log_path.exists() {
-            let file = File::open(&log_path)?;
-            let mut reader = BufReader::new(file);
-            let mut offset = 0u64;
-            let mut line = String::new();
+            // Read bytes, not text: one flipped high bit must cost the
+            // record it lands in, not the whole backlog.
+            let mut reader = BufReader::new(File::open(&log_path)?);
+            let mut record = Vec::new();
             loop {
-                line.clear();
-                let n = reader.read_line(&mut line)?;
-                if n == 0 {
+                record.clear();
+                if reader.read_until(b'\n', &mut record)? == 0 {
                     break;
                 }
-                let len = n as u64;
-                match parse_record(line.trim_end_matches('\n')) {
-                    Some((seq, payload_ok)) if payload_ok => {
-                        if seq > consumed {
-                            index.push_back(Slot { seq, offset, len });
-                            stats.replayed += 1;
-                        }
-                        next_seq = next_seq.max(seq + 1);
-                        offset += len;
-                        write_offset = offset;
-                    }
-                    _ => {
-                        // Torn or corrupt record: everything from here on
-                        // is untrustworthy (appends are sequential, so
-                        // damage is a suffix). Count it and stop; the next
-                        // append overwrites from `write_offset`.
-                        stats.corrupt += 1;
-                        break;
-                    }
+                let Some((seq, _)) = parse_record(&record) else {
+                    // Torn or corrupt record: everything from here on
+                    // is untrustworthy (appends are sequential, so
+                    // damage is a suffix). Count it and stop; the next
+                    // append overwrites from `write_offset`.
+                    stats.corrupt += 1;
+                    break;
+                };
+                let len = record.len() as u64;
+                if seq > consumed {
+                    index.push_back(Slot {
+                        seq,
+                        offset: write_offset,
+                        len,
+                    });
+                    stats.replayed += 1;
                 }
+                next_seq = next_seq.max(seq.saturating_add(1));
+                write_offset += len;
             }
         }
         stats.depth = index.len();
         stats.peak_depth = index.len() as u64;
 
+        // Not truncated: the writer seeks to the end of valid data.
         let mut writer = OpenOptions::new()
             .create(true)
             .write(true)
+            .truncate(false)
             .open(&log_path)?;
         writer.seek(SeekFrom::Start(write_offset))?;
         let reader = File::open(&log_path)?;
@@ -165,7 +166,7 @@ impl SpillQueue {
             ));
         }
         let seq = self.next_seq;
-        let record = format!("{seq:016x} {} {payload}\n", sha256_hex(payload.as_bytes()));
+        let record = format!("{seq:016x} {} {payload}\n", checksum(seq, payload));
         self.writer.write_all(record.as_bytes())?;
         self.writer.flush()?;
         self.index.push_back(Slot {
@@ -198,9 +199,9 @@ impl SpillQueue {
                 self.stats.corrupt += 1;
                 continue;
             }
-            let line = String::from_utf8_lossy(&buf);
-            match parse_payload(line.trim_end_matches('\n')) {
-                Some(payload) => {
+            match parse_record(&buf) {
+                Some((_, payload)) => {
+                    let payload = payload.to_string();
                     if self.index.is_empty() {
                         self.truncate();
                     }
@@ -260,24 +261,25 @@ impl Drop for SpillQueue {
     }
 }
 
-/// Parse `"<seq:016x> <sha256hex> <payload>"`, returning the seq and
-/// whether the checksum held.
-fn parse_record(line: &str) -> Option<(u64, bool)> {
+/// A record's checksum covers its sequence number as well as its payload,
+/// so a flipped seq digit cannot relabel a job (and, through the consumed
+/// watermark, silently skip the jobs behind it).
+fn checksum(seq: u64, payload: &str) -> String {
+    sha256_hex(format!("{seq:016x} {payload}").as_bytes())
+}
+
+/// Parse one `"<seq:016x> <checksum> <payload>\n"` record, returning its
+/// seq and payload, or `None` if it lacks its newline (a torn append,
+/// never acknowledged: `push` returns only after the whole line is
+/// flushed), is not UTF-8, or fails its checksum. Records written before
+/// the checksum covered the seq carry `sha256(payload)` and still load.
+fn parse_record(record: &[u8]) -> Option<(u64, &str)> {
+    let line = std::str::from_utf8(record.strip_suffix(b"\n")?).ok()?;
     let (seq_hex, rest) = line.split_once(' ')?;
     let (digest, payload) = rest.split_once(' ')?;
     let seq = u64::from_str_radix(seq_hex, 16).ok()?;
-    Some((seq, digest == sha256_hex(payload.as_bytes())))
-}
-
-/// Parse a record line and return the payload iff the checksum holds.
-fn parse_payload(line: &str) -> Option<String> {
-    let (_seq_hex, rest) = line.split_once(' ')?;
-    let (digest, payload) = rest.split_once(' ')?;
-    if digest == sha256_hex(payload.as_bytes()) {
-        Some(payload.to_string())
-    } else {
-        None
-    }
+    (digest == checksum(seq, payload) || digest == sha256_hex(payload.as_bytes()))
+        .then_some((seq, payload))
 }
 
 /// A unique per-process scratch directory under the system temp dir, for
@@ -419,6 +421,113 @@ mod tests {
         // And the queue keeps working after truncation.
         q.push("again").unwrap();
         assert_eq!(q.pop().unwrap().1, "again");
+    }
+
+    #[test]
+    fn record_cut_at_its_newline_is_not_replayed_or_glued() {
+        let dir = tmp("cut-newline");
+        {
+            let mut q = SpillQueue::open(&dir, false).unwrap();
+            q.push("job-a").unwrap();
+            q.push("job-b").unwrap();
+        }
+        // A crash mid-append of job-b, one byte short of its newline.
+        let log = dir.join("spill.log");
+        let bytes = std::fs::read(&log).unwrap();
+        std::fs::write(&log, &bytes[..bytes.len() - 1]).unwrap();
+        {
+            let mut q = SpillQueue::open(&dir, false).unwrap();
+            assert_eq!((q.stats().replayed, q.stats().corrupt), (1, 1));
+            q.push("job-c").unwrap();
+        }
+        // The next restart must replay both acknowledged jobs intact.
+        let mut q = SpillQueue::open(&dir, false).unwrap();
+        assert_eq!((q.stats().replayed, q.stats().corrupt), (2, 0));
+        assert_eq!(q.pop().unwrap().1, "job-a");
+        assert_eq!(q.pop().unwrap().1, "job-c");
+        assert!(q.pop().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Reopen `dir` with `bytes` as its segment and drain it: open never
+    /// fails, damage counts at most once, every record before `intact` is
+    /// replayed, and every replayed payload is the one pushed under its
+    /// seq.
+    fn replay_damaged_segment(
+        dir: &Path,
+        bytes: &[u8],
+        pushed: &[(u64, String)],
+        intact: usize,
+        what: &str,
+    ) {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join("spill.log"), bytes).unwrap();
+        let mut q =
+            SpillQueue::open(dir, false).unwrap_or_else(|e| panic!("{what}: open failed: {e}"));
+        assert!(q.stats().corrupt <= 1, "{what}: {:?}", q.stats());
+        let mut replayed = Vec::new();
+        while let Some((seq, payload)) = q.pop() {
+            let want = pushed.iter().find(|(s, _)| *s == seq).map(|(_, p)| p);
+            assert_eq!(
+                want,
+                Some(&payload),
+                "{what}: seq {seq} replayed the wrong payload"
+            );
+            replayed.push(seq);
+        }
+        for (seq, _) in &pushed[..intact] {
+            assert!(
+                replayed.contains(seq),
+                "{what}: intact record {seq} was lost"
+            );
+        }
+        assert!(q.stats().corrupt <= 1, "{what}: {:?}", q.stats());
+    }
+
+    #[test]
+    fn segment_survives_every_cut_and_bit_flip() {
+        let dir = tmp("fuzz");
+        let pushed: Vec<(u64, String)> = {
+            let mut q = SpillQueue::open(&dir, false).unwrap();
+            (0..3)
+                .map(|i| {
+                    let payload = format!("{{\"n\":{i}}}");
+                    (q.push(&payload).unwrap(), payload)
+                })
+                .collect()
+        };
+        let log = std::fs::read(dir.join("spill.log")).unwrap();
+        // Byte offset at which each record ends.
+        let ends: Vec<usize> = log
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(ends.len(), pushed.len());
+        let whole_before = |at: usize| ends.iter().filter(|&&end| end <= at).count();
+        for cut in 0..=log.len() {
+            replay_damaged_segment(
+                &dir,
+                &log[..cut],
+                &pushed,
+                whole_before(cut),
+                &format!("cut at {cut}"),
+            );
+        }
+        for bit in 0..log.len() * 8 {
+            let mut bytes = log.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            replay_damaged_segment(
+                &dir,
+                &bytes,
+                &pushed,
+                whole_before(bit / 8),
+                &format!("bit {bit} flipped"),
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -8,13 +8,18 @@
 //! the fix: make the **process** the isolation boundary. This module
 //! implements it:
 //!
+//! * [`run_job`] is the one code path that supervises a served job: it
+//!   resolves the request, runs it under [`crate::fleet::supervise`] (so
+//!   retry, tick watchdog, and panic containment still apply), streams
+//!   its progress frames to a sink, and builds the result fragment. Both
+//!   transports call it — a worker process with its stdout as the sink,
+//!   the in-process backend on its exec thread with the client's channel
+//!   as the sink.
 //! * [`WorkerSpec`] describes how to start one analysis worker — in
 //!   production, `jsceresd --worker …`, the daemon re-executing itself.
 //! * [`worker_serve_stdio`] is the worker side: a loop that reads one
-//!   line-JSON job per line on stdin, runs it through the same
-//!   [`crate::fleet::supervise`] machinery a fleet job gets (so retry,
-//!   tick watchdog, and panic containment still work *inside* the
-//!   worker), and writes one [`WorkerResponse`] line on stdout.
+//!   line-JSON job per line on stdin, runs it through [`run_job`], and
+//!   writes one [`WorkerResponse`] line on stdout.
 //! * [`WorkerSlot`] is the supervisor side: each serve worker thread
 //!   owns one slot, which owns (at most) one child process. A child
 //!   that dies mid-job costs exactly that job: the slot reaps it,
@@ -25,29 +30,27 @@
 //! The worker protocol deliberately reuses the public wire vocabulary:
 //! the job line is a normal [`crate::serve::AnalysisRequest`] (with the
 //! options already resolved to explicit values by the supervisor, so a
-//! worker's own defaults can never skew the cache key), and the
-//! response fragment is built by the same code path the in-process
-//! backend uses — which is what keeps cold envelopes byte-identical
-//! across backends and golden-pinned.
-//!
-//! For a `stream:true` job the pipe carries *multiple* lines: zero or
-//! more frame lines (`{"frame":"phase",…}` / `{"frame":"partial",…}`)
-//! followed by exactly one terminal [`WorkerResponse`] line. The
-//! supervisor multiplexes the frame lines back to the right client
+//! worker's own defaults can never skew the cache key), and every pipe
+//! line back is the serde form of a public type. For a `stream:true` job
+//! the pipe carries zero or more [`Frame`] lines
+//! (`{"Phase":{…}}` / `{"Partial":{…}}`) followed by exactly one
+//! terminal [`WorkerResponse`] line (`{"ok":…,"ticks":…,"fragment":…}`).
+//! The supervisor multiplexes the frame lines back to the right client
 //! connection ([`WorkerSlot::run`]'s `on_frame` callback); a worker
 //! that crashes mid-stream hits the ordinary crash path — the job is
 //! retried once on a fresh child (which re-emits its frames) or failed
-//! cleanly. Worker-side, a per-job stdout gate closes before the
-//! terminal line is written, so a runner thread abandoned by the wall
-//! watchdog can never interleave a stray frame into the next job's
-//! response.
+//! cleanly. Inside [`run_job`], a per-job gate closes before the
+//! terminal response is built, so a runner thread abandoned by the wall
+//! watchdog can never deliver a stray frame after it — on the pipe, into
+//! the next job's stream.
 
 #![deny(missing_docs)]
 
 use crate::cache::CacheKey;
-use crate::fleet::{supervise, FleetJob, JobWork};
+use crate::fleet::{supervise, FleetJob};
+use crate::obs::{install_progress_sink, Progress};
 use crate::serve::{
-    frame_for_progress, request_options, result_fragment, AnalysisRequest, Frame, Resolver,
+    failure_fragment, request_options, result_fragment, AnalysisRequest, Frame, Resolver,
     ServeConfig,
 };
 use serde::{Deserialize, Serialize};
@@ -68,72 +71,33 @@ pub struct WorkerSpec {
     pub args: Vec<String>,
 }
 
-/// One line of worker stdout: the finished job.
+/// A finished job, as [`run_job`] returns it and as the terminal line of
+/// the worker pipe carries it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerResponse {
     /// Whether the job produced a report.
     pub ok: bool,
     /// Interpreter ticks this job spent (0 for failures without reports).
     pub ticks: u64,
-    /// The response payload fragment — exactly what the in-process
-    /// backend's fragment builder produces, so the supervisor can cache
-    /// and forward it unchanged.
+    /// The response payload fragment, which the supervisor caches and
+    /// forwards unchanged.
     pub fragment: String,
 }
 
-/// A non-terminal frame line on the worker pipe. Discriminated from the
-/// terminal [`WorkerResponse`] by its leading `"frame"` key (both sides
-/// render deterministically, so the prefix check is exact): phase and
-/// partial frames stream through, the terminal line never does.
-#[derive(Debug, Deserialize)]
-struct WorkerFrameLine {
-    frame: String,
-    phase: Option<String>,
-    start_ticks: Option<u64>,
-    end_ticks: Option<u64>,
-    fragment: Option<String>,
-}
-
-/// Parse one worker stdout line as a streamed frame, or `None` if it is
-/// the terminal response (or unrecognized — fail toward the strict
-/// terminal parser, whose error is a crash signal).
-fn parse_worker_frame(line: &str) -> Option<Frame> {
-    if !line.starts_with("{\"frame\":") {
-        return None;
-    }
-    let f: WorkerFrameLine = serde_json::from_str(line).ok()?;
-    match f.frame.as_str() {
-        "phase" => Some(Frame::Phase {
-            phase: f.phase?,
-            start_ticks: f.start_ticks.unwrap_or(0),
-            end_ticks: f.end_ticks.unwrap_or(0),
-        }),
-        "partial" => Some(Frame::Partial {
-            fragment: f.fragment?,
-        }),
-        _ => None,
+impl WorkerResponse {
+    /// A job that ended without a report or ticks.
+    pub fn failed(fragment: String) -> WorkerResponse {
+        WorkerResponse {
+            ok: false,
+            ticks: 0,
+            fragment,
+        }
     }
 }
 
-/// Render the worker-side frame line for a streamed frame (the inverse
-/// of [`parse_worker_frame`]); frames with no pipe form render `None`.
-fn render_worker_frame(frame: &Frame) -> Option<String> {
-    match frame {
-        Frame::Phase {
-            phase,
-            start_ticks,
-            end_ticks,
-        } => Some(format!(
-            "{{\"frame\":\"phase\",\"phase\":\"{}\",\"start_ticks\":{start_ticks},\"end_ticks\":{end_ticks}}}",
-            crate::serve::json_escape(phase)
-        )),
-        Frame::Partial { fragment } => Some(format!(
-            "{{\"frame\":\"partial\",\"fragment\":\"{}\"}}",
-            crate::serve::json_escape(fragment)
-        )),
-        _ => None,
-    }
-}
+/// Where [`run_job`] delivers a streaming job's `phase`/`partial` frames.
+/// It is called on the supervised runner thread, hence `Send`.
+pub type FrameSink = Box<dyn FnMut(Frame) + Send>;
 
 /// Base respawn backoff after a worker crash; doubles per consecutive
 /// crash up to [`MAX_BACKOFF`], and resets after a successful job.
@@ -174,8 +138,10 @@ impl WorkerChild {
 
     /// Send one job line and block for the terminal response line,
     /// forwarding any interleaved frame lines to `on_frame` as they
-    /// arrive. Any I/O error (including EOF — the child died) is a
-    /// crash signal to the slot.
+    /// arrive: a line that parses as a [`WorkerResponse`] is the
+    /// terminal, any other must be a non-terminal [`Frame`]. Any I/O or
+    /// protocol error (including EOF — the child died) is a crash signal
+    /// to the slot.
     fn send(
         &mut self,
         wire: &str,
@@ -198,16 +164,18 @@ impl WorkerChild {
             if trimmed.is_empty() {
                 continue;
             }
-            if let Some(frame) = parse_worker_frame(trimmed) {
-                on_frame(frame);
-                continue;
+            match serde_json::from_str::<WorkerResponse>(trimmed) {
+                Ok(resp) => return Ok(resp),
+                Err(e) => match serde_json::from_str::<Frame>(trimmed) {
+                    Ok(frame) if !frame.is_terminal() => on_frame(frame),
+                    _ => {
+                        return Err(std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!("bad worker response: {e}"),
+                        ))
+                    }
+                },
             }
-            return serde_json::from_str(trimmed).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad worker response: {e}"),
-                )
-            });
         }
     }
 
@@ -311,8 +279,8 @@ impl WorkerSlot {
     }
 
     /// Run one job (a wire-format request line). Frame lines the worker
-    /// streams mid-job are handed to `on_frame` as they arrive (pass a
-    /// no-op for one-shot jobs); the terminal response is the return
+    /// streams mid-job (only `stream:true` jobs stream) are handed to
+    /// `on_frame` as they arrive; the terminal response is the return
     /// value. A job retried on a fresh worker after a crash re-emits
     /// its frames — clients see duplicate phases, never a lost
     /// terminal. Returns the outcome plus the number of worker restarts
@@ -361,17 +329,15 @@ impl WorkerSlot {
 /// The worker side of the protocol: serve jobs from stdin to stdout
 /// until EOF. This is what `jsceresd --worker` runs. Each job line is an
 /// [`AnalysisRequest`] with options already made explicit by the
-/// supervisor; each response line is a [`WorkerResponse`].
+/// supervisor; each job runs through [`run_job`] with stdout as its
+/// frame sink, and ends with one [`WorkerResponse`] line.
 ///
-/// Inside the worker, jobs still run under [`supervise`] — the tick
-/// watchdog, wall backstop, transient-error retry, and `catch_unwind`
-/// all apply — so the *process* boundary is reserved for the failures
-/// those cannot contain. `inject:"crash"` aborts the worker process on
-/// purpose (the supervised-crash drill used by tests and
+/// The *process* boundary is reserved for the failures [`run_job`]'s
+/// supervision cannot contain. `inject:"crash"` aborts the worker process
+/// on purpose (the supervised-crash drill used by tests and
 /// `scripts/serve_smoke.sh`).
 pub fn worker_serve_stdio(config: &ServeConfig, resolver: &Resolver) -> std::io::Result<()> {
     let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
     let mut line = String::new();
     loop {
         line.clear();
@@ -383,108 +349,129 @@ pub fn worker_serve_stdio(config: &ServeConfig, resolver: &Resolver) -> std::io:
         if trimmed.is_empty() {
             continue;
         }
-        let response = run_one_job(trimmed, config, resolver);
-        stdout.write_all(response.as_bytes())?;
-        stdout.write_all(b"\n")?;
-        stdout.flush()?;
-    }
-}
-
-/// Wrap a job's work so each supervised attempt emits frame lines to
-/// this process's stdout — but only while the per-job gate is open, and
-/// only while *holding* the gate lock, so closing the gate (which
-/// [`run_one_job`] does before rendering the terminal line) both blocks
-/// on any in-flight write and silences stragglers. Without the gate, a
-/// runner thread abandoned by the wall watchdog could write a frame
-/// *after* the terminal response and desync the pipe into the next
-/// job's stream.
-fn streamed_stdio_work(inner: JobWork, gate: Arc<Mutex<bool>>) -> JobWork {
-    Arc::new(move |worker, attempt| {
-        let gate = Arc::clone(&gate);
-        let _guard = crate::obs::install_progress_sink(Box::new(move |p| {
-            let Some(frame) = frame_for_progress(p) else {
-                return;
-            };
-            let Some(line) = render_worker_frame(&frame) else {
-                return;
-            };
-            let open = gate.lock().unwrap_or_else(PoisonError::into_inner);
-            if *open {
-                let mut out = std::io::stdout().lock();
-                let _ = out.write_all(line.as_bytes());
-                let _ = out.write_all(b"\n");
-                let _ = out.flush();
+        let response = match serde_json::from_str::<AnalysisRequest>(trimmed) {
+            Ok(req) => {
+                if req.inject.as_deref() == Some("crash") {
+                    // The one fault `supervise` cannot contain, on
+                    // purpose: die the way a segfaulting worker would, so
+                    // the supervisor's restart path gets exercised by
+                    // something real.
+                    eprintln!(
+                        "worker: injected crash — aborting (pid {})",
+                        std::process::id()
+                    );
+                    std::process::abort();
+                }
+                let sink = Box::new(|frame: Frame| {
+                    let _ = write_pipe_line(&frame);
+                });
+                run_job(&req, config, resolver, sink)
             }
-        }));
-        inner(worker, attempt)
-    })
+            Err(e) => WorkerResponse::failed(failure_fragment(
+                "",
+                "",
+                "",
+                "failed",
+                0,
+                &format!("bad worker job line: {e}"),
+            )),
+        };
+        write_pipe_line(&response)?;
+    }
 }
 
-/// Run one job line — streaming frames to stdout when the job asks for
-/// it — and render the terminal worker response line.
-fn run_one_job(wire: &str, config: &ServeConfig, resolver: &Resolver) -> String {
-    let req: AnalysisRequest = match serde_json::from_str(wire) {
+/// Write one value as one line of the worker pipe.
+fn write_pipe_line<T: Serialize>(value: &T) -> std::io::Result<()> {
+    let line = serde_json::to_string(value).expect("pipe lines serialize");
+    let mut out = std::io::stdout().lock();
+    out.write_all(line.as_bytes())?;
+    out.write_all(b"\n")?;
+    out.flush()
+}
+
+/// Run one served job: resolve `req`, supervise it, and build its
+/// [`WorkerResponse`]. This is the only place a served job is
+/// supervised, whichever transport carries it. A streaming job
+/// (`stream:true`) delivers its back-half `phase` frames and its
+/// `partial` timing row to `sink` as the pipeline records them. A
+/// request that cannot be resolved fails with an empty key, app and slug.
+///
+/// Frames reach `sink` only while the per-job gate holds it, and only
+/// under the gate's lock. Closing the gate (taking the sink out, before
+/// the response is built) both waits for any in-flight frame and
+/// silences stragglers — a runner thread abandoned by the wall watchdog
+/// must not deliver a frame after the terminal one.
+pub fn run_job(
+    req: &AnalysisRequest,
+    config: &ServeConfig,
+    resolver: &Resolver,
+    sink: FrameSink,
+) -> WorkerResponse {
+    let resolved = request_options(req, config).and_then(|opts| Ok((resolver(req, &opts)?, opts)));
+    let (resolved, opts) = match resolved {
         Ok(r) => r,
-        Err(e) => return worker_error_line(&format!("bad worker job line: {e}")),
-    };
-    if req.inject.as_deref() == Some("crash") {
-        // The one fault `supervise` cannot contain, on purpose: die the
-        // way a segfaulting worker would, so the supervisor's restart
-        // path gets exercised by something real.
-        eprintln!(
-            "worker: injected crash — aborting (pid {})",
-            std::process::id()
-        );
-        std::process::abort();
-    }
-    let opts = match request_options(&req, config) {
-        Ok(o) => o,
-        Err(e) => return worker_error_line(&e),
-    };
-    let resolved = match (resolver)(&req, &opts) {
-        Ok(r) => r,
-        Err(e) => return worker_error_line(&e),
+        Err(e) => return WorkerResponse::failed(failure_fragment("", "", "", "failed", 0, &e)),
     };
     let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
-    let gate = Arc::new(Mutex::new(true));
-    let work = if req.stream == Some(true) {
-        streamed_stdio_work(resolved.work, Arc::clone(&gate))
-    } else {
-        resolved.work
-    };
+    let gate = Arc::new(Mutex::new(Some(sink)));
+    let mut work = resolved.work;
+    if req.stream == Some(true) {
+        // The sink is installed on the supervised runner thread, where
+        // the pipeline's recording points fire; the guard uninstalls it
+        // even when the attempt panics. Retried attempts re-emit their
+        // frames.
+        let (inner, gate) = (work, Arc::clone(&gate));
+        work = Arc::new(move |worker, attempt| {
+            let gate = Arc::clone(&gate);
+            let _guard = install_progress_sink(Box::new(move |p| {
+                let mut open = gate.lock().unwrap_or_else(PoisonError::into_inner);
+                if let (Some(sink), Some(frame)) = (open.as_mut(), frame_for_progress(p)) {
+                    sink(frame);
+                }
+            }));
+            inner(worker, attempt)
+        });
+    }
     let job = FleetJob {
         app: resolved.app,
         slug: resolved.slug,
         work,
     };
     let outcome = supervise(&job, 0, &config.policy);
-    // Close the gate before the terminal line: blocks until any
-    // in-flight frame write finishes, then stragglers no-op.
-    *gate.lock().unwrap_or_else(PoisonError::into_inner) = false;
+    gate.lock().unwrap_or_else(PoisonError::into_inner).take();
     let ticks = outcome
         .report
         .as_ref()
         .map(|r| r.obs.counters.interp_ticks)
         .unwrap_or(0);
     let (ok, fragment) = result_fragment(&key, &outcome);
-    render_worker_response(ok, ticks, &fragment)
+    WorkerResponse {
+        ok,
+        ticks,
+        fragment,
+    }
 }
 
-/// Hand-assembled [`WorkerResponse`] line (all fields always present, so
-/// the supervisor-side serde parse never sees an optional).
-fn render_worker_response(ok: bool, ticks: u64, fragment: &str) -> String {
-    format!(
-        "{{\"ok\":{ok},\"ticks\":{ticks},\"fragment\":\"{}\"}}",
-        crate::serve::json_escape(fragment)
-    )
-}
-
-fn worker_error_line(error: &str) -> String {
-    let fragment = format!(
-        "\"key\":\"\",\"app\":\"\",\"slug\":\"\",\"status\":\"failed\",\"attempts\":0,\"error\":\"{}\"",
-        crate::serve::json_escape(error)
-    );
-    render_worker_response(false, 0, &fragment)
+/// Map a pipeline progress event to its streamed frame, if it has one.
+/// The parse stage already emitted `parse`/`rewrite` (the exec stage
+/// re-lowers from source and would re-record them), and sub-spans like
+/// `interp.compile` are an implementation detail — so the back half of
+/// the stream carries `interp`/`analyze`/`report` phases plus the
+/// `partial` timing row.
+fn frame_for_progress(p: &Progress) -> Option<Frame> {
+    match p {
+        Progress::Phase(span) => match span.phase.as_str() {
+            "interp" | "analyze" | "report" => Some(Frame::Phase {
+                phase: span.phase.clone(),
+                start_ticks: span.start_ticks,
+                end_ticks: span.end_ticks,
+            }),
+            _ => None,
+        },
+        Progress::Partial(fragment) => Some(Frame::Partial {
+            fragment: fragment.clone(),
+        }),
+    }
 }
 
 #[cfg(test)]

@@ -10,30 +10,12 @@
 
 use crate::registry::{all, run_workload_budgeted};
 use ceres_core::fleet::{
-    run_fleet_with, AppReport, Fault, FaultPlan, FleetJob, FleetOutcome, FleetPolicy, JobError,
+    injected_hang, run_fleet_with, AppReport, Fault, FaultPlan, FleetJob, FleetOutcome,
+    FleetPolicy, JobError,
 };
 use ceres_core::Mode;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Tick budget used for an injected hang when the policy does not set one:
-/// long enough that no real workload at test scale comes near it, short
-/// enough that the watchdog trips in well under a second.
-const HANG_FALLBACK_TICKS: u64 = 2_000_000;
-
-/// Spin the interpreter on `for(;;){}` under a tick budget. The budget
-/// always trips, so this returns the same `watchdog:` fatal on every run —
-/// an injected hang is deterministic and exercises the *real* cancellation
-/// path rather than a simulated one.
-fn injected_hang(policy: &FleetPolicy) -> JobError {
-    let budget = policy.tick_budget.unwrap_or(HANG_FALLBACK_TICKS);
-    let mut interp = ceres_interp::Interp::new(2015);
-    interp.max_ticks = Some(budget);
-    match interp.eval_source("for (;;) {}") {
-        Err(c) => JobError::from_control(&c),
-        Ok(()) => JobError::Fatal("injected hang terminated without tripping".to_string()),
-    }
-}
 
 /// Build one [`FleetJob`] per registered workload, in Table 1 order.
 ///

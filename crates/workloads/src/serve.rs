@@ -3,76 +3,48 @@
 //! `ceres_core::serve` is registry-agnostic (the dependency points
 //! workloads → core), so the daemon's ability to serve `{"app":"haar"}`
 //! requests lives here: a [`Resolver`] that maps registry slugs to their
-//! generated pages and interaction scripts, falls back to inline
-//! `source`, and applies per-request fault injection. Shared by the
+//! generated pages and interaction scripts, hands inline `source` to the
+//! core's resolver, and applies per-request fault injection. Shared by the
 //! `jsceresd` binary and the integration tests so both exercise the same
 //! resolution logic.
 
 use crate::registry::{by_slug, workload_html};
 use ceres_core::fleet::{AppReport, FleetPolicy, JobError, JobWork};
-use ceres_core::serve::{inject_fault, source_work, AnalysisRequest, ResolvedJob, Resolver};
+use ceres_core::serve::{source_resolver, AnalysisRequest, ResolvedJob, Resolver};
 use ceres_core::{analyze, AnalyzeOptions, Document, WebServer};
 use std::sync::Arc;
 
-/// Build the daemon resolver: registry workloads by `app` slug, raw
-/// `source` inline, optional `inject` fault on either. The canonical
-/// source of a registry app is its full generated page
-/// ([`workload_html`], scale baked in), so the cache key tracks exactly
-/// the text the interpreter would run.
+/// Build the daemon resolver: registry workloads by `app` slug, with the
+/// request's optional `inject` fault; every other request goes to
+/// [`source_resolver`]. The canonical source of a registry app is its
+/// full generated page ([`workload_html`], scale baked in), so the cache
+/// key tracks exactly the text the interpreter would run.
 pub fn registry_resolver(policy: FleetPolicy) -> Resolver {
+    let inline = source_resolver(policy.clone());
     Arc::new(move |req: &AnalysisRequest, opts: &AnalyzeOptions| {
-        if req.app.is_some() && req.source.is_some() {
+        let Some(slug) = &req.app else {
+            return inline(req, opts);
+        };
+        if req.source.is_some() {
             return Err("request must name `app` or `source`, not both".to_string());
         }
-        let (app, slug, source, mut work) = if let Some(slug) = &req.app {
-            let w = by_slug(slug)
-                .ok_or_else(|| format!("unknown app `{slug}` (see jsceres analyze-all)"))?;
-            let scale = req.scale.unwrap_or(1);
-            let source = workload_html(&w, scale);
-            let app = w.name.to_string();
-            let slug = w.slug.to_string();
-            let interaction = w.interaction;
-            let opts = opts.clone();
-            let page = source.clone();
-            let (app2, slug2) = (app.clone(), slug.clone());
-            let work: JobWork = Arc::new(move |worker, _attempt| {
-                let start = std::time::Instant::now();
-                let mut server = WebServer::new();
-                server.publish("index.html", Document::Html(page.clone()));
-                let run = analyze(&server, "index.html", opts.clone(), Box::new(interaction))
-                    .map_err(|c| JobError::from_control(&c))?;
-                let mut report = AppReport::from_run(&app2, &slug2, opts.mode, &run);
-                report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                report.worker = worker;
-                Ok(report)
-            });
-            (app, slug, source, work)
-        } else if let Some(source) = &req.source {
-            let work = source_work(
-                "inline".to_string(),
-                "inline".to_string(),
-                source.clone(),
-                opts.clone(),
-            );
-            (
-                "inline".to_string(),
-                "inline".to_string(),
-                source.clone(),
-                work,
-            )
-        } else {
-            return Err("request needs `app` or `source`".to_string());
-        };
-        let cacheable = req.inject.is_none();
-        if let Some(kind) = &req.inject {
-            work = inject_fault(kind, &slug, &policy, work)?;
-        }
-        Ok(ResolvedJob {
-            app,
-            slug,
-            source,
-            work,
-            cacheable,
-        })
+        let w = by_slug(slug)
+            .ok_or_else(|| format!("unknown app `{slug}` (see jsceres analyze-all)"))?;
+        let source = workload_html(&w, req.scale.unwrap_or(1));
+        let (app, slug) = (w.name.to_string(), w.slug.to_string());
+        let (app2, slug2) = (app.clone(), slug.clone());
+        let (page, opts, interaction) = (source.clone(), opts.clone(), w.interaction);
+        let work: JobWork = Arc::new(move |worker, _attempt| {
+            let start = std::time::Instant::now();
+            let mut server = WebServer::new();
+            server.publish("index.html", Document::Html(page.clone()));
+            let run = analyze(&server, "index.html", opts.clone(), Box::new(interaction))
+                .map_err(|c| JobError::from_control(&c))?;
+            let mut report = AppReport::from_run(&app2, &slug2, opts.mode, &run);
+            report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            report.worker = worker;
+            Ok(report)
+        });
+        ResolvedJob::for_request(req, &policy, app, slug, source, work)
     })
 }

@@ -11,11 +11,13 @@
 
 use ceres_core::fleet::{FleetOutcome, API_SCHEMA_VERSION};
 use ceres_core::serve::ONESHOT_SCHEMA_VERSION;
+use ceres_core::supervisor::WorkerSpec;
 use ceres_core::{serve, AnalyzeOptions, CacheKey, Mode, ServeConfig, ServerHandle};
 use ceres_workloads::{registry_resolver, workload_html};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::PathBuf;
 
 const ENVELOPE_GOLDEN: &str = include_str!("../golden/serve_envelope.json");
 
@@ -49,10 +51,33 @@ fn payload_tail(response: &str) -> &str {
 /// The exact response line for a fixed inline-source request, pinned
 /// byte-for-byte. Any change to the envelope shape, the schema stamp,
 /// the cache-key derivation, or the canonical report/metrics payload
-/// shows up as a diff here rather than as silent wire drift.
+/// shows up as a diff here rather than as silent wire drift. Both
+/// transports must answer it: in-process and worker processes (the
+/// production worker loop, as a spawnable test binary).
 #[test]
 fn serve_envelope_is_byte_identical_to_golden() {
-    let server = start(ServeConfig::default());
+    let harness = WorkerSpec {
+        program: PathBuf::from(env!("CARGO_BIN_EXE_serve-worker-harness")),
+        args: Vec::new(),
+    };
+    for worker_spec in [None, Some(harness)] {
+        let backend = if worker_spec.is_some() {
+            "process"
+        } else {
+            "in-process"
+        };
+        check_envelope_golden(
+            ServeConfig {
+                worker_spec,
+                ..ServeConfig::default()
+            },
+            backend,
+        );
+    }
+}
+
+fn check_envelope_golden(config: ServeConfig, backend: &str) {
+    let server = start(config);
     let addr = server.local_addr();
     let req = r#"{"id":"golden","source":"var t = 0; for (var i = 0; i < 6; i++) { t += i; }","mode":"dep","seed":2015}"#;
     let got = roundtrip(addr, req);
@@ -65,12 +90,12 @@ fn serve_envelope_is_byte_identical_to_golden() {
     }
     assert!(
         got.starts_with(&format!("{{\"schema\":{ONESHOT_SCHEMA_VERSION},")),
-        "one-shot envelope must lead with the legacy schema version: {got}"
+        "{backend}: one-shot envelope must lead with the legacy schema version: {got}"
     );
     assert_eq!(
         got,
         ENVELOPE_GOLDEN.trim_end(),
-        "wire envelope drifted from tests/golden/serve_envelope.json"
+        "{backend}: wire envelope drifted from tests/golden/serve_envelope.json"
     );
 }
 

@@ -13,6 +13,7 @@
 
 use ceres_core::supervisor::WorkerSpec;
 use ceres_core::{serve, ServeConfig, ServerHandle};
+use ceres_integration_tests::{start_gated, wait_until, Latch};
 use ceres_workloads::registry_resolver;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -61,6 +62,15 @@ impl FrameRec {
 
 /// Send one streaming request and collect frames until the terminal.
 fn stream_job(addr: SocketAddr, line: &str) -> Vec<FrameRec> {
+    stream_job_with(addr, line, |_| {})
+}
+
+/// [`stream_job`], handing each frame to `on_frame` as it arrives.
+fn stream_job_with(
+    addr: SocketAddr,
+    line: &str,
+    mut on_frame: impl FnMut(&FrameRec),
+) -> Vec<FrameRec> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .write_all(format!("{line}\n").as_bytes())
@@ -73,11 +83,13 @@ fn stream_job(addr: SocketAddr, line: &str) -> Vec<FrameRec> {
         assert!(n > 0, "connection closed before a terminal frame");
         let trimmed = l.trim_end().to_string();
         let v: serde_json::Value = serde_json::from_str(&trimmed).expect("frame is JSON");
-        frames.push(FrameRec {
+        let frame = FrameRec {
             line: trimmed,
             v,
             at: Instant::now(),
-        });
+        };
+        on_frame(&frame);
+        frames.push(frame);
         if frames.last().expect("just pushed").is_terminal() {
             return frames;
         }
@@ -147,9 +159,27 @@ fn assert_stream_hygiene(frames: &[FrameRec], id: &str) {
 /// pinned byte-for-byte — the streaming counterpart of the schema-1
 /// `serve_envelope.json` golden (same program, same options). Frames
 /// carry only virtual-clock data, so the whole stream is deterministic.
+/// Both transports must emit it: in-process and worker processes.
 #[test]
 fn serve_stream_golden_is_byte_identical() {
-    let server = start(ServeConfig::default());
+    for worker_spec in [None, Some(harness_spec())] {
+        let backend = if worker_spec.is_some() {
+            "process"
+        } else {
+            "in-process"
+        };
+        check_stream_golden(
+            ServeConfig {
+                worker_spec,
+                ..ServeConfig::default()
+            },
+            backend,
+        );
+    }
+}
+
+fn check_stream_golden(config: ServeConfig, backend: &str) {
+    let server = start(config);
     let addr = server.local_addr();
     let req = r#"{"id":"golden-stream","stream":true,"source":"var t = 0; for (var i = 0; i < 6; i++) { t += i; }","mode":"dep","seed":2015}"#;
     let frames = stream_job(addr, req);
@@ -170,12 +200,12 @@ fn serve_stream_golden_is_byte_identical() {
     assert_eq!(
         types,
         ["accepted", "phase", "phase", "phase", "partial", "phase", "result"],
-        "frame shape drifted"
+        "{backend}: frame shape drifted"
     );
     assert_eq!(
         got,
         STREAM_GOLDEN.trim_end(),
-        "frame stream drifted from tests/golden/serve_stream.json"
+        "{backend}: frame stream drifted from tests/golden/serve_stream.json"
     );
 }
 
@@ -221,28 +251,41 @@ fn stream_result_fragment_matches_oneshot_envelope() {
 /// one still gets its parse/rewrite frames *while the expensive job is
 /// mid-interp*: the parse stage runs on its own pool. The cheap result
 /// itself queues behind the expensive one (FIFO exec) — the overlap is
-/// in the stages, not a reorder.
+/// in the stages, not a reorder. The expensive job holds the slot on a
+/// latch that the cheap client releases once its rewrite frame lands.
 #[test]
 fn parse_stage_overlaps_interp_on_a_single_slot() {
-    let server = start(ServeConfig {
-        workers: 1,
-        parse_workers: 1,
-        ..ServeConfig::default()
-    });
+    let heavy_src = "var h = 0; for (var i = 0; i < 2000; i++) { h += i % 7; }";
+    let latch = Latch::default();
+    let server = start_gated(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        heavy_src,
+        &latch,
+    );
     let addr = server.local_addr();
 
     let expensive = std::thread::spawn(move || {
         stream_job(
             addr,
-            r#"{"id":"heavy","stream":true,"source":"var h = 0; for (var i = 0; i < 3000000; i++) { h += i % 7; }","mode":"dep"}"#,
+            &format!(r#"{{"id":"heavy","stream":true,"source":"{heavy_src}","mode":"dep"}}"#),
         )
     });
-    // Let the expensive job claim the interp slot.
-    std::thread::sleep(Duration::from_millis(300));
+    // The expensive job claims the interp slot.
+    latch.wait_started();
+    let gate = latch.clone();
     let cheap = std::thread::spawn(move || {
-        stream_job(
+        stream_job_with(
             addr,
-            r#"{"id":"light","stream":true,"source":"var l = 1 + 1;","mode":"dep"}"#,
+            r#"{"id":"light","stream":true,"source":"var l = 0; for (var i = 0; i < 3000; i++) { l += i; }","mode":"dep"}"#,
+            |f| {
+                if f.ty() == "phase" && f.field("phase").and_then(|x| x.as_str()) == Some("rewrite")
+                {
+                    gate.release();
+                }
+            },
         )
     });
 
@@ -274,32 +317,35 @@ fn parse_stage_overlaps_interp_on_a_single_slot() {
 /// With two interp slots, a cheap job submitted while an expensive job
 /// is mid-interp finishes first — jobs pipeline across the pool instead
 /// of head-of-line blocking (the acceptance drill: a cheap `result`
-/// lands while the expensive job is still running).
+/// lands while the expensive job is still running). The expensive job
+/// holds its slot on a latch until the cheap client has its result.
 #[test]
 fn cheap_result_lands_before_a_running_expensive_job() {
-    let server = start(ServeConfig {
-        workers: 2,
-        parse_workers: 2,
-        ..ServeConfig::default()
-    });
+    let heavy_src = "var h = 0; for (var i = 0; i < 2000; i++) { h += i % 7; }";
+    let latch = Latch::default();
+    let server = start_gated(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        heavy_src,
+        &latch,
+    );
     let addr = server.local_addr();
 
     let expensive = std::thread::spawn(move || {
         stream_job(
             addr,
-            r#"{"id":"heavy","stream":true,"source":"var h = 0; for (var i = 0; i < 3000000; i++) { h += i % 7; }","mode":"dep"}"#,
+            &format!(r#"{{"id":"heavy","stream":true,"source":"{heavy_src}","mode":"dep"}}"#),
         )
     });
-    std::thread::sleep(Duration::from_millis(300));
-    let cheap = std::thread::spawn(move || {
-        stream_job(
-            addr,
-            r#"{"id":"light","stream":true,"source":"var l = 2 + 3;","mode":"dep"}"#,
-        )
-    });
-
+    latch.wait_started();
+    let light = stream_job(
+        addr,
+        r#"{"id":"light","stream":true,"source":"var l = 2 + 3;","mode":"dep"}"#,
+    );
+    latch.release();
     let heavy = expensive.join().expect("heavy client");
-    let light = cheap.join().expect("light client");
     server.shutdown();
     assert_stream_hygiene(&heavy, "heavy");
     assert_stream_hygiene(&light, "light");
@@ -319,7 +365,6 @@ fn cheap_result_lands_before_a_running_expensive_job() {
 fn streaming_soak_keeps_every_client_stream_clean() {
     let server = start(ServeConfig {
         workers: 2,
-        parse_workers: 2,
         ..ServeConfig::default()
     });
     let addr = server.local_addr();
@@ -378,36 +423,40 @@ fn streaming_soak_keeps_every_client_stream_clean() {
 /// pipeline to a successful terminal.
 #[test]
 fn spilled_streaming_jobs_get_an_immediate_notice_and_still_finish() {
-    let server = start(ServeConfig {
-        workers: 1,
-        parse_workers: 1,
-        queue_capacity: 1,
-        ..ServeConfig::default()
-    });
+    let source = |i: usize| {
+        format!(
+            "var b{i} = 0; for (var i = 0; i < {}; i++) {{ b{i} += i; }}",
+            300 + i
+        )
+    };
+    let latch = Latch::default();
+    let server = start_gated(
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        },
+        &source(0),
+        &latch,
+    );
     let addr = server.local_addr();
     let n = 8usize;
-    // One expensive job first to pin the single interp slot for seconds…
-    let heavy = std::thread::spawn(move || {
-        stream_job(
-            addr,
-            r#"{"id":"burst-0","stream":true,"source":"var b0 = 0; for (var i = 0; i < 2000000; i++) { b0 += i; }","mode":"dep"}"#,
-        )
-    });
-    std::thread::sleep(Duration::from_millis(400));
-    // …then a simultaneous burst of cheap jobs. While the slot is held,
-    // only three can be absorbed (one in the exec queue, one held by the
-    // blocked parse worker, one in the ring) — the rest must spill.
-    let handles: Vec<_> = (1..n)
-        .map(|i| {
-            let req = format!(
-                r#"{{"id":"burst-{i}","stream":true,"source":"var b{i} = 0; for (var i = 0; i < {}; i++) {{ b{i} += i; }}","mode":"dep"}}"#,
-                300 + i
-            );
-            std::thread::spawn(move || stream_job(addr, &req))
-        })
-        .collect();
-    let mut handles = handles;
-    handles.insert(0, heavy);
+    let send = |i: usize| {
+        let req = format!(
+            r#"{{"id":"burst-{i}","stream":true,"source":"{}","mode":"dep"}}"#,
+            source(i)
+        );
+        std::thread::spawn(move || stream_job(addr, &req))
+    };
+    // burst-0 pins the single interp slot on a latch…
+    let mut handles = vec![send(0)];
+    latch.wait_started();
+    // …then the rest arrive at once. While the slot is held, only three
+    // can be absorbed (one in the exec queue, one held by the blocked
+    // parse worker, one in the ring) — at least four must spill.
+    handles.extend((1..n).map(send));
+    wait_until("4 jobs spilled", || server.counters().jobs_spilled >= 4);
+    latch.release();
     let streams: Vec<Vec<FrameRec>> = handles
         .into_iter()
         .map(|h| h.join().expect("client thread"))
@@ -454,7 +503,6 @@ fn spilled_streaming_jobs_get_an_immediate_notice_and_still_finish() {
 fn worker_crash_mid_stream_ends_in_a_terminal_error() {
     let mut config = ServeConfig {
         workers: 1,
-        parse_workers: 1,
         worker_spec: Some(harness_spec()),
         ..ServeConfig::default()
     };

@@ -6,6 +6,7 @@
 
 use ceres_core::supervisor::WorkerSpec;
 use ceres_core::{serve, ServeConfig, ServerHandle};
+use ceres_integration_tests::{start_gated, wait_until, Latch};
 use ceres_workloads::registry_resolver;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -159,25 +160,38 @@ fn crash_on_one_worker_does_not_disturb_jobs_on_others() {
 
 /// A burst far past the in-memory ring must spill to disk, keep FIFO
 /// admission order, route every reply to the right client, and reject
-/// nobody.
+/// nobody. `burst-0` holds the only interp slot on a latch while the
+/// other 9 arrive: at most 2 (exec queue) + 1 (parse thread) + 2 (ring)
+/// of them fit in memory, so at least 4 must spill before it is let go.
 #[test]
 fn overflow_spills_fifo_and_replies_route_to_the_right_clients() {
-    let server = start(ServeConfig {
+    let source = |i: usize| {
+        format!(
+            "var w{i} = 0; for (var i = 0; i < {n}; i++) {{ w{i} += i; }}",
+            n = 30 + i
+        )
+    };
+    let latch = Latch::default();
+    let config = ServeConfig {
         workers: 1,
         queue_capacity: 2,
         ..ServeConfig::default()
-    });
+    };
+    let server = start_gated(config, &source(0), &latch);
     let addr = server.local_addr();
 
-    let handles: Vec<_> = (0..10)
-        .map(|i| {
-            let req = format!(
-                r#"{{"id":"burst-{i}","source":"var w{i} = 0; for (var i = 0; i < {n}; i++) {{ w{i} += i; }}","mode":"dependence"}}"#,
-                n = 30 + i
-            );
-            std::thread::spawn(move || (i, roundtrip(addr, &req)))
-        })
-        .collect();
+    let send = |i: usize| {
+        let req = format!(
+            r#"{{"id":"burst-{i}","source":"{}","mode":"dependence"}}"#,
+            source(i)
+        );
+        std::thread::spawn(move || (i, roundtrip(addr, &req)))
+    };
+    let mut handles = vec![send(0)];
+    latch.wait_started();
+    handles.extend((1..10).map(send));
+    wait_until("4 jobs spilled", || server.counters().jobs_spilled >= 4);
+    latch.release();
 
     let mut fingerprints = std::collections::HashSet::new();
     for h in handles {
