@@ -24,4 +24,4 @@ pub use ast::*;
 pub use codegen::{expr_to_source, program_to_source, stmt_to_source};
 pub use numbering::{assign_loop_ids, LoopInfo};
 pub use span::Span;
-pub use visit::VisitMut;
+pub use visit::{hoisted, Hoisted, Visit, VisitMut};

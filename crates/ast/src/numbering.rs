@@ -7,7 +7,7 @@
 
 use crate::ast::{LoopId, Program, Stmt, StmtKind};
 use crate::span::Span;
-use crate::visit::{walk_stmt, VisitMut};
+use crate::visit::{walk_stmt_mut, VisitMut};
 
 /// Description of one numbered loop, returned by [`assign_loop_ids`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +47,7 @@ impl VisitMut for Numberer {
             *slot = id;
             self.loops.push(LoopInfo { id, kind, span });
         }
-        walk_stmt(self, stmt);
+        walk_stmt_mut(self, stmt);
     }
 }
 

@@ -22,8 +22,9 @@
 use crate::engine::{Engine, Warning, WarningKind};
 use crate::welford::Welford;
 use ceres_ast::ast::*;
+use ceres_ast::visit::{walk_expr, walk_stmt, Visit};
 use ceres_ast::LoopId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Difficulty scale used by both Table 3 columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -113,100 +114,119 @@ pub struct StaticFeatures {
 /// Walk the program and compute [`StaticFeatures`] for every loop.
 pub fn static_features(program: &Program) -> HashMap<LoopId, StaticFeatures> {
     let recursive = recursive_functions(program);
-    let mut out = HashMap::new();
-    let mut ctx = WalkCtx {
+    let mut features = Features {
         stack: Vec::new(),
-        recursive,
+        recursive: &recursive,
+        out: HashMap::new(),
     };
-    walk_stmts(&program.body, &mut ctx, &mut out);
-    out
+    features.visit_program(program);
+    features.out
+}
+
+/// The walk behind [`static_features`]: every node counts toward each loop
+/// whose body encloses it. Loops inside a function body belong to the nest
+/// of whoever *calls* the function; statically we attribute conservatively
+/// to the enclosing syntactic loops (callbacks defined in loops).
+struct Features<'a> {
+    /// Loops whose body encloses the current node, outermost first.
+    stack: Vec<LoopId>,
+    recursive: &'a HashSet<&'a str>,
+    out: HashMap<LoopId, StaticFeatures>,
+}
+
+impl Features<'_> {
+    fn bump(&mut self, f: impl Fn(&mut StaticFeatures)) {
+        for id in &self.stack {
+            f(self.out.entry(*id).or_default());
+        }
+    }
+}
+
+impl<'ast> Visit<'ast> for Features<'_> {
+    fn visit_stmt(&mut self, s: &'ast Stmt) {
+        self.bump(|f| f.body_size += 1);
+        if s.kind.is_branch() {
+            self.bump(|f| f.branches += 1);
+        }
+        let Some(id) = s.kind.loop_id() else {
+            return walk_stmt(self, s);
+        };
+        self.out.entry(id).or_default();
+        // The header counts toward the enclosing loops only, the body
+        // toward this loop as well.
+        let body = match &s.kind {
+            StmtKind::While { cond, body, .. } | StmtKind::DoWhile { cond, body, .. } => {
+                self.visit_expr(cond);
+                body
+            }
+            StmtKind::ForIn { object, body, .. } => {
+                self.visit_expr(object);
+                body
+            }
+            StmtKind::For {
+                init,
+                cond,
+                update,
+                body,
+                ..
+            } => {
+                match init {
+                    Some(ForInit::VarDecl(ds)) => ds
+                        .iter()
+                        .flat_map(|d| &d.init)
+                        .for_each(|e| self.visit_expr(e)),
+                    Some(ForInit::Expr(e)) => self.visit_expr(e),
+                    None => {}
+                }
+                cond.iter().chain(update).for_each(|e| self.visit_expr(e));
+                body
+            }
+            _ => unreachable!("only loops have a loop id"),
+        };
+        self.stack.push(id);
+        self.visit_stmt(body);
+        self.stack.pop();
+    }
+
+    fn visit_expr(&mut self, e: &'ast Expr) {
+        self.bump(|f| f.body_size += 1);
+        match &e.kind {
+            ExprKind::Cond { .. } | ExprKind::Logical { .. } => self.bump(|f| f.branches += 1),
+            ExprKind::Call { callee, .. } | ExprKind::New { callee, .. } => {
+                self.bump(|f| f.calls += 1);
+                if let ExprKind::Ident(name) = &callee.kind {
+                    if self.recursive.contains(name.as_str()) {
+                        self.bump(|f| f.recursive_call = true);
+                    }
+                }
+            }
+            _ => {}
+        }
+        walk_expr(self, e);
+    }
 }
 
 /// Names of functions that can reach themselves through the (name-based)
 /// static call graph. Conservative and simple: function declarations and
-/// `var f = function …` both define nodes; `f(…)` call sites with a plain
-/// identifier callee define edges.
-fn recursive_functions(program: &Program) -> std::collections::HashSet<String> {
-    use std::collections::{HashMap as Map, HashSet as Set};
-    // Collect function bodies by name.
-    let mut bodies: Map<String, &Func> = Map::new();
-    fn collect<'a>(stmts: &'a [Stmt], bodies: &mut Map<String, &'a Func>) {
-        for s in stmts {
-            match &s.kind {
-                StmtKind::Func(d) => {
-                    bodies.insert(d.name.clone(), &d.func);
-                    collect(&d.func.body, bodies);
-                }
-                StmtKind::VarDecl(ds) => {
-                    for d in ds {
-                        if let Some(Expr {
-                            kind: ExprKind::Func { func, .. },
-                            ..
-                        }) = &d.init
-                        {
-                            bodies.insert(d.name.clone(), func);
-                            collect(&func.body, bodies);
-                        }
-                    }
-                }
-                StmtKind::Block(b) => collect(b, bodies),
-                StmtKind::If { then, alt, .. } => {
-                    collect(std::slice::from_ref(then), bodies);
-                    if let Some(a) = alt {
-                        collect(std::slice::from_ref(a), bodies);
-                    }
-                }
-                StmtKind::While { body, .. }
-                | StmtKind::DoWhile { body, .. }
-                | StmtKind::For { body, .. }
-                | StmtKind::ForIn { body, .. } => collect(std::slice::from_ref(body), bodies),
-                _ => {}
-            }
-        }
-    }
-    collect(&program.body, &mut bodies);
-
-    // Edges: names called from each function body.
-    fn called_names(stmts: &[Stmt], out: &mut Set<String>) {
-        struct CallCollector<'a>(&'a mut Set<String>);
-        impl ceres_ast::VisitMut for CallCollector<'_> {
-            fn visit_expr(&mut self, e: &mut Expr) {
-                if let ExprKind::Call { callee, .. } = &e.kind {
-                    if let ExprKind::Ident(name) = &callee.kind {
-                        self.0.insert(name.clone());
-                    }
-                }
-                ceres_ast::visit::walk_expr(self, e);
-            }
-        }
-        // Clone so the visitor (mutable API) can walk without touching the
-        // original tree.
-        for s in stmts {
-            let mut s = s.clone();
-            use ceres_ast::VisitMut as _;
-            CallCollector(out).visit_stmt(&mut s);
-        }
-    }
-    let edges: Map<String, Set<String>> = bodies
-        .iter()
-        .map(|(name, func)| {
-            let mut callees = Set::new();
-            called_names(&func.body, &mut callees);
-            (name.clone(), callees)
-        })
-        .collect();
+/// `var f = function …` anywhere in the program both define nodes; `f(…)`
+/// call sites with a plain identifier callee define edges from every named
+/// function whose body encloses them.
+fn recursive_functions(program: &Program) -> HashSet<&str> {
+    let mut graph = CallGraph::default();
+    graph.visit_program(program);
+    let edges = graph.edges;
 
     // A function is recursion-reaching if DFS from it finds a cycle.
-    fn reaches_cycle(
-        name: &str,
-        edges: &Map<String, Set<String>>,
-        path: &mut Set<String>,
-        memo: &mut Map<String, bool>,
+    fn reaches_cycle<'a>(
+        name: &'a str,
+        edges: &HashMap<&'a str, HashSet<&'a str>>,
+        path: &mut HashSet<&'a str>,
+        memo: &mut HashMap<&'a str, bool>,
     ) -> bool {
         if let Some(&r) = memo.get(name) {
             return r;
         }
-        if !path.insert(name.to_string()) {
+        if !path.insert(name) {
             return true; // back-edge: cycle
         }
         let mut found = false;
@@ -219,202 +239,63 @@ fn recursive_functions(program: &Program) -> std::collections::HashSet<String> {
             }
         }
         path.remove(name);
-        memo.insert(name.to_string(), found);
+        memo.insert(name, found);
         found
     }
-    let mut memo = Map::new();
-    let mut recursive = Set::new();
-    for name in edges.keys() {
-        let mut path = Set::new();
-        if reaches_cycle(name, &edges, &mut path, &mut memo) {
-            recursive.insert(name.clone());
-        }
-    }
-    recursive
+    let mut memo = HashMap::new();
+    edges
+        .keys()
+        .copied()
+        .filter(|name| reaches_cycle(name, &edges, &mut HashSet::new(), &mut memo))
+        .collect()
 }
 
-struct WalkCtx {
-    stack: Vec<LoopId>,
-    recursive: std::collections::HashSet<String>,
+/// The name-based call graph behind [`recursive_functions`].
+#[derive(Default)]
+struct CallGraph<'ast> {
+    /// Named functions whose body encloses the current node.
+    enclosing: Vec<&'ast str>,
+    edges: HashMap<&'ast str, HashSet<&'ast str>>,
 }
 
-fn bump(ctx: &WalkCtx, out: &mut HashMap<LoopId, StaticFeatures>, f: impl Fn(&mut StaticFeatures)) {
-    for id in &ctx.stack {
-        f(out.entry(*id).or_default());
-    }
-}
-
-fn walk_stmts(stmts: &[Stmt], ctx: &mut WalkCtx, out: &mut HashMap<LoopId, StaticFeatures>) {
-    for s in stmts {
-        walk_stmt(s, ctx, out);
+impl<'ast> CallGraph<'ast> {
+    fn named(&mut self, name: &'ast str, func: &'ast Func) {
+        self.edges.entry(name).or_default();
+        self.enclosing.push(name);
+        self.visit_func(func);
+        self.enclosing.pop();
     }
 }
 
-fn walk_stmt(s: &Stmt, ctx: &mut WalkCtx, out: &mut HashMap<LoopId, StaticFeatures>) {
-    bump(ctx, out, |f| f.body_size += 1);
-    match &s.kind {
-        StmtKind::If { cond, then, alt } => {
-            bump(ctx, out, |f| f.branches += 1);
-            walk_expr(cond, ctx, out);
-            walk_stmt(then, ctx, out);
-            if let Some(a) = alt {
-                walk_stmt(a, ctx, out);
-            }
-        }
-        StmtKind::Switch { disc, cases } => {
-            bump(ctx, out, |f| f.branches += 1);
-            walk_expr(disc, ctx, out);
-            for c in cases {
-                if let Some(t) = &c.test {
-                    walk_expr(t, ctx, out);
-                }
-                walk_stmts(&c.body, ctx, out);
-            }
-        }
-        StmtKind::While {
-            loop_id,
-            cond,
-            body,
-        }
-        | StmtKind::DoWhile {
-            loop_id,
-            cond,
-            body,
-        } => {
-            out.entry(*loop_id).or_default();
-            walk_expr(cond, ctx, out);
-            ctx.stack.push(*loop_id);
-            walk_stmt(body, ctx, out);
-            ctx.stack.pop();
-        }
-        StmtKind::For {
-            loop_id,
-            init,
-            cond,
-            update,
-            body,
-        } => {
-            out.entry(*loop_id).or_default();
-            match init {
-                Some(ForInit::VarDecl(ds)) => {
-                    for d in ds {
-                        if let Some(e) = &d.init {
-                            walk_expr(e, ctx, out);
-                        }
+impl<'ast> Visit<'ast> for CallGraph<'ast> {
+    fn visit_stmt(&mut self, s: &'ast Stmt) {
+        match &s.kind {
+            StmtKind::Func(decl) => self.named(&decl.name, &decl.func),
+            StmtKind::VarDecl(ds) => {
+                for d in ds {
+                    match &d.init {
+                        Some(Expr {
+                            kind: ExprKind::Func { func, .. },
+                            ..
+                        }) => self.named(&d.name, func),
+                        Some(e) => self.visit_expr(e),
+                        None => {}
                     }
                 }
-                Some(ForInit::Expr(e)) => walk_expr(e, ctx, out),
-                None => {}
             }
-            if let Some(c) = cond {
-                walk_expr(c, ctx, out);
-            }
-            if let Some(u) = update {
-                walk_expr(u, ctx, out);
-            }
-            ctx.stack.push(*loop_id);
-            walk_stmt(body, ctx, out);
-            ctx.stack.pop();
+            _ => walk_stmt(self, s),
         }
-        StmtKind::ForIn {
-            loop_id,
-            object,
-            body,
-            ..
-        } => {
-            out.entry(*loop_id).or_default();
-            walk_expr(object, ctx, out);
-            ctx.stack.push(*loop_id);
-            walk_stmt(body, ctx, out);
-            ctx.stack.pop();
-        }
-        StmtKind::Block(ss) => walk_stmts(ss, ctx, out),
-        StmtKind::Expr(e) | StmtKind::Throw(e) => walk_expr(e, ctx, out),
-        StmtKind::Return(Some(e)) => walk_expr(e, ctx, out),
-        StmtKind::VarDecl(ds) => {
-            for d in ds {
-                if let Some(e) = &d.init {
-                    walk_expr(e, ctx, out);
-                }
-            }
-        }
-        StmtKind::Func(decl) => {
-            // Loops inside a function body belong to the nest of whoever
-            // *calls* the function; statically we attribute conservatively
-            // to the enclosing syntactic loops (callbacks defined in loops).
-            walk_stmts(&decl.func.body, ctx, out);
-        }
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => {
-            walk_stmts(block, ctx, out);
-            if let Some(c) = catch {
-                walk_stmts(&c.body, ctx, out);
-            }
-            if let Some(f) = finally {
-                walk_stmts(f, ctx, out);
-            }
-        }
-        _ => {}
     }
-}
 
-fn walk_expr(e: &Expr, ctx: &mut WalkCtx, out: &mut HashMap<LoopId, StaticFeatures>) {
-    bump(ctx, out, |f| f.body_size += 1);
-    match &e.kind {
-        ExprKind::Cond { cond, then, alt } => {
-            bump(ctx, out, |f| f.branches += 1);
-            walk_expr(cond, ctx, out);
-            walk_expr(then, ctx, out);
-            walk_expr(alt, ctx, out);
-        }
-        ExprKind::Logical { left, right, .. } => {
-            bump(ctx, out, |f| f.branches += 1);
-            walk_expr(left, ctx, out);
-            walk_expr(right, ctx, out);
-        }
-        ExprKind::Binary { left, right, .. } => {
-            walk_expr(left, ctx, out);
-            walk_expr(right, ctx, out);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            walk_expr(target, ctx, out);
-            walk_expr(value, ctx, out);
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::Update { target: expr, .. } => {
-            walk_expr(expr, ctx, out);
-        }
-        ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
-            bump(ctx, out, |f| f.calls += 1);
-            if let ExprKind::Ident(name) = &callee.kind {
-                if ctx.recursive.contains(name) {
-                    bump(ctx, out, |f| f.recursive_call = true);
+    fn visit_expr(&mut self, e: &'ast Expr) {
+        if let ExprKind::Call { callee, .. } = &e.kind {
+            if let ExprKind::Ident(callee) = &callee.kind {
+                for caller in &self.enclosing {
+                    self.edges.entry(caller).or_default().insert(callee);
                 }
             }
-            walk_expr(callee, ctx, out);
-            for a in args {
-                walk_expr(a, ctx, out);
-            }
         }
-        ExprKind::Member { object, .. } => walk_expr(object, ctx, out),
-        ExprKind::Index { object, index } => {
-            walk_expr(object, ctx, out);
-            walk_expr(index, ctx, out);
-        }
-        ExprKind::Array(els) | ExprKind::Seq(els) => {
-            for el in els {
-                walk_expr(el, ctx, out);
-            }
-        }
-        ExprKind::Object(props) => {
-            for (_, v) in props {
-                walk_expr(v, ctx, out);
-            }
-        }
-        ExprKind::Func { func, .. } => walk_stmts(&func.body, ctx, out),
-        _ => {}
+        walk_expr(self, e);
     }
 }
 
@@ -819,6 +700,21 @@ mod tests {
         assert_eq!(f.branches, 2); // if + &&
         assert!(f.calls >= 3);
         assert!(f.body_size > 5);
+    }
+
+    #[test]
+    fn recursive_helpers_are_found_below_top_level() {
+        let walk = "function walk(n) { return n > 0 ? walk(n - 1) : 0; }";
+        let lp = "for (var i = 0; i < 4; i++) { walk(i); }";
+        for src in [
+            format!("{walk}\n{lp}"),
+            format!("function C() {{}}\nC.prototype.m = function () {{ {walk} {lp} }};"),
+            format!("try {{ {walk} }} catch (e) {{}}\n{lp}"),
+        ] {
+            let (program, _) = ceres_parser::parse_and_number(&src).unwrap();
+            let features = static_features(&program);
+            assert!(features[&LoopId(1)].recursive_call, "{src}");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub mod hooks;
 pub mod parallelize;
 pub mod refactor;
 pub mod rewrite;
+pub mod shape;
 
 pub use hooks::*;
 pub use parallelize::{parallelize_loop, ParallelizeError, PAR_ENTER, PAR_EXIT, PAR_ITER};

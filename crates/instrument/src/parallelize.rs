@@ -36,20 +36,31 @@
 //! The transform refuses loops whose shape it cannot prove safe; the
 //! runtime adds its own checks (write conflicts, trip-count divergence,
 //! state it cannot merge), so these are the *necessary* conditions, not a
-//! proof. Documented in `docs/PARALLELIZE.md`:
+//! proof. They are the [`LoopShape`] hazards, and the first one the scan
+//! reaches is the refusal. Documented in `docs/PARALLELIZE.md`:
 //!
-//! * canonical counted header `for (var i = 0; i < N; i++)` (or the
-//!   `i = 0` / `i += 1` spellings) — workers must agree on the iteration
-//!   space without observing body effects;
+//! * a counted header with one induction variable
+//!   ([`LoopShape::induction`]) — workers must agree on the iteration
+//!   space without observing body effects. Ownership is by iteration
+//!   *ordinal* (the gate counts entries) and the header runs identically
+//!   in every replica, so a nonzero start, `<=`, strides and downward
+//!   counts are all fine;
 //! * no `break` or `return` at the loop's own level (`continue` is fine:
-//!   it stays inside the gated body);
-//! * the body must not assign the induction variable;
-//! * the body must not perform unmergeable side effects the runtime cannot
-//!   replicate across workers: console output, timer/listener registration,
-//!   clock reads, seeded-RNG draws, or DOM access (checked by identifier;
-//!   the dependence engine's `ok` characterization already excludes
-//!   DOM-heavy nests).
+//!   it stays inside the gated body; a nested function's `return` is its
+//!   own);
+//! * no write to the induction variable, in the header's init, step or
+//!   condition or anywhere in the body;
+//! * no unmergeable side effects the runtime cannot replicate across
+//!   workers, in the header or the body: console output, timer/listener
+//!   registration, clock reads, seeded-RNG draws, or DOM access (checked
+//!   by identifier, [`crate::shape::IMPURE_NAMES`]; the dependence engine's `ok`
+//!   characterization already excludes DOM-heavy nests).
+//!
+//! Everything subtler — a body write that feeds the condition, say — is
+//! caught at run time by the barrier's trip-count and state divergence
+//! checks, which refuse rather than corrupt.
 
+use crate::shape::{replace_loop, Hazard, LoopShape};
 use ceres_ast::ast::*;
 use ceres_ast::build;
 
@@ -62,26 +73,6 @@ pub const PAR_ITER: &str = "__ceres_par_iter";
 /// Host hook: `(loop_id)` — instance ends: join barrier, merge, clock
 /// resync.
 pub const PAR_EXIT: &str = "__ceres_par_exit";
-
-/// Identifiers whose appearance inside a candidate body makes the rewrite
-/// unsafe: their effects are per-worker and the join cannot merge them.
-/// (`random` catches `Math.random`; `document`/`window` catch DOM access
-/// that the difficulty classifier should already have excluded.)
-const IMPURE_NAMES: &[&str] = &[
-    "console",
-    "setTimeout",
-    "setInterval",
-    "clearTimeout",
-    "clearInterval",
-    "requestAnimationFrame",
-    "addEventListener",
-    "performance",
-    "Date",
-    "random",
-    "document",
-    "window",
-    "alert",
-];
 
 /// Why a loop was refused parallelization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,554 +122,60 @@ impl std::error::Error for ParallelizeError {}
 /// `program`. The original is untouched; all other loops are preserved
 /// verbatim.
 pub fn parallelize_loop(program: &Program, target: LoopId) -> Result<Program, ParallelizeError> {
-    let mut found = Err(ParallelizeError::NoSuchLoop);
-    let body = program
-        .body
-        .iter()
-        .map(|s| rewrite_stmt(s, target, &mut found))
-        .collect();
-    found?;
-    Ok(Program { body })
-}
-
-fn rewrite_stmt(stmt: &Stmt, target: LoopId, found: &mut Result<(), ParallelizeError>) -> Stmt {
-    if let StmtKind::For { loop_id, .. } = &stmt.kind {
-        if *loop_id == target {
-            match try_transform(stmt, target) {
-                Ok(new_stmt) => {
-                    *found = Ok(());
-                    return new_stmt;
-                }
-                Err(e) => {
-                    *found = Err(e);
-                    return stmt.clone();
-                }
-            }
-        }
-    } else if stmt.kind.loop_id() == Some(target) {
-        *found = Err(ParallelizeError::NonCanonicalHeader);
-        return stmt.clone();
-    }
-    let kind = match &stmt.kind {
-        StmtKind::Expr(e) => StmtKind::Expr(rewrite_expr(e, target, found)),
-        StmtKind::VarDecl(ds) => StmtKind::VarDecl(
-            ds.iter()
-                .map(|d| VarDeclarator {
-                    name: d.name.clone(),
-                    init: d.init.as_ref().map(|e| rewrite_expr(e, target, found)),
-                    span: d.span,
-                })
-                .collect(),
-        ),
-        StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(|e| rewrite_expr(e, target, found))),
-        StmtKind::Block(ss) => {
-            StmtKind::Block(ss.iter().map(|s| rewrite_stmt(s, target, found)).collect())
-        }
-        StmtKind::If { cond, then, alt } => StmtKind::If {
-            cond: rewrite_expr(cond, target, found),
-            then: Box::new(rewrite_stmt(then, target, found)),
-            alt: alt
-                .as_ref()
-                .map(|a| Box::new(rewrite_stmt(a, target, found))),
-        },
-        StmtKind::While {
-            loop_id,
-            cond,
-            body,
-        } => StmtKind::While {
-            loop_id: *loop_id,
-            cond: rewrite_expr(cond, target, found),
-            body: Box::new(rewrite_stmt(body, target, found)),
-        },
-        StmtKind::DoWhile {
-            loop_id,
-            body,
-            cond,
-        } => StmtKind::DoWhile {
-            loop_id: *loop_id,
-            body: Box::new(rewrite_stmt(body, target, found)),
-            cond: rewrite_expr(cond, target, found),
-        },
-        StmtKind::For {
+    replace_loop(program, target, ParallelizeError::NoSuchLoop, |stmt| {
+        let StmtKind::For {
             loop_id,
             init,
             cond,
             update,
             body,
-        } => StmtKind::For {
-            loop_id: *loop_id,
-            init: init.clone(),
-            cond: cond.clone(),
-            update: update.clone(),
-            body: Box::new(rewrite_stmt(body, target, found)),
-        },
-        StmtKind::ForIn {
-            loop_id,
-            decl,
-            var,
-            object,
-            body,
-        } => StmtKind::ForIn {
-            loop_id: *loop_id,
-            decl: *decl,
-            var: var.clone(),
-            object: rewrite_expr(object, target, found),
-            body: Box::new(rewrite_stmt(body, target, found)),
-        },
-        StmtKind::Func(decl) => StmtKind::Func(FuncDecl {
-            name: decl.name.clone(),
-            func: Func {
-                params: decl.func.params.clone(),
-                body: decl
-                    .func
-                    .body
-                    .iter()
-                    .map(|s| rewrite_stmt(s, target, found))
-                    .collect(),
-                span: decl.func.span,
-            },
-        }),
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => StmtKind::Try {
-            block: block
-                .iter()
-                .map(|s| rewrite_stmt(s, target, found))
-                .collect(),
-            catch: catch.as_ref().map(|c| CatchClause {
-                param: c.param.clone(),
-                body: c
-                    .body
-                    .iter()
-                    .map(|s| rewrite_stmt(s, target, found))
-                    .collect(),
-            }),
-            finally: finally
-                .as_ref()
-                .map(|f| f.iter().map(|s| rewrite_stmt(s, target, found)).collect()),
-        },
-        StmtKind::Switch { disc, cases } => StmtKind::Switch {
-            disc: rewrite_expr(disc, target, found),
-            cases: cases
-                .iter()
-                .map(|c| SwitchCase {
-                    test: c.test.as_ref().map(|t| rewrite_expr(t, target, found)),
-                    body: c
-                        .body
-                        .iter()
-                        .map(|s| rewrite_stmt(s, target, found))
-                        .collect(),
-                })
-                .collect(),
-        },
-        other => other.clone(),
-    };
-    Stmt::new(kind, stmt.span)
-}
-
-/// Walk an expression, rewriting loops inside any function-expression
-/// bodies it contains.
-fn rewrite_expr(expr: &Expr, target: LoopId, found: &mut Result<(), ParallelizeError>) -> Expr {
-    let kind = match &expr.kind {
-        ExprKind::Func { name, func } => ExprKind::Func {
-            name: name.clone(),
-            func: Func {
-                params: func.params.clone(),
-                body: func
-                    .body
-                    .iter()
-                    .map(|s| rewrite_stmt(s, target, found))
-                    .collect(),
-                span: func.span,
-            },
-        },
-        ExprKind::Array(els) => {
-            ExprKind::Array(els.iter().map(|e| rewrite_expr(e, target, found)).collect())
-        }
-        ExprKind::Object(props) => ExprKind::Object(
-            props
-                .iter()
-                .map(|(k, v)| (k.clone(), rewrite_expr(v, target, found)))
-                .collect(),
-        ),
-        ExprKind::Unary { op, expr: inner } => ExprKind::Unary {
-            op: *op,
-            expr: Box::new(rewrite_expr(inner, target, found)),
-        },
-        ExprKind::Update {
-            op,
-            prefix,
-            target: t,
-        } => ExprKind::Update {
-            op: *op,
-            prefix: *prefix,
-            target: Box::new(rewrite_expr(t, target, found)),
-        },
-        ExprKind::Binary { op, left, right } => ExprKind::Binary {
-            op: *op,
-            left: Box::new(rewrite_expr(left, target, found)),
-            right: Box::new(rewrite_expr(right, target, found)),
-        },
-        ExprKind::Logical { op, left, right } => ExprKind::Logical {
-            op: *op,
-            left: Box::new(rewrite_expr(left, target, found)),
-            right: Box::new(rewrite_expr(right, target, found)),
-        },
-        ExprKind::Assign {
-            op,
-            target: t,
-            value,
-        } => ExprKind::Assign {
-            op: *op,
-            target: Box::new(rewrite_expr(t, target, found)),
-            value: Box::new(rewrite_expr(value, target, found)),
-        },
-        ExprKind::Cond { cond, then, alt } => ExprKind::Cond {
-            cond: Box::new(rewrite_expr(cond, target, found)),
-            then: Box::new(rewrite_expr(then, target, found)),
-            alt: Box::new(rewrite_expr(alt, target, found)),
-        },
-        ExprKind::Call { callee, args } => ExprKind::Call {
-            callee: Box::new(rewrite_expr(callee, target, found)),
-            args: args
-                .iter()
-                .map(|a| rewrite_expr(a, target, found))
-                .collect(),
-        },
-        ExprKind::New { callee, args } => ExprKind::New {
-            callee: Box::new(rewrite_expr(callee, target, found)),
-            args: args
-                .iter()
-                .map(|a| rewrite_expr(a, target, found))
-                .collect(),
-        },
-        ExprKind::Member { object, prop } => ExprKind::Member {
-            object: Box::new(rewrite_expr(object, target, found)),
-            prop: prop.clone(),
-        },
-        ExprKind::Index { object, index } => ExprKind::Index {
-            object: Box::new(rewrite_expr(object, target, found)),
-            index: Box::new(rewrite_expr(index, target, found)),
-        },
-        ExprKind::Seq(es) => {
-            ExprKind::Seq(es.iter().map(|e| rewrite_expr(e, target, found)).collect())
-        }
-        other => other.clone(),
-    };
-    Expr::new(kind, expr.span)
-}
-
-/// Attempt the gated transformation of one `for` statement.
-fn try_transform(stmt: &Stmt, target: LoopId) -> Result<Stmt, ParallelizeError> {
-    let StmtKind::For {
-        loop_id,
-        init,
-        cond,
-        update,
-        body,
-    } = &stmt.kind
-    else {
-        return Err(ParallelizeError::NonCanonicalHeader);
-    };
-
-    let var = canonical_header(init, cond, update)?;
-    check_body(body, &var, 0)?;
-
-    // if (__ceres_par_iter(ID)) { body }
-    let gated_body = Stmt::new(
-        StmtKind::If {
-            cond: build::call(PAR_ITER, vec![build::num(target.0 as f64)]),
-            then: Box::new(body.as_ref().clone()),
-            alt: None,
-        },
-        body.span,
-    );
-    let gated_loop = Stmt::new(
-        StmtKind::For {
-            loop_id: *loop_id,
-            init: init.clone(),
-            cond: cond.clone(),
-            update: update.clone(),
-            body: Box::new(gated_body),
-        },
-        stmt.span,
-    );
-    Ok(build::block(vec![
-        build::expr_stmt(build::call(PAR_ENTER, vec![build::num(target.0 as f64)])),
-        gated_loop,
-        build::expr_stmt(build::call(PAR_EXIT, vec![build::num(target.0 as f64)])),
-    ]))
-}
-
-/// Check the counted header and return the induction variable.
-///
-/// Ownership is assigned by iteration *ordinal* (the gate counts entries),
-/// not by induction-variable value, and the header runs identically in
-/// every replica — so the header does not need the textbook
-/// `(var i = 0; i < N; i++)` shape. What it does need:
-///
-/// * one identifiable induction variable, bound by the init clause (if
-///   present) and advanced by the update clause, so the body scan can
-///   refuse writes to it;
-/// * a real condition (a `for (;;)` has no trip count to agree on);
-/// * clauses free of the impure names ([`IMPURE_NAMES`]) — a header that
-///   consults the clock or the DOM has no business being replicated.
-///
-/// Everything subtler — a body write that feeds the condition, say — is
-/// caught at run time by the barrier's trip-count and state divergence
-/// checks, which refuse rather than corrupt.
-fn canonical_header(
-    init: &Option<ForInit>,
-    cond: &Option<Expr>,
-    update: &Option<Expr>,
-) -> Result<String, ParallelizeError> {
-    let init_var = match init {
-        Some(ForInit::VarDecl(ds)) if ds.len() == 1 => {
-            if let Some(e) = &ds[0].init {
-                check_expr(e, &ds[0].name)?;
-            }
-            Some(ds[0].name.clone())
-        }
-        Some(ForInit::Expr(Expr {
-            kind:
-                ExprKind::Assign {
-                    op: AssignOp::Assign,
-                    target,
-                    value,
-                },
-            ..
-        })) => match &target.kind {
-            ExprKind::Ident(name) => {
-                check_expr(value, name)?;
-                Some(name.clone())
-            }
-            _ => return Err(ParallelizeError::NonCanonicalHeader),
-        },
-        None => None,
-        _ => return Err(ParallelizeError::NonCanonicalHeader),
-    };
-
-    let var = match update {
-        Some(Expr {
-            kind: ExprKind::Update { target, .. },
-            ..
-        }) => match &target.kind {
-            ExprKind::Ident(name) => name.clone(),
-            _ => return Err(ParallelizeError::NonCanonicalHeader),
-        },
-        Some(Expr {
-            kind: ExprKind::Assign { target, value, .. },
-            ..
-        }) => match &target.kind {
-            ExprKind::Ident(name) => {
-                // `i += step` / `i = i + step`: the RHS may read `i`
-                // freely but must not write it again or touch impure
-                // names.
-                check_expr(value, name)?;
-                name.clone()
-            }
-            _ => return Err(ParallelizeError::NonCanonicalHeader),
-        },
-        _ => return Err(ParallelizeError::NonCanonicalHeader),
-    };
-    if let Some(iv) = &init_var {
-        if *iv != var {
+        } = &stmt.kind
+        else {
             return Err(ParallelizeError::NonCanonicalHeader);
+        };
+        let shape = LoopShape::of(init, cond, update, body);
+        if let Some(refusal) = shape.hazards.iter().find_map(refusal) {
+            return Err(refusal);
         }
-    }
-
-    match cond {
-        Some(c) => check_expr(c, &var)?,
-        None => return Err(ParallelizeError::NonCanonicalHeader),
-    }
-    Ok(var)
+        let id = || build::num(target.0 as f64);
+        // if (__ceres_par_iter(ID)) { body }
+        let gated_body = Stmt::new(
+            StmtKind::If {
+                cond: build::call(PAR_ITER, vec![id()]),
+                then: body.clone(),
+                alt: None,
+            },
+            body.span,
+        );
+        let gated_loop = Stmt::new(
+            StmtKind::For {
+                loop_id: *loop_id,
+                init: init.clone(),
+                cond: cond.clone(),
+                update: update.clone(),
+                body: Box::new(gated_body),
+            },
+            stmt.span,
+        );
+        Ok(build::block(vec![
+            build::expr_stmt(build::call(PAR_ENTER, vec![id()])),
+            gated_loop,
+            build::expr_stmt(build::call(PAR_EXIT, vec![id()])),
+        ]))
+    })
 }
 
-/// Reject bodies the runtime join cannot handle. `depth` counts nested
-/// loops (their own `break` is fine); nested functions keep being scanned
-/// for impure names (they run as part of the body) but own their returns.
-fn check_body(stmt: &Stmt, induction: &str, depth: u32) -> Result<(), ParallelizeError> {
-    match &stmt.kind {
-        StmtKind::Break => {
-            if depth == 0 {
-                Err(ParallelizeError::BodyBreaksOut)
-            } else {
-                Ok(())
-            }
-        }
-        StmtKind::Continue => Ok(()),
-        StmtKind::Return(e) => {
-            e.as_ref().map_or(Ok(()), |e| check_expr(e, induction))?;
-            Err(ParallelizeError::BodyReturns)
-        }
-        StmtKind::Expr(e) => check_expr(e, induction),
-        StmtKind::VarDecl(ds) => ds
-            .iter()
-            .try_for_each(|d| d.init.as_ref().map_or(Ok(()), |e| check_expr(e, induction))),
-        StmtKind::Block(ss) => ss.iter().try_for_each(|s| check_body(s, induction, depth)),
-        StmtKind::If { cond, then, alt } => {
-            check_expr(cond, induction)?;
-            check_body(then, induction, depth)?;
-            alt.as_ref()
-                .map_or(Ok(()), |a| check_body(a, induction, depth))
-        }
-        StmtKind::While { cond, body, .. } => {
-            check_expr(cond, induction)?;
-            check_body(body, induction, depth + 1)
-        }
-        StmtKind::DoWhile { body, cond, .. } => {
-            check_body(body, induction, depth + 1)?;
-            check_expr(cond, induction)
-        }
-        StmtKind::For {
-            init,
-            cond,
-            update,
-            body,
-            ..
-        } => {
-            match init {
-                Some(ForInit::VarDecl(ds)) => ds.iter().try_for_each(|d| {
-                    d.init.as_ref().map_or(Ok(()), |e| check_expr(e, induction))
-                })?,
-                Some(ForInit::Expr(e)) => check_expr(e, induction)?,
-                None => {}
-            }
-            cond.as_ref().map_or(Ok(()), |c| check_expr(c, induction))?;
-            update
-                .as_ref()
-                .map_or(Ok(()), |u| check_expr(u, induction))?;
-            check_body(body, induction, depth + 1)
-        }
-        StmtKind::ForIn {
-            var, object, body, ..
-        } => {
-            if var == induction {
-                return Err(ParallelizeError::WritesInductionVar(var.clone()));
-            }
-            check_expr(object, induction)?;
-            check_body(body, induction, depth + 1)
-        }
-        StmtKind::Throw(e) => check_expr(e, induction),
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => {
-            block
-                .iter()
-                .try_for_each(|s| check_body(s, induction, depth))?;
-            if let Some(c) = catch {
-                c.body
-                    .iter()
-                    .try_for_each(|s| check_body(s, induction, depth))?;
-            }
-            if let Some(f) = finally {
-                f.iter().try_for_each(|s| check_body(s, induction, depth))?;
-            }
-            Ok(())
-        }
-        StmtKind::Switch { disc, cases } => {
-            check_expr(disc, induction)?;
-            // `break` inside a switch belongs to the switch.
-            cases.iter().try_for_each(|c| {
-                c.test
-                    .as_ref()
-                    .map_or(Ok(()), |t| check_expr(t, induction))?;
-                c.body
-                    .iter()
-                    .try_for_each(|s| check_body(s, induction, depth + 1))
-            })
-        }
-        // Function declarations in the body: scanned for impure names and
-        // induction writes (they execute as part of the body when called),
-        // but their own `return`s are theirs.
-        StmtKind::Func(decl) => decl
-            .func
-            .body
-            .iter()
-            .try_for_each(|s| check_body_in_fn(s, induction)),
-        StmtKind::Empty => Ok(()),
-    }
-}
-
-/// [`check_body`] inside a nested function: `return`/`break` are local to
-/// the function, but impure names and induction-variable writes still
-/// disqualify the loop.
-fn check_body_in_fn(stmt: &Stmt, induction: &str) -> Result<(), ParallelizeError> {
-    match &stmt.kind {
-        StmtKind::Break | StmtKind::Continue => Ok(()),
-        StmtKind::Return(e) => e.as_ref().map_or(Ok(()), |e| check_expr(e, induction)),
-        other => {
-            // Delegate to check_body at depth 1 (so loop-level break checks
-            // never fire) for everything else.
-            let s = Stmt::new(other.clone(), stmt.span);
-            check_body(&s, induction, 1)
-        }
-    }
-}
-
-/// Expression scan: impure identifiers/properties and induction writes.
-fn check_expr(expr: &Expr, induction: &str) -> Result<(), ParallelizeError> {
-    match &expr.kind {
-        ExprKind::Ident(name) => {
-            if IMPURE_NAMES.contains(&name.as_str()) {
-                return Err(ParallelizeError::ImpureBody(name.clone()));
-            }
-            Ok(())
-        }
-        ExprKind::Member { object, prop } => {
-            if IMPURE_NAMES.contains(&prop.as_str()) {
-                return Err(ParallelizeError::ImpureBody(prop.clone()));
-            }
-            check_expr(object, induction)
-        }
-        ExprKind::Index { object, index } => {
-            check_expr(object, induction)?;
-            check_expr(index, induction)
-        }
-        ExprKind::Assign { target, value, .. } => {
-            if let ExprKind::Ident(name) = &target.kind {
-                if name == induction {
-                    return Err(ParallelizeError::WritesInductionVar(name.clone()));
-                }
-            }
-            check_expr(target, induction)?;
-            check_expr(value, induction)
-        }
-        ExprKind::Update { target, .. } => {
-            if let ExprKind::Ident(name) = &target.kind {
-                if name == induction {
-                    return Err(ParallelizeError::WritesInductionVar(name.clone()));
-                }
-            }
-            check_expr(target, induction)
-        }
-        ExprKind::Unary { expr: inner, .. } => check_expr(inner, induction),
-        ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
-            check_expr(left, induction)?;
-            check_expr(right, induction)
-        }
-        ExprKind::Cond { cond, then, alt } => {
-            check_expr(cond, induction)?;
-            check_expr(then, induction)?;
-            check_expr(alt, induction)
-        }
-        ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
-            check_expr(callee, induction)?;
-            args.iter().try_for_each(|a| check_expr(a, induction))
-        }
-        ExprKind::Array(els) => els.iter().try_for_each(|e| check_expr(e, induction)),
-        ExprKind::Object(props) => props.iter().try_for_each(|(_, v)| check_expr(v, induction)),
-        ExprKind::Seq(es) => es.iter().try_for_each(|e| check_expr(e, induction)),
-        ExprKind::Func { func, .. } => func
-            .body
-            .iter()
-            .try_for_each(|s| check_body_in_fn(s, induction)),
-        _ => Ok(()),
-    }
+/// The refusal a hazard causes here, if any: a `continue` is fine, since
+/// it stays inside the gated body.
+fn refusal(hazard: &Hazard) -> Option<ParallelizeError> {
+    Some(match hazard {
+        Hazard::NonCanonicalHeader => ParallelizeError::NonCanonicalHeader,
+        Hazard::Break => ParallelizeError::BodyBreaksOut,
+        Hazard::Return => ParallelizeError::BodyReturns,
+        Hazard::WritesInduction(v) => ParallelizeError::WritesInductionVar(v.to_string()),
+        Hazard::Impure(name) => ParallelizeError::ImpureBody(name.to_string()),
+        Hazard::Continue => return None,
+    })
 }
 
 #[cfg(test)]
@@ -856,6 +353,102 @@ mod tests {
             1
         )
         .is_ok());
+    }
+
+    /// Loops with more than one defect: which refusal each gate reports.
+    /// `None` in the refactor column means the loop is not pinned there.
+    #[test]
+    fn refusal_precedence_table() {
+        use crate::refactor::{refactor_loop, RefactorError};
+        use ParallelizeError::*;
+        let body = |b: &str| format!("for (var i = 0; i < 8; i++) {b}");
+        let in_fn = |b: &str| format!("function f() {{ for (var i = 0; i < 8; i++) {b} }}");
+        let s = |v: &str| v.to_string();
+        let table: [(String, ParallelizeError, Option<RefactorError>); 8] = [
+            (
+                s("for (var i = Math.random(); ; ) {}"),
+                ImpureBody(s("random")),
+                Some(RefactorError::NonCanonicalHeader),
+            ),
+            (
+                s("for (var i = 0; i < Date.now(); i += Math.random()) {}"),
+                ImpureBody(s("random")),
+                None,
+            ),
+            (
+                s("for (var i = 0; i++ < 8; i++) {}"),
+                WritesInductionVar(s("i")),
+                None,
+            ),
+            (
+                body("{ console.log(i); break; }"),
+                ImpureBody(s("console")),
+                Some(RefactorError::BodyBreaksOut),
+            ),
+            (body("{ break; console.log(i); }"), BodyBreaksOut, None),
+            (
+                in_fn("{ return console.log(i); }"),
+                ImpureBody(s("console")),
+                Some(RefactorError::BodyReturns),
+            ),
+            (in_fn("{ return; i++; }"), BodyReturns, None),
+            (
+                body("{ continue; i = 2; }"),
+                WritesInductionVar(s("i")),
+                Some(RefactorError::BodyBreaksOut),
+            ),
+        ];
+        for (src, par, refactor) in table {
+            let (program, _) = parse_and_number(&src).unwrap();
+            assert_eq!(
+                parallelize_loop(&program, LoopId(1)).err(),
+                Some(par),
+                "{src}"
+            );
+            if let Some(want) = refactor {
+                assert_eq!(
+                    refactor_loop(&program, LoopId(1)).err(),
+                    Some(want),
+                    "{src}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn returns_anywhere_in_a_nested_fn_are_its_own() {
+        assert!(parallelize(
+            "for (var i = 0; i < 8; i++) { a[i] = (function (x) { if (x) { return 1; } return 2; })(i); }",
+            1
+        )
+        .is_ok());
+    }
+
+    #[test]
+    fn loops_in_function_expressions_are_found_in_every_position() {
+        use crate::refactor::{refactor_loop, RefactorError};
+        let f = "(function () { for (var j = 0; j < 2; j++) {} return 1; })()";
+        for src in [
+            format!("throw {f};"),
+            format!("for (var k = {f}; k < 2; k++) {{}}"),
+            format!("for (var k = 0; k < {f}; k++) {{}}"),
+            format!("for (var k = 0; k < 2; k += {f}) {{}}"),
+            format!("switch ({f}) {{ default: }}"),
+            format!("switch (1) {{ case {f}: }}"),
+        ] {
+            let (program, loops) = parse_and_number(&src).unwrap();
+            for l in loops {
+                let par = parallelize_loop(&program, l.id).err();
+                assert_ne!(par, Some(ParallelizeError::NoSuchLoop), "{src} {:?}", l.id);
+                let refactor = refactor_loop(&program, l.id).err();
+                assert_ne!(
+                    refactor,
+                    Some(RefactorError::NoSuchLoop),
+                    "{src} {:?}",
+                    l.id
+                );
+            }
+        }
     }
 
     #[test]

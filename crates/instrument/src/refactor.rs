@@ -16,11 +16,18 @@
 //! (the `p` warning) disappears — which the integration tests verify by
 //! re-running the dependence analysis on the refactored program.
 //!
-//! The transform refuses loops it cannot prove shape-compatible:
-//! non-canonical headers, bodies containing `break`/`continue`/`return`
-//! at the loop's own level, or uses of the induction variable after the
-//! loop.
+//! The transform refuses loops it cannot prove shape-compatible, reading
+//! the [`LoopShape`] both loop gates share: non-canonical headers, then the
+//! first of these hazards in scan order — a `break`/`continue` at the
+//! loop's own level, a `return`, or a write to the induction variable.
+//!
+//! Not checked: uses of the induction variable after the loop. The
+//! callback's parameter shadows the variable, so a program that reads it
+//! afterwards (`var i; for (i = 0; i < n; i++) {} f(i);`) no longer sees
+//! the loop's final value. Nor is `N` checked for changing while the loop
+//! runs: `forEachPar` evaluates it once.
 
+use crate::shape::{replace_loop, Hazard, LoopShape};
 use ceres_ast::ast::*;
 use ceres_ast::build;
 use ceres_ast::Span;
@@ -37,6 +44,9 @@ pub enum RefactorError {
     /// Body contains `return` (outside any nested function) — extraction
     /// would change where it returns to.
     BodyReturns,
+    /// Body assigns the induction variable — the callback would assign its
+    /// own parameter, so the iteration space would no longer follow it.
+    WritesInductionVar(String),
 }
 
 impl std::fmt::Display for RefactorError {
@@ -52,6 +62,9 @@ impl std::fmt::Display for RefactorError {
             RefactorError::BodyReturns => {
                 write!(f, "loop body returns from the enclosing function")
             }
+            RefactorError::WritesInductionVar(v) => {
+                write!(f, "loop body assigns the induction variable `{v}`")
+            }
         }
     }
 }
@@ -61,397 +74,51 @@ impl std::error::Error for RefactorError {}
 /// Rewrite the loop `target` into a `forEachPar` call throughout `program`.
 /// Returns the transformed program; the original is untouched.
 pub fn refactor_loop(program: &Program, target: LoopId) -> Result<Program, RefactorError> {
-    let mut found = Err(RefactorError::NoSuchLoop);
-    let body = program
-        .body
-        .iter()
-        .map(|s| rewrite_stmt(s, target, &mut found))
-        .collect();
-    found?;
-    Ok(Program { body })
-}
-
-fn rewrite_stmt(stmt: &Stmt, target: LoopId, found: &mut Result<(), RefactorError>) -> Stmt {
-    if let StmtKind::For { loop_id, .. } = &stmt.kind {
-        if *loop_id == target {
-            match try_transform(stmt) {
-                Ok(new_stmt) => {
-                    *found = Ok(());
-                    return new_stmt;
-                }
-                Err(e) => {
-                    *found = Err(e);
-                    return stmt.clone();
-                }
-            }
-        }
-    } else if stmt.kind.loop_id() == Some(target) {
-        // A while/do-while/for-in with the requested id: it exists but has
-        // no canonical counted header to transform.
-        *found = Err(RefactorError::NonCanonicalHeader);
-        return stmt.clone();
-    }
-    // Recurse structurally (loops can nest anywhere, including inside
-    // function expressions held by expression statements — the
-    // `X.prototype.m = function () { … }` pattern).
-    let kind = match &stmt.kind {
-        StmtKind::Expr(e) => StmtKind::Expr(rewrite_expr(e, target, found)),
-        StmtKind::VarDecl(ds) => StmtKind::VarDecl(
-            ds.iter()
-                .map(|d| VarDeclarator {
-                    name: d.name.clone(),
-                    init: d.init.as_ref().map(|e| rewrite_expr(e, target, found)),
-                    span: d.span,
-                })
-                .collect(),
-        ),
-        StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(|e| rewrite_expr(e, target, found))),
-        StmtKind::Block(ss) => {
-            StmtKind::Block(ss.iter().map(|s| rewrite_stmt(s, target, found)).collect())
-        }
-        StmtKind::If { cond, then, alt } => StmtKind::If {
-            cond: rewrite_expr(cond, target, found),
-            then: Box::new(rewrite_stmt(then, target, found)),
-            alt: alt
-                .as_ref()
-                .map(|a| Box::new(rewrite_stmt(a, target, found))),
-        },
-        StmtKind::While {
-            loop_id,
-            cond,
-            body,
-        } => StmtKind::While {
-            loop_id: *loop_id,
-            cond: rewrite_expr(cond, target, found),
-            body: Box::new(rewrite_stmt(body, target, found)),
-        },
-        StmtKind::DoWhile {
-            loop_id,
-            body,
-            cond,
-        } => StmtKind::DoWhile {
-            loop_id: *loop_id,
-            body: Box::new(rewrite_stmt(body, target, found)),
-            cond: rewrite_expr(cond, target, found),
-        },
-        StmtKind::For {
-            loop_id,
+    replace_loop(program, target, RefactorError::NoSuchLoop, |stmt| {
+        let StmtKind::For {
             init,
             cond,
             update,
             body,
-        } => StmtKind::For {
-            loop_id: *loop_id,
-            init: init.clone(),
-            cond: cond.clone(),
-            update: update.clone(),
-            body: Box::new(rewrite_stmt(body, target, found)),
-        },
-        StmtKind::ForIn {
-            loop_id,
-            decl,
-            var,
-            object,
-            body,
-        } => StmtKind::ForIn {
-            loop_id: *loop_id,
-            decl: *decl,
-            var: var.clone(),
-            object: rewrite_expr(object, target, found),
-            body: Box::new(rewrite_stmt(body, target, found)),
-        },
-        StmtKind::Func(decl) => StmtKind::Func(FuncDecl {
-            name: decl.name.clone(),
+            ..
+        } = &stmt.kind
+        else {
+            return Err(RefactorError::NonCanonicalHeader);
+        };
+        let shape = LoopShape::of(init, cond, update, body);
+        let (Some(var), Some(bound)) = (shape.induction, shape.bound) else {
+            return Err(RefactorError::NonCanonicalHeader);
+        };
+        if let Some(refusal) = shape.hazards.iter().find_map(refusal) {
+            return Err(refusal);
+        }
+        // forEachPar(N, function (i) { body });
+        let callback = Expr::synth(ExprKind::Func {
+            name: None,
             func: Func {
-                params: decl.func.params.clone(),
-                body: decl
-                    .func
-                    .body
-                    .iter()
-                    .map(|s| rewrite_stmt(s, target, found))
-                    .collect(),
-                span: decl.func.span,
+                params: vec![var.to_string()],
+                body: match &body.kind {
+                    StmtKind::Block(ss) => ss.clone(),
+                    other => vec![Stmt::new(other.clone(), body.span)],
+                },
+                span: Span::SYNTHETIC,
             },
-        }),
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => StmtKind::Try {
-            block: block
-                .iter()
-                .map(|s| rewrite_stmt(s, target, found))
-                .collect(),
-            catch: catch.as_ref().map(|c| CatchClause {
-                param: c.param.clone(),
-                body: c
-                    .body
-                    .iter()
-                    .map(|s| rewrite_stmt(s, target, found))
-                    .collect(),
-            }),
-            finally: finally
-                .as_ref()
-                .map(|f| f.iter().map(|s| rewrite_stmt(s, target, found)).collect()),
-        },
-        StmtKind::Switch { disc, cases } => StmtKind::Switch {
-            disc: disc.clone(),
-            cases: cases
-                .iter()
-                .map(|c| SwitchCase {
-                    test: c.test.clone(),
-                    body: c
-                        .body
-                        .iter()
-                        .map(|s| rewrite_stmt(s, target, found))
-                        .collect(),
-                })
-                .collect(),
-        },
-        other => other.clone(),
-    };
-    Stmt::new(kind, stmt.span)
+        });
+        Ok(build::expr_stmt(build::call(
+            "forEachPar",
+            vec![bound.clone(), callback],
+        )))
+    })
 }
 
-/// Walk an expression, rewriting loops inside any function-expression
-/// bodies it contains.
-fn rewrite_expr(expr: &Expr, target: LoopId, found: &mut Result<(), RefactorError>) -> Expr {
-    let kind = match &expr.kind {
-        ExprKind::Func { name, func } => ExprKind::Func {
-            name: name.clone(),
-            func: Func {
-                params: func.params.clone(),
-                body: func
-                    .body
-                    .iter()
-                    .map(|s| rewrite_stmt(s, target, found))
-                    .collect(),
-                span: func.span,
-            },
-        },
-        ExprKind::Array(els) => {
-            ExprKind::Array(els.iter().map(|e| rewrite_expr(e, target, found)).collect())
-        }
-        ExprKind::Object(props) => ExprKind::Object(
-            props
-                .iter()
-                .map(|(k, v)| (k.clone(), rewrite_expr(v, target, found)))
-                .collect(),
-        ),
-        ExprKind::Unary { op, expr: inner } => ExprKind::Unary {
-            op: *op,
-            expr: Box::new(rewrite_expr(inner, target, found)),
-        },
-        ExprKind::Update {
-            op,
-            prefix,
-            target: t,
-        } => ExprKind::Update {
-            op: *op,
-            prefix: *prefix,
-            target: Box::new(rewrite_expr(t, target, found)),
-        },
-        ExprKind::Binary { op, left, right } => ExprKind::Binary {
-            op: *op,
-            left: Box::new(rewrite_expr(left, target, found)),
-            right: Box::new(rewrite_expr(right, target, found)),
-        },
-        ExprKind::Logical { op, left, right } => ExprKind::Logical {
-            op: *op,
-            left: Box::new(rewrite_expr(left, target, found)),
-            right: Box::new(rewrite_expr(right, target, found)),
-        },
-        ExprKind::Assign {
-            op,
-            target: t,
-            value,
-        } => ExprKind::Assign {
-            op: *op,
-            target: Box::new(rewrite_expr(t, target, found)),
-            value: Box::new(rewrite_expr(value, target, found)),
-        },
-        ExprKind::Cond { cond, then, alt } => ExprKind::Cond {
-            cond: Box::new(rewrite_expr(cond, target, found)),
-            then: Box::new(rewrite_expr(then, target, found)),
-            alt: Box::new(rewrite_expr(alt, target, found)),
-        },
-        ExprKind::Call { callee, args } => ExprKind::Call {
-            callee: Box::new(rewrite_expr(callee, target, found)),
-            args: args
-                .iter()
-                .map(|a| rewrite_expr(a, target, found))
-                .collect(),
-        },
-        ExprKind::New { callee, args } => ExprKind::New {
-            callee: Box::new(rewrite_expr(callee, target, found)),
-            args: args
-                .iter()
-                .map(|a| rewrite_expr(a, target, found))
-                .collect(),
-        },
-        ExprKind::Member { object, prop } => ExprKind::Member {
-            object: Box::new(rewrite_expr(object, target, found)),
-            prop: prop.clone(),
-        },
-        ExprKind::Index { object, index } => ExprKind::Index {
-            object: Box::new(rewrite_expr(object, target, found)),
-            index: Box::new(rewrite_expr(index, target, found)),
-        },
-        ExprKind::Seq(es) => {
-            ExprKind::Seq(es.iter().map(|e| rewrite_expr(e, target, found)).collect())
-        }
-        other => other.clone(),
-    };
-    Expr::new(kind, expr.span)
-}
-
-/// Attempt the canonical transformation of one `for` statement.
-fn try_transform(stmt: &Stmt) -> Result<Stmt, RefactorError> {
-    let StmtKind::For {
-        init,
-        cond,
-        update,
-        body,
-        ..
-    } = &stmt.kind
-    else {
-        return Err(RefactorError::NonCanonicalHeader);
-    };
-
-    // Induction variable and `= 0` start.
-    let var = match init {
-        Some(ForInit::VarDecl(ds))
-            if ds.len() == 1
-                && matches!(&ds[0].init, Some(Expr { kind: ExprKind::Num(n), .. }) if *n == 0.0) =>
-        {
-            ds[0].name.clone()
-        }
-        Some(ForInit::Expr(Expr {
-            kind:
-                ExprKind::Assign {
-                    op: AssignOp::Assign,
-                    target,
-                    value,
-                },
-            ..
-        })) if matches!(value.kind, ExprKind::Num(n) if n == 0.0) => match &target.kind {
-            ExprKind::Ident(name) => name.clone(),
-            _ => return Err(RefactorError::NonCanonicalHeader),
-        },
-        _ => return Err(RefactorError::NonCanonicalHeader),
-    };
-
-    // `i < N`.
-    let bound = match cond {
-        Some(Expr {
-            kind:
-                ExprKind::Binary {
-                    op: BinaryOp::Lt,
-                    left,
-                    right,
-                },
-            ..
-        }) if matches!(&left.kind, ExprKind::Ident(n) if *n == var) => (**right).clone(),
-        _ => return Err(RefactorError::NonCanonicalHeader),
-    };
-
-    // `i++` / `++i` / `i += 1`.
-    let canonical_update = match update {
-        Some(Expr {
-            kind:
-                ExprKind::Update {
-                    op: UpdateOp::Inc,
-                    target,
-                    ..
-                },
-            ..
-        }) => {
-            matches!(&target.kind, ExprKind::Ident(n) if *n == var)
-        }
-        Some(Expr {
-            kind:
-                ExprKind::Assign {
-                    op: AssignOp::Add,
-                    target,
-                    value,
-                },
-            ..
-        }) => {
-            matches!(&target.kind, ExprKind::Ident(n) if *n == var)
-                && matches!(value.kind, ExprKind::Num(x) if x == 1.0)
-        }
-        _ => false,
-    };
-    if !canonical_update {
-        return Err(RefactorError::NonCanonicalHeader);
-    }
-
-    // Body restrictions.
-    check_body(body, 0)?;
-
-    // forEachPar(N, function (i) { body });
-    let callback = Expr::synth(ExprKind::Func {
-        name: None,
-        func: Func {
-            params: vec![var],
-            body: match &body.kind {
-                StmtKind::Block(ss) => ss.clone(),
-                other => vec![Stmt::new(other.clone(), body.span)],
-            },
-            span: Span::SYNTHETIC,
-        },
-    });
-    Ok(build::expr_stmt(build::call(
-        "forEachPar",
-        vec![bound, callback],
-    )))
-}
-
-/// Reject bodies with loop-level `break`/`continue` or function-level
-/// `return`. `depth` counts nested loops (their own break/continue is fine);
-/// nested functions reset both concerns.
-fn check_body(stmt: &Stmt, depth: u32) -> Result<(), RefactorError> {
-    match &stmt.kind {
-        StmtKind::Break | StmtKind::Continue => {
-            if depth == 0 {
-                Err(RefactorError::BodyBreaksOut)
-            } else {
-                Ok(())
-            }
-        }
-        StmtKind::Return(_) => Err(RefactorError::BodyReturns),
-        StmtKind::Block(ss) => ss.iter().try_for_each(|s| check_body(s, depth)),
-        StmtKind::If { then, alt, .. } => {
-            check_body(then, depth)?;
-            alt.as_ref().map_or(Ok(()), |a| check_body(a, depth))
-        }
-        StmtKind::While { body, .. }
-        | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. }
-        | StmtKind::ForIn { body, .. } => check_body(body, depth + 1),
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => {
-            block.iter().try_for_each(|s| check_body(s, depth))?;
-            if let Some(c) = catch {
-                c.body.iter().try_for_each(|s| check_body(s, depth))?;
-            }
-            if let Some(f) = finally {
-                f.iter().try_for_each(|s| check_body(s, depth))?;
-            }
-            Ok(())
-        }
-        StmtKind::Switch { cases, .. } => {
-            // `break` inside a switch belongs to the switch.
-            cases
-                .iter()
-                .try_for_each(|c| c.body.iter().try_for_each(|s| check_body(s, depth + 1)))
-        }
-        // Nested functions own their returns/breaks.
-        StmtKind::Func(_) => Ok(()),
-        _ => Ok(()),
+/// The refusal a hazard causes here, if any: an impure name is fine,
+/// since `forEachPar` runs the callback in order.
+fn refusal(hazard: &Hazard) -> Option<RefactorError> {
+    match hazard {
+        Hazard::Break | Hazard::Continue => Some(RefactorError::BodyBreaksOut),
+        Hazard::Return => Some(RefactorError::BodyReturns),
+        Hazard::WritesInduction(v) => Some(RefactorError::WritesInductionVar(v.to_string())),
+        Hazard::NonCanonicalHeader | Hazard::Impure(_) => None,
     }
 }
 
@@ -531,6 +198,24 @@ mod tests {
     }
 
     #[test]
+    fn induction_writes_are_refused() {
+        for write in [
+            "i++;",
+            "i += 1;",
+            "for (i in o) {}",
+            "(function () { i = 3; })();",
+        ] {
+            let src =
+                format!("var out = [];\nfor (var i = 0; i < 8; i++) {{ {write} out.push(i); }}");
+            assert_eq!(
+                refactor(&src, 1),
+                Err(RefactorError::WritesInductionVar("i".to_string())),
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
     fn nested_loop_breaks_are_fine() {
         let out = refactor(
             "for (var i = 0; i < 4; i++) {\n\
@@ -552,6 +237,19 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("forEachPar"), "{out}");
+    }
+
+    #[test]
+    fn continue_inside_a_switch_is_refused() {
+        // A `switch` owns `break` but not `continue`: this one continues
+        // the loop, and would be left without a loop in the callback.
+        assert_eq!(
+            refactor(
+                "for (var i = 0; i < 4; i++) { switch (i) { case 1: continue; } f(i); }",
+                1
+            ),
+            Err(RefactorError::BodyBreaksOut)
+        );
     }
 
     #[test]

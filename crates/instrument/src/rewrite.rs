@@ -49,95 +49,22 @@ pub fn instrument_program(program: &Program, mode: Mode) -> Program {
     Program { body }
 }
 
-/// Build a `__ceres_declvars("a", "b", …)` statement for the hoisted names
-/// of `body` plus `params`. Returns `None` when there is nothing to stamp.
+/// Build a `__ceres_declvars("a", "b", …)` statement for `params` plus the
+/// hoisted names of `body`, each once in first-occurrence order. Returns
+/// `None` when there is nothing to stamp.
 fn declvars_stmt(body: &[Stmt], params: &[String]) -> Option<Stmt> {
-    let mut names: Vec<String> = params.to_vec();
-    collect_declared(body, &mut names);
+    let mut names: Vec<&str> = params.iter().map(String::as_str).collect();
     names.dedup();
+    for h in ceres_ast::hoisted(body) {
+        if !names.contains(&h.name()) {
+            names.push(h.name());
+        }
+    }
     if names.is_empty() {
         return None;
     }
     let args = names.iter().map(|n| build::str_lit(n)).collect();
     Some(build::expr_stmt(build::call(hooks::DECLVARS, args)))
-}
-
-/// Collect `var` and function-declaration names (not descending into nested
-/// functions), preserving first-occurrence order.
-fn collect_declared(body: &[Stmt], out: &mut Vec<String>) {
-    fn push(out: &mut Vec<String>, name: &str) {
-        if !out.iter().any(|n| n == name) {
-            out.push(name.to_string());
-        }
-    }
-    fn stmt(s: &Stmt, out: &mut Vec<String>) {
-        match &s.kind {
-            StmtKind::VarDecl(ds) => {
-                for d in ds {
-                    push(out, &d.name);
-                }
-            }
-            StmtKind::Func(f) => push(out, &f.name),
-            StmtKind::If { then, alt, .. } => {
-                stmt(then, out);
-                if let Some(a) = alt {
-                    stmt(a, out);
-                }
-            }
-            StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => stmt(body, out),
-            StmtKind::For { init, body, .. } => {
-                if let Some(ForInit::VarDecl(ds)) = init {
-                    for d in ds {
-                        push(out, &d.name);
-                    }
-                }
-                stmt(body, out);
-            }
-            StmtKind::ForIn {
-                decl, var, body, ..
-            } => {
-                if *decl {
-                    push(out, var);
-                }
-                stmt(body, out);
-            }
-            StmtKind::Block(ss) => {
-                for s in ss {
-                    stmt(s, out);
-                }
-            }
-            StmtKind::Try {
-                block,
-                catch,
-                finally,
-            } => {
-                for s in block {
-                    stmt(s, out);
-                }
-                if let Some(c) = catch {
-                    for s in &c.body {
-                        stmt(s, out);
-                    }
-                }
-                if let Some(f) = finally {
-                    for s in f {
-                        stmt(s, out);
-                    }
-                }
-            }
-            StmtKind::Switch { cases, .. } => {
-                for c in cases {
-                    for s in &c.body {
-                        stmt(s, out);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in body {
-        stmt(s, out);
-    }
 }
 
 struct Rewriter {

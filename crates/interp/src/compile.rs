@@ -15,14 +15,17 @@
 use crate::bytecode::{Chunk, Insn, Module};
 use crate::intern::{intern, FxHashMap, Sym};
 use ceres_ast::ast::*;
+use ceres_ast::visit::{walk_expr, walk_func, walk_stmt, Visit};
 use std::rc::Rc;
 
 /// Compile a whole program (including every nested function) to a module.
 /// Chunk 0 is the top-level script.
 pub fn compile_program(program: &Program) -> Module {
+    let mut binding = HookBinding::default();
+    binding.visit_program(program);
     let mut c = Compiler {
         chunks: Vec::new(),
-        hook_spec: !binds_hook_name(&program.body),
+        hook_spec: !binding.0,
     };
     c.compile_chunk(None, None, &[], &program.body);
     Module { chunks: c.chunks }
@@ -41,107 +44,53 @@ fn is_hook_name(name: &str) -> bool {
     name.starts_with("__ceres_")
 }
 
-/// Does any statement bind (declare, shadow, or assign) a `__ceres_*`
-/// name? Instrumented programs never do — the rewriter owns that prefix —
-/// so this scan is what licenses the [`Insn::CallHook`] fast path.
-fn binds_hook_name(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(binds_in_stmt)
-}
+/// Finds whether a program binds (declares, shadows, or assigns) a
+/// `__ceres_*` name anywhere. Instrumented programs never do — the
+/// rewriter owns that prefix — so a clean scan is what licenses the
+/// [`Insn::CallHook`] fast path.
+#[derive(Default)]
+struct HookBinding(bool);
 
-fn binds_in_func(f: &Func) -> bool {
-    f.params.iter().any(|p| is_hook_name(p)) || binds_hook_name(&f.body)
-}
-
-fn binds_in_decls(ds: &[VarDeclarator]) -> bool {
-    ds.iter()
-        .any(|d| is_hook_name(&d.name) || d.init.as_ref().is_some_and(binds_in_expr))
-}
-
-fn binds_in_stmt(s: &Stmt) -> bool {
-    match &s.kind {
-        StmtKind::Expr(e) | StmtKind::Throw(e) => binds_in_expr(e),
-        StmtKind::VarDecl(ds) => binds_in_decls(ds),
-        StmtKind::Func(fd) => is_hook_name(&fd.name) || binds_in_func(&fd.func),
-        StmtKind::Return(e) => e.as_ref().is_some_and(binds_in_expr),
-        StmtKind::If { cond, then, alt } => {
-            binds_in_expr(cond) || binds_in_stmt(then) || alt.as_deref().is_some_and(binds_in_stmt)
-        }
-        StmtKind::While { cond, body, .. } => binds_in_expr(cond) || binds_in_stmt(body),
-        StmtKind::DoWhile { body, cond, .. } => binds_in_stmt(body) || binds_in_expr(cond),
-        StmtKind::For {
-            init,
-            cond,
-            update,
-            body,
-            ..
-        } => {
-            (match init {
-                Some(ForInit::VarDecl(ds)) => binds_in_decls(ds),
-                Some(ForInit::Expr(e)) => binds_in_expr(e),
-                None => false,
-            }) || cond.as_ref().is_some_and(binds_in_expr)
-                || update.as_ref().is_some_and(binds_in_expr)
-                || binds_in_stmt(body)
-        }
-        StmtKind::ForIn {
-            var, object, body, ..
-        } => is_hook_name(var) || binds_in_expr(object) || binds_in_stmt(body),
-        StmtKind::Block(b) => binds_hook_name(b),
-        StmtKind::Break | StmtKind::Continue | StmtKind::Empty => false,
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => {
-            binds_hook_name(block)
-                || catch
-                    .as_ref()
-                    .is_some_and(|c| is_hook_name(&c.param) || binds_hook_name(&c.body))
-                || finally.as_ref().is_some_and(|f| binds_hook_name(f))
-        }
-        StmtKind::Switch { disc, cases } => {
-            binds_in_expr(disc)
-                || cases
-                    .iter()
-                    .any(|c| c.test.as_ref().is_some_and(binds_in_expr) || binds_hook_name(&c.body))
-        }
+impl HookBinding {
+    fn bind(&mut self, name: &str) {
+        self.0 |= is_hook_name(name);
     }
 }
 
-fn binds_in_expr(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Num(_)
-        | ExprKind::Str(_)
-        | ExprKind::Bool(_)
-        | ExprKind::Null
-        | ExprKind::Undefined
-        | ExprKind::This
-        | ExprKind::Ident(_) => false,
-        ExprKind::Array(es) | ExprKind::Seq(es) => es.iter().any(binds_in_expr),
-        ExprKind::Object(ps) => ps.iter().any(|(_, v)| binds_in_expr(v)),
-        ExprKind::Func { name, func } => {
-            name.as_deref().is_some_and(is_hook_name) || binds_in_func(func)
+impl<'ast> Visit<'ast> for HookBinding {
+    fn visit_stmt(&mut self, s: &'ast Stmt) {
+        match &s.kind {
+            StmtKind::VarDecl(ds)
+            | StmtKind::For {
+                init: Some(ForInit::VarDecl(ds)),
+                ..
+            } => ds.iter().for_each(|d| self.bind(&d.name)),
+            StmtKind::Func(decl) => self.bind(&decl.name),
+            StmtKind::ForIn { var, .. } => self.bind(var),
+            StmtKind::Try { catch: Some(c), .. } => self.bind(&c.param),
+            _ => {}
         }
-        ExprKind::Unary { expr, .. } => binds_in_expr(expr),
-        ExprKind::Update { target, .. } => {
-            matches!(&target.kind, ExprKind::Ident(n) if is_hook_name(n)) || binds_in_expr(target)
+        walk_stmt(self, s);
+    }
+
+    fn visit_expr(&mut self, e: &'ast Expr) {
+        match &e.kind {
+            ExprKind::Func {
+                name: Some(name), ..
+            } => self.bind(name),
+            ExprKind::Assign { target, .. } | ExprKind::Update { target, .. } => {
+                if let ExprKind::Ident(name) = &target.kind {
+                    self.bind(name);
+                }
+            }
+            _ => {}
         }
-        ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
-            binds_in_expr(left) || binds_in_expr(right)
-        }
-        ExprKind::Assign { target, value, .. } => {
-            matches!(&target.kind, ExprKind::Ident(n) if is_hook_name(n))
-                || binds_in_expr(target)
-                || binds_in_expr(value)
-        }
-        ExprKind::Cond { cond, then, alt } => {
-            binds_in_expr(cond) || binds_in_expr(then) || binds_in_expr(alt)
-        }
-        ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
-            binds_in_expr(callee) || args.iter().any(binds_in_expr)
-        }
-        ExprKind::Member { object, .. } => binds_in_expr(object),
-        ExprKind::Index { object, index } => binds_in_expr(object) || binds_in_expr(index),
+        walk_expr(self, e);
+    }
+
+    fn visit_func(&mut self, f: &'ast Func) {
+        f.params.iter().for_each(|p| self.bind(p));
+        walk_func(self, f);
     }
 }
 
@@ -272,7 +221,7 @@ impl Compiler {
             sym_arguments: Sym::NONE,
         });
 
-        // Hoisting mirrors `collect_hoisted`: vars in source order, then
+        // Hoisting mirrors `hoist_into`: vars in source order, then
         // function declarations (closures built at frame entry).
         let (vars, funcs) = crate::interp::hoisted_of(body);
         let hoisted_vars: Vec<Sym> = vars.iter().map(|v| intern(v)).collect();
@@ -852,6 +801,43 @@ impl Compiler {
                     self.expr(ctx, last);
                 }
             },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Does the compiled module use the [`Insn::CallHook`] fast path?
+    fn uses_call_hook(src: &str) -> bool {
+        let program = ceres_parser::parse_program(src).unwrap();
+        compile_program(&program)
+            .chunks
+            .iter()
+            .any(|c| c.code.iter().any(|i| matches!(i, Insn::CallHook { .. })))
+    }
+
+    #[test]
+    fn binding_a_hook_name_anywhere_turns_the_fast_path_off() {
+        assert!(uses_call_hook("__ceres_iter(1);"));
+        for binding in [
+            "var __ceres_x;",
+            "for (var __ceres_x = 0; false; ) {}",
+            "function __ceres_x() {}",
+            "var f = function __ceres_x() {};",
+            "function f(__ceres_x) {}",
+            "try {} catch (__ceres_x) {}",
+            "for (__ceres_x in {}) {}",
+            "__ceres_x = 1;",
+            "__ceres_x++;",
+        ] {
+            for src in [
+                format!("{binding}\n__ceres_iter(1);"),
+                format!("(function () {{ {binding} }});\n__ceres_iter(1);"),
+            ] {
+                assert!(!uses_call_hook(&src), "{src}");
+            }
         }
     }
 }

@@ -3,8 +3,9 @@
 //! Design notes:
 //!
 //! * **Function scoping.** A [`Scope`] is created per activation; `var`s and
-//!   function declarations are hoisted at entry (see `collect_hoisted`). Blocks
-//!   do not scope. This is what makes the Fig. 6 `p` warning reproducible.
+//!   function declarations are hoisted at entry (see [`ceres_ast::hoisted`]).
+//!   Blocks do not scope. This is what makes the Fig. 6 `p` warning
+//!   reproducible.
 //! * **Virtual clock.** Every evaluated node charges one tick; function
 //!   entries/exits additionally notify the sampling profiler.
 //! * **Control flow** is modeled with `Result<_, Control>`: `break`,
@@ -25,6 +26,7 @@ use crate::value::{
     Value,
 };
 use ceres_ast::ast::*;
+use ceres_ast::Hoisted;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
@@ -392,11 +394,9 @@ impl Interp {
     /// Declare hoisted `var`s (as `undefined`) and function declarations
     /// (fully initialized) into `scope`.
     fn hoist_into(&mut self, body: &[Stmt], scope: &ScopeRef) -> Result<(), Control> {
-        let mut vars = Vec::new();
-        let mut funcs = Vec::new();
-        collect_hoisted(body, &mut vars, &mut funcs);
+        let (vars, funcs) = hoisted_of(body);
         for name in vars {
-            scope.declare(&name, Value::Undefined);
+            scope.declare(name, Value::Undefined);
         }
         for decl in funcs {
             let f = self.make_function(Some(decl.name.clone()), &decl.func, scope);
@@ -1378,75 +1378,16 @@ pub(crate) fn sym_usize(key: Sym) -> Option<usize> {
 }
 
 /// Hoisted `var` names (source order) and function declarations of a body
-/// — the same sets `hoist_into` declares, exposed for the bytecode
-/// compiler so both backends build identical frame prologues.
-pub(crate) fn hoisted_of(body: &[Stmt]) -> (Vec<String>, Vec<&FuncDecl>) {
+/// — the sets `hoist_into` declares, shared with the bytecode compiler so
+/// both backends build identical frame prologues.
+pub(crate) fn hoisted_of(body: &[Stmt]) -> (Vec<&str>, Vec<&FuncDecl>) {
     let mut vars = Vec::new();
     let mut funcs = Vec::new();
-    collect_hoisted(body, &mut vars, &mut funcs);
+    for h in ceres_ast::hoisted(body) {
+        match h {
+            Hoisted::Var(name) => vars.push(name),
+            Hoisted::Func(decl) => funcs.push(decl),
+        }
+    }
     (vars, funcs)
-}
-
-/// Collect hoisted `var` names and function declarations from a body,
-/// without descending into nested functions.
-fn collect_hoisted<'a>(body: &'a [Stmt], vars: &mut Vec<String>, funcs: &mut Vec<&'a FuncDecl>) {
-    for stmt in body {
-        collect_hoisted_stmt(stmt, vars, funcs);
-    }
-}
-
-fn collect_hoisted_stmt<'a>(stmt: &'a Stmt, vars: &mut Vec<String>, funcs: &mut Vec<&'a FuncDecl>) {
-    match &stmt.kind {
-        StmtKind::VarDecl(ds) => {
-            for d in ds {
-                vars.push(d.name.clone());
-            }
-        }
-        StmtKind::Func(decl) => funcs.push(decl),
-        StmtKind::If { then, alt, .. } => {
-            collect_hoisted_stmt(then, vars, funcs);
-            if let Some(alt) = alt {
-                collect_hoisted_stmt(alt, vars, funcs);
-            }
-        }
-        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-            collect_hoisted_stmt(body, vars, funcs);
-        }
-        StmtKind::For { init, body, .. } => {
-            if let Some(ForInit::VarDecl(ds)) = init {
-                for d in ds {
-                    vars.push(d.name.clone());
-                }
-            }
-            collect_hoisted_stmt(body, vars, funcs);
-        }
-        StmtKind::ForIn {
-            decl, var, body, ..
-        } => {
-            if *decl {
-                vars.push(var.clone());
-            }
-            collect_hoisted_stmt(body, vars, funcs);
-        }
-        StmtKind::Block(stmts) => collect_hoisted(stmts, vars, funcs),
-        StmtKind::Try {
-            block,
-            catch,
-            finally,
-        } => {
-            collect_hoisted(block, vars, funcs);
-            if let Some(c) = catch {
-                collect_hoisted(&c.body, vars, funcs);
-            }
-            if let Some(f) = finally {
-                collect_hoisted(f, vars, funcs);
-            }
-        }
-        StmtKind::Switch { cases, .. } => {
-            for c in cases {
-                collect_hoisted(&c.body, vars, funcs);
-            }
-        }
-        _ => {}
-    }
 }

@@ -35,7 +35,7 @@ pub fn parse_and_number(source: &str) -> Result<(Program, Vec<LoopInfo>), ParseE
 /// Used by round-trip tests here and in downstream crates.
 pub fn strip_spans(mut p: Program) -> Program {
     use ceres_ast::ast::*;
-    use ceres_ast::visit::{walk_expr, walk_stmt, VisitMut};
+    use ceres_ast::visit::{walk_expr_mut, walk_func_mut, walk_stmt_mut, VisitMut};
     struct Strip;
     impl VisitMut for Strip {
         fn visit_stmt(&mut self, s: &mut Stmt) {
@@ -54,15 +54,15 @@ pub fn strip_spans(mut p: Program) -> Program {
                     d.span = ceres_ast::Span::SYNTHETIC;
                 }
             }
-            walk_stmt(self, s);
+            walk_stmt_mut(self, s);
         }
         fn visit_expr(&mut self, e: &mut Expr) {
             e.span = ceres_ast::Span::SYNTHETIC;
-            walk_expr(self, e);
+            walk_expr_mut(self, e);
         }
         fn visit_func(&mut self, f: &mut Func) {
             f.span = ceres_ast::Span::SYNTHETIC;
-            ceres_ast::visit::walk_func(self, f);
+            walk_func_mut(self, f);
         }
     }
     Strip.visit_program(&mut p);

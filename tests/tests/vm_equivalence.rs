@@ -171,6 +171,31 @@ fn instrumented_runs_fire_identical_hook_streams() {
     }
 }
 
+#[test]
+fn a_program_that_defines_a_hook_name_keeps_its_own_function() {
+    // Inside `run`, the program's own `__ceres_iter` shadows the engine's
+    // hook of that name, so its calls (and the instrumented loop's) must
+    // reach the program's function on the VM too, not the registered
+    // native.
+    let src = "function run() {\n\
+                 function __ceres_iter(id) { console.log('own iter', id); return id; }\n\
+                 for (var i = 0; i < 2; i++) { __ceres_iter(10 + i); }\n\
+               }\n\
+               run();";
+    let consoles = [Backend::Tree, Backend::Vm].map(|b| {
+        set_default_backend(Some(b));
+        let out = run_instrumented(src, Mode::LoopProfile, 7);
+        set_default_backend(None);
+        let (interp, _engine) = out.unwrap_or_else(|e| panic!("{b:?}: {e:?}"));
+        interp.console.clone()
+    });
+    assert!(
+        consoles[0].iter().any(|l| l.contains("own iter 10")),
+        "{consoles:?}"
+    );
+    assert_eq!(consoles[0], consoles[1], "console diverged");
+}
+
 // ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------
