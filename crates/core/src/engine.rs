@@ -16,24 +16,19 @@
 //! * loop stamps live in an interned table (`stamps`); side tables store
 //!   `u32` stamp ids, and the stamp for the current stack is built at most
 //!   once per stack mutation instead of once per write;
-//! * accesses are recorded as fixed-size [`hooks::AccessEvent`]s in a
-//!   batch buffer and drained at ordering barriers (loop enter/iter/exit,
-//!   task begin/end, buffer full) — hook closures only append;
-//! * characterizations are computed as per-loop bitsets ([`CharBits`]) and
-//!   expanded into rendered [`Characterization`]s only when a *new*
-//!   deduplicated warning is materialized.
+//! * each access is one direct call from its hook into the engine, which
+//!   characterizes it against the current stack on the spot;
+//! * characterizations are computed as per-loop bitsets
+//!   ([`crate::stack::CharBits`]) and expanded into rendered
+//!   [`Characterization`]s only when a *new* deduplicated warning is
+//!   materialized.
 
 use crate::stack::{
-    characterize_write, characterize_write_bits, empty_stamp, flow_dependence,
-    flow_dependence_bits, is_problematic, CharBits, Characterization, StackEntry, Stamp,
-    CHAR_BITS_MAX_DEPTH,
+    characterize, empty_stamp, flow, Characterization, Characterized, StackEntry, Stamp,
 };
 use crate::welford::Welford;
 use ceres_ast::{LoopId, LoopInfo};
-use ceres_instrument::{
-    hooks::{self, AccessEvent, AccessKind},
-    Mode,
-};
+use ceres_instrument::{hooks, Mode};
 use ceres_interp::intern::{self, FxHashMap, FxHashSet, Sym};
 use ceres_interp::{ops, CallCtx, Interp, JsResult, Monitor, Value};
 use std::collections::{BTreeSet, HashMap};
@@ -190,8 +185,8 @@ pub struct Engine {
     /// Restrict recording to nests containing this loop (the paper's
     /// "focus on a specific loop").
     pub focus: Option<LoopId>,
-    /// Interned loop-stack stamps. Entry 0 is the empty stamp; events and
-    /// all side tables refer to stamps by `u32` index.
+    /// Interned loop-stack stamps. Entry 0 is the empty stamp; all side
+    /// tables refer to stamps by `u32` index.
     stamps: Vec<Stamp>,
     /// Cached id of the stamp for the *current* stack, invalidated on
     /// every stack mutation — one stamp allocation per stack epoch, not
@@ -289,49 +284,6 @@ impl Engine {
         }
     }
 
-    // ---------------- event batching ----------------
-
-    /// Record one access. Events are processed synchronously: every event
-    /// carries its access-time stamp id and the analysis maps it touches
-    /// are mutated only by events (in program order) and by the loop/task
-    /// hooks, which were already ordering barriers — so immediate
-    /// processing is observably identical to the batch-and-drain scheme
-    /// this replaces, minus the queue round-trip per access.
-    pub fn push_event(&mut self, ev: AccessEvent) {
-        self.process_event(&ev);
-    }
-
-    /// Former batch-drain barrier; processing is synchronous now, so the
-    /// barrier call sites (loop hooks, task begin/end, end of run) have
-    /// nothing left to drain.
-    pub fn flush_events(&mut self) {}
-
-    fn process_event(&mut self, ev: &AccessEvent) {
-        match ev.kind {
-            AccessKind::BindingStamp => {
-                self.binding_stamps.insert(ev.target, ev.stamp);
-            }
-            AccessKind::ObjStamp => {
-                self.object_stamps.insert(ev.target, ev.stamp);
-            }
-            AccessKind::VarWrite => {
-                if ev.binding != 0 {
-                    self.task_write(crate::tasks::binding_location(ev.binding));
-                }
-                self.var_write(ev);
-            }
-            AccessKind::PropRead => {
-                self.task_read(crate::tasks::object_location(ev.target));
-                self.prop_read(ev);
-            }
-            AccessKind::PropReadCompound => self.prop_read(ev),
-            AccessKind::PropWrite => {
-                self.task_write(crate::tasks::object_location(ev.target));
-                self.prop_write(ev);
-            }
-        }
-    }
-
     // ---------------- loop hooks ----------------
 
     fn lw_enter(&mut self, now: u64) {
@@ -351,7 +303,6 @@ impl Engine {
     }
 
     fn loop_enter(&mut self, id: LoopId, now: u64) {
-        self.flush_events();
         // Recursion detection (paper Sec. 3.3): same syntactic loop opened
         // again before it closed.
         if self.stack.iter().any(|e| e.loop_id == id) {
@@ -363,11 +314,12 @@ impl Engine {
                 .get(&id)
                 .map(|l| l.display_name())
                 .unwrap_or_else(|| format!("{id}"));
-            self.push_warning_vec(
+            self.push_warning(
                 WarningKind::Recursion,
                 intern::intern(&name),
                 Sym::NONE,
-                Vec::new(),
+                Characterized::Full(Vec::new()),
+                &[],
                 root,
             );
         }
@@ -391,7 +343,6 @@ impl Engine {
     }
 
     fn iter(&mut self, id: LoopId) {
-        self.flush_events();
         // The hook sits at the top of the loop body, so the innermost open
         // loop is (in well-formed programs) the one being iterated. Scan
         // from the top for robustness under recursion taint.
@@ -402,7 +353,6 @@ impl Engine {
     }
 
     fn loop_exit(&mut self, id: LoopId, now: u64) {
-        self.flush_events();
         // Pop until we find the entry (robust under abnormal unwinding).
         while let Some(top) = self.stack.pop() {
             self.cur_stamp = None;
@@ -446,22 +396,22 @@ impl Engine {
         self.stamps[id as usize].clone()
     }
 
-    /// Deduplicate-or-materialize a warning from its compact form. The
-    /// dedup key is (kind, subject, op) plus the characterization, which
-    /// is compared level-by-level against candidates without allocating.
-    fn push_warning_bits(
+    /// Deduplicate-or-materialize a warning. The dedup key is (kind,
+    /// subject, op) plus the characterization, which is compared
+    /// level-by-level against candidates without allocating.
+    fn push_warning(
         &mut self,
         kind: WarningKind,
         subject: Sym,
         op: Sym,
-        bits: CharBits,
+        c: Characterized,
         cur: &[StackEntry],
         root: LoopId,
     ) {
         let key = (kind, subject, op);
         if let Some(cands) = self.warning_index.get(&key) {
             for &i in cands {
-                if bits.matches(&self.warnings[i].characterization, cur) {
+                if c.matches(&self.warnings[i].characterization, cur) {
                     self.warnings[i].count += 1;
                     return;
                 }
@@ -470,7 +420,7 @@ impl Engine {
         let w = Warning {
             kind,
             subject: intern::resolve(subject).to_string(),
-            characterization: bits.expand(cur),
+            characterization: c.expand(cur),
             op: op.is_some().then(|| intern::resolve(op).to_string()),
             nest_root: root,
             count: 1,
@@ -482,71 +432,51 @@ impl Engine {
         self.warnings.push(w);
     }
 
-    /// [`Engine::push_warning_bits`] for already-materialized
-    /// characterizations (recursion warnings, >64-deep stacks).
-    fn push_warning_vec(
-        &mut self,
-        kind: WarningKind,
-        subject: Sym,
-        op: Sym,
-        c: Characterization,
-        root: LoopId,
-    ) {
-        let key = (kind, subject, op);
-        if let Some(cands) = self.warning_index.get(&key) {
-            for &i in cands {
-                if self.warnings[i].characterization == c {
-                    self.warnings[i].count += 1;
-                    return;
-                }
-            }
-        }
-        let w = Warning {
-            kind,
-            subject: intern::resolve(subject).to_string(),
-            characterization: c,
-            op: op.is_some().then(|| intern::resolve(op).to_string()),
-            nest_root: root,
-            count: 1,
-        };
-        self.warning_index
-            .entry(key)
-            .or_default()
-            .push(self.warnings.len());
-        self.warnings.push(w);
+    // ---------------- accesses ----------------
+
+    /// Stamp binding `id` with the current stack ([`hooks::DECLVARS`]).
+    fn stamp_binding(&mut self, id: u64) {
+        let stamp = self.current_stamp_id();
+        self.binding_stamps.insert(id, stamp);
     }
 
-    fn var_write(&mut self, ev: &AccessEvent) {
-        let cur = self.stamp_entries(ev.stamp);
+    /// Stamp a freshly created object with the current stack
+    /// ([`hooks::WRAP`]).
+    fn stamp_object(&mut self, id: u64) {
+        let stamp = self.current_stamp_id();
+        self.object_stamps.insert(id, stamp);
+    }
+
+    /// A write to variable `name`, whose binding id is `binding` (0 when
+    /// it has none: an implicit global or a host-provided name).
+    fn var_write(&mut self, name: Sym, binding: u64, op: Sym) {
+        if binding != 0 {
+            self.task_write(crate::tasks::binding_location(binding));
+        }
+        let stamp = self.current_stamp_id();
+        let cur = self.stamp_entries(stamp);
         if !self.recording_at(&cur) {
             return;
         }
-        // Unstamped binding (implicit global, host-provided):
-        // conservatively "created before all loops" (the empty stamp).
-        let stamp = match self.binding_stamps.get(&ev.binding) {
-            Some(&sid) if ev.binding != 0 => self.stamp_entries(sid),
-            _ => self.stamp_entries(0),
-        };
-        let root = cur[0].loop_id;
-        if cur.len() <= CHAR_BITS_MAX_DEPTH {
-            let bits = characterize_write_bits(&stamp, &cur);
-            if bits.problematic() {
-                self.push_warning_bits(WarningKind::VarWrite, ev.key, ev.op, bits, &cur, root);
-            }
-        } else {
-            let c = characterize_write(&stamp, &cur);
-            if is_problematic(&c) {
-                self.push_warning_vec(WarningKind::VarWrite, ev.key, ev.op, c, root);
-            }
+        // Unstamped binding: conservatively "created before all loops"
+        // (the empty stamp). Binding ids start at 1, so 0 is never stamped.
+        let stamp = self.stamp_entries(self.binding_stamps.get(&binding).copied().unwrap_or(0));
+        let c = characterize(&stamp, &cur);
+        if c.problematic() {
+            self.push_warning(WarningKind::VarWrite, name, op, c, &cur, cur[0].loop_id);
         }
     }
 
-    fn prop_write(&mut self, ev: &AccessEvent) {
-        let cur = self.stamp_entries(ev.stamp);
+    /// A write to property `key` of object `obj`, reached through the
+    /// variable `base` whose binding id is `binding` (0 when none).
+    fn prop_write(&mut self, obj: u64, key: Sym, base: Sym, binding: u64, op: Sym) {
+        self.task_write(crate::tasks::object_location(obj));
+        let stamp = self.current_stamp_id();
+        let cur = self.stamp_entries(stamp);
         if !self.recording_at(&cur) {
             return;
         }
-        let subject = self.subject_sym(ev.base, ev.key);
+        let subject = self.subject_sym(base, key);
         // Effective stamp: of the object's creation stamp and the base
         // variable's binding stamp, take the one matching the *current*
         // stack deeper — i.e. the freshest context the location is reachable
@@ -554,17 +484,11 @@ impl Engine {
         // characterizes through `p`'s per-activation binding (stamped inside
         // the while), not through the particle object (created during
         // setup, before any of the open loops). See DESIGN.md §4.
-        let obj_stamp = match self.object_stamps.get(&ev.target) {
-            Some(&sid) => self.stamp_entries(sid),
-            None => self.stamp_entries(0),
-        };
-        let base_stamp = if ev.binding != 0 {
-            self.binding_stamps
-                .get(&ev.binding)
-                .map(|&sid| self.stamp_entries(sid))
-        } else {
-            None
-        };
+        let obj_stamp = self.stamp_entries(self.object_stamps.get(&obj).copied().unwrap_or(0));
+        let base_stamp = self
+            .binding_stamps
+            .get(&binding)
+            .map(|&sid| self.stamp_entries(sid));
         let eff = match base_stamp {
             Some(b) if matched_prefix_len(&b, &cur) > matched_prefix_len(&obj_stamp, &cur) => b,
             _ => obj_stamp,
@@ -574,82 +498,59 @@ impl Engine {
         self.subject_stats
             .entry(subject)
             .or_default()
-            .record(ev.target, ev.key, ctx);
+            .record(obj, key, ctx);
         // Output-dependence evidence: same location written in another
         // iteration we are still inside of. One table probe both fetches
         // the previous write's stamp and records this one.
-        let prev = match self.write_snapshots.entry((ev.target, ev.key)) {
+        let prev = match self.write_snapshots.entry((obj, key)) {
             std::collections::hash_map::Entry::Occupied(mut o) => {
-                Some(self.stamps[std::mem::replace(o.get_mut(), ev.stamp) as usize].clone())
+                Some(self.stamps[std::mem::replace(o.get_mut(), stamp) as usize].clone())
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(ev.stamp);
+                v.insert(stamp);
                 None
             }
         };
-        if cur.len() <= CHAR_BITS_MAX_DEPTH {
-            let bits = characterize_write_bits(&eff, &cur);
-            if bits.problematic() {
-                self.push_warning_bits(
-                    WarningKind::SharedPropWrite,
-                    subject,
-                    ev.op,
-                    bits,
-                    &cur,
-                    root,
-                );
-            }
-            if let Some(prev) = prev {
-                if let Some(bits) = flow_dependence_bits(&prev, &cur) {
-                    self.push_warning_bits(
-                        WarningKind::WawWrite,
-                        subject,
-                        Sym::NONE,
-                        bits,
-                        &cur,
-                        root,
-                    );
-                }
-            }
-        } else {
-            let c = characterize_write(&eff, &cur);
-            if is_problematic(&c) {
-                self.push_warning_vec(WarningKind::SharedPropWrite, subject, ev.op, c, root);
-            }
-            if let Some(prev) = prev {
-                if let Some(c) = flow_dependence(&prev, &cur) {
-                    self.push_warning_vec(WarningKind::WawWrite, subject, Sym::NONE, c, root);
-                }
-            }
+        let c = characterize(&eff, &cur);
+        if c.problematic() {
+            self.push_warning(WarningKind::SharedPropWrite, subject, op, c, &cur, root);
+        }
+        if let Some(c) = prev.and_then(|prev| flow(&prev, &cur)) {
+            self.push_warning(WarningKind::WawWrite, subject, Sym::NONE, c, &cur, root);
         }
     }
 
-    fn prop_read(&mut self, ev: &AccessEvent) {
-        let cur = self.stamp_entries(ev.stamp);
+    /// A read of property `key` of object `obj`. Only a plain read joins
+    /// the enclosing task's read set: the read half of a compound
+    /// assignment (`joins_task` false) is claimed by its write half.
+    fn prop_read(&mut self, obj: u64, key: Sym, base: Sym, joins_task: bool) {
+        if joins_task {
+            self.task_read(crate::tasks::object_location(obj));
+        }
+        let stamp = self.current_stamp_id();
+        let cur = self.stamp_entries(stamp);
         if !self.recording_at(&cur) {
             return;
         }
-        let Some(&snap) = self.write_snapshots.get(&(ev.target, ev.key)) else {
+        let Some(&snap) = self.write_snapshots.get(&(obj, key)) else {
             return;
         };
-        let snapshot = self.stamp_entries(snap);
-        let root = cur[0].loop_id;
-        if cur.len() <= CHAR_BITS_MAX_DEPTH {
-            if let Some(bits) = flow_dependence_bits(&snapshot, &cur) {
-                let subject = self.subject_sym(ev.base, ev.key);
-                self.push_warning_bits(WarningKind::FlowRead, subject, Sym::NONE, bits, &cur, root);
-            }
-        } else if let Some(c) = flow_dependence(&snapshot, &cur) {
-            let subject = self.subject_sym(ev.base, ev.key);
-            self.push_warning_vec(WarningKind::FlowRead, subject, Sym::NONE, c, root);
+        if let Some(c) = flow(&self.stamp_entries(snap), &cur) {
+            let subject = self.subject_sym(base, key);
+            self.push_warning(
+                WarningKind::FlowRead,
+                subject,
+                Sym::NONE,
+                c,
+                &cur,
+                cur[0].loop_id,
+            );
         }
     }
 
     /// Record the runtime type written to `subject` (only inside loops —
     /// the paper inspects "polymorphic variable accesses … within the
-    /// computationally-intensive loops"). Called synchronously from the
-    /// hooks: type observation is a set insert, insensitive to batching
-    /// order.
+    /// computationally-intensive loops").
     fn observe_type(&mut self, subject: Sym, binding: u64, value: &Value) {
         if self.stack.is_empty() {
             return;
@@ -692,7 +593,6 @@ impl Engine {
 
     /// Open a task (nested opens fold into the outermost).
     pub fn begin_task(&mut self, label: &str, now_ticks: u64) {
-        self.flush_events();
         self.task_depth += 1;
         if self.task_depth == 1 {
             self.tasks.push(crate::tasks::TaskRecord {
@@ -707,7 +607,6 @@ impl Engine {
 
     /// Close the innermost task.
     pub fn end_task(&mut self, now_ticks: u64) {
-        self.flush_events();
         if self.task_depth > 0 {
             self.task_depth -= 1;
             if self.task_depth == 0 {
@@ -911,25 +810,15 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
         interp.register_native(hooks::DECLVARS, move |interp, ctx, args| {
             // Stamping bindings copies the loop stack per name.
             interp.clock.tick(2 * args.len() as u64);
-            eng.borrow_mut().tally.bump(i);
+            let mut e = eng.borrow_mut();
+            e.tally.bump(i);
             let Some(scope) = &ctx.caller_scope else {
                 return Ok(Value::Undefined);
             };
-            let mut e = eng.borrow_mut();
-            let stamp = e.current_stamp_id();
             for a in args {
                 if let Value::Str(name) = a {
                     if let Some(b) = scope.lookup_sym(intern::intern_rc(name)) {
-                        let id = b.borrow().id;
-                        e.push_event(AccessEvent {
-                            kind: AccessKind::BindingStamp,
-                            target: id,
-                            binding: 0,
-                            key: Sym::NONE,
-                            base: Sym::NONE,
-                            op: Sym::NONE,
-                            stamp,
-                        });
+                        e.stamp_binding(b.borrow().id);
                     }
                 }
             }
@@ -940,35 +829,22 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
         let eng = engine.clone();
         let i = idx(hooks::WRVAR);
         interp.register_native(hooks::WRVAR, move |interp, ctx, args| {
-            // Scope lookup + queued stamp diff against the current stack.
+            // Scope lookup + stamp diff against the current stack.
             interp.clock.tick(8);
             let name = sym_of_key(args.first().unwrap_or(&Value::Undefined));
             let op = match args.get(1) {
                 Some(Value::Str(s)) => intern::intern_rc(s),
                 _ => eq_sym,
             };
-            let binding_id = ctx
-                .caller_scope
-                .as_ref()
-                .and_then(|s| s.lookup_sym(name))
-                .map(|b| b.borrow().id);
+            let binding = binding_of(ctx, name);
             let mut e = eng.borrow_mut();
             e.tally.bump(i);
-            let stamp = e.current_stamp_id();
-            e.push_event(AccessEvent {
-                kind: AccessKind::VarWrite,
-                target: 0,
-                binding: binding_id.unwrap_or(0),
-                key: name,
-                base: Sym::NONE,
-                op,
-                stamp,
-            });
+            e.var_write(name, binding, op);
             // When the rewriter threads the assigned value through the
             // hook (3-argument form), observe its runtime type and pass
             // it along unchanged.
             if let Some(value) = args.get(2) {
-                e.observe_type(name, binding_id.unwrap_or(0), value);
+                e.observe_type(name, binding, value);
                 return Ok(value.clone());
             }
             Ok(Value::Undefined)
@@ -984,25 +860,19 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
             let mut e = eng.borrow_mut();
             e.tally.bump(i);
             if let Value::Object(o) = &v {
-                let stamp = e.current_stamp_id();
-                e.push_event(AccessEvent {
-                    kind: AccessKind::ObjStamp,
-                    target: o.id(),
-                    binding: 0,
-                    key: Sym::NONE,
-                    base: Sym::NONE,
-                    op: Sym::NONE,
-                    stamp,
-                });
+                e.stamp_object(o.id());
             }
             Ok(v)
         });
     }
+    // The property hooks below record through the engine, then release
+    // it before touching the object: a tagged host object's access
+    // reaches the DOM monitor, which borrows the engine itself.
     {
         let eng = engine.clone();
         let i = idx(hooks::GETPROP);
         interp.register_native(hooks::GETPROP, move |interp, _ctx, args| {
-            // Snapshot lookup + queued flow-dependence diff.
+            // Snapshot lookup + flow-dependence diff.
             interp.clock.tick(6);
             let obj = args.first().unwrap_or(&Value::Undefined);
             let key = sym_of_key(args.get(1).unwrap_or(&Value::Undefined));
@@ -1011,34 +881,32 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
                 let mut e = eng.borrow_mut();
                 e.tally.bump(i);
                 if let Value::Object(o) = obj {
-                    let stamp = e.current_stamp_id();
-                    e.push_event(AccessEvent {
-                        kind: AccessKind::PropRead,
-                        target: o.id(),
-                        binding: 0,
-                        key,
-                        base,
-                        op: Sym::NONE,
-                        stamp,
-                    });
+                    e.prop_read(o.id(), key, base, true);
                 }
             }
-            get_prop_fast(interp, obj, key)
+            interp.get_property_sym(obj, key)
         });
     }
     {
         let eng = engine.clone();
         let i = idx(hooks::SETPROP);
         interp.register_native(hooks::SETPROP, move |interp, ctx, args| {
-            // Effective-stamp diff, WAW check, snapshot update — queued.
+            // Effective-stamp diff, WAW check, snapshot update.
             interp.clock.tick(10);
-            eng.borrow_mut().tally.bump(i);
             let obj = args.first().unwrap_or(&Value::Undefined);
             let key = sym_of_key(args.get(1).unwrap_or(&Value::Undefined));
             let value = arg(args, 2);
             let base = opt_sym(args.get(3).unwrap_or(&Value::Undefined));
-            record_prop_write(&eng, ctx, obj, key, base, eq_sym, Some(&value));
-            set_prop_fast(interp, obj, key, value.clone())?;
+            {
+                let mut e = eng.borrow_mut();
+                e.tally.bump(i);
+                if let Value::Object(o) = obj {
+                    e.prop_write(o.id(), key, base, binding_of(ctx, base), eq_sym);
+                    let subject = e.subject_sym(base, key);
+                    e.observe_type(subject, 0, &value);
+                }
+            }
+            interp.set_property_sym(obj, key, value.clone())?;
             Ok(value)
         });
     }
@@ -1055,11 +923,16 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
             let value = arg(args, 3);
             let base = opt_sym(&arg(args, 4));
             // Compound assignment reads the old value first.
-            record_prop_read(&eng, &obj, key, base);
-            let old = get_prop_fast(interp, &obj, key)?;
+            if let Value::Object(o) = &obj {
+                eng.borrow_mut().prop_read(o.id(), key, base, false);
+            }
+            let old = interp.get_property_sym(&obj, key)?;
             let new = apply_binop(&intern::resolve(op), &old, &value);
-            record_prop_write(&eng, ctx, &obj, key, base, op, None);
-            set_prop_fast(interp, &obj, key, new.clone())?;
+            if let Value::Object(o) = &obj {
+                eng.borrow_mut()
+                    .prop_write(o.id(), key, base, binding_of(ctx, base), op);
+            }
+            interp.set_property_sym(&obj, key, new.clone())?;
             Ok(new)
         });
     }
@@ -1074,11 +947,16 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
             let delta = ops::to_number(&arg(args, 2));
             let prefix = ops::to_number(&arg(args, 3)) != 0.0;
             let base = opt_sym(&arg(args, 4));
-            record_prop_read(&eng, &obj, key, base);
-            let old = ops::to_number(&get_prop_fast(interp, &obj, key)?);
+            if let Value::Object(o) = &obj {
+                eng.borrow_mut().prop_read(o.id(), key, base, false);
+            }
+            let old = ops::to_number(&interp.get_property_sym(&obj, key)?);
             let new = old + delta;
-            record_prop_write(&eng, ctx, &obj, key, base, inc_sym, None);
-            set_prop_fast(interp, &obj, key, Value::Num(new))?;
+            if let Value::Object(o) = &obj {
+                eng.borrow_mut()
+                    .prop_write(o.id(), key, base, binding_of(ctx, base), inc_sym);
+            }
+            interp.set_property_sym(&obj, key, Value::Num(new))?;
             Ok(Value::Num(if prefix { new } else { old }))
         });
     }
@@ -1088,39 +966,24 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
         let mutating = mutating_syms.clone();
         interp.register_native(hooks::MCALL, move |interp, ctx, args| {
             interp.clock.tick(8);
-            eng.borrow_mut().tally.bump(i);
             let obj = arg(args, 0);
             let key = sym_of_key(&arg(args, 1));
             let base = opt_sym(&arg(args, 2));
             let call_args = if args.len() > 3 { &args[3..] } else { &[][..] };
-            if let Value::Object(o) = &obj {
+            {
                 let mut e = eng.borrow_mut();
-                let stamp = e.current_stamp_id();
-                e.push_event(AccessEvent {
-                    kind: AccessKind::PropRead,
-                    target: o.id(),
-                    binding: 0,
-                    key,
-                    base,
-                    op: Sym::NONE,
-                    stamp,
-                });
-                // Array-mutating methods are element writes in disguise:
-                // `results.push(x)` inside a loop is an output dependence on
-                // the shared array.
-                if o.is_array() && mutating.contains(&key) {
-                    e.push_event(AccessEvent {
-                        kind: AccessKind::PropWrite,
-                        target: o.id(),
-                        binding: 0,
-                        key: elements_sym,
-                        base,
-                        op: push_sym,
-                        stamp,
-                    });
+                e.tally.bump(i);
+                if let Value::Object(o) = &obj {
+                    e.prop_read(o.id(), key, base, true);
+                    // Array-mutating methods are element writes in
+                    // disguise: `results.push(x)` inside a loop is an
+                    // output dependence on the shared array.
+                    if o.is_array() && mutating.contains(&key) {
+                        e.prop_write(o.id(), elements_sym, base, 0, push_sym);
+                    }
                 }
             }
-            let f = get_prop_fast(interp, &obj, key)?;
+            let f = interp.get_property_sym(&obj, key)?;
             interp.call_value(&f, obj, call_args, ctx.caller_scope.clone())
         });
     }
@@ -1133,83 +996,12 @@ const MUTATING_ARRAY_METHODS: &[&str] = &[
     "push", "pop", "shift", "unshift", "splice", "sort", "reverse",
 ];
 
-/// `obj[key]` through the interpreter, with an allocation-free fast path
-/// for inline-numeric keys on untagged arrays (tagged objects must go
-/// through [`Interp::get_property`] so the DOM monitor sees the access).
-fn get_prop_fast(interp: &mut Interp, obj: &Value, key: Sym) -> JsResult {
-    if let (Value::Object(o), Some(i)) = (obj, key.as_index()) {
-        if o.tag().is_none() && o.is_array() {
-            return Ok(o.array_get(i as usize).unwrap_or(Value::Undefined));
-        }
-    }
-    interp.get_property_sym(obj, key)
-}
-
-/// `obj[key] = value` counterpart of [`get_prop_fast`].
-fn set_prop_fast(interp: &mut Interp, obj: &Value, key: Sym, value: Value) -> JsResult<()> {
-    if let (Value::Object(o), Some(i)) = (obj, key.as_index()) {
-        if o.tag().is_none() && o.is_array() {
-            o.array_set(i as usize, value);
-            return Ok(());
-        }
-    }
-    interp.set_property_sym(obj, key, value)
-}
-
-/// Queue the read half of a compound property access.
-fn record_prop_read(eng: &EngineRef, obj: &Value, key: Sym, base: Sym) {
-    let Value::Object(o) = obj else { return };
-    let mut e = eng.borrow_mut();
-    let stamp = e.current_stamp_id();
-    e.push_event(AccessEvent {
-        kind: AccessKind::PropReadCompound,
-        target: o.id(),
-        binding: 0,
-        key,
-        base,
-        op: Sym::NONE,
-        stamp,
-    });
-}
-
-/// Shared write-recording path for SETPROP/SETPROP2/UPDATE_PROP: resolve
-/// the base variable's binding id (for the effective-stamp refinement)
-/// and queue the write event.
-fn record_prop_write(
-    eng: &EngineRef,
-    ctx: &CallCtx,
-    obj: &Value,
-    key: Sym,
-    base: Sym,
-    op: Sym,
-    observe: Option<&Value>,
-) {
-    let Value::Object(o) = obj else { return };
-    let binding = if base.is_some() {
-        ctx.caller_scope
-            .as_ref()
-            .and_then(|s| s.lookup_sym(base))
-            .map(|b| b.borrow().id)
-            .unwrap_or(0)
-    } else {
-        0
-    };
-    let mut e = eng.borrow_mut();
-    let stamp = e.current_stamp_id();
-    e.push_event(AccessEvent {
-        kind: AccessKind::PropWrite,
-        target: o.id(),
-        binding,
-        key,
-        base,
-        op,
-        stamp,
-    });
-    // `__ceres_setprop` threads the assigned value through for type
-    // observation; folding it here keeps the hook to one engine borrow.
-    if let Some(value) = observe {
-        let subject = e.subject_sym(base, key);
-        e.observe_type(subject, 0, value);
+/// Id of the binding `name` resolves to in the caller's scope, or 0 when
+/// it resolves to none (or `name` is [`Sym::NONE`]).
+fn binding_of(ctx: &CallCtx, name: Sym) -> u64 {
+    match &ctx.caller_scope {
+        Some(scope) if name.is_some() => scope.lookup_sym(name).map_or(0, |b| b.borrow().id),
+        _ => 0,
     }
 }
 
@@ -1240,16 +1032,14 @@ pub fn run_instrumented(source: &str, mode: Mode, seed: u64) -> JsResult<(Interp
     let mut interp = Interp::new(seed);
     ceres_dom::install_dom(&mut interp);
     let engine = attach_engine(&mut interp, mode, loops);
-    let result = interp.eval_source(&instrumented);
-    engine.borrow_mut().flush_events();
-    result?;
+    interp.eval_source(&instrumented)?;
     Ok((interp, engine))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::render;
+    use crate::stack::{render, Flag};
 
     fn run(src: &str, mode: Mode) -> (Interp, EngineRef) {
         run_instrumented(src, mode, 42).unwrap_or_else(|e| panic!("run failed: {e:?}"))
@@ -1543,7 +1333,6 @@ while (steps < 3) {
         let engine = attach_engine(&mut interp, Mode::Dependence, loops);
         engine.borrow_mut().focus = Some(LoopId(2));
         interp.eval_source(&instrumented).unwrap();
-        engine.borrow_mut().flush_events();
         let eng = engine.borrow();
         assert!(eng.warnings.iter().any(|w| w.subject == "b.v"));
         assert!(!eng.warnings.iter().any(|w| w.subject == "a.v"));
@@ -1585,9 +1374,9 @@ while (steps < 3) {
 
     #[test]
     fn events_drain_on_batch_overflow_mid_iteration() {
-        // One iteration performs far more accesses than EVENT_BATCH; the
-        // forced drain must preserve per-access stamps and dedup counts.
-        let n = hooks::EVENT_BATCH * 3;
+        // One iteration performs hundreds of accesses; each must keep
+        // its own stamp and add to its warning's dedup count.
+        let n = 768;
         let src = format!(
             "var g = 0;\n\
              var o = {{ v: 0 }};\n\
@@ -1608,6 +1397,97 @@ while (steps < 3) {
             .warnings
             .iter()
             .any(|w| w.kind == WarningKind::SharedPropWrite && w.subject == "o.v"));
+    }
+
+    #[test]
+    fn characterizations_deeper_than_64_levels_are_recorded_in_full() {
+        // `dive` re-enters its own loop 70 times, so the innermost
+        // accesses are characterized against a 71-level stack: 42 of the
+        // warnings are deeper than the 64 levels a `CharBits` covers.
+        let (_interp, eng) = run(
+            "var shared = 0; var box = { v: 0 };\n\
+             function dive(d) {\n\
+               for (var i = 0; i < 2; i++) {\n\
+                 shared = d; box.v = box.v + i;\n\
+                 if (d < 70 && i == 0) { dive(d + 1); }\n\
+               }\n\
+             }\n\
+             dive(0);",
+            Mode::Dependence,
+        );
+        let eng = eng.borrow();
+        // One `oo`/`od`/`dd` pair (instance, iteration) per level.
+        let flags = |c: &Characterization| -> String {
+            let f = |flag| if flag == Flag::Ok { 'o' } else { 'd' };
+            c.iter()
+                .flat_map(|l| [f(l.instance), f(l.iteration)])
+                .collect()
+        };
+        let mut got: Vec<_> = eng
+            .warnings
+            .iter()
+            .map(|w| {
+                let c = &w.characterization;
+                (
+                    w.kind,
+                    w.subject.as_str(),
+                    w.op.as_deref(),
+                    c.len(),
+                    w.count,
+                    flags(c),
+                )
+            })
+            .collect();
+        // Globals are shared at every level; the loop-local `i` and the
+        // cross-iteration reads and rewrites of `box.v` depend on the
+        // innermost iteration only.
+        let everywhere = |n: usize| "dd".repeat(n);
+        let innermost = |n: usize| "oo".repeat(n - 1) + "od";
+        let mut want = vec![(
+            WarningKind::Recursion,
+            "for(line 3)",
+            None,
+            0,
+            70,
+            String::new(),
+        )];
+        for n in 1..=71 {
+            let local = if n == 1 { everywhere(1) } else { innermost(n) };
+            want.extend([
+                (
+                    WarningKind::VarWrite,
+                    "shared",
+                    Some("="),
+                    n,
+                    2,
+                    everywhere(n),
+                ),
+                (
+                    WarningKind::VarWrite,
+                    "i",
+                    Some("init"),
+                    n,
+                    1,
+                    local.clone(),
+                ),
+                (WarningKind::VarWrite, "i", Some("++"), n, 2, local),
+                (
+                    WarningKind::SharedPropWrite,
+                    "box.v",
+                    Some("="),
+                    n,
+                    2,
+                    everywhere(n),
+                ),
+                (WarningKind::WawWrite, "box.v", None, n, 1, innermost(n)),
+                (WarningKind::FlowRead, "box.v", None, n, 1, innermost(n)),
+            ]);
+        }
+        got.sort();
+        want.sort();
+        assert_eq!(got.len(), 427);
+        assert_eq!(got.iter().filter(|w| w.3 > 64).count(), 42);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -98,8 +98,8 @@ pub use serve::{
 };
 pub use spill::{ephemeral_dir, SpillQueue, SpillStats};
 pub use stack::{
-    characterize_write, characterize_write_bits, flow_dependence, flow_dependence_bits, render,
-    CharBits, Characterization, Flag,
+    characterize, characterize_write, flow, flow_dependence, render, CharBits, Characterization,
+    Characterized, Flag,
 };
 pub use suggest::{render_suggestions, suggest, Suggestion};
 pub use supervisor::{worker_serve_stdio, SlotOutcome, WorkerResponse, WorkerSlot, WorkerSpec};

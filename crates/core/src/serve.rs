@@ -1782,6 +1782,23 @@ mod tests {
         })
     }
 
+    /// Block until the marker job holds its slot (panics after 60 s).
+    fn wait_started(latch: &Latch) {
+        let started = latch.0.lock().unwrap();
+        let (started, wait) = latch
+            .1
+            .wait_timeout_while(started, Duration::from_secs(60), |s| !s.0)
+            .unwrap();
+        assert!(!wait.timed_out(), "the marker job never started");
+        drop(started);
+    }
+
+    /// Let the marker job run.
+    fn release(latch: &Latch) {
+        latch.0.lock().unwrap().1 = true;
+        latch.1.notify_all();
+    }
+
     #[test]
     fn overflow_spills_to_disk_and_every_client_still_gets_its_answer() {
         // A 1-worker, 2-slot ring with a burst of 8 jobs: burst-0 holds
@@ -1814,13 +1831,7 @@ mod tests {
             std::thread::spawn(move || roundtrip(addr, &req))
         };
         let mut handles = vec![send(0)];
-        let started = latch.0.lock().unwrap();
-        let (started, wait) = latch
-            .1
-            .wait_timeout_while(started, Duration::from_secs(60), |s| !s.0)
-            .unwrap();
-        assert!(!wait.timed_out(), "burst-0 never started");
-        drop(started);
+        wait_started(&latch);
         handles.extend((1..8).map(send));
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
         while server.counters().jobs_spilled < 2 {
@@ -1830,8 +1841,7 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        latch.0.lock().unwrap().1 = true;
-        latch.1.notify_all();
+        release(&latch);
         for h in handles {
             let r = h.join().unwrap();
             assert!(r.contains("\"ok\":true"), "{r}");
@@ -1874,28 +1884,28 @@ mod tests {
 
     #[test]
     fn shutdown_drains_in_flight_work_and_rejects_new() {
-        let server = start(ServeConfig::default());
+        // Hold the slow job in its interp slot, so it is provably in
+        // flight when the `shutdown` op arrives: the drain must let it
+        // finish and answer its client with a real result.
+        let source = "var t = 0; for (var i = 0; i < 2000; i++) { t += i; }";
+        let latch = Latch::default();
+        let config = ServeConfig::default();
+        let resolver = gated_resolver(config.policy.clone(), source.to_string(), &latch);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let server = serve(listener, config, resolver);
         let addr = server.local_addr();
-
-        // Park a slow-ish job, then shut down while it may still be
-        // queued or running; its client must still get a definitive
-        // answer (a result if it was in flight, an explicit drain notice
-        // if it was still queued — never silence).
         let slow = std::thread::spawn(move || {
-            roundtrip(
-                addr,
-                r#"{"id":"slow","source":"var t = 0; for (var i = 0; i < 2000; i++) { t += i; }"}"#,
-            )
+            roundtrip(addr, &format!(r#"{{"id":"slow","source":"{source}"}}"#))
         });
-        // Give the slow request a moment to enqueue before draining.
-        std::thread::sleep(Duration::from_millis(50));
+        wait_started(&latch);
         let bye = roundtrip(addr, r#"{"op":"shutdown"}"#);
         assert!(bye.contains("\"draining\":true"), "{bye}");
+        release(&latch);
 
         let slow_response = slow.join().unwrap();
         assert!(
-            slow_response.contains("\"ok\":true") || slow_response.contains("draining"),
-            "in-flight client must get a definitive answer: {slow_response}"
+            slow_response.contains("\"ok\":true"),
+            "the in-flight job must finish: {slow_response}"
         );
         let counters = server.join();
         // New connections are refused or reset after the drain; either

@@ -10,20 +10,25 @@
 //! effectively unbounded: the backlog is limited by disk, not RAM.
 //!
 //! Crash safety is *at-least-once*: every record carries its own SHA-256
-//! checksum, the consumed watermark lives in a tiny sidecar file updated
-//! after each pop, and a torn tail (the daemon died mid-append) is
-//! detected and ignored rather than poisoning the queue. Replaying an
-//! already-consumed record is harmless by construction — analysis is
-//! deterministic and the result cache is first-writer-wins, so a
-//! duplicate run converges on the already-stored bytes.
+//! checksum, the consumed watermark lives in a tiny checksummed sidecar
+//! file updated after each pop, and a torn tail (the daemon died
+//! mid-append) is detected and ignored rather than poisoning the queue.
+//! Replaying an already-consumed record is harmless by construction —
+//! analysis is deterministic and the result cache is first-writer-wins,
+//! so a duplicate run converges on the already-stored bytes.
 //!
 //! Layout under the spill directory:
 //!
 //! ```text
 //! spill.log       append-only records: "<seq:016x> <checksum> <payload>\n",
 //!                 checksum = sha256 of "<seq:016x> <payload>"
-//! spill.consumed  ASCII decimal seq of the last consumed record
+//! spill.consumed  "<seq:016x> <checksum>\n" for the last consumed record,
+//!                 checksum = sha256 of "<seq:016x> " (an empty payload)
 //! ```
+//!
+//! A watermark that does not verify (cut short, a flipped bit, or the
+//! bare decimal seq older daemons wrote) reads as 0, so every record on
+//! disk replays rather than one that never ran being skipped.
 //!
 //! Payloads are single-line JSON (the serialized analysis request); a
 //! payload containing a newline is rejected at push time. When the queue
@@ -92,10 +97,7 @@ impl SpillQueue {
         std::fs::create_dir_all(dir)?;
         let log_path = dir.join("spill.log");
         let consumed_path = dir.join("spill.consumed");
-        let consumed: u64 = std::fs::read_to_string(&consumed_path)
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
+        let consumed = std::fs::read(&consumed_path).map_or(0, |b| parse_watermark(&b));
 
         let mut index = VecDeque::new();
         let mut stats = SpillStats::default();
@@ -240,7 +242,7 @@ impl SpillQueue {
         // Best-effort: a lost watermark only means an already-consumed
         // record replays once more, which is idempotent (deterministic
         // analysis + first-writer-wins cache).
-        let _ = std::fs::write(&self.consumed_path, format!("{seq}\n"));
+        let _ = std::fs::write(&self.consumed_path, watermark(seq));
     }
 
     fn truncate(&mut self) {
@@ -280,6 +282,23 @@ fn parse_record(record: &[u8]) -> Option<(u64, &str)> {
     let seq = u64::from_str_radix(seq_hex, 16).ok()?;
     (digest == checksum(seq, payload) || digest == sha256_hex(payload.as_bytes()))
         .then_some((seq, payload))
+}
+
+/// The watermark file's body for `seq`: the seq as a record writes it
+/// and the record checksum of the seq with an empty payload.
+fn watermark(seq: u64) -> String {
+    format!("{seq:016x} {}\n", checksum(seq, ""))
+}
+
+/// The seq a watermark file holds, or 0 (replay everything) when it
+/// does not verify.
+fn parse_watermark(bytes: &[u8]) -> u64 {
+    let verified = std::str::from_utf8(bytes).ok().and_then(|s| {
+        let (seq_hex, digest) = s.strip_suffix('\n')?.split_once(' ')?;
+        let seq = u64::from_str_radix(seq_hex, 16).ok()?;
+        (digest == checksum(seq, "")).then_some(seq)
+    });
+    verified.unwrap_or(0)
 }
 
 /// A unique per-process scratch directory under the system temp dir, for
@@ -527,6 +546,44 @@ mod tests {
                 &format!("bit {bit} flipped"),
             );
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn watermark_survives_every_cut_and_bit_flip() {
+        let dir = tmp("watermark");
+        let pushed: Vec<u64> = {
+            let mut q = SpillQueue::open(&dir, false).unwrap();
+            let pushed = (0..5)
+                .map(|i| q.push(&format!("job-{i}")).unwrap())
+                .collect();
+            assert_eq!(q.pop().unwrap().1, "job-0");
+            pushed
+        };
+        let log = std::fs::read(dir.join("spill.log")).unwrap();
+        let mark = std::fs::read(dir.join("spill.consumed")).unwrap();
+        // Reopen with a damaged watermark and drain: open never fails and
+        // every record after the true watermark replays. Draining
+        // rewrites both files, so each case starts from the saved bytes.
+        let replay = |bytes: &[u8], what: &str| {
+            std::fs::write(dir.join("spill.log"), &log).unwrap();
+            std::fs::write(dir.join("spill.consumed"), bytes).unwrap();
+            let mut q =
+                SpillQueue::open(&dir, false).unwrap_or_else(|e| panic!("{what}: open: {e}"));
+            let replayed: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(seq, _)| seq)).collect();
+            for seq in &pushed[1..] {
+                assert!(replayed.contains(seq), "{what}: job {seq} was lost");
+            }
+        };
+        for cut in 0..=mark.len() {
+            replay(&mark[..cut], &format!("cut at {cut}"));
+        }
+        for bit in 0..mark.len() * 8 {
+            let mut bytes = mark.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            replay(&bytes, &format!("bit {bit} flipped"));
+        }
+        replay(b"1\n", "bare decimal watermark");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -210,10 +210,10 @@ pub fn flow_dependence(
 // Compact characterizations (per-loop bitsets)
 // ----------------------------------------------------------------------
 
-/// Deepest loop stack the bitset representation covers. The engine falls
-/// back to the `Vec`-based functions beyond this (recursion can re-enter
-/// the same loop and grow the stack arbitrarily); in practice every
-/// workload stays far below it.
+/// Deepest loop stack the bitset representation covers. [`characterize`]
+/// and [`flow`] fall back to the `Vec`-based functions beyond this
+/// (recursion can re-enter the same loop and grow the stack arbitrarily);
+/// in practice every workload stays far below it.
 pub const CHAR_BITS_MAX_DEPTH: usize = 64;
 
 /// A characterization packed into per-loop bitsets: bit `i` of
@@ -221,8 +221,8 @@ pub const CHAR_BITS_MAX_DEPTH: usize = 64;
 /// instance/iteration dependence. The loop ids are implicit — always the
 /// ids of the current stack the access was characterized against — so a
 /// whole characterization is 20 `Copy` bytes and "is this problematic?"
-/// is one OR. Only when a *new* warning is materialized does the engine
-/// [`CharBits::expand`] this back into the rendered [`Characterization`].
+/// is one OR. Only when a *new* warning is materialized is it
+/// [`expand`](CharBits::expand)ed back into the rendered [`Characterization`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CharBits {
     /// Number of levels (= depth of the current stack at the access).
@@ -279,7 +279,7 @@ impl CharBits {
 
 /// Bitset variant of [`characterize_write`] — identical classification,
 /// no allocation. Caller must ensure `current.len() <= CHAR_BITS_MAX_DEPTH`.
-pub fn characterize_write_bits(stamp: &[StackEntry], current: &[StackEntry]) -> CharBits {
+fn characterize_write_bits(stamp: &[StackEntry], current: &[StackEntry]) -> CharBits {
     debug_assert!(current.len() <= CHAR_BITS_MAX_DEPTH);
     let mut bits = CharBits {
         depth: current.len() as u32,
@@ -319,7 +319,7 @@ pub fn characterize_write_bits(stamp: &[StackEntry], current: &[StackEntry]) -> 
 
 /// Bitset variant of [`flow_dependence`] — identical classification, no
 /// allocation. Caller must ensure `current.len() <= CHAR_BITS_MAX_DEPTH`.
-pub fn flow_dependence_bits(snapshot: &[StackEntry], current: &[StackEntry]) -> Option<CharBits> {
+fn flow_dependence_bits(snapshot: &[StackEntry], current: &[StackEntry]) -> Option<CharBits> {
     debug_assert!(current.len() <= CHAR_BITS_MAX_DEPTH);
     for (i, cur) in current.iter().enumerate() {
         match snapshot.get(i) {
@@ -341,6 +341,59 @@ pub fn flow_dependence_bits(snapshot: &[StackEntry], current: &[StackEntry]) -> 
         }
     }
     None
+}
+
+/// One access's characterization in the cheapest form that holds it:
+/// [`CharBits`] up to [`CHAR_BITS_MAX_DEPTH`] levels, the full
+/// [`Characterization`] beyond.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Characterized {
+    Bits(CharBits),
+    Full(Characterization),
+}
+
+impl Characterized {
+    /// True when any level carries a dependence.
+    pub fn problematic(&self) -> bool {
+        match self {
+            Characterized::Bits(b) => b.problematic(),
+            Characterized::Full(c) => is_problematic(c),
+        }
+    }
+
+    /// Does the materialized `c` equal this one (see [`CharBits::matches`])?
+    pub fn matches(&self, c: &Characterization, current: &[StackEntry]) -> bool {
+        match self {
+            Characterized::Bits(b) => b.matches(c, current),
+            Characterized::Full(full) => full == c,
+        }
+    }
+
+    /// The full characterization (see [`CharBits::expand`]).
+    pub fn expand(self, current: &[StackEntry]) -> Characterization {
+        match self {
+            Characterized::Bits(b) => b.expand(current),
+            Characterized::Full(c) => c,
+        }
+    }
+}
+
+/// [`characterize_write`], as bitsets when the stack is shallow enough.
+pub fn characterize(stamp: &[StackEntry], current: &[StackEntry]) -> Characterized {
+    if current.len() <= CHAR_BITS_MAX_DEPTH {
+        Characterized::Bits(characterize_write_bits(stamp, current))
+    } else {
+        Characterized::Full(characterize_write(stamp, current))
+    }
+}
+
+/// [`flow_dependence`], as bitsets when the stack is shallow enough.
+pub fn flow(snapshot: &[StackEntry], current: &[StackEntry]) -> Option<Characterized> {
+    if current.len() <= CHAR_BITS_MAX_DEPTH {
+        flow_dependence_bits(snapshot, current).map(Characterized::Bits)
+    } else {
+        flow_dependence(snapshot, current).map(Characterized::Full)
+    }
 }
 
 #[cfg(test)]
@@ -562,6 +615,27 @@ mod tests {
                 }
                 (f, b) => panic!("diverged on {snapshot:?} vs {current:?}: {f:?} vs {b:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn characterize_and_flow_switch_to_full_lists_past_64_levels() {
+        for depth in [CHAR_BITS_MAX_DEPTH, CHAR_BITS_MAX_DEPTH + 1] {
+            let current: Vec<StackEntry> = (1..=depth as u32).map(|id| entry(id, 1, 1)).collect();
+            let mut snapshot = current.clone();
+            snapshot[depth - 1].iteration = 0;
+            let c = characterize(&[], &current);
+            let f = flow(&snapshot, &current).expect("flow dependence at the innermost level");
+            let bits = depth <= CHAR_BITS_MAX_DEPTH;
+            assert_eq!(matches!(c, Characterized::Bits(_)), bits, "{depth}");
+            assert_eq!(matches!(f, Characterized::Bits(_)), bits, "{depth}");
+            let full = characterize_write(&[], &current);
+            assert!(c.problematic() && c.matches(&full, &current));
+            assert_eq!(c.expand(&current), full);
+            assert_eq!(
+                f.expand(&current),
+                flow_dependence(&snapshot, &current).unwrap()
+            );
         }
     }
 

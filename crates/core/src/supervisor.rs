@@ -111,10 +111,11 @@ const SPAWN_TRIES: u32 = 3;
 /// fresh worker, then failed cleanly.
 const JOB_TRIES: u32 = 2;
 
-/// A live child process with its pipe pair.
+/// A live child process with its pipe pair. `stdin` is `None` only while
+/// dropping: closing it is what tells the worker loop to exit.
 struct WorkerChild {
     child: Child,
-    stdin: ChildStdin,
+    stdin: Option<ChildStdin>,
     stdout: BufReader<ChildStdout>,
 }
 
@@ -127,7 +128,7 @@ impl WorkerChild {
             // stderr inherits: worker panics and watchdog chatter land in
             // the daemon's stderr where the operator can see them.
             .spawn()?;
-        let stdin = child.stdin.take().expect("piped stdin");
+        let stdin = child.stdin.take();
         let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
         Ok(WorkerChild {
             child,
@@ -147,9 +148,10 @@ impl WorkerChild {
         wire: &str,
         on_frame: &mut dyn FnMut(Frame),
     ) -> std::io::Result<WorkerResponse> {
-        self.stdin.write_all(wire.as_bytes())?;
-        self.stdin.write_all(b"\n")?;
-        self.stdin.flush()?;
+        let stdin = self.stdin.as_mut().expect("stdin is open until drop");
+        stdin.write_all(wire.as_bytes())?;
+        stdin.write_all(b"\n")?;
+        stdin.flush()?;
         let mut line = String::new();
         loop {
             line.clear();
@@ -189,7 +191,7 @@ impl Drop for WorkerChild {
     fn drop(&mut self) {
         // Closing stdin asks the worker loop to exit; give it a moment,
         // then make sure it is gone and reaped either way.
-        let _ = self.stdin.flush();
+        drop(self.stdin.take());
         for _ in 0..20 {
             match self.child.try_wait() {
                 Ok(Some(_)) => return,
@@ -509,6 +511,30 @@ mod tests {
         // The slot recovers for the next job (fresh spawn attempt).
         let (outcome2, _) = slot.run("{}", &mut |_| {});
         assert!(matches!(outcome2, SlotOutcome::Crashed { .. }));
+    }
+
+    #[test]
+    fn shutdown_closes_stdin_so_the_worker_exits_on_its_own() {
+        // A worker that answers every job line and, once its stdin
+        // closes, leaves a marker and exits. The marker exists only if
+        // the worker saw EOF and finished by itself instead of being
+        // killed.
+        let marker = std::env::temp_dir().join(format!("ceres-worker-eof-{}", std::process::id()));
+        let _ = std::fs::remove_file(&marker);
+        let script =
+            r#"while read l; do echo '{"ok":true,"ticks":0,"fragment":""}'; done; : > "$0""#;
+        let mut slot = WorkerSlot::new(WorkerSpec {
+            program: PathBuf::from("/bin/sh"),
+            args: vec!["-c".into(), script.into(), marker.display().to_string()],
+        });
+        let (outcome, _) = slot.run("{}", &mut |_| {});
+        assert!(
+            matches!(&outcome, SlotOutcome::Done(r) if r.ok),
+            "{outcome:?}"
+        );
+        slot.shutdown();
+        assert!(marker.exists(), "the worker never saw its stdin close");
+        std::fs::remove_file(&marker).unwrap();
     }
 
     #[test]

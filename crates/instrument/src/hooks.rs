@@ -1,10 +1,8 @@
-//! Names of the host functions the rewriter inserts, and the fixed-size
-//! access records the engine batches between hook calls.
+//! Names of the host functions the rewriter inserts, and the per-hook
+//! call tally.
 //!
 //! `ceres-core` registers natives under these names; keeping the constants
 //! in one place prevents instrument/engine drift.
-
-use ceres_interp::intern::Sym;
 
 /// Lightweight mode: open-loop counter increment (no arguments).
 pub const LW_ENTER: &str = "__ceres_lw_enter";
@@ -134,80 +132,9 @@ impl HookTally {
     }
 }
 
-// ----------------------------------------------------------------------
-// Batched access records
-// ----------------------------------------------------------------------
-
-/// How many [`AccessEvent`]s the engine buffers before a forced drain.
-///
-/// Draining also happens at every ordering barrier (loop enter/iter/exit,
-/// task begin/end, host access), so the batch never reorders analysis
-/// state relative to those events; the cap only bounds memory for long
-/// straight-line runs of accesses.
-pub const EVENT_BATCH: usize = 256;
-
-/// What an [`AccessEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Stamp a binding with the loop stack at declaration ([`DECLVARS`]).
-    BindingStamp,
-    /// Stamp a freshly created object ([`WRAP`]).
-    ObjStamp,
-    /// A write to a named variable ([`WRVAR`]).
-    VarWrite,
-    /// A property read ([`GETPROP`], and the read half of [`MCALL`]).
-    PropRead,
-    /// The read half of a compound property assignment ([`SETPROP2`],
-    /// [`UPDATE_PROP`]). Checked for flow dependence like [`PropRead`](
-    /// AccessKind::PropRead) but not attributed to the enclosing task's
-    /// read set — the write half already claims the location.
-    PropReadCompound,
-    /// A property write ([`SETPROP`] family, mutating method calls).
-    PropWrite,
-}
-
-/// One recorded access: a fixed-size `Copy` struct keyed by interned
-/// [`Sym`]s instead of owned strings, so the dependence hooks append to a
-/// buffer without allocating and the engine processes whole batches with
-/// warm caches.
-///
-/// Absent fields use sentinels rather than `Option` wrappers to keep the
-/// struct flat: [`Sym::NONE`] for missing names, `0` for missing ids
-/// (binding and object ids start at 1).
-#[derive(Debug, Clone, Copy)]
-pub struct AccessEvent {
-    /// Which access this records.
-    pub kind: AccessKind,
-    /// Object id (`PropRead`/`PropWrite`/`ObjStamp`) or binding id
-    /// (`BindingStamp`).
-    pub target: u64,
-    /// `VarWrite`: the written binding's id; `PropWrite`: the binding id
-    /// of the base variable (for creation-stamp lookup). `0` = none.
-    pub binding: u64,
-    /// Property key (`Prop*`) or variable name (`VarWrite`).
-    pub key: Sym,
-    /// Base variable the object was reached through, when the rewriter
-    /// could name one ([`Sym::NONE`] otherwise).
-    pub base: Sym,
-    /// Spelling of the operation (`"="`, `"+="`, `"++"`, `"push"`, …) for
-    /// the difficulty classifier; [`Sym::NONE`] for reads.
-    pub op: Sym,
-    /// Engine stamp-table id of the loop stack *at access time* — batching
-    /// must not smear accesses onto a later stack.
-    pub stamp: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn access_events_are_small_and_copy() {
-        fn assert_copy<T: Copy>() {}
-        assert_copy::<AccessEvent>();
-        // Fixed-size and cache-friendly: a batch of 256 stays under 16 KiB.
-        assert!(std::mem::size_of::<AccessEvent>() <= 64);
-    }
 
     #[test]
     fn hook_count_matches_the_registry() {

@@ -8,11 +8,13 @@ use ceres_core::supervisor::WorkerSpec;
 use ceres_core::{serve, ServeConfig, ServerHandle};
 use ceres_integration_tests::{start_gated, wait_until, Latch};
 use ceres_workloads::registry_resolver;
+use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 
 /// A fresh scratch directory (std-only; no tempfile crate).
 fn tmpdir(label: &str) -> PathBuf {
@@ -228,6 +230,31 @@ fn overflow_spills_fifo_and_replies_route_to_the_right_clients() {
 // ---------------------------------------------------------------------
 // Drain flush → restart replay
 
+/// Send a streaming request from its own thread, which reports on
+/// `admitted` once the daemon's `accepted` frame arrives and then
+/// returns the terminal frame.
+fn stream_client(addr: SocketAddr, line: String, admitted: mpsc::Sender<()>) -> JoinHandle<String> {
+    std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut reader = BufReader::new(stream);
+        let mut frame = String::new();
+        loop {
+            frame.clear();
+            let n = reader.read_line(&mut frame).expect("frame");
+            assert!(n > 0, "connection closed before the terminal frame");
+            let parsed: Value = serde_json::from_str(&frame).expect("frame is JSON");
+            match parsed.get("type").and_then(Value::as_str) {
+                Some("accepted") => admitted.send(()).expect("test is listening"),
+                Some("result" | "error") => return frame.trim_end().to_string(),
+                _ => {}
+            }
+        }
+    })
+}
+
 /// Graceful drain must not silently drop accepted jobs: with a
 /// persistent spill directory, the queued tail is flushed to disk and
 /// its clients told explicitly; a restarted daemon replays the backlog
@@ -237,64 +264,74 @@ fn drain_flushes_the_tail_and_restart_replays_it_into_the_cache() {
     let spill_dir = tmpdir("drain-replay");
     let config = ServeConfig {
         workers: 1,
+        queue_capacity: 1,
         spill_dir: Some(spill_dir.clone()),
         ..ServeConfig::default()
     };
+    let source = |i: usize| {
+        format!(
+            "var d{i} = 0; for (var i = 0; i < {n}; i++) {{ d{i} += i; }}",
+            n = 200 + i
+        )
+    };
+    let request = |i: usize, stream: bool| {
+        format!(
+            r#"{{"id":"d-{i}","source":"{}","mode":"dependence","stream":{stream}}}"#,
+            source(i)
+        )
+    };
 
-    // Phase 1: accept a burst, then drain before one worker can finish
-    // it. The tail lands in the spill file; every still-waiting client
-    // hears "draining", never silence.
-    let server = start(config.clone());
+    // Phase 1: d-0 holds the only interp slot on the latch while the
+    // other five are admitted. Behind it, one job waits in the exec
+    // queue (capacity 1), one in the parse thread, and three in the ring
+    // and the spill file. A drain lets the first three finish and
+    // flushes the three that never left admission.
+    let latch = Latch::default();
+    let server = start_gated(config.clone(), &source(0), &latch);
     let addr = server.local_addr();
-    let reqs: Vec<String> = (0..6)
-        .map(|i| {
-            format!(
-                r#"{{"id":"d-{i}","source":"var d{i} = 0; for (var i = 0; i < {n}; i++) {{ d{i} += i; }}","mode":"dependence"}}"#,
-                n = 200 + i
-            )
-        })
-        .collect();
-    let handles: Vec<_> = reqs
-        .iter()
-        .map(|req| {
-            let req = req.clone();
-            std::thread::spawn(move || roundtrip(addr, &req))
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(60));
-    server.shutdown();
-    let mut drained_notices = 0;
-    for h in handles {
-        let r = h.join().unwrap();
-        assert!(
-            r.contains("\"ok\":true") || r.contains("draining"),
-            "every accepted client gets a definitive answer: {r}"
-        );
-        if r.contains("flushed to the spill queue") {
-            drained_notices += 1;
-        }
+    let (admitted_tx, admitted) = mpsc::channel();
+    let mut clients = vec![stream_client(addr, request(0, true), admitted_tx.clone())];
+    latch.wait_started();
+    clients.extend((1..6).map(|i| stream_client(addr, request(i, true), admitted_tx.clone())));
+    for _ in 0..6 {
+        admitted.recv().expect("every request is admitted");
     }
+    wait_until(
+        "one job waits for exec and three behind the parse thread",
+        || {
+            let stats: Value = serde_json::from_str(&roundtrip(addr, r#"{"op":"stats"}"#)).unwrap();
+            let depth = |v: Option<&Value>| v.and_then(Value::as_u64).expect("a depth");
+            let spill = stats.get("spill").expect("a spill queue");
+            depth(stats.get("exec_depth")) == 1
+                && depth(stats.get("queue_depth")) + depth(spill.get("depth")) == 3
+        },
+    );
+    server.request_drain();
+    latch.release();
+    let responses: Vec<String> = clients.into_iter().map(|h| h.join().unwrap()).collect();
+    server.join();
+    let flushed: Vec<bool> = responses
+        .iter()
+        .map(|r| r.contains("flushed to the spill queue"))
+        .collect();
+    let ok = responses
+        .iter()
+        .filter(|r| r.contains("\"ok\":true"))
+        .count();
+    assert_eq!(ok, 3, "{responses:#?}");
+    assert_eq!(flushed.iter().filter(|&&f| f).count(), 3, "{responses:#?}");
 
-    // Phase 2: a fresh daemon on the same spill dir replays the backlog.
+    // Phase 2: a fresh daemon on the same spill dir replays the three
+    // flushed jobs into its cache. Retried, they are warm hits; the
+    // three that finished before the drain run cold.
     let server2 = start(config);
     let addr2 = server2.local_addr();
-    let deadline = Instant::now() + Duration::from_secs(120);
-    if drained_notices > 0 {
-        assert!(
-            server2.counters().spill_replayed > 0,
-            "flushed jobs must be replayed on restart"
-        );
-        // Wait for the replay to execute.
-        while server2.counters().jobs_ok < server2.counters().spill_replayed {
-            assert!(Instant::now() < deadline, "replay did not finish");
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-    // Every request from phase 1 is now served — flushed ones from the
-    // replayed cache, completed ones after one cold run.
-    for req in &reqs {
-        let r = roundtrip(addr2, req);
+    assert_eq!(server2.counters().spill_replayed, 3);
+    wait_until("the replayed jobs ran", || server2.counters().jobs_ok == 3);
+    for (i, was_flushed) in flushed.into_iter().enumerate() {
+        let r = roundtrip(addr2, &request(i, false));
         assert!(r.contains("\"ok\":true"), "{r}");
+        assert_eq!(r.contains("\"cached\":true"), was_flushed, "d-{i}: {r}");
     }
     server2.shutdown();
     let _ = std::fs::remove_dir_all(&spill_dir);
