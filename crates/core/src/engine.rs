@@ -1,11 +1,12 @@
 //! The JS-CERES analysis engine.
 //!
-//! One [`Engine`] instance backs one instrumented run. The `__ceres_*` host
-//! functions registered by [`attach_engine`] feed it: loop enter/iter/exit
+//! One [`Engine`] instance backs one instrumented run. [`attach_engine`]
+//! installs it as the interpreter's hook sink, registers every `__ceres_*`
+//! hook by name, and makes it the DOM [`Monitor`]. Loop enter/iter/exit
 //! maintain the characterization stack and per-loop statistics; the
 //! dependence hooks maintain stamps, snapshots and warnings; tagged host
 //! objects (DOM/Canvas/WebGL) are attributed to the loops open at access
-//! time via the interpreter's [`Monitor`].
+//! time.
 //!
 //! # Hot-path design (see `docs/PERFORMANCE.md`)
 //!
@@ -13,24 +14,31 @@
 //! is keyed by interned [`Sym`]s and small `Copy` ids rather than owned
 //! strings:
 //!
-//! * loop stamps live in an interned table (`stamps`); side tables store
-//!   `u32` stamp ids, and the stamp for the current stack is built at most
-//!   once per stack mutation instead of once per write;
-//! * each access is one direct call from its hook into the engine, which
-//!   characterizes it against the current stack on the spot;
+//! * each hook has one body, a [`HookSink`] method: the VM calls it with
+//!   operands interned at compile time and binding ids from its slot
+//!   cache, and the by-name natives (the tree-walker's path) decode their
+//!   `Value` arguments and call the same method;
+//! * loop stamps live in one flat interned table; side tables store
+//!   `u32` stamp ids and are read by reference, and the stamp for the
+//!   current stack is built at most once per stack mutation, only for an
+//!   access that records;
+//! * each access is one direct call into the engine, which returns before
+//!   touching the stamp tables when it cannot record and otherwise
+//!   characterizes the access against the current stack on the spot;
 //! * characterizations are computed as per-loop bitsets
 //!   ([`crate::stack::CharBits`]) and expanded into rendered
 //!   [`Characterization`]s only when a *new* deduplicated warning is
-//!   materialized.
+//!   materialized;
+//! * task read/write sets are FxHash sets and observed runtime types a
+//!   [`TypeSet`] bitmask, so the per-access inserts hash no more than a
+//!   `u64`.
 
-use crate::stack::{
-    characterize, empty_stamp, flow, Characterization, Characterized, StackEntry, Stamp,
-};
+use crate::stack::{characterize, flow, Characterization, Characterized, StackEntry};
 use crate::welford::Welford;
 use ceres_ast::{LoopId, LoopInfo};
 use ceres_instrument::{hooks, Mode};
-use ceres_interp::intern::{self, FxHashMap, FxHashSet, Sym};
-use ceres_interp::{ops, CallCtx, Interp, JsResult, Monitor, Value};
+use ceres_interp::intern::{self, sym_of_key, FxHashMap, FxHashSet, Sym};
+use ceres_interp::{ops, CallCtx, HookSink, Interp, JsResult, Monitor, ScopeRef, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
@@ -117,10 +125,16 @@ impl SubjectStats {
             self.fold_window();
             self.ctx = ctx;
         }
-        self.ctx_writes += 1;
+        // A write counts toward the window's ratio only when its location
+        // can be recorded: past the cap, a new location would otherwise
+        // read as a repeat and make a disjoint loop look conflicting.
+        let loc = (obj_id, key);
         if self.ctx_locations.len() < KEYSET_CAP {
-            self.ctx_locations.insert((obj_id, key));
+            self.ctx_locations.insert(loc);
+        } else if !self.ctx_locations.contains(&loc) {
+            return;
         }
+        self.ctx_writes += 1;
     }
 
     fn fold_window(&mut self) {
@@ -149,6 +163,45 @@ impl SubjectStats {
         } else {
             ratio_sum / windows as f64
         }
+    }
+}
+
+/// The `typeof` names a [`TypeSet`] can hold (every one but
+/// `"undefined"`, which is never observed), in sorted order.
+const TYPE_NAMES: [&str; 5] = ["boolean", "function", "number", "object", "string"];
+
+/// A set of runtime types (`typeof` names), one bit per name in sorted
+/// order, so recording a write's type is one `or` and iterating the bits
+/// yields the names sorted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TypeSet(u8);
+
+impl TypeSet {
+    fn insert(&mut self, ty: &'static str) {
+        let bit = TYPE_NAMES
+            .iter()
+            .position(|t| *t == ty)
+            .expect("a typeof name");
+        self.0 |= 1 << bit;
+    }
+
+    /// Number of distinct types.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True when no type was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+
+    /// The type names, sorted.
+    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        TYPE_NAMES
+            .iter()
+            .enumerate()
+            .filter(|(bit, _)| self.0 & (1 << bit) != 0)
+            .map(|(_, t)| *t)
     }
 }
 
@@ -185,12 +238,14 @@ pub struct Engine {
     /// Restrict recording to nests containing this loop (the paper's
     /// "focus on a specific loop").
     pub focus: Option<LoopId>,
-    /// Interned loop-stack stamps. Entry 0 is the empty stamp; all side
-    /// tables refer to stamps by `u32` index.
-    stamps: Vec<Stamp>,
+    /// Interned loop-stack stamps, one flat table: stamp `id` is
+    /// `stamp_entries[stamp_at[id]..stamp_at[id + 1]]`. Stamp 0 is the
+    /// empty stamp; all side tables refer to stamps by `u32` id.
+    stamp_at: Vec<u32>,
+    stamp_entries: Vec<StackEntry>,
     /// Cached id of the stamp for the *current* stack, invalidated on
-    /// every stack mutation — one stamp allocation per stack epoch, not
-    /// one per access.
+    /// every stack mutation — one table append per stack epoch, not one
+    /// per access.
     cur_stamp: Option<u32>,
     binding_stamps: FxHashMap<u64, u32>,
     object_stamps: FxHashMap<u64, u32>,
@@ -210,7 +265,7 @@ pub struct Engine {
     /// different functions don't alias; a key with more than one type
     /// (ignoring undefined/null, per the paper's definition) is
     /// polymorphic. Property subjects use binding id 0.
-    pub observed_types: FxHashMap<(Sym, u64), BTreeSet<&'static str>>,
+    pub observed_types: FxHashMap<(Sym, u64), TypeSet>,
 
     // --- task-parallelism limit study (Fortuna et al. baseline) ---
     /// Completed tasks in execution order.
@@ -240,7 +295,8 @@ impl Engine {
             lw_start: 0,
             lw_loop_ticks: 0,
             focus: None,
-            stamps: vec![empty_stamp()],
+            stamp_at: vec![0, 0],
+            stamp_entries: Vec::new(),
             cur_stamp: Some(0),
             binding_stamps: FxHashMap::default(),
             object_stamps: FxHashMap::default(),
@@ -266,21 +322,26 @@ impl Engine {
         if let Some(id) = self.cur_stamp {
             return id;
         }
-        let id = self.stamps.len() as u32;
-        self.stamps.push(Rc::from(self.stack.as_slice()));
+        let id = self.stamp_at.len() as u32 - 1;
+        self.stamp_entries.extend_from_slice(&self.stack);
+        self.stamp_at.push(self.stamp_entries.len() as u32);
         self.cur_stamp = Some(id);
         id
     }
 
-    /// Was dependence recording active for an access under `entries`
-    /// (inside a loop; inside the focused nest when a focus is set)?
-    fn recording_at(&self, entries: &[StackEntry]) -> bool {
-        if entries.is_empty() {
-            return false;
-        }
+    /// The entries of stamp `id`.
+    fn stamp(&self, id: u32) -> &[StackEntry] {
+        let id = id as usize;
+        &self.stamp_entries[self.stamp_at[id] as usize..self.stamp_at[id + 1] as usize]
+    }
+
+    /// Is dependence recording active for an access now (inside a loop;
+    /// inside the focused nest when a focus is set)?
+    fn recording(&self) -> bool {
         match self.focus {
+            _ if self.stack.is_empty() => false,
             None => true,
-            Some(f) => entries.iter().any(|e| e.loop_id == f),
+            Some(f) => self.stack.iter().any(|e| e.loop_id == f),
         }
     }
 
@@ -319,7 +380,6 @@ impl Engine {
                 intern::intern(&name),
                 Sym::NONE,
                 Characterized::Full(Vec::new()),
-                &[],
                 root,
             );
         }
@@ -391,27 +451,22 @@ impl Engine {
         s
     }
 
-    /// Entries of the stamp table entry `id`.
-    fn stamp_entries(&self, id: u32) -> Stamp {
-        self.stamps[id as usize].clone()
-    }
-
-    /// Deduplicate-or-materialize a warning. The dedup key is (kind,
-    /// subject, op) plus the characterization, which is compared
-    /// level-by-level against candidates without allocating.
+    /// Deduplicate-or-materialize a warning for an access characterized
+    /// as `c` against the current stack. The dedup key is (kind, subject,
+    /// op) plus the characterization, which is compared level-by-level
+    /// against candidates without allocating.
     fn push_warning(
         &mut self,
         kind: WarningKind,
         subject: Sym,
         op: Sym,
         c: Characterized,
-        cur: &[StackEntry],
         root: LoopId,
     ) {
         let key = (kind, subject, op);
         if let Some(cands) = self.warning_index.get(&key) {
             for &i in cands {
-                if c.matches(&self.warnings[i].characterization, cur) {
+                if c.matches(&self.warnings[i].characterization, &self.stack) {
                     self.warnings[i].count += 1;
                     return;
                 }
@@ -420,7 +475,7 @@ impl Engine {
         let w = Warning {
             kind,
             subject: intern::resolve(subject).to_string(),
-            characterization: c.expand(cur),
+            characterization: c.expand(&self.stack),
             op: op.is_some().then(|| intern::resolve(op).to_string()),
             nest_root: root,
             count: 1,
@@ -453,17 +508,16 @@ impl Engine {
         if binding != 0 {
             self.task_write(crate::tasks::binding_location(binding));
         }
-        let stamp = self.current_stamp_id();
-        let cur = self.stamp_entries(stamp);
-        if !self.recording_at(&cur) {
+        if !self.recording() {
             return;
         }
         // Unstamped binding: conservatively "created before all loops"
         // (the empty stamp). Binding ids start at 1, so 0 is never stamped.
-        let stamp = self.stamp_entries(self.binding_stamps.get(&binding).copied().unwrap_or(0));
-        let c = characterize(&stamp, &cur);
+        let stamp = self.binding_stamps.get(&binding).copied().unwrap_or(0);
+        let c = characterize(self.stamp(stamp), &self.stack);
         if c.problematic() {
-            self.push_warning(WarningKind::VarWrite, name, op, c, &cur, cur[0].loop_id);
+            let root = self.stack[0].loop_id;
+            self.push_warning(WarningKind::VarWrite, name, op, c, root);
         }
     }
 
@@ -471,12 +525,12 @@ impl Engine {
     /// variable `base` whose binding id is `binding` (0 when none).
     fn prop_write(&mut self, obj: u64, key: Sym, base: Sym, binding: u64, op: Sym) {
         self.task_write(crate::tasks::object_location(obj));
-        let stamp = self.current_stamp_id();
-        let cur = self.stamp_entries(stamp);
-        if !self.recording_at(&cur) {
+        if !self.recording() {
             return;
         }
+        let stamp = self.current_stamp_id();
         let subject = self.subject_sym(base, key);
+        let cur = &self.stack;
         // Effective stamp: of the object's creation stamp and the base
         // variable's binding stamp, take the one matching the *current*
         // stack deeper — i.e. the freshest context the location is reachable
@@ -484,15 +538,16 @@ impl Engine {
         // characterizes through `p`'s per-activation binding (stamped inside
         // the while), not through the particle object (created during
         // setup, before any of the open loops). See DESIGN.md §4.
-        let obj_stamp = self.stamp_entries(self.object_stamps.get(&obj).copied().unwrap_or(0));
+        let obj_stamp = self.stamp(self.object_stamps.get(&obj).copied().unwrap_or(0));
         let base_stamp = self
             .binding_stamps
             .get(&binding)
-            .map(|&sid| self.stamp_entries(sid));
+            .map(|&sid| self.stamp(sid));
         let eff = match base_stamp {
-            Some(b) if matched_prefix_len(&b, &cur) > matched_prefix_len(&obj_stamp, &cur) => b,
+            Some(b) if matched_prefix_len(b, cur) > matched_prefix_len(obj_stamp, cur) => b,
             _ => obj_stamp,
         };
+        let c = characterize(eff, cur);
         let root = cur[0].loop_id;
         let ctx = cur.last().map(|e| (e.loop_id, e.instance));
         self.subject_stats
@@ -504,19 +559,19 @@ impl Engine {
         // the previous write's stamp and records this one.
         let prev = match self.write_snapshots.entry((obj, key)) {
             std::collections::hash_map::Entry::Occupied(mut o) => {
-                Some(self.stamps[std::mem::replace(o.get_mut(), stamp) as usize].clone())
+                Some(std::mem::replace(o.get_mut(), stamp))
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(stamp);
                 None
             }
         };
-        let c = characterize(&eff, &cur);
+        let waw = prev.and_then(|prev| flow(self.stamp(prev), &self.stack));
         if c.problematic() {
-            self.push_warning(WarningKind::SharedPropWrite, subject, op, c, &cur, root);
+            self.push_warning(WarningKind::SharedPropWrite, subject, op, c, root);
         }
-        if let Some(c) = prev.and_then(|prev| flow(&prev, &cur)) {
-            self.push_warning(WarningKind::WawWrite, subject, Sym::NONE, c, &cur, root);
+        if let Some(c) = waw {
+            self.push_warning(WarningKind::WawWrite, subject, Sym::NONE, c, root);
         }
     }
 
@@ -527,24 +582,16 @@ impl Engine {
         if joins_task {
             self.task_read(crate::tasks::object_location(obj));
         }
-        let stamp = self.current_stamp_id();
-        let cur = self.stamp_entries(stamp);
-        if !self.recording_at(&cur) {
+        if !self.recording() {
             return;
         }
         let Some(&snap) = self.write_snapshots.get(&(obj, key)) else {
             return;
         };
-        if let Some(c) = flow(&self.stamp_entries(snap), &cur) {
+        if let Some(c) = flow(self.stamp(snap), &self.stack) {
             let subject = self.subject_sym(base, key);
-            self.push_warning(
-                WarningKind::FlowRead,
-                subject,
-                Sym::NONE,
-                c,
-                &cur,
-                cur[0].loop_id,
-            );
+            let root = self.stack[0].loop_id;
+            self.push_warning(WarningKind::FlowRead, subject, Sym::NONE, c, root);
         }
     }
 
@@ -567,18 +614,22 @@ impl Engine {
             .insert(ty);
     }
 
+    /// [`Engine::observe_type`] for a write to property `key` reached
+    /// through `base`; the subject is composed only inside loops.
+    fn observe_prop_type(&mut self, base: Sym, key: Sym, value: &Value) {
+        if !self.stack.is_empty() {
+            let subject = self.subject_sym(base, key);
+            self.observe_type(subject, 0, value);
+        }
+    }
+
     /// Subjects observed with more than one runtime type inside loops.
     pub fn polymorphic_subjects(&self) -> Vec<(String, Vec<&'static str>)> {
         let mut out: Vec<(String, Vec<&'static str>)> = self
             .observed_types
             .iter()
             .filter(|(_, tys)| tys.len() > 1)
-            .map(|((s, _), tys)| {
-                (
-                    intern::resolve(*s).to_string(),
-                    tys.iter().copied().collect(),
-                )
-            })
+            .map(|((s, _), tys)| (intern::resolve(*s).to_string(), tys.names().collect()))
             .collect();
         out.sort();
         out.dedup();
@@ -599,8 +650,8 @@ impl Engine {
                 label: label.to_string(),
                 start_ticks: now_ticks,
                 end_ticks: now_ticks,
-                reads: std::collections::HashSet::new(),
-                writes: std::collections::HashSet::new(),
+                reads: FxHashSet::default(),
+                writes: FxHashSet::default(),
             });
         }
     }
@@ -671,16 +722,6 @@ fn matched_prefix_len(stamp: &[StackEntry], current: &[StackEntry]) -> usize {
         .count()
 }
 
-/// Intern a property-key value: numbers take the inline fast path (no
-/// allocation for array indices), strings reuse their `Rc` allocation.
-fn sym_of_key(v: &Value) -> Sym {
-    match v {
-        Value::Num(n) => Sym::from_f64(*n).unwrap_or_else(|| intern::intern(&ops::to_string(v))),
-        Value::Str(s) => intern::intern_rc(s),
-        other => intern::intern(&ops::to_string(other)),
-    }
-}
-
 /// Intern an optional base-variable name argument ([`Sym::NONE`] when the
 /// rewriter passed `null`).
 fn opt_sym(v: &Value) -> Sym {
@@ -718,275 +759,357 @@ impl Monitor for EngineMonitor {
 /// Shared engine handle.
 pub type EngineRef = Rc<std::cell::RefCell<Engine>>;
 
-/// Create an engine for `mode`, register every `__ceres_*` hook and the DOM
-/// monitor on `interp`, and return the shared handle.
+/// Position of hook `name` in [`hooks::ALL_HOOKS`]: the tally index its
+/// body bumps, resolved at compile time.
+const fn tally_index(name: &str) -> usize {
+    let mut i = 0;
+    while i < hooks::ALL_HOOKS.len() {
+        let (a, b) = (hooks::ALL_HOOKS[i].as_bytes(), name.as_bytes());
+        if a.len() == b.len() {
+            let mut j = 0;
+            while j < a.len() && a[j] == b[j] {
+                j += 1;
+            }
+            if j == a.len() {
+                return i;
+            }
+        }
+        i += 1;
+    }
+    panic!("unknown hook")
+}
+
+/// The engine's side of the hook ABI: the one body of every hook. The VM
+/// calls it through [`HookSink`]; the by-name natives [`attach_engine`]
+/// registers (the tree-walker's path) decode their arguments and call the
+/// same methods.
+///
+/// The property hooks record through the engine, then release it before
+/// touching the object: a tagged host object's access reaches the DOM
+/// monitor, which borrows the engine itself.
+struct EngineHooks {
+    eng: EngineRef,
+    // Hot-path symbols, interned once.
+    eq: Sym,
+    inc: Sym,
+    push: Sym,
+    elements: Sym,
+    mutating: Vec<Sym>,
+}
+
+impl EngineHooks {
+    fn new(eng: EngineRef) -> EngineHooks {
+        EngineHooks {
+            eng,
+            eq: intern::intern("="),
+            inc: intern::intern("++"),
+            push: intern::intern("push"),
+            elements: intern::intern("<elements>"),
+            mutating: MUTATING_ARRAY_METHODS
+                .iter()
+                .map(|m| intern::intern(m))
+                .collect(),
+        }
+    }
+
+    /// Borrow the engine and count one call of hook `index`. Each body
+    /// bumps its tally with one array add; the obs layer must not perturb
+    /// the overhead ledger it measures.
+    fn engine(&self, index: usize) -> std::cell::RefMut<'_, Engine> {
+        let mut e = self.eng.borrow_mut();
+        e.tally.bump(index);
+        e
+    }
+}
+
+impl HookSink for EngineHooks {
+    fn lw_enter(&self, interp: &mut Interp) -> JsResult {
+        let now = interp.clock.now_ticks();
+        self.engine(const { tally_index(hooks::LW_ENTER) })
+            .lw_enter(now);
+        Ok(Value::Undefined)
+    }
+
+    fn lw_exit(&self, interp: &mut Interp) -> JsResult {
+        let now = interp.clock.now_ticks();
+        self.engine(const { tally_index(hooks::LW_EXIT) })
+            .lw_exit(now);
+        Ok(Value::Undefined)
+    }
+
+    fn loop_enter(&self, interp: &mut Interp, id: u32) -> JsResult {
+        let now = interp.clock.now_ticks();
+        self.engine(const { tally_index(hooks::LOOP_ENTER) })
+            .loop_enter(LoopId(id), now);
+        Ok(Value::Undefined)
+    }
+
+    fn iter(&self, _interp: &mut Interp, id: u32) -> JsResult {
+        self.engine(const { tally_index(hooks::ITER) })
+            .iter(LoopId(id));
+        Ok(Value::Undefined)
+    }
+
+    fn loop_exit(&self, interp: &mut Interp, id: u32) -> JsResult {
+        let now = interp.clock.now_ticks();
+        self.engine(const { tally_index(hooks::LOOP_EXIT) })
+            .loop_exit(LoopId(id), now);
+        Ok(Value::Undefined)
+    }
+
+    fn declvars(
+        &self,
+        interp: &mut Interp,
+        names: usize,
+        bindings: &mut dyn Iterator<Item = u64>,
+    ) -> JsResult {
+        // Stamping bindings copies the loop stack per name.
+        interp.clock.tick(2 * names as u64);
+        let mut e = self.engine(const { tally_index(hooks::DECLVARS) });
+        for id in bindings {
+            e.stamp_binding(id);
+        }
+        Ok(Value::Undefined)
+    }
+
+    fn wrvar(
+        &self,
+        interp: &mut Interp,
+        name: Sym,
+        binding: u64,
+        op: Sym,
+        value: Option<Value>,
+    ) -> JsResult {
+        // Scope lookup + stamp diff against the current stack.
+        interp.clock.tick(8);
+        let mut e = self.engine(const { tally_index(hooks::WRVAR) });
+        e.var_write(name, binding, op);
+        // When the rewriter threads the assigned value through the hook
+        // (3-argument form), observe its runtime type and pass it along
+        // unchanged.
+        match value {
+            Some(value) => {
+                e.observe_type(name, binding, &value);
+                Ok(value)
+            }
+            None => Ok(Value::Undefined),
+        }
+    }
+
+    fn wrap(&self, interp: &mut Interp, value: Value) -> JsResult {
+        // The Proxy wrap: snapshot the loop stack for the new object.
+        interp.clock.tick(4);
+        let mut e = self.engine(const { tally_index(hooks::WRAP) });
+        if let Value::Object(o) = &value {
+            e.stamp_object(o.id());
+        }
+        Ok(value)
+    }
+
+    fn getprop(&self, interp: &mut Interp, obj: &Value, key: Sym, base: Sym) -> JsResult {
+        // Snapshot lookup + flow-dependence diff.
+        interp.clock.tick(6);
+        {
+            let mut e = self.engine(const { tally_index(hooks::GETPROP) });
+            if let Value::Object(o) = obj {
+                e.prop_read(o.id(), key, base, true);
+            }
+        }
+        interp.get_property_sym(obj, key)
+    }
+
+    fn setprop(
+        &self,
+        interp: &mut Interp,
+        obj: &Value,
+        key: Sym,
+        value: Value,
+        base: Sym,
+        binding: u64,
+    ) -> JsResult {
+        // Effective-stamp diff, WAW check, snapshot update.
+        interp.clock.tick(10);
+        {
+            let mut e = self.engine(const { tally_index(hooks::SETPROP) });
+            if let Value::Object(o) = obj {
+                e.prop_write(o.id(), key, base, binding, self.eq);
+                e.observe_prop_type(base, key, &value);
+            }
+        }
+        interp.set_property_sym(obj, key, value.clone())?;
+        Ok(value)
+    }
+
+    fn setprop2(
+        &self,
+        interp: &mut Interp,
+        obj: &Value,
+        key: Sym,
+        op: Sym,
+        value: &Value,
+        base: Sym,
+        binding: u64,
+    ) -> JsResult {
+        // Read check + write check + compound evaluation.
+        interp.clock.tick(14);
+        let mut e = self.engine(const { tally_index(hooks::SETPROP2) });
+        // Compound assignment reads the old value first.
+        if let Value::Object(o) = obj {
+            e.prop_read(o.id(), key, base, false);
+        }
+        drop(e);
+        let old = interp.get_property_sym(obj, key)?;
+        let new = apply_binop(&intern::resolve(op), &old, value);
+        if let Value::Object(o) = obj {
+            self.eng
+                .borrow_mut()
+                .prop_write(o.id(), key, base, binding, op);
+        }
+        interp.set_property_sym(obj, key, new.clone())?;
+        Ok(new)
+    }
+
+    fn update_prop(
+        &self,
+        interp: &mut Interp,
+        obj: &Value,
+        key: Sym,
+        delta: f64,
+        prefix: bool,
+        base: Sym,
+        binding: u64,
+    ) -> JsResult {
+        interp.clock.tick(12);
+        let mut e = self.engine(const { tally_index(hooks::UPDATE_PROP) });
+        if let Value::Object(o) = obj {
+            e.prop_read(o.id(), key, base, false);
+        }
+        drop(e);
+        let old = ops::to_number(&interp.get_property_sym(obj, key)?);
+        let new = old + delta;
+        if let Value::Object(o) = obj {
+            self.eng
+                .borrow_mut()
+                .prop_write(o.id(), key, base, binding, self.inc);
+        }
+        interp.set_property_sym(obj, key, Value::Num(new))?;
+        Ok(Value::Num(if prefix { new } else { old }))
+    }
+
+    fn mcall(
+        &self,
+        interp: &mut Interp,
+        obj: Value,
+        key: Sym,
+        base: Sym,
+        args: &[Value],
+        caller: Option<ScopeRef>,
+    ) -> JsResult {
+        interp.clock.tick(8);
+        {
+            let mut e = self.engine(const { tally_index(hooks::MCALL) });
+            if let Value::Object(o) = &obj {
+                e.prop_read(o.id(), key, base, true);
+                // Array-mutating methods are element writes in disguise:
+                // `results.push(x)` inside a loop is an output dependence
+                // on the shared array.
+                if o.is_array() && self.mutating.contains(&key) {
+                    e.prop_write(o.id(), self.elements, base, 0, self.push);
+                }
+            }
+        }
+        let f = interp.get_property_sym(&obj, key)?;
+        interp.call_value(&f, obj, args, caller)
+    }
+}
+
+/// Create an engine for `mode`, install it as the interpreter's hook sink
+/// and DOM monitor, register every `__ceres_*` hook by name, and return
+/// the shared handle.
 pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> EngineRef {
     let engine: EngineRef = Rc::new(std::cell::RefCell::new(Engine::new(mode, loops)));
-
     interp.monitor = Some(Rc::new(EngineMonitor(engine.clone())));
+    let sink = Rc::new(EngineHooks::new(engine.clone()));
+    interp.hook_sink = Some(sink.clone());
 
-    let arg = |args: &[Value], i: usize| args.get(i).cloned().unwrap_or(Value::Undefined);
-
-    // Hot-path symbols interned once at registration time.
-    let eq_sym = intern::intern("=");
-    let inc_sym = intern::intern("++");
-    let push_sym = intern::intern("push");
-    let elements_sym = intern::intern("<elements>");
-    let mutating_syms: Rc<[Sym]> = MUTATING_ARRAY_METHODS
-        .iter()
-        .map(|m| intern::intern(m))
-        .collect();
-
-    // Tally indices are resolved once here; each hook then bumps its
-    // counter with a single array add (the obs layer must not perturb the
-    // overhead ledger it measures).
-    let idx = hooks::hook_index;
-
-    // --- lightweight ---
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::LW_ENTER);
-        interp.register_native(hooks::LW_ENTER, move |interp, _ctx, _args| {
-            let now = interp.clock.now_ticks();
-            let mut e = eng.borrow_mut();
-            e.tally.bump(i);
-            e.lw_enter(now);
-            Ok(Value::Undefined)
-        });
+    // The by-name natives: decode the `Value` arguments, resolve bindings
+    // from the caller's scope, and call the typed body.
+    fn arg(args: &[Value], i: usize) -> Value {
+        args.get(i).cloned().unwrap_or(Value::Undefined)
     }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::LW_EXIT);
-        interp.register_native(hooks::LW_EXIT, move |interp, _ctx, _args| {
-            let now = interp.clock.now_ticks();
-            let mut e = eng.borrow_mut();
-            e.tally.bump(i);
-            e.lw_exit(now);
-            Ok(Value::Undefined)
-        });
+    fn loop_id(args: &[Value]) -> u32 {
+        ops::to_number(&arg(args, 0)) as u32
     }
-
-    // --- loop profiling ---
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::LOOP_ENTER);
-        interp.register_native(hooks::LOOP_ENTER, move |interp, _ctx, args| {
-            let id = LoopId(ops::to_number(&arg(args, 0)) as u32);
-            let now = interp.clock.now_ticks();
-            let mut e = eng.borrow_mut();
-            e.tally.bump(i);
-            e.loop_enter(id, now);
-            Ok(Value::Undefined)
+    let mut register = |name, f: fn(&EngineHooks, &mut Interp, &CallCtx, &[Value]) -> JsResult| {
+        let sink = sink.clone();
+        interp.register_native(name, move |interp, ctx, args| f(&sink, interp, ctx, args));
+    };
+    register(hooks::LW_ENTER, |h, interp, _, _| h.lw_enter(interp));
+    register(hooks::LW_EXIT, |h, interp, _, _| h.lw_exit(interp));
+    register(hooks::LOOP_ENTER, |h, interp, _, args| {
+        h.loop_enter(interp, loop_id(args))
+    });
+    register(hooks::ITER, |h, interp, _, args| {
+        h.iter(interp, loop_id(args))
+    });
+    register(hooks::LOOP_EXIT, |h, interp, _, args| {
+        h.loop_exit(interp, loop_id(args))
+    });
+    register(hooks::DECLVARS, |h, interp, ctx, args| {
+        let mut ids = args.iter().filter_map(|a| match (a, &ctx.caller_scope) {
+            (Value::Str(name), Some(scope)) => scope
+                .lookup_sym(intern::intern_rc(name))
+                .map(|b| b.borrow().id),
+            _ => None,
         });
-    }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::ITER);
-        interp.register_native(hooks::ITER, move |_interp, _ctx, args| {
-            let id = LoopId(ops::to_number(args.first().unwrap_or(&Value::Undefined)) as u32);
-            let mut e = eng.borrow_mut();
-            e.tally.bump(i);
-            e.iter(id);
-            Ok(Value::Undefined)
-        });
-    }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::LOOP_EXIT);
-        interp.register_native(hooks::LOOP_EXIT, move |interp, _ctx, args| {
-            let id = LoopId(ops::to_number(&arg(args, 0)) as u32);
-            let now = interp.clock.now_ticks();
-            let mut e = eng.borrow_mut();
-            e.tally.bump(i);
-            e.loop_exit(id, now);
-            Ok(Value::Undefined)
-        });
-    }
-
-    // --- dependence ---
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::DECLVARS);
-        interp.register_native(hooks::DECLVARS, move |interp, ctx, args| {
-            // Stamping bindings copies the loop stack per name.
-            interp.clock.tick(2 * args.len() as u64);
-            let mut e = eng.borrow_mut();
-            e.tally.bump(i);
-            let Some(scope) = &ctx.caller_scope else {
-                return Ok(Value::Undefined);
-            };
-            for a in args {
-                if let Value::Str(name) = a {
-                    if let Some(b) = scope.lookup_sym(intern::intern_rc(name)) {
-                        e.stamp_binding(b.borrow().id);
-                    }
-                }
-            }
-            Ok(Value::Undefined)
-        });
-    }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::WRVAR);
-        interp.register_native(hooks::WRVAR, move |interp, ctx, args| {
-            // Scope lookup + stamp diff against the current stack.
-            interp.clock.tick(8);
-            let name = sym_of_key(args.first().unwrap_or(&Value::Undefined));
-            let op = match args.get(1) {
-                Some(Value::Str(s)) => intern::intern_rc(s),
-                _ => eq_sym,
-            };
-            let binding = binding_of(ctx, name);
-            let mut e = eng.borrow_mut();
-            e.tally.bump(i);
-            e.var_write(name, binding, op);
-            // When the rewriter threads the assigned value through the
-            // hook (3-argument form), observe its runtime type and pass
-            // it along unchanged.
-            if let Some(value) = args.get(2) {
-                e.observe_type(name, binding, value);
-                return Ok(value.clone());
-            }
-            Ok(Value::Undefined)
-        });
-    }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::WRAP);
-        interp.register_native(hooks::WRAP, move |interp, _ctx, args| {
-            // The Proxy wrap: snapshot the loop stack for the new object.
-            interp.clock.tick(4);
-            let v = arg(args, 0);
-            let mut e = eng.borrow_mut();
-            e.tally.bump(i);
-            if let Value::Object(o) = &v {
-                e.stamp_object(o.id());
-            }
-            Ok(v)
-        });
-    }
-    // The property hooks below record through the engine, then release
-    // it before touching the object: a tagged host object's access
-    // reaches the DOM monitor, which borrows the engine itself.
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::GETPROP);
-        interp.register_native(hooks::GETPROP, move |interp, _ctx, args| {
-            // Snapshot lookup + flow-dependence diff.
-            interp.clock.tick(6);
-            let obj = args.first().unwrap_or(&Value::Undefined);
-            let key = sym_of_key(args.get(1).unwrap_or(&Value::Undefined));
-            let base = opt_sym(args.get(2).unwrap_or(&Value::Undefined));
-            {
-                let mut e = eng.borrow_mut();
-                e.tally.bump(i);
-                if let Value::Object(o) = obj {
-                    e.prop_read(o.id(), key, base, true);
-                }
-            }
-            interp.get_property_sym(obj, key)
-        });
-    }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::SETPROP);
-        interp.register_native(hooks::SETPROP, move |interp, ctx, args| {
-            // Effective-stamp diff, WAW check, snapshot update.
-            interp.clock.tick(10);
-            let obj = args.first().unwrap_or(&Value::Undefined);
-            let key = sym_of_key(args.get(1).unwrap_or(&Value::Undefined));
-            let value = arg(args, 2);
-            let base = opt_sym(args.get(3).unwrap_or(&Value::Undefined));
-            {
-                let mut e = eng.borrow_mut();
-                e.tally.bump(i);
-                if let Value::Object(o) = obj {
-                    e.prop_write(o.id(), key, base, binding_of(ctx, base), eq_sym);
-                    let subject = e.subject_sym(base, key);
-                    e.observe_type(subject, 0, &value);
-                }
-            }
-            interp.set_property_sym(obj, key, value.clone())?;
-            Ok(value)
-        });
-    }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::SETPROP2);
-        interp.register_native(hooks::SETPROP2, move |interp, ctx, args| {
-            // Read check + write check + compound evaluation.
-            interp.clock.tick(14);
-            eng.borrow_mut().tally.bump(i);
-            let obj = arg(args, 0);
-            let key = sym_of_key(&arg(args, 1));
-            let op = sym_of_key(&arg(args, 2));
-            let value = arg(args, 3);
-            let base = opt_sym(&arg(args, 4));
-            // Compound assignment reads the old value first.
-            if let Value::Object(o) = &obj {
-                eng.borrow_mut().prop_read(o.id(), key, base, false);
-            }
-            let old = interp.get_property_sym(&obj, key)?;
-            let new = apply_binop(&intern::resolve(op), &old, &value);
-            if let Value::Object(o) = &obj {
-                eng.borrow_mut()
-                    .prop_write(o.id(), key, base, binding_of(ctx, base), op);
-            }
-            interp.set_property_sym(&obj, key, new.clone())?;
-            Ok(new)
-        });
-    }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::UPDATE_PROP);
-        interp.register_native(hooks::UPDATE_PROP, move |interp, ctx, args| {
-            interp.clock.tick(12);
-            eng.borrow_mut().tally.bump(i);
-            let obj = arg(args, 0);
-            let key = sym_of_key(&arg(args, 1));
-            let delta = ops::to_number(&arg(args, 2));
-            let prefix = ops::to_number(&arg(args, 3)) != 0.0;
-            let base = opt_sym(&arg(args, 4));
-            if let Value::Object(o) = &obj {
-                eng.borrow_mut().prop_read(o.id(), key, base, false);
-            }
-            let old = ops::to_number(&interp.get_property_sym(&obj, key)?);
-            let new = old + delta;
-            if let Value::Object(o) = &obj {
-                eng.borrow_mut()
-                    .prop_write(o.id(), key, base, binding_of(ctx, base), inc_sym);
-            }
-            interp.set_property_sym(&obj, key, Value::Num(new))?;
-            Ok(Value::Num(if prefix { new } else { old }))
-        });
-    }
-    {
-        let eng = engine.clone();
-        let i = idx(hooks::MCALL);
-        let mutating = mutating_syms.clone();
-        interp.register_native(hooks::MCALL, move |interp, ctx, args| {
-            interp.clock.tick(8);
-            let obj = arg(args, 0);
-            let key = sym_of_key(&arg(args, 1));
-            let base = opt_sym(&arg(args, 2));
-            let call_args = if args.len() > 3 { &args[3..] } else { &[][..] };
-            {
-                let mut e = eng.borrow_mut();
-                e.tally.bump(i);
-                if let Value::Object(o) = &obj {
-                    e.prop_read(o.id(), key, base, true);
-                    // Array-mutating methods are element writes in
-                    // disguise: `results.push(x)` inside a loop is an
-                    // output dependence on the shared array.
-                    if o.is_array() && mutating.contains(&key) {
-                        e.prop_write(o.id(), elements_sym, base, 0, push_sym);
-                    }
-                }
-            }
-            let f = interp.get_property_sym(&obj, key)?;
-            interp.call_value(&f, obj, call_args, ctx.caller_scope.clone())
-        });
-    }
+        h.declvars(interp, args.len(), &mut ids)
+    });
+    register(hooks::WRVAR, |h, interp, ctx, args| {
+        let name = sym_of_key(&arg(args, 0));
+        let op = match args.get(1) {
+            Some(Value::Str(s)) => intern::intern_rc(s),
+            _ => h.eq,
+        };
+        h.wrvar(
+            interp,
+            name,
+            binding_of(ctx, name),
+            op,
+            args.get(2).cloned(),
+        )
+    });
+    register(hooks::WRAP, |h, interp, _, args| {
+        h.wrap(interp, arg(args, 0))
+    });
+    register(hooks::GETPROP, |h, interp, _, args| {
+        let key = sym_of_key(&arg(args, 1));
+        h.getprop(interp, &arg(args, 0), key, opt_sym(&arg(args, 2)))
+    });
+    register(hooks::SETPROP, |h, interp, ctx, args| {
+        let (key, base) = (sym_of_key(&arg(args, 1)), opt_sym(&arg(args, 3)));
+        let binding = binding_of(ctx, base);
+        h.setprop(interp, &arg(args, 0), key, arg(args, 2), base, binding)
+    });
+    register(hooks::SETPROP2, |h, interp, ctx, args| {
+        let (key, op) = (sym_of_key(&arg(args, 1)), sym_of_key(&arg(args, 2)));
+        let base = opt_sym(&arg(args, 4));
+        let binding = binding_of(ctx, base);
+        h.setprop2(interp, &arg(args, 0), key, op, &arg(args, 3), base, binding)
+    });
+    register(hooks::UPDATE_PROP, |h, interp, ctx, args| {
+        let key = sym_of_key(&arg(args, 1));
+        let delta = ops::to_number(&arg(args, 2));
+        let prefix = ops::to_number(&arg(args, 3)) != 0.0;
+        let base = opt_sym(&arg(args, 4));
+        let binding = binding_of(ctx, base);
+        h.update_prop(interp, &arg(args, 0), key, delta, prefix, base, binding)
+    });
+    register(hooks::MCALL, |h, interp, ctx, args| {
+        let (key, base) = (sym_of_key(&arg(args, 1)), opt_sym(&arg(args, 2)));
+        let call_args = args.get(3..).unwrap_or(&[]);
+        let caller = ctx.caller_scope.clone();
+        h.mcall(interp, arg(args, 0), key, base, call_args, caller)
+    });
 
     engine
 }
@@ -1297,6 +1420,24 @@ while (steps < 3) {
             .warnings
             .iter()
             .any(|w| w.kind == WarningKind::FlowRead && w.subject == "acc.v"));
+    }
+
+    #[test]
+    fn disjoint_writes_past_the_location_cap_stay_disjoint() {
+        // One loop instance writes 10,000 distinct locations, more than
+        // the 4096 a window keeps; the writes it cannot record must not
+        // count as repeats.
+        let (_interp, eng) = run(
+            "var n = 10000;\n\
+             var out = [];\n\
+             var i;\n\
+             for (i = 0; i < n; i++) out[i] = i;",
+            Mode::Dependence,
+        );
+        let eng = eng.borrow();
+        let stats = eng.subject_stats_for("out[*]").expect("stats for out[*]");
+        assert_eq!(stats.writes, 10_000);
+        assert_eq!(stats.disjointness(), 1.0);
     }
 
     #[test]

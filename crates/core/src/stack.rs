@@ -15,7 +15,6 @@
 
 use ceres_ast::{LoopId, LoopInfo};
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// One open loop: `(loop, instance, iteration)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,14 +25,6 @@ pub struct StackEntry {
     /// Current iteration within this instance (0 before the first
     /// `__ceres_iter`).
     pub iteration: u64,
-}
-
-/// An immutable copy of the stack, cheap to store in side tables.
-pub type Stamp = Rc<[StackEntry]>;
-
-/// An empty stamp: "created when no loops were open".
-pub fn empty_stamp() -> Stamp {
-    Rc::from(Vec::new())
 }
 
 /// `ok` / `dependence`, the two values in a warning triple.

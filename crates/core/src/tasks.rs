@@ -23,7 +23,7 @@
 //! paper's argument for data parallelism.
 
 use crate::engine::Engine;
-use std::collections::HashSet;
+use ceres_interp::FxHashSet;
 
 /// Access-set location: objects and variable bindings share the space via
 /// a tag bit (object ids and binding ids come from separate counters).
@@ -41,8 +41,8 @@ pub struct TaskRecord {
     pub label: String,
     pub start_ticks: u64,
     pub end_ticks: u64,
-    pub reads: HashSet<u64>,
-    pub writes: HashSet<u64>,
+    pub reads: FxHashSet<u64>,
+    pub writes: FxHashSet<u64>,
 }
 
 impl TaskRecord {

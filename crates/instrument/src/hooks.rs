@@ -1,85 +1,15 @@
 //! Names of the host functions the rewriter inserts, and the per-hook
 //! call tally.
 //!
-//! `ceres-core` registers natives under these names; keeping the constants
-//! in one place prevents instrument/engine drift.
+//! The names are defined once, in [`ceres_interp::hooks`], because the
+//! bytecode compiler (which lowers each rewriter call site to a typed hook
+//! instruction) cannot see this crate; they are re-exported here, where
+//! the rewriter and `ceres-core`'s registration loop use them.
 
-/// Lightweight mode: open-loop counter increment (no arguments).
-pub const LW_ENTER: &str = "__ceres_lw_enter";
-/// Lightweight mode: open-loop counter decrement (no arguments).
-pub const LW_EXIT: &str = "__ceres_lw_exit";
-
-/// Loop-profile/dependence: `(loop_id)` — push a (loop, instance, 0) triple.
-pub const LOOP_ENTER: &str = "__ceres_loop_enter";
-/// Loop-profile/dependence: `(loop_id)` — increment the iteration in place.
-pub const ITER: &str = "__ceres_iter";
-/// Loop-profile/dependence: `(loop_id)` — pop the triple, record stats.
-pub const LOOP_EXIT: &str = "__ceres_loop_exit";
-
-/// Dependence: `("a", "b", …)` — stamp the named bindings of the *calling*
-/// activation with the current loop stack. Inserted at the top of every
-/// function body (and of the program) for all hoisted names and parameters.
-pub const DECLVARS: &str = "__ceres_declvars";
-/// Dependence: `("x", "op")` — record a write to variable `x` (type (a)
-/// warning). `op` is the spelling of the write ("=", "+=", "++", "init",
-/// "forin"), used by the difficulty classifier to spot induction/reduction
-/// patterns.
-pub const WRVAR: &str = "__ceres_wrvar";
-/// Dependence: `(value) -> value` — stamp a freshly created object (the
-/// paper's Proxy wrap).
-pub const WRAP: &str = "__ceres_wrap";
-/// Dependence: `(obj, key[, baseVar]) -> obj[key]` — recorded property read
-/// (type (c)). `baseVar` names the variable the object was reached through,
-/// when the base expression is a simple identifier.
-pub const GETPROP: &str = "__ceres_getprop";
-/// Dependence: `(obj, key, value[, baseVar]) -> value` — recorded property
-/// write (type (b)). `baseVar` names the variable the object was reached
-/// through, when the base expression is a simple identifier.
-pub const SETPROP: &str = "__ceres_setprop";
-/// Dependence: `(obj, key, "op", value[, baseVar]) -> result` — compound
-/// property assignment (`o.k op= v`): recorded read + write.
-pub const SETPROP2: &str = "__ceres_setprop2";
-/// Dependence: `(obj, key, delta, isPrefix[, baseVar]) -> old|new` —
-/// `o.k++` and friends: recorded read + write.
-pub const UPDATE_PROP: &str = "__ceres_update_prop";
-/// Dependence: `(obj, key, baseVarOrNull, args…) -> obj[key](args…)` —
-/// method call that records the property read and preserves the receiver.
-/// The base slot is always present because the arguments are variadic.
-pub const MCALL: &str = "__ceres_mcall";
-
-/// All hook names, for tests and for the engine's registration loop.
-pub const ALL_HOOKS: &[&str] = &[
-    LW_ENTER,
-    LW_EXIT,
-    LOOP_ENTER,
-    ITER,
-    LOOP_EXIT,
-    DECLVARS,
-    WRVAR,
-    WRAP,
-    GETPROP,
-    SETPROP,
-    SETPROP2,
-    UPDATE_PROP,
-    MCALL,
-];
-
-/// Number of distinct hooks (`ALL_HOOKS.len()` as a const, so counters can
-/// live in a fixed array with no allocation on the hot path).
-pub const HOOK_COUNT: usize = 13;
-
-/// Position of `name` in [`ALL_HOOKS`], for pre-computing a [`HookTally`]
-/// index once at registration time instead of string-matching per call.
-///
-/// # Panics
-/// Panics on a name that is not a registered hook — that is always an
-/// instrument/engine drift bug, never a runtime condition.
-pub fn hook_index(name: &str) -> usize {
-    ALL_HOOKS
-        .iter()
-        .position(|h| *h == name)
-        .unwrap_or_else(|| panic!("unknown hook `{name}`"))
-}
+pub use ceres_interp::hooks::{
+    hook_index, ALL_HOOKS, DECLVARS, GETPROP, HOOK_COUNT, ITER, LOOP_ENTER, LOOP_EXIT, LW_ENTER,
+    LW_EXIT, MCALL, SETPROP, SETPROP2, UPDATE_PROP, WRAP, WRVAR,
+};
 
 /// Per-hook invocation counts for one run: a fixed array indexed by
 /// [`hook_index`], so bumping a counter inside the hot dependence hooks is

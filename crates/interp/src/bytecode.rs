@@ -14,6 +14,13 @@
 //!   at compile time, plus a per-chunk *slot* index into the frame's inline
 //!   binding cache (see `vm.rs`). String property keys and diagnostic
 //!   strings live in the chunk's constant pool.
+//! * **Typed hook calls.** Each instrumentation call site the rewriter
+//!   emits is one [`Insn::Hook`] whose operands — interned string literals,
+//!   loop ids, and the binding-cache slots of variable operands — sit in
+//!   the chunk's [`HookSite`] table; only computed operands travel on the
+//!   value stack. [`Insn::CallHook`] is left for the other `__ceres_*`
+//!   names (the fork-join gates) and for call shapes the rewriter never
+//!   emits.
 //! * **Tick fidelity.** [`Insn::Tick`] replays the tree-walker's per-node
 //!   `charge(1)` calls — the compiler merges consecutive node-entry charges
 //!   into one instruction, and the VM still charges them one at a time so
@@ -55,10 +62,154 @@ pub struct Chunk {
     pub strs: Vec<Rc<str>>,
     /// Number of distinct variable-cache slots referenced by the code.
     pub num_slots: u32,
+    /// Operands of the typed hook call sites, indexed by [`Insn::Hook`].
+    pub hooks: Vec<HookSite>,
+    /// Variable operands of [`HookSite::DeclVars`] sites, in argument
+    /// order.
+    pub hook_vars: Vec<VarRef>,
     /// Pre-interned `"this"` (used by the frame prologue).
     pub sym_this: Sym,
     /// Pre-interned `"arguments"` (used by the frame prologue).
     pub sym_arguments: Sym,
+}
+
+/// A variable operand of a hook call site: the interned name, and its
+/// binding-cache slot in the chunk (shared with every other access to the
+/// name), so the hook's binding id comes from the slot cache instead of a
+/// scope walk.
+#[derive(Clone, Copy, Debug)]
+pub struct VarRef {
+    /// Interned variable name.
+    pub sym: Sym,
+    /// Binding-cache slot.
+    pub slot: u32,
+}
+
+/// The operands of one typed hook call site ([`Insn::Hook`]), one variant
+/// per hook in [`crate::hooks::ALL_HOOKS`], mirroring the argument lists
+/// the rewriter emits. String literals are interned at compile time; a
+/// `key` of `None` is computed and sits on the value stack. Stack effects
+/// list only the computed operands, in argument order.
+#[derive(Clone, Copy, Debug)]
+pub enum HookSite {
+    /// `-> [r]` `__ceres_lw_enter()`.
+    LwEnter,
+    /// `-> [r]` `__ceres_lw_exit()`.
+    LwExit,
+    /// `-> [r]` `__ceres_loop_enter(id)`.
+    LoopEnter(u32),
+    /// `-> [r]` `__ceres_iter(id)`.
+    Iter(u32),
+    /// `-> [r]` `__ceres_loop_exit(id)`.
+    LoopExit(u32),
+    /// `-> [r]` `__ceres_declvars("a", …)`: the names are
+    /// `hook_vars[start .. start + len]`.
+    DeclVars {
+        /// First name in [`Chunk::hook_vars`].
+        start: u32,
+        /// Number of names.
+        len: u32,
+    },
+    /// `[v]? -> [r]` `__ceres_wrvar("x", "op"[, v])`.
+    WrVar {
+        /// The written variable.
+        name: VarRef,
+        /// Interned write op.
+        op: Sym,
+        /// Is the value passed through the hook (3-argument form)?
+        value: bool,
+    },
+    /// `[v] -> [r]` `__ceres_wrap(v)`.
+    Wrap,
+    /// `[obj][key]? -> [r]` `__ceres_getprop(obj, key[, "base"])`.
+    GetProp {
+        /// Interned literal key, or `None` when computed.
+        key: Option<Sym>,
+        /// Base variable (3-argument form).
+        base: Option<Sym>,
+    },
+    /// `[obj][key]?[v] -> [r]` `__ceres_setprop(obj, key, v[, "base"])`.
+    SetProp {
+        /// Interned literal key, or `None` when computed.
+        key: Option<Sym>,
+        /// Base variable (4-argument form).
+        base: Option<VarRef>,
+    },
+    /// `[obj][key]?[v] -> [r]`
+    /// `__ceres_setprop2(obj, key, "op", v[, "base"])`.
+    SetProp2 {
+        /// Interned literal key, or `None` when computed.
+        key: Option<Sym>,
+        /// Interned binary operator spelling.
+        op: Sym,
+        /// Base variable (5-argument form).
+        base: Option<VarRef>,
+    },
+    /// `[obj][key]? -> [r]`
+    /// `__ceres_update_prop(obj, key, delta, prefix[, "base"])`.
+    UpdateProp {
+        /// Interned literal key, or `None` when computed.
+        key: Option<Sym>,
+        /// The literal delta.
+        delta: f64,
+        /// The literal prefix flag.
+        prefix: f64,
+        /// Base variable (5-argument form).
+        base: Option<VarRef>,
+    },
+    /// `[obj][key]?[a0]…[an-1] -> [r]`
+    /// `__ceres_mcall(obj, key, "base"|null, a0, …)`.
+    MCall {
+        /// Interned literal key, or `None` when computed.
+        key: Option<Sym>,
+        /// Base variable, or `None` for a literal `null`.
+        base: Option<Sym>,
+        /// Number of call arguments.
+        argc: u16,
+    },
+}
+
+impl HookSite {
+    /// The hook's name (an entry of [`crate::hooks::ALL_HOOKS`]).
+    pub fn name(&self) -> &'static str {
+        use crate::hooks::*;
+        match self {
+            HookSite::LwEnter => LW_ENTER,
+            HookSite::LwExit => LW_EXIT,
+            HookSite::LoopEnter(_) => LOOP_ENTER,
+            HookSite::Iter(_) => ITER,
+            HookSite::LoopExit(_) => LOOP_EXIT,
+            HookSite::DeclVars { .. } => DECLVARS,
+            HookSite::WrVar { .. } => WRVAR,
+            HookSite::Wrap => WRAP,
+            HookSite::GetProp { .. } => GETPROP,
+            HookSite::SetProp { .. } => SETPROP,
+            HookSite::SetProp2 { .. } => SETPROP2,
+            HookSite::UpdateProp { .. } => UPDATE_PROP,
+            HookSite::MCall { .. } => MCALL,
+        }
+    }
+
+    /// How many computed operands the call pops off the value stack.
+    pub fn operands(&self) -> usize {
+        match *self {
+            HookSite::LwEnter
+            | HookSite::LwExit
+            | HookSite::LoopEnter(_)
+            | HookSite::Iter(_)
+            | HookSite::LoopExit(_)
+            | HookSite::DeclVars { .. } => 0,
+            HookSite::WrVar { value, .. } => value as usize,
+            HookSite::Wrap => 1,
+            HookSite::GetProp { key, .. } | HookSite::UpdateProp { key, .. } => {
+                1 + key.is_none() as usize
+            }
+            HookSite::SetProp { key, .. } | HookSite::SetProp2 { key, .. } => {
+                2 + key.is_none() as usize
+            }
+            HookSite::MCall { key, argc, .. } => 1 + key.is_none() as usize + argc as usize,
+        }
+    }
 }
 
 /// One bytecode instruction.
@@ -186,17 +337,43 @@ pub enum Insn {
         /// Constant-pool index of the callee source text.
         src: u32,
     },
-    /// `[a0]…[an-1] -> [ret]`: call the registered instrumentation hook
-    /// native `sym` (`__ceres_*`) directly, bypassing the scope-chain
-    /// lookup a `LoadVar` + [`Insn::Call`] pair would do per call site.
-    /// Only emitted when the compiled program never binds or assigns a
-    /// `__ceres_`-prefixed name, so the global native registration is the
-    /// unique binding the name can resolve to.
+    /// `[a0]…[an-1] -> [ret]`: call the registered `__ceres_*` native
+    /// `sym` directly, bypassing the scope-chain lookup a `LoadVar` +
+    /// [`Insn::Call`] pair would do per call site. Serves the names outside
+    /// [`crate::hooks::ALL_HOOKS`] (the fork-join gates) and hook calls
+    /// whose arguments do not have a rewriter shape; the rest are
+    /// [`Insn::Hook`]. Only emitted when the compiled program never binds
+    /// or assigns a `__ceres_`-prefixed name, so the global native
+    /// registration is the unique binding the name can resolve to.
     CallHook {
         /// Interned hook name.
         sym: Sym,
         /// Argument count.
         argc: u16,
+    },
+    /// Charge `ticks` (a run ending with a typed hook call's callee Ident
+    /// charge), then resolve the callee as the tree-walker does before it
+    /// evaluates any argument: throw `ReferenceError` when `sym` is bound
+    /// to neither the installed [`HookSink`](crate::hooks::HookSink), a
+    /// registered native, nor a variable. Precedes every [`Insn::Hook`].
+    HookCallee {
+        /// Node-entry charges, the callee's last.
+        ticks: u32,
+        /// Interned hook name.
+        sym: Sym,
+    },
+    /// `[operands…] -> [r]`: charge `ticks` (the folded literals after the
+    /// last computed operand), then make the typed instrumentation hook
+    /// call `hooks[site]`: the interpreter's
+    /// [`HookSink`](crate::hooks::HookSink) method directly, or, with none
+    /// installed, the hook by name with the same arguments
+    /// [`Insn::CallHook`] would pass. Emitted under the same license as
+    /// `CallHook`.
+    Hook {
+        /// Index into [`Chunk::hooks`].
+        site: u32,
+        /// Trailing node-entry charges.
+        ticks: u32,
     },
     /// `[f][a0]…[an-1] -> [obj]` constructor call.
     New {

@@ -11,8 +11,16 @@
 //! merged into one [`Insn::Tick`] (the VM still charges them one at a
 //! time). Pending ticks are flushed before any real instruction and before
 //! every jump target, so a tick never migrates across a control-flow edge.
+//!
+//! Calls of the instrumentation hooks ([`crate::hooks::ALL_HOOKS`]) with
+//! the argument shapes the rewriter emits lower to [`Insn::Hook`]: their
+//! string, number and `null` literals are folded into the call site's
+//! [`HookSite`] (keeping only each literal's node-entry charge), and their
+//! variable operands get binding-cache slots. Any other `__ceres_*` call
+//! lowers to [`Insn::CallHook`].
 
-use crate::bytecode::{Chunk, Insn, Module};
+use crate::bytecode::{Chunk, HookSite, Insn, Module, VarRef};
+use crate::hooks;
 use crate::intern::{intern, FxHashMap, Sym};
 use ceres_ast::ast::*;
 use ceres_ast::visit::{walk_expr, walk_func, walk_stmt, Visit};
@@ -33,9 +41,9 @@ pub fn compile_program(program: &Program) -> Module {
 
 struct Compiler {
     chunks: Vec<Chunk>,
-    /// Lower `__ceres_*(…)` calls to [`Insn::CallHook`]. True unless the
-    /// program itself binds a name in the reserved hook namespace (then
-    /// scope-chain resolution must stay fully general).
+    /// Lower `__ceres_*(…)` calls to [`Insn::Hook`] or [`Insn::CallHook`].
+    /// True unless the program itself binds a name in the reserved hook
+    /// namespace (then scope-chain resolution must stay fully general).
     hook_spec: bool,
 }
 
@@ -47,7 +55,7 @@ fn is_hook_name(name: &str) -> bool {
 /// Finds whether a program binds (declares, shadows, or assigns) a
 /// `__ceres_*` name anywhere. Instrumented programs never do — the
 /// rewriter owns that prefix — so a clean scan is what licenses the
-/// [`Insn::CallHook`] fast path.
+/// [`Insn::Hook`] and [`Insn::CallHook`] fast paths.
 #[derive(Default)]
 struct HookBinding(bool);
 
@@ -100,6 +108,8 @@ struct Ctx {
     strs: Vec<Rc<str>>,
     str_map: FxHashMap<Rc<str>, u32>,
     slots: FxHashMap<Sym, u32>,
+    hooks: Vec<HookSite>,
+    hook_vars: Vec<VarRef>,
     /// Node-entry charges not yet emitted.
     pending_ticks: u32,
 }
@@ -111,6 +121,8 @@ impl Ctx {
             strs: Vec::new(),
             str_map: FxHashMap::default(),
             slots: FxHashMap::default(),
+            hooks: Vec::new(),
+            hook_vars: Vec::new(),
             pending_ticks: 0,
         }
     }
@@ -193,6 +205,122 @@ impl Ctx {
         let next = self.slots.len() as u32;
         *self.slots.entry(sym).or_insert(next)
     }
+
+    /// A variable operand of a hook call site.
+    fn var(&mut self, sym: Sym) -> VarRef {
+        VarRef {
+            sym,
+            slot: self.slot(sym),
+        }
+    }
+}
+
+/// The interned text of a string literal.
+fn str_lit(e: &Expr) -> Option<Sym> {
+    match &e.kind {
+        ExprKind::Str(s) => Some(intern(s)),
+        _ => None,
+    }
+}
+
+/// The value of a number literal.
+fn num_lit(e: &Expr) -> Option<f64> {
+    match e.kind {
+        ExprKind::Num(n) => Some(n),
+        _ => None,
+    }
+}
+
+/// The typed form of a call of hook `name` with `args`, when the arguments
+/// have the shape the rewriter emits: the call site, and per argument
+/// whether it is a literal folded into the site. `None` for any other
+/// shape (the call then stays an [`Insn::CallHook`]).
+fn hook_site(ctx: &mut Ctx, name: &str, args: &[Expr]) -> Option<(HookSite, Vec<bool>)> {
+    // Loop ids fold only when `id as f64` gives back the literal, so the
+    // by-name fallback passes the native the same number.
+    let loop_id = |e: &Expr| {
+        num_lit(e)
+            .filter(|n| *n == (*n as u32) as f64)
+            .map(|n| n as u32)
+    };
+    // The optional trailing base-variable argument must be a string.
+    let base = |tail: &[Expr]| match tail {
+        [] => Some(None),
+        [b] => str_lit(b).map(Some),
+        _ => None,
+    };
+    // Positions of the literals the site holds, besides a property hook's
+    // key (position 1), which folds whenever it is a string literal.
+    let (site, literals): (HookSite, &[usize]) = match (name, args) {
+        (hooks::LW_ENTER, []) => (HookSite::LwEnter, &[]),
+        (hooks::LW_EXIT, []) => (HookSite::LwExit, &[]),
+        (hooks::LOOP_ENTER, [id]) => (HookSite::LoopEnter(loop_id(id)?), &[0]),
+        (hooks::ITER, [id]) => (HookSite::Iter(loop_id(id)?), &[0]),
+        (hooks::LOOP_EXIT, [id]) => (HookSite::LoopExit(loop_id(id)?), &[0]),
+        (hooks::DECLVARS, names) => {
+            let syms = names.iter().map(str_lit).collect::<Option<Vec<_>>>()?;
+            let start = ctx.hook_vars.len() as u32;
+            for sym in syms {
+                let v = ctx.var(sym);
+                ctx.hook_vars.push(v);
+            }
+            let len = names.len() as u32;
+            let site = HookSite::DeclVars { start, len };
+            return Some((site, vec![true; names.len()]));
+        }
+        (hooks::WRVAR, [x, op, value @ ..]) if value.len() <= 1 => {
+            let (x, op) = (str_lit(x)?, str_lit(op)?);
+            let name = ctx.var(x);
+            let value = value.len() == 1;
+            (HookSite::WrVar { name, op, value }, &[0, 1])
+        }
+        (hooks::WRAP, [_]) => (HookSite::Wrap, &[]),
+        (hooks::GETPROP, [_, k, tail @ ..]) => {
+            let (key, base) = (str_lit(k), base(tail)?);
+            (HookSite::GetProp { key, base }, &[2])
+        }
+        (hooks::SETPROP, [_, k, _, tail @ ..]) => {
+            let (key, base) = (str_lit(k), base(tail)?.map(|b| ctx.var(b)));
+            (HookSite::SetProp { key, base }, &[3])
+        }
+        (hooks::SETPROP2, [_, k, op, _, tail @ ..]) => {
+            let (key, op) = (str_lit(k), str_lit(op)?);
+            let base = base(tail)?.map(|b| ctx.var(b));
+            (HookSite::SetProp2 { key, op, base }, &[2, 4])
+        }
+        (hooks::UPDATE_PROP, [_, k, delta, prefix, tail @ ..]) => {
+            let (key, delta, prefix) = (str_lit(k), num_lit(delta)?, num_lit(prefix)?);
+            let base = base(tail)?.map(|b| ctx.var(b));
+            let site = HookSite::UpdateProp {
+                key,
+                delta,
+                prefix,
+                base,
+            };
+            (site, &[2, 3, 4])
+        }
+        (hooks::MCALL, [_, k, b, call_args @ ..]) => {
+            let base = match b.kind {
+                ExprKind::Null => None,
+                _ => Some(str_lit(b)?),
+            };
+            let (key, argc) = (str_lit(k), call_args.len() as u16);
+            (HookSite::MCall { key, base, argc }, &[2])
+        }
+        _ => return None,
+    };
+    let key_folded = match site {
+        HookSite::GetProp { key, .. }
+        | HookSite::SetProp { key, .. }
+        | HookSite::SetProp2 { key, .. }
+        | HookSite::UpdateProp { key, .. }
+        | HookSite::MCall { key, .. } => key.is_some(),
+        _ => false,
+    };
+    let folded = (0..args.len())
+        .map(|i| literals.contains(&i) || (i == 1 && key_folded))
+        .collect();
+    Some((site, folded))
 }
 
 impl Compiler {
@@ -217,6 +345,8 @@ impl Compiler {
             code: Vec::new(),
             strs: Vec::new(),
             num_slots: 0,
+            hooks: Vec::new(),
+            hook_vars: Vec::new(),
             sym_this: Sym::NONE,
             sym_arguments: Sym::NONE,
         });
@@ -251,6 +381,8 @@ impl Compiler {
         chunk.code = ctx.code;
         chunk.strs = ctx.strs;
         chunk.num_slots = ctx.slots.len() as u32;
+        chunk.hooks = ctx.hooks;
+        chunk.hook_vars = ctx.hook_vars;
         chunk.sym_this = intern("this");
         chunk.sym_arguments = intern("arguments");
         idx
@@ -726,21 +858,41 @@ impl Compiler {
                 ctx.patch(jend, l_end);
             }
             ExprKind::Call { callee, args } => {
-                // Instrumentation callouts bind directly to the registered
-                // native. Tick parity with the generic lowering: the callee
-                // Ident's node-entry charge is kept; `LoadVar`/`PushUndef`
-                // carry no charges of their own.
+                // Instrumentation callouts bind directly to the hook. Tick
+                // parity with the generic lowering: the callee Ident's
+                // node-entry charge is kept (`LoadVar`/`PushUndef` carry
+                // no charges of their own), and so is each folded literal's.
                 if self.hook_spec {
                     if let ExprKind::Ident(name) = &callee.kind {
                         if is_hook_name(name) {
+                            let sym = intern(name);
                             ctx.tick(); // callee Ident node entry charge
-                            for a in args {
-                                self.expr(ctx, a);
+                            match hook_site(ctx, name, args) {
+                                Some((hook, folded)) => {
+                                    let ticks = std::mem::take(&mut ctx.pending_ticks);
+                                    ctx.code.push(Insn::HookCallee { ticks, sym });
+                                    for (a, folded) in args.iter().zip(folded) {
+                                        if folded {
+                                            ctx.tick(); // the literal's node entry charge
+                                        } else {
+                                            self.expr(ctx, a);
+                                        }
+                                    }
+                                    let ticks = std::mem::take(&mut ctx.pending_ticks);
+                                    let site = ctx.hooks.len() as u32;
+                                    ctx.hooks.push(hook);
+                                    ctx.code.push(Insn::Hook { site, ticks });
+                                }
+                                None => {
+                                    for a in args {
+                                        self.expr(ctx, a);
+                                    }
+                                    ctx.emit(Insn::CallHook {
+                                        sym,
+                                        argc: args.len() as u16,
+                                    });
+                                }
                             }
-                            ctx.emit(Insn::CallHook {
-                                sym: intern(name),
-                                argc: args.len() as u16,
-                            });
                             return;
                         }
                     }
@@ -809,13 +961,15 @@ impl Compiler {
 mod tests {
     use super::*;
 
-    /// Does the compiled module use the [`Insn::CallHook`] fast path?
+    /// Does the compiled module use a hook fast path ([`Insn::Hook`] or
+    /// [`Insn::CallHook`])?
     fn uses_call_hook(src: &str) -> bool {
         let program = ceres_parser::parse_program(src).unwrap();
-        compile_program(&program)
-            .chunks
-            .iter()
-            .any(|c| c.code.iter().any(|i| matches!(i, Insn::CallHook { .. })))
+        compile_program(&program).chunks.iter().any(|c| {
+            c.code
+                .iter()
+                .any(|i| matches!(i, Insn::Hook { .. } | Insn::CallHook { .. }))
+        })
     }
 
     #[test]

@@ -226,40 +226,19 @@ pub fn intern(s: &str) -> Sym {
 /// bump), so interning an interpreter `Value::Str` never copies bytes.
 #[inline]
 pub fn intern_rc(s: &Rc<str>) -> Sym {
-    // Pointer memo for shared allocations. The VM passes string constants
-    // straight out of a module's constant pool, so the same `Rc` arrives
-    // at every execution of a hot call site; one pointer compare then
-    // replaces the canonical-integer probe + hash of the slow path. The
-    // memoized clone keeps the allocation alive, so a hit can never alias
-    // a recycled address. Uniquely-owned strings (the tree-walker builds a
-    // fresh `Rc` per literal evaluation) skip the memo to avoid thrash.
-    if Rc::strong_count(s) >= 2 {
-        let ptr = Rc::as_ptr(s) as *const u8 as usize;
-        let idx = (ptr >> 4) & (RC_MEMO_SLOTS - 1);
-        return RC_MEMO.with(|m| {
-            let mut m = m.borrow_mut();
-            if let Some((p, _keep, sym)) = &m[idx] {
-                if *p == ptr {
-                    return *sym;
-                }
-            }
-            let sym = with_interner(|t| t.intern_rc(s));
-            m[idx] = Some((ptr, s.clone(), sym));
-            sym
-        });
-    }
     with_interner(|t| t.intern_rc(s))
 }
 
-const RC_MEMO_SLOTS: usize = 64;
-
-/// One [`RC_MEMO`] slot: `(allocation address, keep-alive clone, symbol)`.
-type RcMemoSlot = Option<(usize, Rc<str>, Sym)>;
-
-thread_local! {
-    /// Direct-mapped `Rc` pointer → `Sym` memo for [`intern_rc`].
-    static RC_MEMO: std::cell::RefCell<[RcMemoSlot; RC_MEMO_SLOTS]> =
-        const { std::cell::RefCell::new([const { None }; RC_MEMO_SLOTS]) };
+/// The property key `v` names, as a `Sym`: its `ToString`, with numbers on
+/// the inline fast path (no allocation for array indices).
+#[inline]
+pub fn sym_of_key(v: &crate::value::Value) -> Sym {
+    use crate::value::Value;
+    match v {
+        Value::Num(n) => Sym::from_f64(*n).unwrap_or_else(|| intern(&crate::ops::to_string(v))),
+        Value::Str(s) => intern(s),
+        other => intern(&crate::ops::to_string(other)),
+    }
 }
 
 /// Resolve a `Sym` back to its text. Table symbols return a clone of the

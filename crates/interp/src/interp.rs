@@ -176,6 +176,10 @@ pub struct Interp {
     pub events_processed: u64,
     /// Analysis observer (set by `ceres-core`, used by `ceres-dom`).
     pub monitor: Option<Rc<dyn Monitor>>,
+    /// Typed entry points of the instrumentation hooks (set by
+    /// `ceres-core` beside the by-name natives). Without one, the VM's
+    /// typed hook instructions call the hooks by name.
+    pub hook_sink: Option<Rc<dyn crate::hooks::HookSink>>,
     /// Which evaluator [`Interp::eval_program`] uses.
     pub backend: Backend,
     /// Wall time spent lowering ASTs to bytecode, in microseconds
@@ -222,6 +226,7 @@ impl Interp {
             max_ticks: None,
             events_processed: 0,
             monitor: None,
+            hook_sink: None,
             backend: default_backend(),
             compile_us: 0,
             queue: BinaryHeap::new(),

@@ -25,6 +25,8 @@
 //! * [`mod@intern`] — the `Sym` symbol table and fast hashing that keep the
 //!   dependence-analysis hot path allocation-free (see
 //!   `docs/PERFORMANCE.md`).
+//! * [`hooks`] — the instrumentation hook names and the typed
+//!   [`HookSink`] entry points the bytecode VM calls.
 
 #![deny(missing_docs)]
 
@@ -33,6 +35,7 @@ pub mod bytecode;
 pub mod clock;
 pub mod compile;
 pub mod env;
+pub mod hooks;
 pub mod intern;
 pub mod interp;
 pub mod ops;
@@ -41,7 +44,8 @@ pub mod vm;
 
 pub use clock::{Clock, SAMPLE_INTERVAL, TICKS_PER_MS};
 pub use env::{Binding, BindingRef, Scope, ScopeRef};
-pub use intern::{intern, resolve, FxHashMap, FxHashSet, Sym};
+pub use hooks::HookSink;
+pub use intern::{intern, resolve, sym_of_key, FxHashMap, FxHashSet, Sym};
 pub use interp::{
     set_default_backend, Backend, Control, Interp, JsResult, Monitor, MAX_CALL_DEPTH,
     WATCHDOG_PREFIX,

@@ -35,10 +35,11 @@
 //! is live (`scopes.len() > 1`). Negative results are never cached, so an
 //! implicit-global creation by a callee is still seen.
 
-use crate::bytecode::{Insn, Module};
+use crate::bytecode::{Chunk, HookSite, Insn, Module, VarRef};
 use crate::compile::compile_program;
 use crate::env::{BindingRef, Scope, ScopeRef};
-use crate::intern::{resolve, Sym};
+use crate::hooks::HookSink;
+use crate::intern::{intern, resolve, sym_of_key, Sym};
 use crate::interp::{Control, Interp, JsResult};
 use crate::ops;
 use crate::value::{
@@ -46,22 +47,6 @@ use crate::value::{
 };
 use ceres_ast::ast::{Program, UnaryOp};
 use std::rc::Rc;
-
-/// The property key for a computed `obj[idx]` access that missed the
-/// untagged-array fast path, as a `Sym`. `ToString` of a numeric index
-/// rides the inline encoding ([`Sym::from_f64`] mirrors
-/// `number_to_string` for every value it accepts); everything else
-/// interns the coerced text exactly as the string-keyed path would.
-#[inline]
-fn index_sym(idx: &Value) -> Sym {
-    match idx {
-        Value::Num(n) => {
-            Sym::from_f64(*n).unwrap_or_else(|| crate::intern::intern(&ops::to_string(idx)))
-        }
-        Value::Str(s) => crate::intern::intern(s),
-        _ => crate::intern::intern(&ops::to_string(idx)),
-    }
-}
 
 /// An abrupt completion travelling through the in-frame unwinder. Mirrors
 /// [`Control`] one-to-one; the two convert losslessly at frame boundaries.
@@ -227,6 +212,7 @@ impl Interp {
         let chunk = &module.chunks[chunk_idx as usize];
         let code = &chunk.code[..];
         let strs = &chunk.strs[..];
+        let sink = self.hook_sink.clone();
         let mut pc: usize = 0;
         let mut stack: Vec<Value> = Vec::with_capacity(16);
         let mut scopes: Vec<ScopeRef> = vec![scope];
@@ -415,7 +401,7 @@ impl Interp {
                                 continue 'dispatch;
                             }
                         }
-                        let v = vm_try!(self.get_property_sym(&obj, index_sym(&idx)));
+                        let v = vm_try!(self.get_property_sym(&obj, sym_of_key(&idx)));
                         stack.push(v);
                     }
                     Insn::SetIndex => {
@@ -429,7 +415,7 @@ impl Interp {
                                 continue 'dispatch;
                             }
                         }
-                        vm_try!(self.set_property_sym(&obj, index_sym(&idx), v.clone()));
+                        vm_try!(self.set_property_sym(&obj, sym_of_key(&idx), v.clone()));
                         stack.push(v);
                     }
                     Insn::GetMethod(k) => {
@@ -447,7 +433,7 @@ impl Interp {
                                 _ => Value::Undefined,
                             }
                         } else {
-                            vm_try!(self.get_property_sym(&obj, index_sym(&idx)))
+                            vm_try!(self.get_property_sym(&obj, sym_of_key(&idx)))
                         };
                         stack.push(f);
                         stack.push(obj);
@@ -463,7 +449,7 @@ impl Interp {
                     Insn::DeleteIndex => {
                         let idx = pop!();
                         let obj = pop!();
-                        let key = index_sym(&idx);
+                        let key = sym_of_key(&idx);
                         let r = match obj {
                             Value::Object(o) => {
                                 if let Some(i) = crate::interp::sym_usize(key) {
@@ -510,46 +496,54 @@ impl Interp {
                     }
                     Insn::CallHook { sym, argc } => {
                         let base = stack.len() - argc as usize;
-                        let r = match self.hook_natives.get(&sym).cloned() {
-                            Some(nf) => {
-                                // Same observable sequence as the generic
-                                // native path in `call_value`: a boundary
-                                // event either side of the body.
+                        let scope = scopes.last().expect("scope chain");
+                        let r = self.call_hook_by_name(sym, &stack[base..], scope);
+                        stack.truncate(base);
+                        match r {
+                            Ok(v) => stack.push(v),
+                            Err(c) => break 'act action_of(c),
+                        }
+                    }
+                    Insn::HookCallee { ticks, sym } => {
+                        vm_try!(self.charge_n(ticks as u64));
+                        let bound = sink.is_some()
+                            || self.hook_natives.contains_key(&sym)
+                            || scopes
+                                .last()
+                                .expect("scope chain")
+                                .lookup_sym(sym)
+                                .is_some();
+                        if !bound {
+                            break 'act throw_action(
+                                "ReferenceError",
+                                format!("{} is not defined", resolve(sym)),
+                            );
+                        }
+                    }
+                    Insn::Hook { site, ticks } => {
+                        if ticks > 0 {
+                            vm_try!(self.charge_n(ticks as u64));
+                        }
+                        let site = chunk.hooks[site as usize];
+                        let r = match &sink {
+                            Some(sink) => {
+                                // The same boundary events the by-name
+                                // call charges around a native.
                                 self.clock.fn_boundary();
-                                let ctx = CallCtx {
-                                    this: Value::Undefined,
-                                    caller_scope: Some(scopes.last().expect("scope chain").clone()),
-                                };
-                                let r = nf(self, &ctx, &stack[base..]);
+                                let r = self.call_typed_hook(
+                                    &**sink, chunk, site, &mut stack, &scopes, &mut slots,
+                                );
                                 self.clock.fn_boundary();
                                 r
                             }
-                            // Not registered (instrumented code run without
-                            // an engine): behave exactly like the LoadVar +
-                            // Call pair this instruction replaces.
-                            None => match scopes.last().expect("scope chain").lookup_sym(sym) {
-                                None => self.throw(
-                                    "ReferenceError",
-                                    format!("{} is not defined", resolve(sym)),
-                                ),
-                                Some(b) => {
-                                    let f = b.borrow().value.clone();
-                                    let caller = scopes.last().expect("scope chain").clone();
-                                    match self.call_value(
-                                        &f,
-                                        Value::Undefined,
-                                        &stack[base..],
-                                        Some(caller),
-                                    ) {
-                                        Ok(v) => Ok(v),
-                                        Err(c) => Err(self.rewrite_not_a_function(c, || {
-                                            resolve(sym).to_string()
-                                        })),
-                                    }
-                                }
-                            },
+                            None => {
+                                let base = stack.len() - site.operands();
+                                let args = by_name_args(chunk, site, &stack[base..]);
+                                stack.truncate(base);
+                                let scope = scopes.last().expect("scope chain");
+                                self.call_hook_by_name(intern(site.name()), &args, scope)
+                            }
                         };
-                        stack.truncate(base);
                         match r {
                             Ok(v) => stack.push(v),
                             Err(c) => break 'act action_of(c),
@@ -758,4 +752,174 @@ impl Interp {
             }
         }
     }
+
+    /// Call hook `sym` by name with `args`, as a `LoadVar` + [`Insn::Call`]
+    /// pair from `scope` would: the registered native directly when there
+    /// is one, else whatever the name resolves to, else a
+    /// `ReferenceError`.
+    #[inline]
+    fn call_hook_by_name(&mut self, sym: Sym, args: &[Value], scope: &ScopeRef) -> JsResult {
+        match self.hook_natives.get(&sym).cloned() {
+            Some(nf) => {
+                // Same observable sequence as the generic native path in
+                // `call_value`: a boundary event either side of the body.
+                self.clock.fn_boundary();
+                let ctx = CallCtx {
+                    this: Value::Undefined,
+                    caller_scope: Some(scope.clone()),
+                };
+                let r = nf(self, &ctx, args);
+                self.clock.fn_boundary();
+                r
+            }
+            None => match scope.lookup_sym(sym) {
+                None => self.throw("ReferenceError", format!("{} is not defined", resolve(sym))),
+                Some(b) => {
+                    let f = b.borrow().value.clone();
+                    self.call_value(&f, Value::Undefined, args, Some(scope.clone()))
+                        .map_err(|c| self.rewrite_not_a_function(c, || resolve(sym).to_string()))
+                }
+            },
+        }
+    }
+
+    /// Call the typed entry point of hook call site `site`, popping its
+    /// computed operands. Binding ids come from the frame's slot cache,
+    /// which resolves the binding a walk from the innermost scope finds.
+    fn call_typed_hook(
+        &mut self,
+        sink: &dyn HookSink,
+        chunk: &Chunk,
+        site: HookSite,
+        stack: &mut Vec<Value>,
+        scopes: &[ScopeRef],
+        slots: &mut [Option<BindingRef>],
+    ) -> JsResult {
+        let mut binding =
+            |v: VarRef| lookup_cached(scopes, slots, v.slot, v.sym).map(|b| b.borrow().id);
+        let mut base_var = |base: Option<VarRef>| match base {
+            Some(v) => (v.sym, binding(v).unwrap_or(0)),
+            None => (Sym::NONE, 0),
+        };
+        let mut pop = || stack.pop().expect("value stack underflow");
+        match site {
+            HookSite::LwEnter => sink.lw_enter(self),
+            HookSite::LwExit => sink.lw_exit(self),
+            HookSite::LoopEnter(id) => sink.loop_enter(self, id),
+            HookSite::Iter(id) => sink.iter(self, id),
+            HookSite::LoopExit(id) => sink.loop_exit(self, id),
+            HookSite::DeclVars { start, len } => {
+                let vars = &chunk.hook_vars[start as usize..(start + len) as usize];
+                let mut ids = vars.iter().filter_map(|v| binding(*v));
+                sink.declvars(self, vars.len(), &mut ids)
+            }
+            HookSite::WrVar { name, op, value } => {
+                let value = value.then(&mut pop);
+                let id = binding(name).unwrap_or(0);
+                sink.wrvar(self, name.sym, id, op, value)
+            }
+            HookSite::Wrap => {
+                let v = pop();
+                sink.wrap(self, v)
+            }
+            HookSite::GetProp { key, base } => {
+                let key = key.unwrap_or_else(|| sym_of_key(&pop()));
+                let obj = pop();
+                sink.getprop(self, &obj, key, base.unwrap_or(Sym::NONE))
+            }
+            HookSite::SetProp { key, base } => {
+                let value = pop();
+                let key = key.unwrap_or_else(|| sym_of_key(&pop()));
+                let obj = pop();
+                let (base, id) = base_var(base);
+                sink.setprop(self, &obj, key, value, base, id)
+            }
+            HookSite::SetProp2 { key, op, base } => {
+                let value = pop();
+                let key = key.unwrap_or_else(|| sym_of_key(&pop()));
+                let obj = pop();
+                let (base, id) = base_var(base);
+                sink.setprop2(self, &obj, key, op, &value, base, id)
+            }
+            HookSite::UpdateProp {
+                key,
+                delta,
+                prefix,
+                base,
+            } => {
+                let key = key.unwrap_or_else(|| sym_of_key(&pop()));
+                let obj = pop();
+                let (base, id) = base_var(base);
+                sink.update_prop(self, &obj, key, delta, prefix != 0.0, base, id)
+            }
+            HookSite::MCall { key, base, argc } => {
+                let args_at = stack.len() - argc as usize;
+                let obj_at = args_at - 1 - key.is_none() as usize;
+                let key = key.unwrap_or_else(|| sym_of_key(&stack[args_at - 1]));
+                let obj = stack[obj_at].clone();
+                let caller = scopes.last().cloned();
+                let base = base.unwrap_or(Sym::NONE);
+                let r = sink.mcall(self, obj, key, base, &stack[args_at..], caller);
+                stack.truncate(obj_at);
+                r
+            }
+        }
+    }
+}
+
+/// The argument list of hook call site `site` as the by-name call passes
+/// it: each folded literal rebuilt as the value its evaluation pushes,
+/// with the computed `operands` in their argument positions.
+#[inline(never)]
+fn by_name_args(chunk: &Chunk, site: HookSite, operands: &[Value]) -> Vec<Value> {
+    let str_of = |sym: Sym| Value::Str(resolve(sym));
+    let base_of = |base: Option<VarRef>| base.map(|b| str_of(b.sym));
+    let mut ops = operands.iter().cloned();
+    let mut next = || ops.next().expect("hook operand");
+    let mut args = Vec::with_capacity(operands.len() + 3);
+    match site {
+        HookSite::LwEnter | HookSite::LwExit => {}
+        HookSite::LoopEnter(id) | HookSite::Iter(id) | HookSite::LoopExit(id) => {
+            args.push(Value::Num(id as f64))
+        }
+        HookSite::DeclVars { start, len } => args.extend(
+            chunk.hook_vars[start as usize..(start + len) as usize]
+                .iter()
+                .map(|v| str_of(v.sym)),
+        ),
+        HookSite::WrVar { name, op, value } => {
+            args.extend([str_of(name.sym), str_of(op)]);
+            args.extend(value.then(next));
+        }
+        HookSite::Wrap => args.push(next()),
+        HookSite::GetProp { key, base } => {
+            args.extend([next(), key.map_or_else(&mut next, str_of)]);
+            args.extend(base.map(str_of));
+        }
+        HookSite::SetProp { key, base } => {
+            args.extend([next(), key.map_or_else(&mut next, str_of), next()]);
+            args.extend(base_of(base));
+        }
+        HookSite::SetProp2 { key, op, base } => {
+            args.extend([next(), key.map_or_else(&mut next, str_of)]);
+            args.extend([str_of(op), next()]);
+            args.extend(base_of(base));
+        }
+        HookSite::UpdateProp {
+            key,
+            delta,
+            prefix,
+            base,
+        } => {
+            args.extend([next(), key.map_or_else(&mut next, str_of)]);
+            args.extend([Value::Num(delta), Value::Num(prefix)]);
+            args.extend(base_of(base));
+        }
+        HookSite::MCall { key, base, argc } => {
+            args.extend([next(), key.map_or_else(&mut next, str_of)]);
+            args.push(base.map_or(Value::Null, str_of));
+            args.extend((0..argc).map(|_| next()));
+        }
+    }
+    args
 }

@@ -15,12 +15,14 @@
 #       machine has enough real cores to spread across.
 #
 #   bench_check.sh vm-equivalence
-#       Backend-equivalence gate: run the sequential fleet twice — once on
-#       the tree-walking interpreter (CERES_INTERP_BACKEND=tree) and once
-#       on the default bytecode VM — and fail unless the analysis reports
-#       are byte-for-byte identical after dropping the two fields that are
-#       allowed to differ: wall-clock timings (nondeterministic) and the
-#       VM-only `interp.compile` phase span.
+#       Backend-equivalence gate: in each instrumentation mode (light, loop,
+#       dep), run the sequential fleet twice — once on the tree-walking
+#       interpreter (CERES_INTERP_BACKEND=tree) and once on the default
+#       bytecode VM — and fail unless the analysis reports are byte-for-byte
+#       identical after dropping the two fields that are allowed to differ:
+#       wall-clock timings (nondeterministic) and the VM-only
+#       `interp.compile` phase span. Each mode's hooks take their own typed
+#       VM path, so each mode is its own gate.
 #
 #   bench_check.sh stats-schema
 #       Serving stats-schema gate: start jsceresd, fetch `{"op":"stats"}`,
@@ -121,13 +123,15 @@ vm-equivalence)
     trap 'rm -rf "$OUT_DIR"' EXIT
 
     cargo build --release --bin repro
-    echo "== fleet on the bytecode VM (default backend) =="
-    target/release/repro fleet --sequential --json "$OUT_DIR/vm.json" > /dev/null
-    echo "== fleet on the tree-walker (CERES_INTERP_BACKEND=tree) =="
-    CERES_INTERP_BACKEND=tree \
-        target/release/repro fleet --sequential --json "$OUT_DIR/tree.json" > /dev/null
+    for mode in light loop dep; do
+        echo "== $mode: fleet on the bytecode VM (default backend) =="
+        target/release/repro fleet --sequential --mode "$mode" \
+            --json "$OUT_DIR/vm-$mode.json" > /dev/null
+        echo "== $mode: fleet on the tree-walker (CERES_INTERP_BACKEND=tree) =="
+        CERES_INTERP_BACKEND=tree target/release/repro fleet --sequential --mode "$mode" \
+            --json "$OUT_DIR/tree-$mode.json" > /dev/null
 
-    python3 - "$OUT_DIR/vm.json" "$OUT_DIR/tree.json" <<'EOF'
+        python3 - "$mode" "$OUT_DIR/vm-$mode.json" "$OUT_DIR/tree-$mode.json" <<'EOF'
 import json, sys
 
 def normalize(o):
@@ -140,7 +144,8 @@ def normalize(o):
                 if not (isinstance(x, dict) and x.get("phase") == "interp.compile")]
     return o
 
-vm, tree = (normalize(json.load(open(p))) for p in sys.argv[1:3])
+mode = sys.argv[1]
+vm, tree = (normalize(json.load(open(p))) for p in sys.argv[2:4])
 a = json.dumps(vm, indent=1, sort_keys=True)
 b = json.dumps(tree, indent=1, sort_keys=True)
 if a != b:
@@ -148,11 +153,12 @@ if a != b:
     diff = list(difflib.unified_diff(
         b.splitlines(), a.splitlines(), "tree", "vm", lineterm=""))
     print("\n".join(diff[:80]), file=sys.stderr)
-    sys.exit("FAIL: VM and tree-walker fleet reports diverge "
+    sys.exit(f"FAIL ({mode}): VM and tree-walker fleet reports diverge "
              f"({len(diff)} diff lines, first 80 above)")
-print(f"OK: VM and tree-walker reports identical ({len(a.splitlines())} "
+print(f"OK ({mode}): VM and tree-walker reports identical ({len(a.splitlines())} "
       "normalized lines; only wall timings and the interp.compile span differ)")
 EOF
+    done
     ;;
 
 parallel-equivalence)

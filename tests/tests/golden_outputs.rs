@@ -4,9 +4,15 @@
 //! tests pin the Fig. 6 report text and the deterministic `--metrics`
 //! JSON byte-for-byte, so any refactor of the interpreter, hooks, or
 //! engine that shifts a warning, a count, or a tick shows up as a diff
-//! here rather than as silent drift. Regenerate with
-//! `scripts/regen_goldens.sh` only when an intentional analysis change
-//! lands (and say so in the commit).
+//! here rather than as silent drift. Regenerate only when an intentional
+//! analysis change lands (and say so in the commit), from the release CLI
+//! that writes the same bytes:
+//!
+//! ```text
+//! target/release/repro fig6 > tests/golden/fig6_nbody.txt
+//! target/release/repro fleet --sequential --deterministic --mode dep \
+//!     --metrics tests/golden/fleet_metrics.json
+//! ```
 
 use ceres_core::fleet::FleetPolicy;
 use ceres_core::{render, FleetMetrics, Mode, WarningKind};

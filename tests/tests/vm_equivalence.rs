@@ -137,37 +137,259 @@ fn watchdog_unwinds_through_finally_identically() {
     assert_eq!(results[0], results[1]);
 }
 
+/// A program that reaches every operand shape the typed hook lowering
+/// handles: literal and computed keys, a 2-argument getprop whose base is
+/// not a variable, an mcall with a `null` base, `o.k op= v`, `o.k++` and
+/// `--o.k`, a mutating and a non-mutating method call, declvars in a
+/// nested function and in a `catch` block whose parameter shadows a
+/// global and is itself written, 2- and 3-argument wrvar,
+/// `this.x = …` in a constructor, a write to an implicit global, and a
+/// closure writing a captured variable; timers make tasks with read and
+/// write sets. A binding slot resolved in the wrong scope shows up as a
+/// different warning or task set.
+const HOOK_SHAPES: &str = "var SIZE = 6;\n\
+    function Particle(x) { this.x = x; this.v = 0; }\n\
+    function make(n) { return { go: function () { return n; }, inner: { k: n } }; }\n\
+    function counter() { var c = 0; return function (d) { c = c + d; return c; }; }\n\
+    var bump = counter();\n\
+    var grid = [], keys = ['a', 'b', 'c'], out = [], total = 0, mixed;\n\
+    var o = { a: 1, b: 2, c: 3, n: 0 }, e = 'outer';\n\
+    for (var i = 0; i < SIZE; i++) {\n\
+      var p = new Particle(i);\n\
+      grid[i] = p;\n\
+      p.v += i * 2;\n\
+      o[keys[i % 3]] += 1;\n\
+      o.n++;\n\
+      --o.n;\n\
+      o[keys[0]]++;\n\
+      total = total + grid[i].x;\n\
+      out.push(bump(i));\n\
+      mixed = i % 2 === 0 ? i : 's' + i;\n\
+      make(i).go();\n\
+      keys.indexOf('b');\n\
+      make(i).inner.k = o[keys[1]];\n\
+      implicitGlobal = i;\n\
+      try { if (i % 2) { throw { code: i }; } } catch (e) { var caught = e.code; e.code = i; e = i; }\n\
+      e = 'after' + i;\n\
+      (function nested(a) { var b = a * 2; function deeper() { var z = b; return z; } return deeper(); })(i);\n\
+    }\n\
+    for (var key in o) { total += o[key]; }\n\
+    setTimeout(function () { for (var j = 0; j < 3; j++) { o.a = o.a + j; grid[j].v = j; } }, 5);\n\
+    setTimeout(function () { var s = 0; for (var j = 0; j < 3; j++) { s += o.b; } total = s; }, 10);\n\
+    console.log(total, o.n, out.join(','), typeof implicitGlobal, mixed, caught, e);";
+
+/// Everything observable about one instrumented run's hook stream.
+#[derive(Debug, PartialEq)]
+struct HookStream {
+    console: Vec<String>,
+    ticks: u64,
+    tally: Vec<(&'static str, u64)>,
+    stack_pushes: u64,
+    records: Vec<(ceres_core::LoopId, u64, u64)>,
+    warnings: Vec<String>,
+    polymorphic: Vec<(String, Vec<&'static str>)>,
+    tasks: Vec<(String, Vec<u64>, Vec<u64>)>,
+}
+
+/// Run `f` on a fresh thread: object and binding ids are thread-local
+/// counters, so two runs compare id for id only from the same start.
+fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::spawn(f).join().expect("run panicked")
+}
+
+fn hook_stream(src: &'static str, mode: Mode, backend: Backend) -> HookStream {
+    on_fresh_thread(move || {
+        set_default_backend(Some(backend));
+        let out = run_instrumented(src, mode, 7);
+        set_default_backend(None);
+        let (mut interp, engine) = out.unwrap_or_else(|e| panic!("{mode:?} on {backend:?}: {e:?}"));
+        interp.run_events(64).expect("event loop");
+        let eng = engine.borrow();
+        let mut records: Vec<_> = eng
+            .records
+            .iter()
+            .map(|(id, r)| (*id, r.instances, r.trips.total().to_bits()))
+            .collect();
+        records.sort();
+        let sorted = |set: &ceres_interp::FxHashSet<u64>| {
+            let mut v: Vec<u64> = set.iter().copied().collect();
+            v.sort();
+            v
+        };
+        HookStream {
+            console: interp.console.clone(),
+            ticks: interp.clock.now_ticks(),
+            tally: eng.tally.nonzero(),
+            stack_pushes: eng.stack_pushes,
+            records,
+            warnings: eng
+                .warnings
+                .iter()
+                .map(|w| {
+                    format!(
+                        "{:?} `{}` op={:?} nest={} count={} | {}",
+                        w.kind,
+                        w.subject,
+                        w.op,
+                        w.nest_root,
+                        w.count,
+                        ceres_core::render(&w.characterization, &eng.loops)
+                    )
+                })
+                .collect(),
+            polymorphic: eng.polymorphic_subjects(),
+            tasks: eng
+                .tasks
+                .iter()
+                .map(|t| (t.label.clone(), sorted(&t.reads), sorted(&t.writes)))
+                .collect(),
+        }
+    })
+}
+
 #[test]
 fn instrumented_runs_fire_identical_hook_streams() {
     // The analysis hooks must fire in the same order with the same
-    // payloads: identical tallies, stack accounting, and loop records.
-    let src = "var data = [];\nfor (var i = 0; i < 16; i++) { data[i] = i; }\n\
-               var acc = { total: 0 };\n\
-               for (var t = 0; t < 3; t++) {\n\
-                 for (var j = 0; j < 16; j++) { acc.total += data[j] * 2; }\n\
-               }\nconsole.log(acc.total);";
+    // payloads on both backends: identical tallies, stack accounting,
+    // loop records, warnings, polymorphism and task sets.
+    let basic = "var data = [];\nfor (var i = 0; i < 16; i++) { data[i] = i; }\n\
+                 var acc = { total: 0 };\n\
+                 for (var t = 0; t < 3; t++) {\n\
+                   for (var j = 0; j < 16; j++) { acc.total += data[j] * 2; }\n\
+                 }\nconsole.log(acc.total);";
+    for src in [basic, HOOK_SHAPES] {
+        for mode in [Mode::Lightweight, Mode::LoopProfile, Mode::Dependence] {
+            let tree = hook_stream(src, mode, Backend::Tree);
+            let vm = hook_stream(src, mode, Backend::Vm);
+            assert_eq!(tree, vm, "{mode:?} instrumentation diverged on:\n{src}");
+        }
+    }
+    // The shapes program really reaches what it is meant to reach.
+    let dep = hook_stream(HOOK_SHAPES, Mode::Dependence, Backend::Vm);
+    assert_eq!(
+        dep.tally.len(),
+        ceres_instrument::hooks::ALL_HOOKS.len() - 2,
+        "every dependence hook fires: {:?}",
+        dep.tally
+    );
+    assert!(
+        dep.polymorphic.iter().any(|(s, _)| s == "mixed"),
+        "{:?}",
+        dep.polymorphic
+    );
+    assert_eq!(dep.tasks.len(), 2);
+    assert!(dep.tasks.iter().all(|t| !t.1.is_empty() && !t.2.is_empty()));
+}
+
+/// The message of a thrown error value (or the debug form of any other
+/// completion), without object ids.
+fn error_text(c: &ceres_interp::Control) -> String {
+    match c {
+        ceres_interp::Control::Throw(Value::Object(o)) => format!(
+            "{}: {}",
+            o.get_own("name")
+                .map(|v| to_string_lossy(&v))
+                .unwrap_or_default(),
+            o.get_own("message")
+                .map(|v| to_string_lossy(&v))
+                .unwrap_or_default()
+        ),
+        other => format!("{other:?}"),
+    }
+}
+
+fn to_string_lossy(v: &Value) -> String {
+    ceres_interp::ops::to_string(v).to_string()
+}
+
+#[test]
+fn typed_hooks_without_an_engine_fail_like_calls_by_name() {
+    // No engine, no natives: each backend's first hook call throws the
+    // same ReferenceError at the same tick.
     for mode in [Mode::Lightweight, Mode::LoopProfile, Mode::Dependence] {
+        let (instrumented, _) = ceres_instrument::instrument_source(HOOK_SHAPES, mode).unwrap();
         let results = [Backend::Tree, Backend::Vm].map(|b| {
-            set_default_backend(Some(b));
-            let out = run_instrumented(src, mode, 7);
-            set_default_backend(None);
-            let (interp, engine) = out.unwrap_or_else(|e| panic!("{mode:?} on {b:?}: {e:?}"));
-            let eng = engine.borrow();
-            let mut records: Vec<_> = eng
-                .records
-                .iter()
-                .map(|(id, r)| (*id, r.instances, r.trips.total().to_bits()))
-                .collect();
-            records.sort();
-            (
-                interp.console.clone(),
-                interp.clock.now_ticks(),
-                eng.tally.total(),
-                eng.stack_pushes,
-                records,
-            )
+            let mut interp = interp_on(b, 7);
+            let err = interp
+                .eval_source(&instrumented)
+                .expect_err("hooks are undefined");
+            (error_text(&err), interp.clock.now_ticks())
         });
-        assert_eq!(results[0], results[1], "{mode:?} instrumentation diverged");
+        assert!(results[0].0.contains("is not defined"), "{results:?}");
+        assert_eq!(results[0], results[1], "{mode:?}");
+    }
+}
+
+#[test]
+fn typed_hooks_without_an_engine_pass_plain_natives_the_same_arguments() {
+    // Plain natives under every hook name, logging their arguments: the
+    // VM's typed instructions fall back to calling them by name, with
+    // every folded literal rebuilt, exactly as the tree-walker does.
+    for mode in [Mode::Lightweight, Mode::LoopProfile, Mode::Dependence] {
+        let (instrumented, _) = ceres_instrument::instrument_source(HOOK_SHAPES, mode).unwrap();
+        let runs = [Backend::Tree, Backend::Vm].map(|b| {
+            let src = instrumented.clone();
+            on_fresh_thread(move || {
+                let mut interp = interp_on(b, 7);
+                let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::<String>::new()));
+                for &name in ceres_instrument::hooks::ALL_HOOKS {
+                    let log = log.clone();
+                    interp.register_native(name, move |_interp, _ctx, args| {
+                        log.borrow_mut().push(format!("{name}{args:?}"));
+                        // Pass values through where the rewriter expects it.
+                        Ok(match name {
+                            ceres_instrument::hooks::WRAP => args[0].clone(),
+                            ceres_instrument::hooks::WRVAR => {
+                                args.get(2).cloned().unwrap_or(Value::Undefined)
+                            }
+                            _ => Value::Undefined,
+                        })
+                    });
+                }
+                let r = interp.eval_source(&src).map_err(|e| error_text(&e));
+                let r = r.and_then(|()| interp.run_events(64).map_err(|e| error_text(&e)));
+                let log = log.borrow().clone();
+                (
+                    r.map(|_| ()),
+                    log,
+                    interp.console.clone(),
+                    interp.clock.now_ticks(),
+                )
+            })
+        });
+        assert!(runs[0].1.len() >= 8, "{mode:?}: {:?}", runs[0].1);
+        assert_eq!(runs[0], runs[1], "{mode:?}");
+    }
+}
+
+#[test]
+fn app_hook_calls_compile_to_typed_instructions() {
+    // Every hook call site the rewriter emits into the 12 apps, in every
+    // mode, is an `Insn::Hook`; `CallHook` is left for other names.
+    use ceres_interp::bytecode::Insn;
+    for w in ceres_workloads::all() {
+        for mode in [Mode::Lightweight, Mode::LoopProfile, Mode::Dependence] {
+            let (instrumented, _) = ceres_instrument::instrument_source(w.source, mode).unwrap();
+            let program = ceres_parser::parse_program(&instrumented).unwrap();
+            let module = ceres_interp::compile::compile_program(&program);
+            let code = module.chunks.iter().flat_map(|c| c.code.iter());
+            let mut typed = 0;
+            for insn in code {
+                match insn {
+                    Insn::Hook { .. } => typed += 1,
+                    Insn::CallHook { sym, .. } => {
+                        let name = ceres_interp::resolve(*sym);
+                        assert!(
+                            !ceres_instrument::hooks::ALL_HOOKS.contains(&&*name),
+                            "{} {mode:?}: `{name}` compiled to CallHook",
+                            w.slug
+                        );
+                    }
+                    _ => {}
+                }
+            }
+            assert!(typed > 0, "{} {mode:?}", w.slug);
+        }
     }
 }
 
