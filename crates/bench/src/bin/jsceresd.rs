@@ -5,8 +5,8 @@
 //!
 //!   --addr HOST:PORT        listen address (default 127.0.0.1:7015;
 //!                           port 0 picks a free port)
-//!   --workers <n>           analysis worker processes, and as many
-//!                           parse-stage threads (default 2)
+//!   --workers <n>           analysis worker processes, each running
+//!                           one job at a time (default 2)
 //!   --in-process            worker threads run each job themselves
 //!                           instead of in worker processes: same job
 //!                           path and bytes, no crash isolation

@@ -87,10 +87,7 @@ pub use obs::{
 pub use parallel::{
     equivalence, run_parallel, EquivalenceReport, ParallelError, ParallelRunOutput, ParallelSpec,
 };
-pub use pipeline::{
-    analyze, prepare_source, publish_report, AnalyzeOptions, AppRun, Document, PreparedSource,
-    WebServer,
-};
+pub use pipeline::{analyze, publish_report, AnalyzeOptions, AppRun, Document, WebServer};
 pub use report::ReportRepo;
 pub use serve::{
     mode_wire_name, parse_mode, render_frame, request_wire_json, serve, AnalysisRequest,

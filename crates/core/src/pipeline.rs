@@ -386,53 +386,6 @@ fn partial_timing_fragment(total_ms: f64, active_ms: f64, loops_ms: f64, loop_pc
     )
 }
 
-/// What the serving layer's *parse stage* learns about a job before an
-/// interp slot ever sees it: the front half of the pipeline (extract →
-/// parse → instrument) run to completion, with the spans it produced.
-pub struct PreparedSource {
-    /// Loops found by the parser (early progress signal).
-    pub loops: usize,
-    /// The `parse` and `rewrite` spans, in order. Tick fields are zero
-    /// (the virtual clock only runs while JavaScript executes); wall
-    /// fields are real and nondeterministic.
-    pub spans: Vec<crate::obs::PhaseSpan>,
-}
-
-/// Run the parse+rewrite front half of the pipeline standalone. This is
-/// the serving layer's pipeline *stage 1*: it validates the source and
-/// yields the early phase spans on a parse-pool thread, so an
-/// unparseable job is rejected without ever occupying an interp slot,
-/// and the next job's parse overlaps the previous job's interp. The
-/// exec stage re-lowers from the same source text — jobs must stay
-/// self-contained single-line specs so they can cross a worker-process
-/// boundary and be replayed from the spill file after a crash — which
-/// keeps this stage pure validation + progress; parse cost is microseconds
-/// against interp's hundreds of milliseconds.
-pub fn prepare_source(source: &str, mode: Mode) -> Result<PreparedSource, String> {
-    let mut recorder = crate::obs::SpanRecorder::new();
-    let combined_source = if source.trim_start().starts_with('<') {
-        extract_scripts(source)
-            .iter()
-            .map(|b| b.content.as_str())
-            .collect::<Vec<_>>()
-            .join("\n")
-    } else {
-        source.to_string()
-    };
-    let parse_start = recorder.now_us();
-    let mut program = ceres_parser::parse_program(&combined_source)
-        .map_err(|e| format!("parse error in request: {e}"))?;
-    let loops = ceres_ast::assign_loop_ids(&mut program);
-    recorder.record("parse", 0, 0, parse_start);
-    let rewrite_start = recorder.now_us();
-    let _instrumented = ceres_ast::program_to_source(&instrument_program(&program, mode));
-    recorder.record("rewrite", 0, 0, rewrite_start);
-    Ok(PreparedSource {
-        loops: loops.len(),
-        spans: recorder.into_spans(),
-    })
-}
-
 /// Fig. 5 steps 6–7: render the run's results and commit them to the
 /// report repository. Returns the commit id.
 pub fn publish_report(

@@ -13,7 +13,7 @@
 //!    to every prior PR and golden-pinned. A `stream:true` request is
 //!    answered with the schema-2 multi-frame protocol
 //!    ([`crate::fleet::API_SCHEMA_VERSION`]): `accepted`, per-phase
-//!    `phase` frames as each pipeline stage completes, an early
+//!    `phase` frames as each pipeline phase completes, an early
 //!    `partial` timing frame, `notice` frames for queue events, and a
 //!    terminal `result`/`error` frame whose payload fragment is the
 //!    *same bytes* the one-shot envelope carries. All frames are built
@@ -28,8 +28,9 @@
 //!    insert is written through to a shard file and reloaded on the next
 //!    start, so a restarted daemon serves warm hits **byte-identically**
 //!    with zero new interpreter ticks.
-//! 3. **One job path, two transports.** Every served job is supervised by
-//!    [`crate::supervisor::run_job`], and nothing else. With a
+//! 3. **One job path, two transports.** Each worker thread pops the
+//!    next admitted job from the ring or the spill file and supervises it
+//!    with [`crate::supervisor::run_job`], and nothing else. With a
 //!    [`crate::supervisor::WorkerSpec`] configured (the `jsceresd`
 //!    default), each worker thread owns one worker *process*
 //!    (`jsceresd --worker`) that calls `run_job` with its stdout as the
@@ -37,24 +38,14 @@
 //!    worker with bounded backoff, and the daemon keeps serving. Without
 //!    a spec (library/test default, `jsceresd --in-process`) the worker
 //!    thread calls `run_job` itself, with the client's channel as the
-//!    sink.
+//!    sink. Either way a job's `phase` frames, `parse` and `rewrite`
+//!    included, come from the same run that produces its result.
 //! 4. **Spill-to-disk admission.** The in-memory ring holds up to
 //!    `queue_capacity` jobs; overflow is appended to a crash-safe
 //!    [`SpillQueue`] segment file and drained strictly FIFO behind the
 //!    ring, so bursts queue on disk instead of being rejected — and a
 //!    streaming client is told by an immediate `notice` frame the
 //!    moment its job is parked on disk, not only at drain time.
-//! 5. **Cross-job phase pipelining.** Execution is split into two
-//!    stage pools (Brodu et al., arXiv:1512.07067 — the event loop
-//!    re-architected as a pipeline): a *parse stage* pulls admitted
-//!    jobs, runs the parse+rewrite front half
-//!    ([`crate::pipeline::prepare_source`]) and emits the early phase
-//!    frames, then hands off to the *interp stage* (the worker slots;
-//!    the parse pool has one thread per slot). Stages of different jobs
-//!    overlap — while one job holds an interp slot
-//!    mid-dependence-analysis, the next job's parse runs on a parse
-//!    thread, and an unparseable job is rejected without ever occupying
-//!    an interp slot. Spilled jobs replay through the same two stages.
 //!
 //! Shutdown is a graceful drain: a `shutdown` op (or
 //! [`ServerHandle::shutdown`], or SIGTERM via
@@ -96,9 +87,10 @@ const READ_POLL: Duration = Duration::from_millis(200);
 
 /// Version stamp of the `stats` op payload (see `docs/METRICS.md`).
 /// 2 added the multi-process fields (spill, shards, worker restarts);
-/// 3 added the streaming-pipeline fields: `exec_depth` in the payload
-/// and `streams`/`frames_streamed`/`spill_notices` in the counters.
-pub const SERVE_STATS_SCHEMA: u32 = 3;
+/// 3 added the streaming fields: `exec_depth` in the payload and
+/// `streams`/`frames_streamed`/`spill_notices` in the counters; 4
+/// removed `exec_depth` with the exec queue it measured.
+pub const SERVE_STATS_SCHEMA: u32 = 4;
 
 /// Schema stamp of the legacy one-shot envelope — and of every
 /// non-analyze op (`ping`, `stats`, `shutdown`), which are one-shot by
@@ -290,8 +282,8 @@ pub enum Frame {
         fragment: String,
     },
     /// Terminal: the request failed — bad request, queue full,
-    /// draining, parse rejection, or a job that ran and did not produce
-    /// a report (panicked / hung / crashed worker).
+    /// draining, or a job that ran and did not produce a report
+    /// (unparseable source, panicked / hung / crashed worker).
     Error {
         /// Error payload fragment (JSON object body).
         fragment: String,
@@ -639,8 +631,8 @@ pub fn result_fragment(key: &CacheKey, outcome: &AppOutcome) -> (bool, String) {
 
 /// The fragment of a job that ended without a report: the
 /// [`result_fragment`] head, then the error. Every failure the server
-/// reports — a failed outcome, a parse-stage rejection, a crashed or
-/// unspawnable worker, a bad worker job line — is rendered here.
+/// reports — a failed outcome, a crashed or unspawnable worker, a bad
+/// worker job line — is rendered here.
 pub fn failure_fragment(
     fingerprint: &str,
     app: &str,
@@ -665,12 +657,9 @@ pub fn failure_fragment(
 /// overrides from its flags.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker slots executing the interp/analyze back half of queued
-    /// jobs (threads, or — with [`ServeConfig::worker_spec`] set —
-    /// worker processes, one per slot), and as many parse-stage threads
-    /// running the front half (resolve + parse/rewrite + early frames),
-    /// which overlaps the next job's parse with the previous job's
-    /// interp.
+    /// Worker slots, each running queued jobs one at a time from parse
+    /// to report (threads, or — with [`ServeConfig::worker_spec`] set —
+    /// worker processes, one per slot).
     pub workers: usize,
     /// In-memory job-ring capacity; overflow spills to disk.
     pub queue_capacity: usize,
@@ -733,26 +722,11 @@ impl QueuedJob {
     }
 }
 
-/// A job past the parse stage, holding a slot in the bounded exec queue.
-struct ExecJob {
-    job: QueuedJob,
-    prepared: PreparedJob,
-}
-
 /// Queue state under the mutex: the bounded admission ring, the
-/// stage-1→stage-2 handoff queue, the disk-backed overflow, reply
-/// channels for spilled jobs (keyed by spill seq), and the
-/// open/draining latch.
+/// disk-backed overflow, reply channels for spilled jobs (keyed by
+/// spill seq), and the open/draining latch.
 struct QueueState {
     memory: VecDeque<QueuedJob>,
-    /// Parsed jobs waiting for an interp slot, bounded by
-    /// `queue_capacity` (parse workers block while it is full, so the
-    /// front stage cannot run unboundedly ahead of the back stage).
-    exec: VecDeque<ExecJob>,
-    /// Jobs currently inside the parse stage (popped from the ring or
-    /// spill but not yet in `exec`): exec workers must not exit during
-    /// drain while this is non-zero.
-    parsing: usize,
     spill: Option<SpillQueue>,
     /// True when the spill directory was operator-chosen (backlog
     /// survives restarts); false for the ephemeral default.
@@ -882,8 +856,7 @@ fn begin_drain(shared: &Arc<Shared>) {
             }
         }
         // Jobs already spilled stay in the segment file; answer their
-        // waiting clients the same way. Jobs already past the parse
-        // stage (the exec queue) count as started: they run to
+        // waiting clients the same way. Jobs already on a worker run to
         // completion and answer normally.
         for (_, reply) in q.waiters.drain() {
             tell_flushed(&reply, persistent);
@@ -956,8 +929,6 @@ pub fn serve(listener: TcpListener, config: ServeConfig, resolver: Resolver) -> 
     let shared = Arc::new(Shared {
         queue: Mutex::new(QueueState {
             memory: VecDeque::new(),
-            exec: VecDeque::new(),
-            parsing: 0,
             spill,
             spill_persistent,
             waiters: HashMap::new(),
@@ -977,18 +948,12 @@ pub fn serve(listener: TcpListener, config: ServeConfig, resolver: Resolver) -> 
 
     let mut workers = Vec::new();
     for id in 0..config.workers.max(1) {
-        let (exec, parse) = (Arc::clone(&shared), Arc::clone(&shared));
+        let shared = Arc::clone(&shared);
         workers.push(
             std::thread::Builder::new()
                 .name(format!("jsceresd-worker-{id}"))
-                .spawn(move || exec_loop(&exec))
+                .spawn(move || exec_loop(&shared))
                 .expect("spawn worker"),
-        );
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("jsceresd-parse-{id}"))
-                .spawn(move || parse_loop(&parse))
-                .expect("spawn parse worker"),
         );
     }
 
@@ -1034,16 +999,15 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Pull the next admitted job into the parse stage: the in-memory ring
-/// first, then the spill file (strict FIFO — arrivals go to the spill
-/// whenever it is non-empty, so ring-then-spill pop order preserves
-/// admission order). Bumps `parsing` so exec workers know a job is in
-/// flight between the queues.
-fn next_job(shared: &Arc<Shared>) -> Option<QueuedJob> {
+/// Pull the next admitted job for a worker: the in-memory ring first,
+/// then the spill file (strict FIFO — arrivals go to the spill whenever
+/// it is non-empty, so ring-then-spill pop order preserves admission
+/// order). `None` once the queue is closed: at drain the ring is flushed
+/// to the spill file, so nothing is left behind.
+fn next_job(shared: &Shared) -> Option<QueuedJob> {
     let mut q = relock(&shared.queue);
     loop {
         if let Some(job) = q.memory.pop_front() {
-            q.parsing += 1;
             return Some(job);
         }
         if !q.open {
@@ -1052,7 +1016,6 @@ fn next_job(shared: &Arc<Shared>) -> Option<QueuedJob> {
         if let Some(spill) = q.spill.as_mut() {
             if let Some((seq, wire)) = spill.pop() {
                 let reply = q.waiters.remove(&seq);
-                q.parsing += 1;
                 return Some(QueuedJob { wire, reply });
             }
         }
@@ -1063,8 +1026,8 @@ fn next_job(shared: &Arc<Shared>) -> Option<QueuedJob> {
     }
 }
 
-/// A queued job's spec parsed and resolved by the parse stage: what the
-/// exec stage needs to run it and to store and report its result.
+/// A queued job's spec parsed and resolved: what a worker needs to run
+/// it and to store and report its result.
 struct PreparedJob {
     req: AnalysisRequest,
     key: CacheKey,
@@ -1073,124 +1036,38 @@ struct PreparedJob {
     slug: String,
 }
 
-/// Pipeline stage 1 (one thread of the parse pool): pull admitted jobs
-/// and run [`stage_parse`] on each. Exits when the queue closes and the
-/// ring is empty.
-fn parse_loop(shared: &Arc<Shared>) {
-    while let Some(item) = next_job(shared) {
-        stage_parse(shared, item);
-        // This parse slot is free: wake exec workers (their drain exit
-        // condition watches `parsing`) and anything else blocked on the
-        // queues.
-        relock(&shared.queue).parsing -= 1;
-        shared.available.notify_all();
-    }
-}
-
-/// Resolve one job and run its parse/rewrite front half, then hand it
-/// to the exec queue — or fail it here, before it can occupy an interp
-/// slot.
-fn stage_parse(shared: &Arc<Shared>, job: QueuedJob) {
-    match prepare_job(shared, &job) {
-        Ok(prepared) => enqueue_exec(shared, ExecJob { job, prepared }),
-        Err(fragment) => {
-            shared.bump(|c| c.jobs_failed += 1);
-            job.send(Frame::Error { fragment });
-        }
-    }
-}
-
-/// Parse + resolve a queued spec; for a streaming job also run the
-/// front half and send its early `phase` frames, so an unparseable
-/// streaming job is rejected with a terminal `error` without ever
-/// touching the back stage. `Err` is that error's fragment. (The spec
-/// was validated at admission; other failures here are replay-era
-/// drift, e.g. a registry app renamed between restarts.)
-fn prepare_job(shared: &Arc<Shared>, job: &QueuedJob) -> Result<PreparedJob, String> {
+/// Parse and resolve a queued spec; `Err` is the error fragment. (The
+/// spec was validated at admission; failures here are replay-era drift,
+/// e.g. a registry app renamed between restarts.)
+fn prepare_job(shared: &Shared, job: &QueuedJob) -> Result<PreparedJob, String> {
     let req: AnalysisRequest = serde_json::from_str(&job.wire)
         .map_err(|e| error_fragment(&format!("bad queued job spec: {e}")))?;
     let opts = request_options(&req, &shared.config).map_err(|e| error_fragment(&e))?;
     let resolved = (shared.resolver)(&req, &opts).map_err(|e| error_fragment(&e))?;
-    let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
-    // One-shot jobs skip the front half (the exec stage re-parses
-    // internally anyway, and their failure bytes must stay identical to
-    // the pre-pipeline server); streaming jobs pay a microseconds-scale
-    // double parse to get early frames and early rejection.
-    if req.stream == Some(true) {
-        let front = crate::pipeline::prepare_source(&resolved.source, opts.mode).map_err(|e| {
-            failure_fragment(
-                &key.fingerprint(),
-                &resolved.app,
-                &resolved.slug,
-                "failed",
-                0,
-                &e,
-            )
-        })?;
-        for span in front.spans {
-            job.send(Frame::Phase {
-                phase: span.phase,
-                start_ticks: span.start_ticks,
-                end_ticks: span.end_ticks,
-            });
-        }
-    }
     Ok(PreparedJob {
+        key: CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1)),
         req,
-        key,
         cacheable: resolved.cacheable,
         app: resolved.app,
         slug: resolved.slug,
     })
 }
 
-/// Hand a parsed job to the exec queue, blocking while it is at
-/// capacity (backpressure: the parse stage cannot run unboundedly ahead
-/// of the interp stage). During drain the bound is waived so in-flight
-/// parses always land.
-fn enqueue_exec(shared: &Arc<Shared>, job: ExecJob) {
-    let mut q = relock(&shared.queue);
-    while q.open && q.exec.len() >= shared.config.queue_capacity {
-        q = shared
-            .available
-            .wait(q)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-    q.exec.push_back(job);
-    drop(q);
-    shared.available.notify_all();
-}
-
-/// Pull the next parsed job for an interp slot. During drain, exec
-/// workers outlive the parse stage until it has fully flushed into the
-/// exec queue — a job past admission is never silently dropped.
-fn next_exec_job(shared: &Arc<Shared>) -> Option<ExecJob> {
-    let mut q = relock(&shared.queue);
-    loop {
-        if let Some(job) = q.exec.pop_front() {
-            drop(q);
-            // A capacity slot opened: wake blocked parse workers.
-            shared.available.notify_all();
-            return Some(job);
-        }
-        if !q.open && q.parsing == 0 && q.memory.is_empty() {
-            return None;
-        }
-        q = shared
-            .available
-            .wait(q)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-}
-
-/// Pipeline stage 2 (one thread per interp slot): run parsed jobs on
-/// this worker's transport, store cacheable results (first-writer-wins:
-/// concurrent cold misses on the same key converge on one stored byte
-/// sequence and, with persistence on, one write-through line), and send
-/// each client its terminal frame.
-fn exec_loop(shared: &Arc<Shared>) {
+/// One worker slot: run admitted jobs on this worker's transport, store
+/// cacheable results (first-writer-wins: concurrent cold misses on the
+/// same key converge on one stored byte sequence and, with persistence
+/// on, one write-through line), and send each client its terminal frame.
+fn exec_loop(shared: &Shared) {
     let mut slot = shared.config.worker_spec.clone().map(WorkerSlot::new);
-    while let Some(ExecJob { job, prepared }) = next_exec_job(shared) {
+    while let Some(job) = next_job(shared) {
+        let prepared = match prepare_job(shared, &job) {
+            Ok(prepared) => prepared,
+            Err(fragment) => {
+                shared.bump(|c| c.jobs_failed += 1);
+                job.send(Frame::Error { fragment });
+                continue;
+            }
+        };
         let resp = match slot.as_mut() {
             Some(slot) => run_on_slot(shared, slot, &job, &prepared),
             None => {
@@ -1274,11 +1151,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The bytes of the line so far. A read poll that times out mid-line
+    // keeps what it read, even half a UTF-8 character; only a complete
+    // line is decoded.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client hung up
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return, // client hung up
             Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1292,12 +1171,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        if handle_line(line.trim(), shared, &mut writer).is_err() {
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return; // not UTF-8: not a protocol line
+        };
+        let text = text.trim();
+        if !text.is_empty() && handle_line(text, shared, &mut writer).is_err() {
             return;
         }
+        line.clear();
     }
 }
 
@@ -1337,13 +1218,9 @@ fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
     // The eviction odometer lives in the cache shards; mirror the
     // aggregate into the counters snapshot for one-stop scraping.
     counters.cache_evictions = cache.total.evictions;
-    let (queue_depth, exec_depth, spill) = {
+    let (queue_depth, spill) = {
         let q = relock(&shared.queue);
-        (
-            q.memory.len(),
-            q.exec.len(),
-            q.spill.as_ref().map(|s| s.stats()),
-        )
+        (q.memory.len(), q.spill.as_ref().map(|s| s.stats()))
     };
     let counters_json = serde_json::to_string(&counters).expect("ServeCounters serializes");
     let per_shard = cache
@@ -1379,7 +1256,7 @@ fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
              \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"len\":{},\"capacity\":{},\
              \"shards\":{},\"persistent\":{},\"loaded\":{},\"load_corrupt\":{},\"persisted\":{},\
              \"per_shard\":[{per_shard}]}},\
-             \"queue_depth\":{queue_depth},\"exec_depth\":{exec_depth},\"spill\":{spill_json},\
+             \"queue_depth\":{queue_depth},\"spill\":{spill_json},\
              \"workers\":{},\"backend\":\"{backend}\",\"draining\":{}",
             cache.total.hits,
             cache.total.misses,
@@ -1399,8 +1276,8 @@ fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
 
 /// Writes the frames of one analyze response, stamping `seq` at write
 /// time — the stamp and the write are one step on this thread, so the
-/// sequence a client observes is gapless and monotonic no matter how
-/// the stages interleaved behind the channel.
+/// sequence a client observes is gapless and monotonic no matter which
+/// thread sent each frame down the channel.
 struct FrameWriter<'a> {
     out: &'a mut dyn Write,
     shared: &'a Shared,
@@ -1639,6 +1516,37 @@ mod tests {
     }
 
     #[test]
+    fn a_request_split_across_read_polls_is_answered_whole() {
+        let server = start(ServeConfig::default());
+        let addr = server.local_addr();
+        // The pause is longer than two read polls, so one of them times
+        // out mid-line on every run.
+        let split = |head: &[u8], tail: &[u8]| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(head).expect("send the head");
+            std::thread::sleep(Duration::from_millis(500));
+            stream.write_all(tail).expect("send the tail");
+            let mut response = String::new();
+            BufReader::new(stream)
+                .read_line(&mut response)
+                .expect("response");
+            response
+        };
+        let ascii = split(br#"{"op":"pi"#, b"ng\",\"id\":\"p\"}\n");
+        assert_eq!(
+            ascii.trim_end(),
+            r#"{"schema":1,"id":"p","ok":true,"cached":false,"op":"ping"}"#
+        );
+        // The id is split between the two bytes of `é`.
+        let utf8 = split(b"{\"op\":\"ping\",\"id\":\"\xc3", b"\xa9\"}\n");
+        assert_eq!(
+            utf8.trim_end(),
+            r#"{"schema":1,"id":"é","ok":true,"cached":false,"op":"ping"}"#
+        );
+        server.shutdown();
+    }
+
+    #[test]
     fn malformed_line_is_an_error_not_a_crash() {
         let server = start(ServeConfig::default());
         let addr = server.local_addr();
@@ -1802,10 +1710,10 @@ mod tests {
     #[test]
     fn overflow_spills_to_disk_and_every_client_still_gets_its_answer() {
         // A 1-worker, 2-slot ring with a burst of 8 jobs: burst-0 holds
-        // the only interp slot on a latch while the other 7 arrive. At
-        // most 2 (exec queue) + 1 (parse thread) + 2 (ring) fit in
-        // memory, so at least 2 must overflow to the spill file — and
-        // every client must still get a real (non-rejected) response.
+        // the only worker slot on a latch while the other 7 arrive. Only
+        // 2 fit in the ring, so the rest must overflow to the spill file
+        // — and every client must still get a real (non-rejected)
+        // response.
         let source = |i: usize| {
             format!(
                 "var b{i} = 0; for (var i = 0; i < {n}; i++) {{ b{i} += i; }}",
@@ -1872,13 +1780,13 @@ mod tests {
             "\"streams\":0",
             "\"frames_streamed\":0",
             "\"spill_notices\":0",
-            "\"exec_depth\":0",
             "\"spill\":{\"depth\":0",
             "\"per_shard\":[",
             "\"backend\":\"in-process\"",
         ] {
             assert!(stats.contains(field), "missing {field}: {stats}");
         }
+        assert!(!stats.contains("\"exec_depth\""), "{stats}");
         server.shutdown();
     }
 

@@ -13,8 +13,8 @@
 //!   retry, tick watchdog, and panic containment still apply), streams
 //!   its progress frames to a sink, and builds the result fragment. Both
 //!   transports call it — a worker process with its stdout as the sink,
-//!   the in-process backend on its exec thread with the client's channel
-//!   as the sink.
+//!   the in-process backend on its worker thread with the client's
+//!   channel as the sink.
 //! * [`WorkerSpec`] describes how to start one analysis worker — in
 //!   production, `jsceresd --worker …`, the daemon re-executing itself.
 //! * [`worker_serve_stdio`] is the worker side: a loop that reads one
@@ -48,7 +48,7 @@
 
 use crate::cache::CacheKey;
 use crate::fleet::{supervise, FleetJob};
-use crate::obs::{install_progress_sink, Progress};
+use crate::obs::{install_progress_sink, Progress, PHASES};
 use crate::serve::{
     failure_fragment, request_options, result_fragment, AnalysisRequest, Frame, Resolver,
     ServeConfig,
@@ -394,7 +394,7 @@ fn write_pipe_line<T: Serialize>(value: &T) -> std::io::Result<()> {
 /// Run one served job: resolve `req`, supervise it, and build its
 /// [`WorkerResponse`]. This is the only place a served job is
 /// supervised, whichever transport carries it. A streaming job
-/// (`stream:true`) delivers its back-half `phase` frames and its
+/// (`stream:true`) delivers a `phase` frame per pipeline phase and its
 /// `partial` timing row to `sink` as the pipeline records them. A
 /// request that cannot be resolved fails with an empty key, app and slug.
 ///
@@ -420,8 +420,8 @@ pub fn run_job(
     if req.stream == Some(true) {
         // The sink is installed on the supervised runner thread, where
         // the pipeline's recording points fire; the guard uninstalls it
-        // even when the attempt panics. Retried attempts re-emit their
-        // frames.
+        // even when the attempt panics. A retried attempt re-emits its
+        // frames from `parse` on.
         let (inner, gate) = (work, Arc::clone(&gate));
         work = Arc::new(move |worker, attempt| {
             let gate = Arc::clone(&gate);
@@ -454,22 +454,17 @@ pub fn run_job(
     }
 }
 
-/// Map a pipeline progress event to its streamed frame, if it has one.
-/// The parse stage already emitted `parse`/`rewrite` (the exec stage
-/// re-lowers from source and would re-record them), and sub-spans like
-/// `interp.compile` are an implementation detail — so the back half of
-/// the stream carries `interp`/`analyze`/`report` phases plus the
-/// `partial` timing row.
+/// Map a pipeline progress event to its streamed frame, if it has one:
+/// the phases in [`PHASES`] and the `partial` timing row. Sub-spans like
+/// `interp.compile` are an implementation detail and stay off the wire.
 fn frame_for_progress(p: &Progress) -> Option<Frame> {
     match p {
-        Progress::Phase(span) => match span.phase.as_str() {
-            "interp" | "analyze" | "report" => Some(Frame::Phase {
-                phase: span.phase.clone(),
-                start_ticks: span.start_ticks,
-                end_ticks: span.end_ticks,
-            }),
-            _ => None,
-        },
+        Progress::Phase(span) if PHASES.contains(&span.phase.as_str()) => Some(Frame::Phase {
+            phase: span.phase.clone(),
+            start_ticks: span.start_ticks,
+            end_ticks: span.end_ticks,
+        }),
+        Progress::Phase(_) => None,
         Progress::Partial(fragment) => Some(Frame::Partial {
             fragment: fragment.clone(),
         }),

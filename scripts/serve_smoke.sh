@@ -90,7 +90,7 @@ injected = results[3]
 assert injected["attempts"] == 2, f"fault not supervised: {injected}"
 
 stats = rpc('{"op":"stats"}')
-assert stats["stats_schema"] == 3, stats
+assert stats["stats_schema"] == 4, stats
 assert stats["backend"] == "process", stats
 c = stats["counters"]
 assert c["cache_hits"] > 0, f"no cache hits: {stats}"
@@ -205,7 +205,7 @@ fi
 stream_victims=$(pgrep -P "$daemon_pid" | tr '\n' ' ')
 echo "streaming drill; current worker pids: $stream_victims"
 python3 - "$addr" $stream_victims <<'EOF'
-import json, os, signal, socket, sys, threading, time
+import json, os, signal, socket, sys, threading
 
 addr = sys.argv[1]
 victims = [int(p) for p in sys.argv[2:]]
@@ -276,9 +276,12 @@ assert c["frames_streamed"] >= 3 * 6, stats
 print(f"OK phase 3a: 3 concurrent streams, {c['frames_streamed']} frames streamed")
 
 # 3b — kill -9 every worker while a heavy streaming job is mid-interp.
-# The supervisor restarts the pool and retries the job on a fresh
-# worker: the client's stream must still end in a terminal frame, with
-# no failed jobs beyond the phase-2 injected crash.
+# The rewrite frame comes from the worker already running the job, so a
+# kill sent once it arrives hits the job mid-run. The supervisor restarts
+# the pool and retries the job on a fresh worker: the client's stream
+# must still end in a terminal frame, with no failed jobs beyond the
+# phase-2 injected crash, and the retry restarts the phase sequence at
+# parse.
 rewrite_seen = threading.Event()
 def on_frame(f):
     if f["type"] == "phase" and f.get("phase") == "rewrite":
@@ -289,7 +292,6 @@ out = [None]
 t = threading.Thread(target=lambda: out.__setitem__(0, stream(heavy, on_frame)))
 t.start()
 assert rewrite_seen.wait(timeout=60), "no rewrite frame before the drill"
-time.sleep(0.3)  # let the exec stage pick the job up
 for pid in victims:
     try:
         os.kill(pid, signal.SIGKILL)
@@ -299,6 +301,10 @@ t.join(timeout=120)
 assert not t.is_alive(), "stream did not terminate after the worker kill"
 frames = out[0]
 check_stream(frames, "victim")
+phases = [f["phase"] for f in frames if f["type"] == "phase"]
+assert phases.count("parse") == 2, f"the retry must restart at parse: {phases}"
+retry = phases[phases.index("parse", phases.index("parse") + 1):]
+assert "interp" in retry and "analyze" in retry, phases
 stats = rpc('{"op":"stats"}')
 c = stats["counters"]
 assert c["worker_restarts"] >= 3, f"mid-stream kill not restarted: {stats}"

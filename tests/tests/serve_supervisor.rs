@@ -162,9 +162,9 @@ fn crash_on_one_worker_does_not_disturb_jobs_on_others() {
 
 /// A burst far past the in-memory ring must spill to disk, keep FIFO
 /// admission order, route every reply to the right client, and reject
-/// nobody. `burst-0` holds the only interp slot on a latch while the
-/// other 9 arrive: at most 2 (exec queue) + 1 (parse thread) + 2 (ring)
-/// of them fit in memory, so at least 4 must spill before it is let go.
+/// nobody. `burst-0` holds the only worker slot on a latch while the
+/// other 9 arrive: only 2 of them fit in the ring, so at least 4 must
+/// spill before it is let go.
 #[test]
 fn overflow_spills_fifo_and_replies_route_to_the_right_clients() {
     let source = |i: usize| {
@@ -281,11 +281,10 @@ fn drain_flushes_the_tail_and_restart_replays_it_into_the_cache() {
         )
     };
 
-    // Phase 1: d-0 holds the only interp slot on the latch while the
-    // other five are admitted. Behind it, one job waits in the exec
-    // queue (capacity 1), one in the parse thread, and three in the ring
-    // and the spill file. A drain lets the first three finish and
-    // flushes the three that never left admission.
+    // Phase 1: d-0 holds the only worker slot on the latch while the
+    // other five are admitted: one waits in the ring (capacity 1) and
+    // four in the spill file. A drain lets d-0 finish and flushes the
+    // five that never reached a worker.
     let latch = Latch::default();
     let server = start_gated(config.clone(), &source(0), &latch);
     let addr = server.local_addr();
@@ -297,13 +296,12 @@ fn drain_flushes_the_tail_and_restart_replays_it_into_the_cache() {
         admitted.recv().expect("every request is admitted");
     }
     wait_until(
-        "one job waits for exec and three behind the parse thread",
+        "one job waits in the ring and four in the spill file",
         || {
             let stats: Value = serde_json::from_str(&roundtrip(addr, r#"{"op":"stats"}"#)).unwrap();
             let depth = |v: Option<&Value>| v.and_then(Value::as_u64).expect("a depth");
             let spill = stats.get("spill").expect("a spill queue");
-            depth(stats.get("exec_depth")) == 1
-                && depth(stats.get("queue_depth")) + depth(spill.get("depth")) == 3
+            depth(stats.get("queue_depth")) == 1 && depth(spill.get("depth")) == 4
         },
     );
     server.request_drain();
@@ -318,16 +316,16 @@ fn drain_flushes_the_tail_and_restart_replays_it_into_the_cache() {
         .iter()
         .filter(|r| r.contains("\"ok\":true"))
         .count();
-    assert_eq!(ok, 3, "{responses:#?}");
-    assert_eq!(flushed.iter().filter(|&&f| f).count(), 3, "{responses:#?}");
+    assert_eq!(ok, 1, "{responses:#?}");
+    assert_eq!(flushed.iter().filter(|&&f| f).count(), 5, "{responses:#?}");
 
-    // Phase 2: a fresh daemon on the same spill dir replays the three
-    // flushed jobs into its cache. Retried, they are warm hits; the
-    // three that finished before the drain run cold.
+    // Phase 2: a fresh daemon on the same spill dir replays the five
+    // flushed jobs into its cache. Retried, they are warm hits; d-0,
+    // which finished before the drain, runs cold.
     let server2 = start(config);
     let addr2 = server2.local_addr();
-    assert_eq!(server2.counters().spill_replayed, 3);
-    wait_until("the replayed jobs ran", || server2.counters().jobs_ok == 3);
+    assert_eq!(server2.counters().spill_replayed, 5);
+    wait_until("the replayed jobs ran", || server2.counters().jobs_ok == 5);
     for (i, was_flushed) in flushed.into_iter().enumerate() {
         let r = roundtrip(addr2, &request(i, false));
         assert!(r.contains("\"ok\":true"), "{r}");
