@@ -50,11 +50,11 @@ use crate::cache::CacheKey;
 use crate::fleet::{supervise, FleetJob};
 use crate::obs::{install_progress_sink, Progress, PHASES};
 use crate::serve::{
-    failure_fragment, request_options, result_fragment, AnalysisRequest, Frame, Resolver,
-    ServeConfig,
+    failure_fragment, request_options, result_fragment, write_line, AnalysisRequest, Frame,
+    Resolver, ServeConfig,
 };
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -149,9 +149,7 @@ impl WorkerChild {
         on_frame: &mut dyn FnMut(Frame),
     ) -> std::io::Result<WorkerResponse> {
         let stdin = self.stdin.as_mut().expect("stdin is open until drop");
-        stdin.write_all(wire.as_bytes())?;
-        stdin.write_all(b"\n")?;
-        stdin.flush()?;
+        write_line(stdin, wire.to_owned())?;
         let mut line = String::new();
         loop {
             line.clear();
@@ -385,10 +383,7 @@ pub fn worker_serve_stdio(config: &ServeConfig, resolver: &Resolver) -> std::io:
 /// Write one value as one line of the worker pipe.
 fn write_pipe_line<T: Serialize>(value: &T) -> std::io::Result<()> {
     let line = serde_json::to_string(value).expect("pipe lines serialize");
-    let mut out = std::io::stdout().lock();
-    out.write_all(line.as_bytes())?;
-    out.write_all(b"\n")?;
-    out.flush()
+    write_line(&mut std::io::stdout().lock(), line)
 }
 
 /// Run one served job: resolve `req`, supervise it, and build its

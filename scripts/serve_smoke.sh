@@ -2,7 +2,8 @@
 # jsceresd serving smoke, multi-process edition: start the daemon with 3
 # worker processes and persistence dirs, hit it with concurrent clients
 # (registry app, inline source, repeats, one fault-injected), assert the
-# content-addressed cache actually hit, crash one worker mid-run (both an
+# content-addressed cache actually hit, time pings, warm hits and streamed
+# jobs on one kept-alive connection, crash one worker mid-run (both an
 # injected abort and a raw kill -9) and require the supervisor to restart
 # it with every non-killed job succeeding, drive the schema-2 streaming
 # protocol with concurrent clients (plus a kill -9 mid-stream drill that
@@ -99,6 +100,55 @@ assert c["requests"] >= 5, stats
 print(f"OK phase 1: {c['requests']} requests, {c['cache_hits']} cache hits, "
       f"{c['jobs_ok']} jobs ok, injected request supervised in "
       f"{injected['attempts']} attempts")
+EOF
+
+# Phase 1b — latency on one kept-alive connection. Every other phase
+# opens a fresh connection per request, which hides a reply that waits
+# for the client's delayed ACK (40 ms or more). After one untimed ping,
+# time 20 pings, 20 warm hits of the entry phase 1 primed and 5 streamed
+# jobs on distinct tiny inline sources; each median must stay under
+# 20 ms.
+python3 - "$addr" <<'EOF'
+import json, socket, statistics, sys, time
+
+addr = sys.argv[1]
+host, port = addr.rsplit(":", 1)
+
+with socket.create_connection((host, int(port)), timeout=120) as s:
+    replies = s.makefile("rb")
+
+    def request(line):
+        """Send one request line in one write; return the ms until its
+        terminal line, and that line."""
+        start = time.perf_counter()
+        s.sendall(line.encode() + b"\n")
+        while True:
+            raw = replies.readline()
+            assert raw.endswith(b"\n"), f"connection closed after {raw!r}"
+            reply = json.loads(raw)
+            if reply.get("type") not in ("accepted", "phase", "partial", "notice"):
+                return (time.perf_counter() - start) * 1e3, reply
+
+    request('{"op":"ping"}')
+    pings = [request('{"op":"ping"}')[0] for _ in range(20)]
+    hits = []
+    for _ in range(20):
+        ms, r = request('{"id":"hot","app":"haar","mode":"light"}')
+        assert r["ok"] and r["cached"], r
+        hits.append(ms)
+    streams = []
+    for i in range(5):
+        ms, r = request('{"id":"ka%d","stream":true,"source":"var ka%d = %d;","mode":"light"}'
+                        % (i, i, i))
+        assert r["type"] == "result" and r["ok"] and not r["cached"], r
+        streams.append(ms)
+
+medians = {"ping": statistics.median(pings), "warm hit": statistics.median(hits),
+           "streamed job": statistics.median(streams)}
+line = ", ".join(f"{k} {v:.2f} ms" for k, v in medians.items())
+assert all(v < 20 for v in medians.values()), \
+    f"kept-alive median at or above 20 ms (a delayed-ACK wait?): {line}"
+print(f"OK phase 1b: kept-alive medians {line}")
 EOF
 
 # Phase 2 — crash a worker process mid-run, twice over: an injected
