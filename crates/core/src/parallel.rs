@@ -17,7 +17,7 @@
 //! (round-robin: worker k owns iteration c iff `c % W == k`):
 //!
 //! ```text
-//! __ceres_par_enter(ID);                 // snapshot globals, start clock window
+//! __ceres_par_enter(ID);                 // open the write log, start clock window
 //! for (var i = 0; i < N; i++) {
 //!   if (__ceres_par_iter(ID)) { body }   // true on the owner only
 //! }
@@ -31,15 +31,26 @@
 //!
 //! # The join barrier
 //!
-//! At `__ceres_par_exit` each worker diffs the reachable global state
-//! against its `__ceres_par_enter` snapshot, producing a list of
-//! `DiffOp` writes (plain data, `Send`). Workers rendezvous on a
-//! [`std::sync::Condvar`] barrier; the last arriver checks the rounds for
-//! divergence (identical trip counts, RNG state, canvas pixels, DOM
-//! mutation counts, no console growth), checks the write sets for
-//! conflicts (two workers writing different values to the same path), and
-//! publishes the merged op list. Every worker then applies every worker's
-//! ops in worker order — each replica converges to the same merged state.
+//! While an instance is open, the heap's write log
+//! ([`ceres_interp::value::open_write_log`]) records the pre-image of
+//! every object that existed at `__ceres_par_enter`, at its first write.
+//! At `__ceres_par_exit` each worker turns the changed slots of those
+//! objects, plus the changed program globals (a shallow compare of the
+//! global bindings), into a list of merge ops: plain `Send` data that
+//! names an entry-time object by its id and sends an object the body
+//! created by value. A join costs O(writes), not O(heap): nothing walks the global
+//! graph unless a refusal needs a path to name.
+//!
+//! Workers rendezvous on a [`std::sync::Condvar`] barrier; the last
+//! arriver checks the rounds for divergence (identical entry ticks and
+//! object ids, trip counts, RNG state, canvas pixels, DOM mutation counts,
+//! no console growth), checks the write sets for conflicts (two workers
+//! writing different values to one location: a global, or an object id
+//! plus a key or index), and publishes every worker's ops, shared rather
+//! than copied. Every worker then moves its object-id counter to the
+//! highest any worker reached and applies every worker's ops in worker
+//! order, so each replica converges to the same merged state and names
+//! the objects it allocates next alike.
 //!
 //! # Virtual-clock resynchronization
 //!
@@ -79,16 +90,21 @@ use ceres_dom::DomHandle;
 use ceres_instrument::parallelize::{
     parallelize_loop, ParallelizeError, PAR_ENTER, PAR_EXIT, PAR_ITER,
 };
-use ceres_interp::{Control, Interp, JsResult, Value};
+use ceres_interp::value::{
+    advance_object_ids, close_write_log, next_object_id, object_by_id, open_write_log, PreImage,
+};
+use ceres_interp::{
+    intern, resolve, Control, FxHashMap, FxHashSet, Interp, JsResult, ObjKind, ObjRef, Sym, Value,
+};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Objects deeper than this snapshot as [`Snap::Opaque`]; a gated body
-/// mutating state this deep is refused at the barrier (the diff reports
-/// an unmergeable change) rather than silently dropped.
+/// Objects deeper than this render as `<depth-capped>` in the final state,
+/// and a body-created value nested deeper is refused as unmergeable.
 const SNAP_DEPTH: u32 = 24;
 
 /// How long a worker waits at the join barrier before declaring the run
@@ -135,10 +151,11 @@ pub enum ParallelError {
     /// not actually safe to parallelize (or the clock algebra was
     /// violated); the sequential result stands.
     Diverged(String),
-    /// Two workers wrote different values to the same global path.
+    /// Two workers wrote different values to the same location, named by
+    /// its global path.
     WriteConflict(String),
-    /// A gated body created or changed state the merge cannot represent
-    /// (functions, host objects, structures past the depth cap).
+    /// A gated body wrote a value the merge cannot carry (functions, host
+    /// objects, cyclic or over-deep new structures).
     Unmergeable(String),
     /// A peer worker failed first; this worker was unwound.
     Poisoned(String),
@@ -193,7 +210,9 @@ pub struct ParallelRunOutput {
     pub par_saved_ticks: u64,
     /// Join barriers crossed (== instances when `workers > 1`).
     pub rounds: u64,
-    /// Diff ops merged across all barriers.
+    /// Merge ops applied across all barriers: each worker's changed slots
+    /// of entry-time objects and changed program globals, counted once per
+    /// worker that wrote them.
     pub merged_ops: u64,
     /// Real wall time of the whole run (not gated on, informational).
     pub wall_ms: f64,
@@ -270,30 +289,10 @@ pub fn equivalence(seq: &ParallelRunOutput, par: &ParallelRunOutput) -> Equivale
 }
 
 // ---------------------------------------------------------------------------
-// State snapshots and diffs
+// The final state render
 // ---------------------------------------------------------------------------
 
-/// One path segment into the global state.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Seg {
-    /// Property of an object (or extra property of an array). The first
-    /// segment of every path is the global variable name.
-    Key(String),
-    /// Array element.
-    Idx(usize),
-}
-
-impl std::fmt::Display for Seg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Seg::Key(k) => write!(f, ".{k}"),
-            Seg::Idx(i) => write!(f, "[{i}]"),
-        }
-    }
-}
-
-/// A scalar a gated body may write; `Num` keeps raw bits so `-0` and NaN
-/// compare exactly.
+/// A scalar value; `Num` keeps raw bits so `-0` and NaN compare exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Scalar {
     Undefined,
@@ -304,6 +303,18 @@ enum Scalar {
 }
 
 impl Scalar {
+    /// The scalar `v` holds, or `None` for an object.
+    fn of(v: &Value) -> Option<Scalar> {
+        Some(match v {
+            Value::Undefined => Scalar::Undefined,
+            Value::Null => Scalar::Null,
+            Value::Bool(b) => Scalar::Bool(*b),
+            Value::Num(n) => Scalar::Num(n.to_bits()),
+            Value::Str(s) => Scalar::Str(s.to_string()),
+            Value::Object(_) => return None,
+        })
+    }
+
     fn to_value(&self) -> Value {
         match self {
             Scalar::Undefined => Value::Undefined,
@@ -312,43 +323,6 @@ impl Scalar {
             Scalar::Num(bits) => Value::Num(f64::from_bits(*bits)),
             Scalar::Str(s) => Value::str(s.as_str()),
         }
-    }
-}
-
-/// One write a worker performed inside a gated body, as plain `Send` data
-/// replayable on any replica. Paths come out of the diff parent-first, at
-/// most one op per path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct DiffOp {
-    path: Vec<Seg>,
-    kind: OpKind,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum OpKind {
-    /// Write a scalar at the path.
-    Set(Scalar),
-    /// Replace the path with a fresh empty object (children follow).
-    MkObj,
-    /// Replace the path with a fresh empty array (elements follow).
-    MkArr,
-    /// Shrink the array at the path to this length.
-    Truncate(usize),
-    /// Delete the named property of the object at the path.
-    DelKey(String),
-}
-
-impl DiffOp {
-    fn path_key(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for seg in &self.path {
-            let _ = write!(s, "{seg}");
-        }
-        if let OpKind::DelKey(k) = &self.kind {
-            let _ = write!(s, ".{k}");
-        }
-        s
     }
 }
 
@@ -361,79 +335,76 @@ enum Snap {
     Arr(Vec<Snap>, Vec<(String, Snap)>),
     /// Own properties in deterministic insertion order.
     Obj(Vec<(String, Snap)>),
-    /// Functions, host-tagged objects, cycles, and depth-capped values:
-    /// compared for presence, refused if a body changes them.
+    /// Functions, host-tagged objects, cycles, and depth-capped values.
     Opaque(&'static str),
 }
 
 fn snap_value(v: &Value, depth: u32, visiting: &mut HashSet<u64>) -> Snap {
-    match v {
-        Value::Undefined => Snap::Scalar(Scalar::Undefined),
-        Value::Null => Snap::Scalar(Scalar::Null),
-        Value::Bool(b) => Snap::Scalar(Scalar::Bool(*b)),
-        Value::Num(n) => Snap::Scalar(Scalar::Num(n.to_bits())),
-        Value::Str(s) => Snap::Scalar(Scalar::Str(s.to_string())),
-        Value::Object(o) => {
-            if o.is_callable() {
-                return Snap::Opaque("function");
-            }
-            if let Some(tag) = o.tag() {
-                return Snap::Opaque(tag);
-            }
-            if depth == 0 {
-                return Snap::Opaque("depth-capped");
-            }
-            if !visiting.insert(o.id()) {
-                return Snap::Opaque("cycle");
-            }
-            let snap = if let Some(len) = o.array_len() {
-                let els = (0..len)
-                    .map(|i| {
-                        snap_value(
-                            &o.array_get(i).unwrap_or(Value::Undefined),
-                            depth - 1,
-                            visiting,
-                        )
-                    })
-                    .collect();
-                let props = o
-                    .own_keys()
-                    .into_iter()
-                    .filter(|k| !matches!(k.parse::<usize>(), Ok(i) if i < len))
-                    .filter_map(|k| {
-                        o.get_own(&k)
-                            .map(|v| (k.to_string(), snap_value(&v, depth - 1, visiting)))
-                    })
-                    .collect();
-                Snap::Arr(els, props)
-            } else {
-                Snap::Obj(
-                    o.own_keys()
-                        .into_iter()
-                        .filter_map(|k| {
-                            o.get_own(&k)
-                                .map(|v| (k.to_string(), snap_value(&v, depth - 1, visiting)))
-                        })
-                        .collect(),
-                )
-            };
-            visiting.remove(&o.id());
-            snap
+    let Value::Object(o) = v else {
+        return Snap::Scalar(Scalar::of(v).expect("a scalar"));
+    };
+    if o.is_callable() {
+        return Snap::Opaque("function");
+    }
+    if let Some(tag) = o.tag() {
+        return Snap::Opaque(tag);
+    }
+    if depth == 0 {
+        return Snap::Opaque("depth-capped");
+    }
+    if !visiting.insert(o.id()) {
+        return Snap::Opaque("cycle");
+    }
+    let obj = o.borrow();
+    let els = match &obj.kind {
+        ObjKind::Array(els) => Some(
+            els.iter()
+                .map(|e| snap_value(e, depth - 1, visiting))
+                .collect::<Vec<_>>(),
+        ),
+        _ => None,
+    };
+    // An array's index keys live in its elements; a named key spelling an
+    // index below the length is left to them.
+    let mut props = Vec::new();
+    for k in &obj.key_order {
+        let name = resolve(*k);
+        if matches!(&els, Some(els) if matches!(name.parse::<usize>(), Ok(i) if i < els.len())) {
+            continue;
         }
+        if let Some(v) = obj.props.get(k) {
+            props.push((name.to_string(), snap_value(v, depth - 1, visiting)));
+        }
+    }
+    drop(obj);
+    visiting.remove(&o.id());
+    match els {
+        Some(els) => Snap::Arr(els, props),
+        None => Snap::Obj(props),
     }
 }
 
-/// Snapshot every global the *program* created (baseline = builtins, DOM,
-/// hooks — recorded before `eval`). Keyed and ordered by name.
-fn snapshot_globals(interp: &Interp, baseline: &HashSet<String>) -> BTreeMap<String, Snap> {
-    let mut visiting = HashSet::new();
+/// The globals the *program* created (baseline = builtins, DOM, hooks —
+/// recorded before `eval`), by name.
+fn program_globals(interp: &Interp, baseline: &FxHashSet<Sym>) -> Vec<(String, Value)> {
     interp
         .global
         .local_names()
         .into_iter()
-        .filter(|n| !baseline.contains(n))
+        .filter(|n| !baseline.contains(&intern(n)))
         .map(|n| {
             let v = interp.global.get(&n).unwrap_or(Value::Undefined);
+            (n, v)
+        })
+        .collect()
+}
+
+/// Snapshot every program global, keyed and ordered by name.
+fn snapshot_globals(interp: &Interp, baseline: &FxHashSet<Sym>) -> BTreeMap<String, Snap> {
+    let mut visiting = HashSet::new();
+    program_globals(interp, baseline)
+        .into_iter()
+        .map(|(n, v)| {
             let s = snap_value(&v, SNAP_DEPTH, &mut visiting);
             (n, s)
         })
@@ -443,44 +414,51 @@ fn snapshot_globals(interp: &Interp, baseline: &HashSet<String>) -> BTreeMap<Str
 /// Canonical text render of a snapshot, for digests and diffs in error
 /// messages.
 fn render_snapshot(snap: &BTreeMap<String, Snap>) -> String {
+    use std::fmt::Write;
+    fn pad(out: &mut String, indent: usize) {
+        for _ in 0..indent {
+            out.push_str("  ");
+        }
+    }
     fn render(s: &Snap, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
         match s {
             Snap::Scalar(Scalar::Undefined) => out.push_str("undefined"),
             Snap::Scalar(Scalar::Null) => out.push_str("null"),
             Snap::Scalar(Scalar::Bool(b)) => out.push_str(if *b { "true" } else { "false" }),
             Snap::Scalar(Scalar::Num(bits)) => {
-                let f = f64::from_bits(*bits);
-                out.push_str(&format!("{f:?}"));
+                let _ = write!(out, "{:?}", f64::from_bits(*bits));
             }
-            Snap::Scalar(Scalar::Str(st)) => out.push_str(&format!("{st:?}")),
-            Snap::Opaque(tag) => out.push_str(&format!("<{tag}>")),
+            Snap::Scalar(Scalar::Str(st)) => {
+                let _ = write!(out, "{st:?}");
+            }
+            Snap::Opaque(tag) => {
+                let _ = write!(out, "<{tag}>");
+            }
             Snap::Arr(els, props) => {
                 out.push_str("[\n");
                 for e in els {
-                    out.push_str(&pad);
-                    out.push_str("  ");
+                    pad(out, indent + 1);
                     render(e, out, indent + 1);
                     out.push_str(",\n");
                 }
                 for (k, v) in props {
-                    out.push_str(&pad);
-                    out.push_str(&format!("  .{k}: "));
+                    pad(out, indent + 1);
+                    let _ = write!(out, ".{k}: ");
                     render(v, out, indent + 1);
                     out.push_str(",\n");
                 }
-                out.push_str(&pad);
+                pad(out, indent);
                 out.push(']');
             }
             Snap::Obj(props) => {
                 out.push_str("{\n");
                 for (k, v) in props {
-                    out.push_str(&pad);
-                    out.push_str(&format!("  {k}: "));
+                    pad(out, indent + 1);
+                    let _ = write!(out, "{k}: ");
                     render(v, out, indent + 1);
                     out.push_str(",\n");
                 }
-                out.push_str(&pad);
+                pad(out, indent);
                 out.push('}');
             }
         }
@@ -495,214 +473,427 @@ fn render_snapshot(snap: &BTreeMap<String, Snap>) -> String {
     out
 }
 
-/// Diff a worker's post-instance state against its snapshot. Fails when
-/// the body changed something the merge cannot represent.
-fn diff_globals(
-    old: &BTreeMap<String, Snap>,
-    new: &BTreeMap<String, Snap>,
-) -> Result<Vec<DiffOp>, String> {
-    let mut ops = Vec::new();
-    for (name, new_snap) in new {
-        let mut path = vec![Seg::Key(name.clone())];
-        diff_snap(old.get(name), new_snap, &mut path, &mut ops)?;
-    }
-    // Globals never disappear (vars are not deletable), so removed roots
-    // would mean the walker itself diverged:
-    for name in old.keys() {
-        if !new.contains_key(name) {
-            return Err(format!("global `{name}` vanished during a gated instance"));
+// ---------------------------------------------------------------------------
+// Merge ops from the write log
+// ---------------------------------------------------------------------------
+
+/// A value a merge op writes. An object every replica had at the
+/// instance's entry goes by id; one the body created goes by value.
+#[derive(Debug, Clone, PartialEq)]
+enum Val {
+    Scalar(Scalar),
+    Ref(u64),
+    /// Named properties in insertion order.
+    Obj(Vec<(String, Val)>),
+    /// Elements, then named properties.
+    Arr(Vec<Val>, Vec<(String, Val)>),
+}
+
+/// One write a worker performed inside a gated instance, as plain `Send`
+/// data every replica can replay.
+#[derive(Debug, Clone, PartialEq)]
+enum Op {
+    /// Bind a program global.
+    Global(String, Val),
+    /// Write an element of the array with this id.
+    Elem(u64, usize, Val),
+    /// Write a named property of the object with this id.
+    Prop(u64, String, Val),
+    /// Delete a named property of the object with this id.
+    Delete(u64, String),
+    /// Shrink the array with this id to a length.
+    Truncate(u64, usize),
+}
+
+/// Where an op writes: the key of the barrier's conflict check. Deleting
+/// and writing one property write one location.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Loc<'a> {
+    Global(&'a str),
+    Elem(u64, usize),
+    Prop(u64, &'a str),
+    Len(u64),
+}
+
+impl Op {
+    fn loc(&self) -> Loc<'_> {
+        match self {
+            Op::Global(name, _) => Loc::Global(name),
+            Op::Elem(id, i, _) => Loc::Elem(*id, *i),
+            Op::Prop(id, k, _) | Op::Delete(id, k) => Loc::Prop(*id, k),
+            Op::Truncate(id, _) => Loc::Len(*id),
         }
+    }
+
+    fn val(&self) -> Option<&Val> {
+        match self {
+            Op::Global(_, v) | Op::Elem(_, _, v) | Op::Prop(_, _, v) => Some(v),
+            Op::Delete(..) | Op::Truncate(..) => None,
+        }
+    }
+
+    /// Where this op and an earlier worker's different op at the same
+    /// location clash, as a path below the location. Two by-value objects
+    /// clash only where both write a scalar or a reference and disagree;
+    /// when they write disjoint parts there is no clash, and the later one
+    /// replaces the earlier.
+    fn clash(&self, earlier: &Op) -> Option<String> {
+        match (self.val(), earlier.val()) {
+            (Some(a), Some(b)) => first_clash(a, b),
+            _ => Some(String::new()),
+        }
+    }
+}
+
+fn first_clash(a: &Val, b: &Val) -> Option<String> {
+    fn props(a: &[(String, Val)], b: &[(String, Val)]) -> Option<String> {
+        a.iter().find_map(|(k, x)| {
+            let (_, y) = b.iter().find(|(kb, _)| kb == k)?;
+            first_clash(x, y).map(|p| format!(".{k}{p}"))
+        })
+    }
+    let hole = |v: &Val| *v == Val::Scalar(Scalar::Undefined);
+    match (a, b) {
+        (Val::Obj(pa), Val::Obj(pb)) => props(pa, pb),
+        (Val::Arr(ea, pa), Val::Arr(eb, pb)) => ea
+            .iter()
+            .zip(eb)
+            .enumerate()
+            .filter(|(_, (x, y))| !hole(x) && !hole(y))
+            .find_map(|(i, (x, y))| first_clash(x, y).map(|p| format!("[{i}]{p}")))
+            .or_else(|| props(pa, pb)),
+        _ => (a != b).then(String::new),
+    }
+}
+
+/// Do two values name the same thing? Numbers by bits, objects by id.
+fn same(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
+        _ => a.strict_eq(b),
+    }
+}
+
+/// A written value the merge cannot carry: what it is, and the path from
+/// the written slot down to it.
+struct Unmergeable {
+    what: &'static str,
+    below: String,
+}
+
+/// Encode a written value. Objects with an id below `fresh` existed at
+/// entry and go by id; newer ones go by value, without their `undefined`
+/// properties and trailing `undefined` elements, which like holes left by
+/// growth emit nothing.
+fn encode(
+    v: &Value,
+    fresh: u64,
+    depth: u32,
+    visiting: &mut FxHashSet<u64>,
+) -> Result<Val, Unmergeable> {
+    let Value::Object(o) = v else {
+        return Ok(Val::Scalar(Scalar::of(v).expect("a scalar")));
+    };
+    let refuse = |what| {
+        Err(Unmergeable {
+            what,
+            below: String::new(),
+        })
+    };
+    if o.is_callable() {
+        return refuse("function");
+    }
+    if let Some(tag) = o.tag() {
+        return refuse(tag);
+    }
+    if o.id() < fresh {
+        return Ok(Val::Ref(o.id()));
+    }
+    if depth == 0 {
+        return refuse("depth-capped");
+    }
+    if !visiting.insert(o.id()) {
+        return refuse("cycle");
+    }
+    let under = |seg: String| {
+        move |mut e: Unmergeable| {
+            e.below.insert_str(0, &seg);
+            e
+        }
+    };
+    let obj = o.borrow();
+    let els = match &obj.kind {
+        ObjKind::Array(els) => {
+            let mut out = Vec::with_capacity(els.len());
+            for (i, e) in els.iter().enumerate() {
+                out.push(encode(e, fresh, depth - 1, visiting).map_err(under(format!("[{i}]")))?);
+            }
+            while out.last() == Some(&Val::Scalar(Scalar::Undefined)) {
+                out.pop();
+            }
+            Some(out)
+        }
+        _ => None,
+    };
+    let mut props = Vec::new();
+    for k in &obj.key_order {
+        let v = &obj.props[k];
+        if matches!(v, Value::Undefined) {
+            continue;
+        }
+        let name = resolve(*k);
+        let val = encode(v, fresh, depth - 1, visiting).map_err(under(format!(".{name}")))?;
+        props.push((name.to_string(), val));
+    }
+    drop(obj);
+    visiting.remove(&o.id());
+    Ok(match els {
+        Some(els) => Val::Arr(els, props),
+        None => Val::Obj(props),
+    })
+}
+
+/// This worker's ops for one instance: the changed slots of every object
+/// its write log saw, then the changed program globals by name. An
+/// unchanged value emits nothing, and neither does an `undefined` in a
+/// slot that did not exist at entry (a hole left by growth). Host-tagged
+/// objects stay out, as their effects are checked at the barrier.
+fn instance_ops(
+    interp: &Interp,
+    baseline: &FxHashSet<Sym>,
+    act: &ActiveInstance,
+    dirty: &[PreImage],
+) -> Result<Vec<Op>, String> {
+    let fresh = act.enter_next_id;
+    let mut visiting = FxHashSet::default();
+    let mut ops = Vec::new();
+    let mut val = |loc: Loc<'_>, v: &Value| {
+        encode(v, fresh, SNAP_DEPTH, &mut visiting).map_err(|e| {
+            format!(
+                "body created or changed an unmergeable value ({}) at {}",
+                e.what,
+                first_path(interp, baseline, &[(loc, &e.below)]).1
+            )
+        })
+    };
+    for pre in dirty {
+        let obj = pre.obj.borrow();
+        if obj.tag.is_some() {
+            continue;
+        }
+        let id = pre.obj.id();
+        if let (ObjKind::Array(now), Some(old)) = (&obj.kind, &pre.elems) {
+            if now.len() < old.len() {
+                ops.push(Op::Truncate(id, now.len()));
+            }
+            for (i, v) in now.iter().enumerate() {
+                match old.get(i) {
+                    Some(prev) if same(prev, v) => {}
+                    None if matches!(v, Value::Undefined) => {}
+                    _ => ops.push(Op::Elem(id, i, val(Loc::Elem(id, i), v)?)),
+                }
+            }
+        }
+        for k in &pre.key_order {
+            if !obj.props.contains_key(k) {
+                ops.push(Op::Delete(id, resolve(*k).to_string()));
+            }
+        }
+        for k in &obj.key_order {
+            let v = &obj.props[k];
+            match pre.props.get(k) {
+                Some(prev) if same(prev, v) => {}
+                None if matches!(v, Value::Undefined) => {}
+                _ => {
+                    let name = resolve(*k);
+                    let v = val(Loc::Prop(id, &name), v)?;
+                    ops.push(Op::Prop(id, name.to_string(), v));
+                }
+            }
+        }
+    }
+    let mut globals: Vec<(Rc<str>, Value)> = interp
+        .global
+        .local_values()
+        .into_iter()
+        .filter(|(s, v)| match act.globals.get(s) {
+            Some(prev) => !same(prev, v),
+            None => !baseline.contains(s) && !matches!(v, Value::Undefined),
+        })
+        .map(|(s, v)| (resolve(s), v))
+        .collect();
+    globals.sort_by(|a, b| a.0.cmp(&b.0));
+    for (name, v) in &globals {
+        let v = val(Loc::Global(name), v)?;
+        ops.push(Op::Global(name.to_string(), v));
     }
     Ok(ops)
 }
 
-fn diff_snap(
-    old: Option<&Snap>,
-    new: &Snap,
-    path: &mut Vec<Seg>,
-    ops: &mut Vec<DiffOp>,
-) -> Result<(), String> {
-    if old == Some(new) {
-        return Ok(());
+/// The global path of the first of `wanted` (a location and the path
+/// below it) that a walk of the program globals meets, and its index. The
+/// walk takes globals by name, then depth first each object's length, its
+/// elements, its deleted and then its present named properties, so the
+/// first clash named is the first in that order. An object no global reaches
+/// is named by id. Only a refusal pays for this walk.
+fn first_path(
+    interp: &Interp,
+    baseline: &FxHashSet<Sym>,
+    wanted: &[(Loc<'_>, &str)],
+) -> (usize, String) {
+    struct Walk<'w, 'a> {
+        wanted: &'w [(Loc<'a>, &'w str)],
+        seen: FxHashSet<u64>,
+        path: String,
     }
-    let path_str = || path.iter().map(|s| s.to_string()).collect::<String>();
-    match new {
-        Snap::Scalar(s) => {
-            // A fresh array slot (or fresh root) holding `undefined` is a
-            // hole from growth, not a write: skipping it keeps workers'
-            // write sets disjoint when they fill alternating slots.
-            if old.is_none() && *s == Scalar::Undefined {
-                return Ok(());
-            }
-            ops.push(DiffOp {
-                path: path.clone(),
-                kind: OpKind::Set(s.clone()),
-            });
-            Ok(())
+    impl Walk<'_, '_> {
+        fn hit(&self, loc: Loc<'_>) -> Option<(usize, String)> {
+            let i = self.wanted.iter().position(|(l, _)| *l == loc)?;
+            Some((i, format!("{}{}", self.path, self.wanted[i].1)))
         }
-        Snap::Opaque(tag) => Err(format!(
-            "body created or changed an unmergeable value ({tag}) at {}",
-            path_str()
-        )),
-        Snap::Arr(els, props) => {
-            let (old_els, old_props) = match old {
-                Some(Snap::Arr(e, p)) => (Some(e), Some(p)),
-                _ => {
-                    ops.push(DiffOp {
-                        path: path.clone(),
-                        kind: OpKind::MkArr,
-                    });
-                    (None, None)
-                }
-            };
-            if let Some(oe) = old_els {
-                if els.len() < oe.len() {
-                    ops.push(DiffOp {
-                        path: path.clone(),
-                        kind: OpKind::Truncate(els.len()),
-                    });
-                }
-            }
-            for (i, el) in els.iter().enumerate() {
-                let old_el = old_els.and_then(|oe| oe.get(i));
-                path.push(Seg::Idx(i));
-                diff_snap(old_el, el, path, ops)?;
-                path.pop();
-            }
-            diff_props(old_props.map(|p| p.as_slice()), props, path, ops)
-        }
-        Snap::Obj(props) => {
-            let old_props = match old {
-                Some(Snap::Obj(p)) => Some(p),
-                _ => {
-                    ops.push(DiffOp {
-                        path: path.clone(),
-                        kind: OpKind::MkObj,
-                    });
-                    None
-                }
-            };
-            diff_props(old_props.map(|p| p.as_slice()), props, path, ops)
-        }
-    }
-}
 
-fn diff_props(
-    old: Option<&[(String, Snap)]>,
-    new: &[(String, Snap)],
-    path: &mut Vec<Seg>,
-    ops: &mut Vec<DiffOp>,
-) -> Result<(), String> {
-    let old_map: HashMap<&str, &Snap> = old
-        .map(|o| o.iter().map(|(k, v)| (k.as_str(), v)).collect())
-        .unwrap_or_default();
-    let new_keys: HashSet<&str> = new.iter().map(|(k, _)| k.as_str()).collect();
-    if let Some(old) = old {
-        for (k, _) in old {
-            if !new_keys.contains(k.as_str()) {
-                ops.push(DiffOp {
-                    path: path.clone(),
-                    kind: OpKind::DelKey(k.clone()),
-                });
-            }
+        fn slot(
+            &mut self,
+            seg: &str,
+            loc: Loc<'_>,
+            v: &Value,
+            depth: u32,
+        ) -> Option<(usize, String)> {
+            let len = self.path.len();
+            self.path.push_str(seg);
+            let found = self.hit(loc).or_else(|| self.value(v, depth));
+            self.path.truncate(len);
+            found
         }
-    }
-    for (k, v) in new {
-        path.push(Seg::Key(k.clone()));
-        diff_snap(old_map.get(k.as_str()).copied(), v, path, ops)?;
-        path.pop();
-    }
-    Ok(())
-}
 
-/// Replay one op against this replica's live state.
-fn apply_op(interp: &Interp, op: &DiffOp) -> Result<(), String> {
-    let Some(Seg::Key(root)) = op.path.first() else {
-        return Err("diff op with empty path".to_string());
-    };
-    // Resolve the container the final segment addresses.
-    if op.path.len() == 1 {
-        match &op.kind {
-            OpKind::Set(s) => {
-                if !interp.global.set(root, s.to_value()) {
-                    interp.global.declare(root, s.to_value());
-                }
-                return Ok(());
+        fn value(&mut self, v: &Value, depth: u32) -> Option<(usize, String)> {
+            let Value::Object(o) = v else { return None };
+            if depth == 0 || o.is_callable() || o.tag().is_some() || !self.seen.insert(o.id()) {
+                return None;
             }
-            OpKind::MkObj => {
-                let v = Value::Object(ceres_interp::new_object());
-                if !interp.global.set(root, v.clone()) {
-                    interp.global.declare(root, v);
-                }
-                return Ok(());
+            let id = o.id();
+            if let Some(found) = self.hit(Loc::Len(id)) {
+                return Some(found);
             }
-            OpKind::MkArr => {
-                let v = Value::Object(ceres_interp::new_array(Vec::new()));
-                if !interp.global.set(root, v.clone()) {
-                    interp.global.declare(root, v);
-                }
-                return Ok(());
-            }
-            _ => {}
-        }
-    }
-    let mut cur = interp
-        .global
-        .get(root)
-        .ok_or_else(|| format!("merge path root `{root}` missing"))?;
-    // For Truncate the path addresses the array itself; everything else
-    // addresses a slot inside the value at path[..len-1].
-    let walk_to = match op.kind {
-        OpKind::Truncate(_) | OpKind::DelKey(_) => op.path.len(),
-        _ => op.path.len() - 1,
-    };
-    for seg in &op.path[1..walk_to] {
-        let obj = match &cur {
-            Value::Object(o) => o.clone(),
-            _ => {
-                return Err(format!(
-                    "merge path {} traverses a non-object",
-                    op.path_key()
-                ))
-            }
-        };
-        cur = match seg {
-            Seg::Key(k) => obj.get_own(k).unwrap_or(Value::Undefined),
-            Seg::Idx(i) => obj.array_get(*i).unwrap_or(Value::Undefined),
-        };
-    }
-    let container = match &cur {
-        Value::Object(o) => o.clone(),
-        _ => return Err(format!("merge path {} ends in a non-object", op.path_key())),
-    };
-    match &op.kind {
-        OpKind::Truncate(n) => {
-            container
-                .with_array_mut(|v| v.truncate(*n))
-                .ok_or_else(|| format!("truncate target {} is not an array", op.path_key()))?;
-        }
-        OpKind::DelKey(k) => {
-            container.borrow_mut().delete_prop(k);
-        }
-        OpKind::Set(_) | OpKind::MkObj | OpKind::MkArr => {
-            let value = match &op.kind {
-                OpKind::Set(s) => s.to_value(),
-                OpKind::MkObj => Value::Object(ceres_interp::new_object()),
-                _ => Value::Object(ceres_interp::new_array(Vec::new())),
-            };
-            match op.path.last().unwrap() {
-                Seg::Key(k) => container.set_prop(k, value),
-                Seg::Idx(i) => {
-                    if container.array_len().is_some() {
-                        container.array_set(*i, value);
-                    } else {
-                        container.set_prop(&i.to_string(), value);
+            let obj = o.borrow();
+            if let ObjKind::Array(els) = &obj.kind {
+                for (i, e) in els.iter().enumerate() {
+                    if let Some(found) =
+                        self.slot(&format!("[{i}]"), Loc::Elem(id, i), e, depth - 1)
+                    {
+                        return Some(found);
                     }
                 }
             }
+            for (i, (l, below)) in self.wanted.iter().enumerate() {
+                if let Loc::Prop(oid, k) = l {
+                    if *oid == id && !obj.props.contains_key(&intern(k)) {
+                        return Some((i, format!("{}.{k}{below}", self.path)));
+                    }
+                }
+            }
+            for k in &obj.key_order {
+                let name = resolve(*k);
+                let v = &obj.props[k];
+                if let Some(found) =
+                    self.slot(&format!(".{name}"), Loc::Prop(id, &name), v, depth - 1)
+                {
+                    return Some(found);
+                }
+            }
+            None
         }
     }
-    Ok(())
+    let mut walk = Walk {
+        wanted,
+        seen: FxHashSet::default(),
+        path: String::new(),
+    };
+    for (name, v) in program_globals(interp, baseline) {
+        if let Some(found) = walk.slot(&format!(".{name}"), Loc::Global(&name), &v, SNAP_DEPTH) {
+            return found;
+        }
+    }
+    let (loc, below) = wanted[0];
+    let at = match loc {
+        Loc::Global(name) => format!(".{name}"),
+        Loc::Elem(id, i) => format!("(object #{id})[{i}]"),
+        Loc::Prop(id, k) => format!("(object #{id}).{k}"),
+        Loc::Len(id) => format!("(object #{id})"),
+    };
+    (0, format!("{at}{below}"))
+}
+
+/// Materialize a merged value on this replica. By-value objects are built
+/// in the same order on every replica, so their ids agree.
+fn build(v: &Val) -> Result<Value, String> {
+    let named = |o: &ObjRef, props: &[(String, Val)]| {
+        props.iter().try_for_each(|(k, v)| {
+            o.set_prop(k, build(v)?);
+            Ok::<_, String>(())
+        })
+    };
+    Ok(match v {
+        Val::Scalar(s) => s.to_value(),
+        Val::Ref(id) => Value::Object(
+            object_by_id(*id)
+                .ok_or_else(|| format!("merged object #{id} is gone on this replica"))?,
+        ),
+        Val::Obj(props) => {
+            let o = ceres_interp::new_object();
+            named(&o, props)?;
+            Value::Object(o)
+        }
+        Val::Arr(els, props) => {
+            let o = ceres_interp::new_array(els.iter().map(build).collect::<Result<_, _>>()?);
+            named(&o, props)?;
+            Value::Object(o)
+        }
+    })
+}
+
+/// Replay every worker's ops on this replica, in worker order, and count
+/// them. Every value is built before the first write, so an object one op
+/// unlinks is still there for a later op that links it elsewhere. A
+/// target object this replica no longer holds is unreachable here, and
+/// its write is dropped.
+fn apply(interp: &Interp, merged: &[Vec<Op>]) -> Result<u64, String> {
+    let ops: Vec<&Op> = merged.iter().flatten().collect();
+    let values = ops
+        .iter()
+        .map(|op| op.val().map(build).transpose())
+        .collect::<Result<Vec<_>, _>>()?;
+    for (op, value) in ops.iter().zip(values) {
+        match (op, value) {
+            (Op::Global(name, _), Some(v)) => {
+                if !interp.global.set(name, v.clone()) {
+                    interp.global.declare(name, v);
+                }
+            }
+            (Op::Elem(id, i, _), Some(v)) => {
+                if let Some(o) = object_by_id(*id) {
+                    o.array_set(*i, v);
+                }
+            }
+            (Op::Prop(id, k, _), Some(v)) => {
+                if let Some(o) = object_by_id(*id) {
+                    o.set_prop(k, v);
+                }
+            }
+            (Op::Delete(id, k), _) => {
+                if let Some(o) = object_by_id(*id) {
+                    o.borrow_mut().delete_prop(k);
+                }
+            }
+            (Op::Truncate(id, n), _) => {
+                if let Some(o) = object_by_id(*id) {
+                    o.with_array_mut(|v| v.truncate(*n));
+                }
+            }
+            _ => unreachable!("every write op carries a value"),
+        }
+    }
+    Ok(ops.len() as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -729,7 +920,11 @@ struct WorkerRound {
     rng_state: u64,
     canvas: Vec<(u64, u64)>,
     mutations: u64,
-    ops: Vec<DiffOp>,
+    /// The id the first object allocated inside the instance got.
+    enter_next_id: u64,
+    /// The id the next object allocated gets.
+    next_id: u64,
+    ops: Vec<Op>,
 }
 
 /// What the barrier publishes back to every worker.
@@ -738,8 +933,47 @@ struct RoundResult {
     target_ticks: u64,
     /// `Σ E_k - max E_k` — ticks removed from the critical path.
     saved: u64,
+    /// Where every replica moves its object-id counter before the apply:
+    /// the highest any worker reached, so the objects the apply builds get
+    /// one id on every replica.
+    next_id: u64,
     /// All workers' ops, in worker order.
-    merged: Vec<Vec<DiffOp>>,
+    merged: Vec<Vec<Op>>,
+}
+
+/// A write conflict found at a barrier: each location worker `worker`
+/// wrote that an earlier worker wrote differently.
+struct Conflict {
+    worker: usize,
+    /// The earlier worker, this worker's op, and the path below the op's
+    /// location where they clash.
+    clashes: Vec<(usize, Op, String)>,
+}
+
+impl Conflict {
+    /// The refusal, naming the first clash by its global path on this
+    /// replica.
+    fn refusal(&self, interp: &Interp, baseline: &FxHashSet<Sym>) -> ParallelError {
+        let wanted: Vec<(Loc<'_>, &str)> = self
+            .clashes
+            .iter()
+            .map(|(_, op, below)| (op.loc(), below.as_str()))
+            .collect();
+        let (i, path) = first_path(interp, baseline, &wanted);
+        ParallelError::WriteConflict(format!(
+            "workers {} and {} wrote different values to `{path}`",
+            self.clashes[i].0, self.worker
+        ))
+    }
+}
+
+/// Why a worker leaves a barrier without a merge.
+enum Refusal {
+    Failed(ParallelError),
+    /// A write conflict for this worker to name: the worker that wrote
+    /// second names it on its own heap, which is the state the clash came
+    /// from.
+    Conflict(Conflict),
 }
 
 struct RoundState {
@@ -747,6 +981,8 @@ struct RoundState {
     arrived: usize,
     slots: Vec<Option<WorkerRound>>,
     published: Option<Arc<RoundResult>>,
+    /// A write conflict its worker has not named yet.
+    conflict: Option<Conflict>,
     poison: Option<ParallelError>,
 }
 
@@ -767,6 +1003,7 @@ impl Coordinator {
                 arrived: 0,
                 slots: vec![None; workers],
                 published: None,
+                conflict: None,
                 poison: None,
             }),
             cv: Condvar::new(),
@@ -781,65 +1018,115 @@ impl Coordinator {
         self.cv.notify_all();
     }
 
-    fn rendezvous(&self, wid: usize, data: WorkerRound) -> Result<Arc<RoundResult>, ParallelError> {
+    fn rendezvous(&self, wid: usize, data: WorkerRound) -> Result<Arc<RoundResult>, Refusal> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(p) = &g.poison {
-            return Err(ParallelError::Poisoned(p.to_string()));
+            return Err(Refusal::Failed(ParallelError::Poisoned(p.to_string())));
         }
+        let my_round = g.round;
         g.slots[wid] = Some(data);
         g.arrived += 1;
         if g.arrived == self.workers {
             let rounds: Vec<WorkerRound> = g.slots.iter_mut().map(|s| s.take().unwrap()).collect();
             g.arrived = 0;
-            match merge_round(&rounds) {
+            match merge_round(rounds) {
                 Ok(res) => {
-                    let res = Arc::new(res);
-                    g.published = Some(res.clone());
+                    g.published = Some(Arc::new(res));
                     g.round += 1;
-                    self.cv.notify_all();
-                    Ok(res)
                 }
-                Err(e) => {
+                Err(Refusal::Conflict(c)) => g.conflict = Some(c),
+                Err(Refusal::Failed(e)) => {
                     g.poison = Some(e.clone());
                     self.cv.notify_all();
-                    Err(e)
+                    return Err(Refusal::Failed(e));
                 }
             }
-        } else {
-            let my_round = g.round;
-            while g.round == my_round && g.poison.is_none() {
-                let (guard, timeout) = self
-                    .cv
-                    .wait_timeout(g, BARRIER_TIMEOUT)
-                    .unwrap_or_else(|e| e.into_inner());
-                g = guard;
-                if timeout.timed_out() && g.round == my_round && g.poison.is_none() {
-                    let err = ParallelError::Diverged(format!(
-                        "worker {wid} timed out at the join barrier after {}s",
-                        BARRIER_TIMEOUT.as_secs()
-                    ));
-                    g.poison = Some(err.clone());
-                    self.cv.notify_all();
-                    return Err(err);
-                }
-            }
+            self.cv.notify_all();
+        }
+        loop {
             if let Some(p) = &g.poison {
-                return Err(ParallelError::Poisoned(p.to_string()));
+                return Err(Refusal::Failed(ParallelError::Poisoned(p.to_string())));
             }
-            Ok(g.published.clone().expect("published round"))
+            if g.round != my_round {
+                return Ok(g.published.clone().expect("published round"));
+            }
+            if g.conflict.as_ref().is_some_and(|c| c.worker == wid) {
+                return Err(Refusal::Conflict(g.conflict.take().expect("a conflict")));
+            }
+            let (guard, timeout) = self
+                .cv
+                .wait_timeout(g, BARRIER_TIMEOUT)
+                .unwrap_or_else(|e| e.into_inner());
+            g = guard;
+            if timeout.timed_out() && g.round == my_round && g.poison.is_none() {
+                let err = ParallelError::Diverged(format!(
+                    "worker {wid} timed out at the join barrier after {}s",
+                    BARRIER_TIMEOUT.as_secs()
+                ));
+                g.poison = Some(err.clone());
+                self.cv.notify_all();
+                return Err(Refusal::Failed(err));
+            }
         }
     }
 }
 
 /// The barrier math + divergence and conflict checks, run once per round
 /// by the last worker to arrive.
-fn merge_round(rounds: &[WorkerRound]) -> Result<RoundResult, ParallelError> {
+fn merge_round(rounds: Vec<WorkerRound>) -> Result<RoundResult, Refusal> {
+    let (target_ticks, saved) = settle_round(&rounds).map_err(Refusal::Failed)?;
+
+    // Write-conflict check: each worker emits at most one op per
+    // location, so two workers writing one location must agree.
+    let total = rounds.iter().map(|r| r.ops.len()).sum();
+    let mut writers: FxHashMap<Loc<'_>, (usize, &Op)> =
+        FxHashMap::with_capacity_and_hasher(total, Default::default());
+    for (k, r) in rounds.iter().enumerate() {
+        let mut clashes = Vec::new();
+        for op in &r.ops {
+            match writers.entry(op.loc()) {
+                Entry::Vacant(e) => {
+                    e.insert((k, op));
+                }
+                Entry::Occupied(e) => {
+                    let (prev_k, prev) = *e.get();
+                    if prev != op {
+                        if let Some(below) = op.clash(prev) {
+                            clashes.push((prev_k, op.clone(), below));
+                        }
+                    }
+                }
+            }
+        }
+        if !clashes.is_empty() {
+            return Err(Refusal::Conflict(Conflict { worker: k, clashes }));
+        }
+    }
+    drop(writers);
+
+    Ok(RoundResult {
+        target_ticks,
+        saved,
+        next_id: rounds.iter().map(|r| r.next_id).max().unwrap_or(0),
+        merged: rounds.into_iter().map(|r| r.ops).collect(),
+    })
+}
+
+/// The divergence checks and the clock algebra: the resync target and the
+/// saved ticks.
+fn settle_round(rounds: &[WorkerRound]) -> Result<(u64, u64), ParallelError> {
     let first = &rounds[0];
     for (k, r) in rounds.iter().enumerate() {
         if r.enter_ticks != first.enter_ticks {
             return Err(ParallelError::Diverged(format!(
                 "workers entered the instance at different ticks ({} vs {} on worker {k})",
                 first.enter_ticks, r.enter_ticks
+            )));
+        }
+        if r.enter_next_id != first.enter_next_id {
+            return Err(ParallelError::Diverged(format!(
+                "workers entered the instance with different heaps (next object id {} vs {} on worker {k})",
+                first.enter_next_id, r.enter_next_id
             )));
         }
         if r.iters != first.iters {
@@ -875,7 +1162,7 @@ fn merge_round(rounds: &[WorkerRound]) -> Result<RoundResult, ParallelError> {
     // the loop-exit edge (a different code path than gate-to-gate), so
     // its constant cost `e` is recovered from the workers that do *not*
     // own iteration N-1 and the owner's body extra is `last_cost - e`.
-    let (target, saved) = if rounds.len() == 1 {
+    Ok(if rounds.len() == 1 {
         (first.exit_ticks, 0)
     } else {
         // Exit-edge constant `e` (meaningful only when the loop iterated).
@@ -949,30 +1236,6 @@ fn merge_round(rounds: &[WorkerRound]) -> Result<RoundResult, ParallelError> {
         let sum: u64 = extras.iter().sum();
         let max = extras.iter().copied().max().unwrap_or(0);
         (first.enter_ticks + s + sum, sum - max)
-    };
-
-    // Write-conflict check: the diff emits at most one op per path, so two
-    // workers touching the same path must have written identical ops.
-    let mut writes: HashMap<String, (usize, &DiffOp)> = HashMap::new();
-    for (k, r) in rounds.iter().enumerate() {
-        for op in &r.ops {
-            let key = op.path_key();
-            if let Some((prev_k, prev_op)) = writes.get(&key) {
-                if *prev_op != op {
-                    return Err(ParallelError::WriteConflict(format!(
-                        "workers {prev_k} and {k} wrote different values to `{key}`"
-                    )));
-                }
-            } else {
-                writes.insert(key, (k, op));
-            }
-        }
-    }
-
-    Ok(RoundResult {
-        target_ticks: target,
-        saved,
-        merged: rounds.iter().map(|r| r.ops.clone()).collect(),
     })
 }
 
@@ -984,7 +1247,8 @@ fn merge_round(rounds: &[WorkerRound]) -> Result<RoundResult, ParallelError> {
 struct ParState {
     wid: usize,
     workers: usize,
-    baseline: HashSet<String>,
+    /// Globals bound before the program ran (builtins, DOM, hooks).
+    baseline: FxHashSet<Sym>,
     active: Option<ActiveInstance>,
     instances: u64,
     iterations: u64,
@@ -1002,7 +1266,11 @@ struct ActiveInstance {
     /// `d_c` for each owned iteration (resolved against `h` at exit).
     owned_costs: Vec<u64>,
     console_len: usize,
-    snapshot: BTreeMap<String, Snap>,
+    /// The id of the first object allocated inside the instance; the write
+    /// log covers every older one.
+    enter_next_id: u64,
+    /// The program globals' values at entry.
+    globals: FxHashMap<Sym, Value>,
 }
 
 fn fatal(coord: &Coordinator, err: ParallelError) -> Control {
@@ -1032,7 +1300,13 @@ fn install_par_hooks(
                 ));
             }
             let now = interp.clock.now_ticks();
-            let snapshot = snapshot_globals(interp, &st.baseline);
+            let globals = interp
+                .global
+                .local_values()
+                .into_iter()
+                .filter(|(s, _)| !st.baseline.contains(s))
+                .collect();
+            open_write_log();
             st.active = Some(ActiveInstance {
                 enter_ticks: now,
                 last_gate: now,
@@ -1040,7 +1314,8 @@ fn install_par_hooks(
                 header_cost: None,
                 owned_costs: Vec::new(),
                 console_len: interp.console.len(),
-                snapshot,
+                enter_next_id: next_object_id(),
+                globals,
             });
             Ok(Value::Undefined)
         });
@@ -1107,11 +1382,12 @@ fn install_par_hooks(
                         .sum::<u64>()
                 })
             };
-            let after = snapshot_globals(interp, &st.baseline);
-            let ops = match diff_globals(&act.snapshot, &after) {
+            let dirty = close_write_log();
+            let ops = match instance_ops(interp, &st.baseline, &act, &dirty) {
                 Ok(ops) => ops,
                 Err(e) => return Err(fatal(&coord, ParallelError::Unmergeable(e))),
             };
+            drop(dirty);
             let round = WorkerRound {
                 enter_ticks: act.enter_ticks,
                 exit_ticks: now,
@@ -1123,19 +1399,21 @@ fn install_par_hooks(
                 rng_state: interp.rng_state(),
                 canvas: canvas_checksums(&dom),
                 mutations: dom.mutations(),
+                enter_next_id: act.enter_next_id,
+                next_id: next_object_id(),
                 ops,
             };
             let result = match coord.rendezvous(wid, round) {
                 Ok(r) => r,
-                Err(e) => return Err(fatal(&coord, e)),
-            };
-            for worker_ops in &result.merged {
-                for op in worker_ops {
-                    st.merged_ops += 1;
-                    if let Err(e) = apply_op(interp, op) {
-                        return Err(fatal(&coord, ParallelError::Unmergeable(e)));
-                    }
+                Err(Refusal::Failed(e)) => return Err(fatal(&coord, e)),
+                Err(Refusal::Conflict(c)) => {
+                    return Err(fatal(&coord, c.refusal(interp, &st.baseline)))
                 }
+            };
+            advance_object_ids(result.next_id);
+            match apply(interp, &result.merged) {
+                Ok(n) => st.merged_ops += n,
+                Err(e) => return Err(fatal(&coord, ParallelError::Unmergeable(e))),
             }
             let now = interp.clock.now_ticks();
             if result.target_ticks < now {
@@ -1208,7 +1486,7 @@ fn worker_run(
     let state = Rc::new(RefCell::new(ParState {
         wid,
         workers: spec.workers,
-        baseline: HashSet::new(),
+        baseline: FxHashSet::default(),
         active: None,
         instances: 0,
         iterations: 0,
@@ -1218,8 +1496,13 @@ fn worker_run(
     }));
     install_par_hooks(&mut interp, state.clone(), coord.clone(), dom.clone());
     // Baseline: every name bound before the program runs is host-provided
-    // and excluded from snapshots.
-    state.borrow_mut().baseline = interp.global.local_names().into_iter().collect();
+    // and excluded from the merge and the state render.
+    state.borrow_mut().baseline = interp
+        .global
+        .local_values()
+        .into_iter()
+        .map(|(s, _)| s)
+        .collect();
 
     let js = |coord: &Coordinator, c: Control| -> ParallelError {
         let err = match c {

@@ -65,7 +65,7 @@ use ceres_ast::ast::*;
 use ceres_ast::build;
 
 /// Host hook: `(loop_id)` — one instance of the parallel loop begins
-/// (snapshot point for the join's state diff).
+/// (the join's write log opens here).
 pub const PAR_ENTER: &str = "__ceres_par_enter";
 /// Host hook: `(loop_id) -> bool` — called once per iteration by every
 /// worker; true when this worker owns the iteration.

@@ -229,11 +229,11 @@ fn install_array(interp: &mut Interp) {
     method(&table, "concat", |interp, ctx, args| {
         let arr = this_array(interp, ctx, "concat")?;
         let mut out: Vec<Value> = Vec::new();
-        arr.with_array_mut(|v| out.extend(v.iter().cloned()));
+        arr.with_array(|v| out.extend_from_slice(v));
         for a in args {
             match a.as_object() {
                 Some(o) if o.is_array() => {
-                    o.with_array_mut(|v| out.extend(v.iter().cloned()));
+                    o.with_array(|v| out.extend_from_slice(v));
                 }
                 _ => out.push(a.clone()),
             }

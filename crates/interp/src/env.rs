@@ -136,10 +136,21 @@ impl Scope {
         self.vars.borrow().contains_key(&intern(name))
     }
 
+    /// Every binding declared in *this* scope (not parents) with its
+    /// current value, in hash-map order. The fork-join join compares the
+    /// program globals through it.
+    pub fn local_values(&self) -> Vec<(Sym, Value)> {
+        self.vars
+            .borrow()
+            .iter()
+            .map(|(s, b)| (*s, b.borrow().value.clone()))
+            .collect()
+    }
+
     /// Names of every binding declared in *this* scope (not parents),
     /// sorted lexicographically so callers iterate deterministically
-    /// regardless of hash-map order. Used by the parallel backend to walk
-    /// the global state for its snapshot/diff/merge cycle.
+    /// regardless of hash-map order. Used by the parallel backend to render
+    /// the global state.
     pub fn local_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
             .vars

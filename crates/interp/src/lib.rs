@@ -15,7 +15,8 @@
 //! Key pieces:
 //!
 //! * [`value`] — values and the object heap (unique object ids for analysis
-//!   side tables; the stand-in for the paper's ES `Proxy` stamps);
+//!   side tables; the stand-in for the paper's ES `Proxy` stamps), and the
+//!   write log the fork-join executor builds its merge from;
 //! * `env` — function-scoped environments with unique binding ids;
 //! * [`clock`] — virtual clock plus the simulated Gecko sampling profiler
 //!   (reproduces the paper's "Active < In-Loops" artifact);

@@ -4,12 +4,17 @@
 //! a process-unique id so the analysis engine can keep side tables (creation
 //! stamps, last-write snapshots) without the interpreter knowing about them —
 //! this replaces the ES `Proxy` wrapping the paper's tool used (Sec. 3.3).
+//!
+//! Every mutation goes through an [`ObjRef`] method, so the heap can also
+//! keep a *write log*: while one is open ([`open_write_log`]), the first
+//! write to each older object records its [`PreImage`]. With no log open
+//! the check is one thread-local compare.
 
 use crate::env::ScopeRef;
-use crate::intern::{intern, resolve, FxHashMap, Sym};
+use crate::intern::{intern, resolve, FxHashMap, FxHashSet, Sym};
 use crate::interp::{Interp, JsResult};
 use ceres_ast::ast::Func;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A JavaScript value.
@@ -222,11 +227,114 @@ pub struct ObjRef {
 }
 
 thread_local! {
-    static NEXT_OBJ_ID: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
+    static NEXT_OBJ_ID: Cell<u64> = const { Cell::new(1) };
     /// Weak handles to every live allocation on this thread, in allocation
     /// order. [`Interp`] records the length at construction and sweeps its
     /// suffix on drop — see [`heap_sweep`].
     static OBJ_REGISTRY: RefCell<Vec<std::rc::Weak<RefCell<Obj>>>> = const { RefCell::new(Vec::new()) };
+    /// Where the registry's ids jump, as `(index, id)` pairs in order:
+    /// entry `index + k` holds object `id + k` up to the next pair, and
+    /// before the first pair entry `k` holds object `k + 1`. A sweep and
+    /// [`advance_object_ids`] each start a pair, so [`object_by_id`] needs
+    /// no per-object memory.
+    static ID_JUMPS: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
+    /// Objects with an id below this are logged on their first write; 0
+    /// while no write log is open, which no id is below.
+    static LOG_BELOW: Cell<u64> = const { Cell::new(0) };
+    static WRITE_LOG: RefCell<Option<WriteLog>> = const { RefCell::new(None) };
+}
+
+/// An object's own state when an open write log saw its first write.
+pub struct PreImage {
+    /// The object itself.
+    pub obj: ObjRef,
+    /// Its elements, for an array.
+    pub elems: Option<Vec<Value>>,
+    /// Its named properties.
+    pub props: FxHashMap<Sym, Value>,
+    /// Their insertion order.
+    pub key_order: Vec<Sym>,
+}
+
+struct WriteLog {
+    seen: FxHashSet<u64>,
+    dirty: Vec<PreImage>,
+}
+
+/// Start logging writes: from now until [`close_write_log`], the first
+/// mutation of each object that exists now records its [`PreImage`]. The
+/// fork-join executor opens a log per gated instance and builds its merge
+/// from it.
+pub fn open_write_log() {
+    WRITE_LOG.with(|log| {
+        *log.borrow_mut() = Some(WriteLog {
+            seen: FxHashSet::default(),
+            dirty: Vec::new(),
+        })
+    });
+    LOG_BELOW.set(NEXT_OBJ_ID.get());
+}
+
+/// Stop logging and return the pre-images, in first-write order.
+pub fn close_write_log() -> Vec<PreImage> {
+    LOG_BELOW.set(0);
+    WRITE_LOG
+        .with(|log| log.borrow_mut().take())
+        .map_or_else(Vec::new, |log| log.dirty)
+}
+
+#[cold]
+#[inline(never)]
+fn log_first_write(obj: &ObjRef) {
+    WRITE_LOG.with(|log| {
+        let mut log = log.borrow_mut();
+        let Some(log) = log.as_mut() else { return };
+        if !log.seen.insert(obj.id) {
+            return;
+        }
+        let o = obj.inner.borrow();
+        log.dirty.push(PreImage {
+            obj: obj.clone(),
+            elems: match &o.kind {
+                ObjKind::Array(v) => Some(v.clone()),
+                _ => None,
+            },
+            props: o.props.clone(),
+            key_order: o.key_order.clone(),
+        });
+    })
+}
+
+/// The id the next allocated object gets.
+pub fn next_object_id() -> u64 {
+    NEXT_OBJ_ID.get()
+}
+
+/// Move the id counter forward to `to` (never back). Replicas of one
+/// program that allocated different numbers of objects call this with a
+/// common value, so they name the objects they allocate next alike.
+pub fn advance_object_ids(to: u64) {
+    if to > NEXT_OBJ_ID.get() {
+        NEXT_OBJ_ID.set(to);
+        let index = OBJ_REGISTRY.with(|r| r.borrow().len());
+        ID_JUMPS.with(|j| j.borrow_mut().push((index, to)));
+    }
+}
+
+/// The live object with this id on this thread, if any.
+pub fn object_by_id(id: u64) -> Option<ObjRef> {
+    let index = ID_JUMPS.with(|j| {
+        let j = j.borrow();
+        let pos = j.partition_point(|&(_, first)| first <= id);
+        let (start, first) = if pos == 0 { (0, 1) } else { j[pos - 1] };
+        let index = start + usize::try_from(id.checked_sub(first)?).ok()?;
+        match j.get(pos) {
+            Some(&(next, _)) if index >= next => None,
+            _ => Some(index),
+        }
+    })?;
+    let inner = OBJ_REGISTRY.with(|r| r.borrow().get(index).and_then(std::rc::Weak::upgrade))?;
+    Some(ObjRef { id, inner })
 }
 
 /// Current length of this thread's allocation registry. An [`Interp`] takes
@@ -247,10 +355,19 @@ pub(crate) fn heap_mark() -> usize {
 /// `Rc` reclamation frees it. Swept objects remain valid, empty, plain
 /// objects: analysis side tables keyed by object id are unaffected.
 pub(crate) fn heap_sweep(mark: usize) {
-    let tail = OBJ_REGISTRY.with(|r| {
+    let (at, tail) = OBJ_REGISTRY.with(|r| {
         let mut reg = r.borrow_mut();
         let at = mark.min(reg.len());
-        reg.split_off(at)
+        (at, reg.split_off(at))
+    });
+    ID_JUMPS.with(|j| {
+        let mut j = j.borrow_mut();
+        j.retain(|&(index, _)| index < at);
+        let (start, first) = j.last().copied().unwrap_or((0, 1));
+        let next = NEXT_OBJ_ID.get();
+        if first + (at - start) as u64 != next {
+            j.push((at, next));
+        }
     });
     for weak in tail {
         if let Some(obj) = weak.upgrade() {
@@ -269,11 +386,8 @@ pub(crate) fn heap_sweep(mark: usize) {
 impl ObjRef {
     /// Allocate a fresh object with a unique heap id.
     pub fn new(kind: ObjKind) -> ObjRef {
-        let id = NEXT_OBJ_ID.with(|c| {
-            let id = c.get();
-            c.set(id + 1);
-            id
-        });
+        let id = NEXT_OBJ_ID.get();
+        NEXT_OBJ_ID.set(id + 1);
         let inner = Rc::new(RefCell::new(Obj {
             kind,
             props: FxHashMap::default(),
@@ -297,7 +411,17 @@ impl ObjRef {
 
     /// Mutable borrow of the payload.
     pub fn borrow_mut(&self) -> std::cell::RefMut<'_, Obj> {
+        self.log_write();
         self.inner.borrow_mut()
+    }
+
+    /// Every mutator calls this first: while a write log is open, the
+    /// first write to an object older than the log records its pre-image.
+    #[inline]
+    fn log_write(&self) {
+        if self.id < LOG_BELOW.get() {
+            log_first_write(self);
+        }
     }
 
     /// Is this a function (interpreted or native)?
@@ -340,6 +464,7 @@ impl ObjRef {
 
     /// Write an array element, growing with `undefined` holes as needed.
     pub fn array_set(&self, idx: usize, value: Value) {
+        self.log_write();
         if let ObjKind::Array(v) = &mut self.inner.borrow_mut().kind {
             if idx >= v.len() {
                 v.resize(idx + 1, Value::Undefined);
@@ -348,8 +473,17 @@ impl ObjRef {
         }
     }
 
+    /// Run `f` with a shared borrow of the element vector.
+    pub fn with_array<R>(&self, f: impl FnOnce(&[Value]) -> R) -> Option<R> {
+        match &self.inner.borrow().kind {
+            ObjKind::Array(v) => Some(f(v)),
+            _ => None,
+        }
+    }
+
     /// Run `f` with a mutable borrow of the element vector.
     pub fn with_array_mut<R>(&self, f: impl FnOnce(&mut Vec<Value>) -> R) -> Option<R> {
+        self.log_write();
         match &mut self.inner.borrow_mut().kind {
             ObjKind::Array(v) => Some(f(v)),
             _ => None,
@@ -363,6 +497,7 @@ impl ObjRef {
 
     /// Tag the object as host-provided (DOM/Canvas attribution).
     pub fn set_tag(&self, tag: &'static str) {
+        self.log_write();
         self.inner.borrow_mut().tag = Some(tag);
     }
 
@@ -373,6 +508,7 @@ impl ObjRef {
 
     /// Replace the prototype link.
     pub fn set_proto(&self, proto: Option<ObjRef>) {
+        self.log_write();
         self.inner.borrow_mut().proto = proto;
     }
 
@@ -388,11 +524,13 @@ impl ObjRef {
 
     /// Set an own named property.
     pub fn set_prop(&self, key: &str, value: Value) {
+        self.log_write();
         self.inner.borrow_mut().set_prop(key, value);
     }
 
     /// [`ObjRef::set_prop`] with a pre-interned key.
     pub fn set_prop_sym(&self, key: Sym, value: Value) {
+        self.log_write();
         self.inner.borrow_mut().set_prop_sym(key, value);
     }
 
@@ -484,6 +622,39 @@ mod tests {
         assert_eq!(a.array_len(), Some(4));
         assert!(matches!(a.array_get(1), Some(Value::Undefined)));
         assert!(matches!(a.array_get(3), Some(Value::Num(n)) if n == 4.0));
+    }
+
+    #[test]
+    fn write_log_keeps_first_pre_image_of_older_objects() {
+        let old = new_array(vec![Value::Num(1.0)]);
+        old.set_prop("k", Value::Num(2.0));
+        open_write_log();
+        old.array_set(0, Value::Num(10.0));
+        old.set_prop("k", Value::Num(20.0));
+        let fresh = new_object();
+        fresh.set_prop("x", Value::Null);
+        let dirty = close_write_log();
+        old.set_prop("after", Value::Null);
+        assert_eq!(dirty.len(), 1);
+        assert_eq!(dirty[0].obj.id(), old.id());
+        let elems = dirty[0].elems.as_ref().expect("an array");
+        assert!(matches!(elems[..], [Value::Num(n)] if n == 1.0));
+        assert!(matches!(dirty[0].props[&intern("k")], Value::Num(n) if n == 2.0));
+        assert!(close_write_log().is_empty());
+    }
+
+    #[test]
+    fn objects_resolve_by_id_across_a_jump() {
+        let a = new_object();
+        advance_object_ids(next_object_id() + 100);
+        let b = new_object();
+        assert!(object_by_id(a.id()) == Some(a.clone()));
+        assert!(object_by_id(b.id()) == Some(b.clone()));
+        assert!(object_by_id(b.id() - 1).is_none(), "a skipped id");
+        assert!(object_by_id(b.id() + 1).is_none(), "not yet allocated");
+        let id = b.id();
+        drop(b);
+        assert!(object_by_id(id).is_none(), "dropped");
     }
 
     fn keys(o: &ObjRef) -> Vec<String> {

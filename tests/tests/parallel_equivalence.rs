@@ -184,3 +184,146 @@ fn events_after_the_join_are_identical() {
     assert!(eq.identical, "{:?}", eq.diffs);
     assert!(seq.state_render.contains("late ="), "{}", seq.state_render);
 }
+
+fn gated(source: &str, target: Option<u32>, workers: usize) -> ParallelSpec {
+    ParallelSpec {
+        source: source.to_string(),
+        target: target.map(LoopId),
+        workers,
+        seed: 2015,
+        max_events: 1000,
+        max_ticks: None,
+        wall_budget: Some(std::time::Duration::from_secs(60)),
+        interaction: None,
+    }
+}
+
+/// Each iteration touches only its own slots and its own pre-existing
+/// `cells[i]` and `objs[i]`, through every kind of write the merge
+/// carries: index and named writes, growth holes, every mutating array
+/// method, `delete`, compound assignment and `++`, fresh nested objects
+/// and arrays, one fresh object stored in two slots, a pre-existing
+/// object moved to another slot, an implicit global, strings, `-0` and
+/// NaN. Loop 1 sets up; loop 2 is the target.
+const EVERY_WRITE: &str = "var N = 9;\n\
+    var cells = [], objs = [], olds = [], grow = [], fresh = [], twinA = [], twinB = [], moved = [];\n\
+    for (var s = 0; s < N; s++) {\n\
+      cells[s] = [s, s + 1, s + 2, s + 3, s + 4];\n\
+      objs[s] = { k: s, n: s * 2, gone: 'x' + s, z: 0, nan: 0 };\n\
+      olds[s] = { tag: 'old' + s, inner: [s] };\n\
+    }\n\
+    function body(i) {\n\
+      var c = cells[i];\n\
+      c[0] = c[0] * 10;\n\
+      c.label = 'cell' + i;\n\
+      c.push(i * 3, i * 4);\n\
+      c.pop();\n\
+      c.shift();\n\
+      c.unshift(-i);\n\
+      c.splice(1, 2, 7, 8, 9);\n\
+      c.reverse();\n\
+      c.sort();\n\
+      var o = objs[i];\n\
+      delete o.gone;\n\
+      o.k += 5;\n\
+      o.n++;\n\
+      o.s = 'str' + i;\n\
+      o.z = -0;\n\
+      o.nan = NaN;\n\
+      grow[2 * i + 1] = i;\n\
+      fresh[i] = { a: [i, { b: i }], c: { d: [1, 2] } };\n\
+      var f = { v: i };\n\
+      twinA[i] = f;\n\
+      twinB[i] = f;\n\
+      moved[i] = olds[i];\n\
+      olds[i] = null;\n\
+      if (i === 3) { made = 'implicit'; }\n\
+    }\n\
+    for (var i = 0; i < N; i++) { body(i); }\n\
+    var summary = cells[4].join(',') + '|' + objs[4].k + '|' + grow.length + '|' + moved[2].tag + '|' + made;";
+
+#[test]
+fn every_kind_of_write_merges_byte_identically() {
+    let plain = run_parallel(&gated(EVERY_WRITE, None, 1)).unwrap();
+    let seq = run_parallel(&gated(EVERY_WRITE, Some(2), 1)).unwrap();
+    assert_eq!(plain.state_render, seq.state_render);
+    assert_eq!(plain.console, seq.console);
+    for needle in [
+        "made = \"implicit\"",
+        "z: -0.0",
+        "nan: NaN",
+        "label: \"cell4\"",
+        "grow = [\n  undefined,\n  0.0,",
+    ] {
+        assert!(
+            seq.state_render.contains(needle),
+            "{needle}: {}",
+            seq.state_render
+        );
+    }
+    assert!(!seq.state_render.contains("gone"), "{}", seq.state_render);
+    for workers in [2, 3, 4] {
+        let par = run_parallel(&gated(EVERY_WRITE, Some(2), workers))
+            .unwrap_or_else(|e| panic!("W={workers}: {e}"));
+        let eq = equivalence(&seq, &par);
+        assert!(eq.identical, "W={workers}: {:?}", eq.diffs);
+        assert_eq!(seq.state_digest, par.state_digest, "W={workers}");
+        assert!(par.merged_ops > 0, "W={workers} merged nothing");
+    }
+}
+
+/// Two iterations that `splice` into one shared array write its first
+/// element differently: a write conflict named by its global path.
+#[test]
+fn shared_splice_is_a_write_conflict() {
+    let src = "var shared = [0, 1, 2, 3];\n\
+               for (var i = 0; i < 4; i++) { shared.splice(0, 0, i); }";
+    assert!(run_parallel(&gated(src, Some(1), 1)).is_ok());
+    match run_parallel(&gated(src, Some(1), 2)) {
+        Err(ParallelError::WriteConflict(msg)) => {
+            assert!(msg.contains("`.shared[0]`"), "{msg}")
+        }
+        other => panic!("expected a write conflict, got {other:?}"),
+    }
+}
+
+/// A closure made inside a gated body cannot travel between replicas.
+#[test]
+fn closure_stored_in_a_global_is_unmergeable() {
+    let src = "var fns = [];\n\
+               for (var i = 0; i < 4; i++) { fns[i] = function () { return 1; }; }";
+    match run_parallel(&gated(src, Some(1), 2)) {
+        Err(ParallelError::Unmergeable(msg)) => {
+            assert!(msg.contains("(function) at .fns["), "{msg}")
+        }
+        other => panic!("expected an unmergeable refusal, got {other:?}"),
+    }
+}
+
+/// A gated loop inside a function fills a function-local buffer made
+/// before it, and a later loop publishes the buffer to a global. No
+/// global reaches the buffer while the gated loop runs, but the write log
+/// sees every object that existed at the instance's entry, so the merge
+/// carries the buffer and the run is byte-identical at every worker
+/// count. A merge built from the globals alone misses it and refuses.
+#[test]
+fn function_local_buffer_merges() {
+    let src = "var result = [];\n\
+               function fill(n) {\n\
+                 var buf = [];\n\
+                 for (var k = 0; k < n; k++) { buf[k] = 0; }\n\
+                 for (var i = 0; i < n; i++) { buf[i] = i * i + 1; }\n\
+                 for (var j = 0; j < n; j++) { result[j] = buf[j]; }\n\
+               }\n\
+               fill(16);";
+    let plain = run_parallel(&gated(src, None, 1)).unwrap();
+    let seq = run_parallel(&gated(src, Some(2), 1)).unwrap();
+    assert_eq!(plain.state_render, seq.state_render);
+    assert!(seq.state_render.contains("226.0"), "{}", seq.state_render);
+    for workers in [2, 4] {
+        let par = run_parallel(&gated(src, Some(2), workers))
+            .unwrap_or_else(|e| panic!("W={workers}: {e}"));
+        let eq = equivalence(&seq, &par);
+        assert!(eq.identical, "W={workers}: {:?}", eq.diffs);
+    }
+}
