@@ -36,21 +36,27 @@
 //! every object that existed at `__ceres_par_enter`, at its first write.
 //! At `__ceres_par_exit` each worker turns the changed slots of those
 //! objects, plus the changed program globals (a shallow compare of the
-//! global bindings), into a list of merge ops: plain `Send` data that
-//! names an entry-time object by its id and sends an object the body
-//! created by value. A join costs O(writes), not O(heap): nothing walks the global
-//! graph unless a refusal needs a path to name.
+//! global bindings), into a list of merge ops: plain `Send` data whose
+//! values are scalars, entry-time objects named by their id, or objects
+//! the body created named by their index in the worker's list of new
+//! objects. That list holds every new object a changed slot reaches, once,
+//! with its prototype, elements and properties as values of the same
+//! three kinds, so an object stored in two slots, or one that refers to
+//! itself, crosses as one object. A join costs O(writes), not O(heap):
+//! nothing walks the global graph unless a refusal needs a path to name.
 //!
 //! Workers rendezvous on a [`std::sync::Condvar`] barrier; the last
 //! arriver checks the rounds for divergence (identical entry ticks and
 //! object ids, trip counts, RNG state, canvas pixels, DOM mutation counts,
 //! no console growth), checks the write sets for conflicts (two workers
 //! writing different values to one location: a global, or an object id
-//! plus a key or index), and publishes every worker's ops, shared rather
-//! than copied. Every worker then moves its object-id counter to the
-//! highest any worker reached and applies every worker's ops in worker
-//! order, so each replica converges to the same merged state and names
-//! the objects it allocates next alike.
+//! plus a key or index; two workers' new objects always differ), and
+//! publishes every worker's writes, shared rather than copied. Every
+//! worker then moves its object-id counter to the highest any worker
+//! reached, makes every worker's new objects in worker order, fills them,
+//! and applies every worker's ops in worker order, so each replica
+//! converges to the same merged state and names the objects it allocates
+//! next alike.
 //!
 //! # Virtual-clock resynchronization
 //!
@@ -94,17 +100,17 @@ use ceres_interp::value::{
     advance_object_ids, close_write_log, next_object_id, object_by_id, open_write_log, PreImage,
 };
 use ceres_interp::{
-    intern, resolve, Control, FxHashMap, FxHashSet, Interp, JsResult, ObjKind, ObjRef, Sym, Value,
+    intern, new_array, new_object, resolve, Control, FxHashMap, FxHashSet, Interp, JsResult,
+    ObjKind, ObjRef, Sym, Value,
 };
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Objects deeper than this render as `<depth-capped>` in the final state,
-/// and a body-created value nested deeper is refused as unmergeable.
+/// and the path walk that names a refused location stops there.
 const SNAP_DEPTH: u32 = 24;
 
 /// How long a worker waits at the join barrier before declaring the run
@@ -154,8 +160,8 @@ pub enum ParallelError {
     /// Two workers wrote different values to the same location, named by
     /// its global path.
     WriteConflict(String),
-    /// A gated body wrote a value the merge cannot carry (functions, host
-    /// objects, cyclic or over-deep new structures).
+    /// A gated body wrote a value the merge cannot carry: a function or a
+    /// host object.
     Unmergeable(String),
     /// A peer worker failed first; this worker was unwound.
     Poisoned(String),
@@ -292,6 +298,109 @@ pub fn equivalence(seq: &ParallelRunOutput, par: &ParallelRunOutput) -> Equivale
 // The final state render
 // ---------------------------------------------------------------------------
 
+/// The globals the *program* created (baseline = builtins, DOM, hooks —
+/// recorded before `eval`), in name order.
+fn program_globals(interp: &Interp, baseline: &FxHashSet<Sym>) -> Vec<(String, Value)> {
+    interp
+        .global
+        .local_names()
+        .into_iter()
+        .filter(|n| !baseline.contains(&intern(n)))
+        .map(|n| {
+            let v = interp.global.get(&n).unwrap_or(Value::Undefined);
+            (n, v)
+        })
+        .collect()
+}
+
+/// Canonical text render of every program global, ordered by name, for
+/// digests and diffs in error messages. Structural and id-free: two
+/// replicas that computed the same data render alike. A function renders
+/// as `<function>`, a host-tagged object as `<tag>`, an object already on
+/// the path from its global as `<cycle>`, and one nested deeper than
+/// [`SNAP_DEPTH`] as `<depth-capped>`.
+fn render_globals(interp: &Interp, baseline: &FxHashSet<Sym>) -> String {
+    use std::fmt::Write;
+    fn pad(out: &mut String, indent: usize) {
+        for _ in 0..indent {
+            out.push_str("  ");
+        }
+    }
+    fn render(v: &Value, depth: u32, visiting: &mut FxHashSet<u64>, out: &mut String) {
+        let o = match v {
+            Value::Object(o) => o,
+            Value::Undefined => return out.push_str("undefined"),
+            Value::Null => return out.push_str("null"),
+            Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) => {
+                let _ = write!(out, "{n:?}");
+                return;
+            }
+            Value::Str(s) => {
+                let _ = write!(out, "{s:?}");
+                return;
+            }
+        };
+        if o.is_callable() {
+            return out.push_str("<function>");
+        }
+        if let Some(tag) = o.tag() {
+            let _ = write!(out, "<{tag}>");
+            return;
+        }
+        if depth == 0 {
+            return out.push_str("<depth-capped>");
+        }
+        if !visiting.insert(o.id()) {
+            return out.push_str("<cycle>");
+        }
+        let indent = (SNAP_DEPTH - depth) as usize;
+        let obj = o.borrow();
+        let els = match &obj.kind {
+            ObjKind::Array(els) => Some(els.as_slice()),
+            _ => None,
+        };
+        out.push_str(if els.is_some() { "[\n" } else { "{\n" });
+        for e in els.unwrap_or_default() {
+            pad(out, indent + 1);
+            render(e, depth - 1, visiting, out);
+            out.push_str(",\n");
+        }
+        // An array's index keys live in its elements; a named key spelling
+        // an index below the length is left to them. Its other named keys
+        // follow the elements, marked with a dot.
+        for k in &obj.key_order {
+            let name = resolve(*k);
+            if matches!(els, Some(els) if matches!(name.parse::<usize>(), Ok(i) if i < els.len())) {
+                continue;
+            }
+            if let Some(v) = obj.props.get(k) {
+                pad(out, indent + 1);
+                let dot = if els.is_some() { "." } else { "" };
+                let _ = write!(out, "{dot}{name}: ");
+                render(v, depth - 1, visiting, out);
+                out.push_str(",\n");
+            }
+        }
+        pad(out, indent);
+        out.push(if els.is_some() { ']' } else { '}' });
+        visiting.remove(&o.id());
+    }
+    let mut visiting = FxHashSet::default();
+    let mut out = String::new();
+    for (name, v) in program_globals(interp, baseline) {
+        out.push_str(&name);
+        out.push_str(" = ");
+        render(&v, SNAP_DEPTH, &mut visiting, &mut out);
+        out.push('\n');
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Merge ops from the write log
+// ---------------------------------------------------------------------------
+
 /// A scalar value; `Num` keeps raw bits so `-0` and NaN compare exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Scalar {
@@ -326,171 +435,28 @@ impl Scalar {
     }
 }
 
-/// Snapshot of one reachable value. Structural, id-free: two replicas
-/// that computed the same data snapshot equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Snap {
-    Scalar(Scalar),
-    /// Elements by index, plus any non-index own properties.
-    Arr(Vec<Snap>, Vec<(String, Snap)>),
-    /// Own properties in deterministic insertion order.
-    Obj(Vec<(String, Snap)>),
-    /// Functions, host-tagged objects, cycles, and depth-capped values.
-    Opaque(&'static str),
-}
-
-fn snap_value(v: &Value, depth: u32, visiting: &mut HashSet<u64>) -> Snap {
-    let Value::Object(o) = v else {
-        return Snap::Scalar(Scalar::of(v).expect("a scalar"));
-    };
-    if o.is_callable() {
-        return Snap::Opaque("function");
-    }
-    if let Some(tag) = o.tag() {
-        return Snap::Opaque(tag);
-    }
-    if depth == 0 {
-        return Snap::Opaque("depth-capped");
-    }
-    if !visiting.insert(o.id()) {
-        return Snap::Opaque("cycle");
-    }
-    let obj = o.borrow();
-    let els = match &obj.kind {
-        ObjKind::Array(els) => Some(
-            els.iter()
-                .map(|e| snap_value(e, depth - 1, visiting))
-                .collect::<Vec<_>>(),
-        ),
-        _ => None,
-    };
-    // An array's index keys live in its elements; a named key spelling an
-    // index below the length is left to them.
-    let mut props = Vec::new();
-    for k in &obj.key_order {
-        let name = resolve(*k);
-        if matches!(&els, Some(els) if matches!(name.parse::<usize>(), Ok(i) if i < els.len())) {
-            continue;
-        }
-        if let Some(v) = obj.props.get(k) {
-            props.push((name.to_string(), snap_value(v, depth - 1, visiting)));
-        }
-    }
-    drop(obj);
-    visiting.remove(&o.id());
-    match els {
-        Some(els) => Snap::Arr(els, props),
-        None => Snap::Obj(props),
-    }
-}
-
-/// The globals the *program* created (baseline = builtins, DOM, hooks —
-/// recorded before `eval`), by name.
-fn program_globals(interp: &Interp, baseline: &FxHashSet<Sym>) -> Vec<(String, Value)> {
-    interp
-        .global
-        .local_names()
-        .into_iter()
-        .filter(|n| !baseline.contains(&intern(n)))
-        .map(|n| {
-            let v = interp.global.get(&n).unwrap_or(Value::Undefined);
-            (n, v)
-        })
-        .collect()
-}
-
-/// Snapshot every program global, keyed and ordered by name.
-fn snapshot_globals(interp: &Interp, baseline: &FxHashSet<Sym>) -> BTreeMap<String, Snap> {
-    let mut visiting = HashSet::new();
-    program_globals(interp, baseline)
-        .into_iter()
-        .map(|(n, v)| {
-            let s = snap_value(&v, SNAP_DEPTH, &mut visiting);
-            (n, s)
-        })
-        .collect()
-}
-
-/// Canonical text render of a snapshot, for digests and diffs in error
-/// messages.
-fn render_snapshot(snap: &BTreeMap<String, Snap>) -> String {
-    use std::fmt::Write;
-    fn pad(out: &mut String, indent: usize) {
-        for _ in 0..indent {
-            out.push_str("  ");
-        }
-    }
-    fn render(s: &Snap, out: &mut String, indent: usize) {
-        match s {
-            Snap::Scalar(Scalar::Undefined) => out.push_str("undefined"),
-            Snap::Scalar(Scalar::Null) => out.push_str("null"),
-            Snap::Scalar(Scalar::Bool(b)) => out.push_str(if *b { "true" } else { "false" }),
-            Snap::Scalar(Scalar::Num(bits)) => {
-                let _ = write!(out, "{:?}", f64::from_bits(*bits));
-            }
-            Snap::Scalar(Scalar::Str(st)) => {
-                let _ = write!(out, "{st:?}");
-            }
-            Snap::Opaque(tag) => {
-                let _ = write!(out, "<{tag}>");
-            }
-            Snap::Arr(els, props) => {
-                out.push_str("[\n");
-                for e in els {
-                    pad(out, indent + 1);
-                    render(e, out, indent + 1);
-                    out.push_str(",\n");
-                }
-                for (k, v) in props {
-                    pad(out, indent + 1);
-                    let _ = write!(out, ".{k}: ");
-                    render(v, out, indent + 1);
-                    out.push_str(",\n");
-                }
-                pad(out, indent);
-                out.push(']');
-            }
-            Snap::Obj(props) => {
-                out.push_str("{\n");
-                for (k, v) in props {
-                    pad(out, indent + 1);
-                    let _ = write!(out, "{k}: ");
-                    render(v, out, indent + 1);
-                    out.push_str(",\n");
-                }
-                pad(out, indent);
-                out.push('}');
-            }
-        }
-    }
-    let mut out = String::new();
-    for (name, s) in snap {
-        out.push_str(name);
-        out.push_str(" = ");
-        render(s, &mut out, 0);
-        out.push('\n');
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Merge ops from the write log
-// ---------------------------------------------------------------------------
-
-/// A value a merge op writes. An object every replica had at the
-/// instance's entry goes by id; one the body created goes by value.
+/// A value a merge op writes: a scalar, an object every replica had at
+/// the instance's entry, by id, or an object the writing worker's body
+/// created, by its index in that worker's [`Writes::news`].
 #[derive(Debug, Clone, PartialEq)]
 enum Val {
     Scalar(Scalar),
-    Ref(u64),
-    /// Named properties in insertion order.
-    Obj(Vec<(String, Val)>),
-    /// Elements, then named properties.
-    Arr(Vec<Val>, Vec<(String, Val)>),
+    Old(u64),
+    New(usize),
 }
 
-/// One write a worker performed inside a gated instance, as plain `Send`
-/// data every replica can replay.
+/// An object a worker's body created, as it stood at the barrier.
+#[derive(Debug, Clone)]
+struct NewObj {
+    /// Its elements, for an array.
+    elems: Option<Vec<Val>>,
+    /// Its prototype; `null` for none.
+    proto: Val,
+    /// Its named properties, in insertion order.
+    props: Vec<(String, Val)>,
+}
+
+/// One write a worker performed inside a gated instance.
 #[derive(Debug, Clone, PartialEq)]
 enum Op {
     /// Bind a program global.
@@ -503,6 +469,16 @@ enum Op {
     Delete(u64, String),
     /// Shrink the array with this id to a length.
     Truncate(u64, usize),
+}
+
+/// One worker's writes for one instance, as plain `Send` data every
+/// replica can replay.
+#[derive(Debug, Clone)]
+struct Writes {
+    /// Every object the body created that a changed slot reaches, each
+    /// listed once.
+    news: Vec<NewObj>,
+    ops: Vec<Op>,
 }
 
 /// Where an op writes: the key of the barrier's conflict check. Deleting
@@ -531,39 +507,6 @@ impl Op {
             Op::Delete(..) | Op::Truncate(..) => None,
         }
     }
-
-    /// Where this op and an earlier worker's different op at the same
-    /// location clash, as a path below the location. Two by-value objects
-    /// clash only where both write a scalar or a reference and disagree;
-    /// when they write disjoint parts there is no clash, and the later one
-    /// replaces the earlier.
-    fn clash(&self, earlier: &Op) -> Option<String> {
-        match (self.val(), earlier.val()) {
-            (Some(a), Some(b)) => first_clash(a, b),
-            _ => Some(String::new()),
-        }
-    }
-}
-
-fn first_clash(a: &Val, b: &Val) -> Option<String> {
-    fn props(a: &[(String, Val)], b: &[(String, Val)]) -> Option<String> {
-        a.iter().find_map(|(k, x)| {
-            let (_, y) = b.iter().find(|(kb, _)| kb == k)?;
-            first_clash(x, y).map(|p| format!(".{k}{p}"))
-        })
-    }
-    let hole = |v: &Val| *v == Val::Scalar(Scalar::Undefined);
-    match (a, b) {
-        (Val::Obj(pa), Val::Obj(pb)) => props(pa, pb),
-        (Val::Arr(ea, pa), Val::Arr(eb, pb)) => ea
-            .iter()
-            .zip(eb)
-            .enumerate()
-            .filter(|(_, (x, y))| !hole(x) && !hole(y))
-            .find_map(|(i, (x, y))| first_clash(x, y).map(|p| format!("[{i}]{p}")))
-            .or_else(|| props(pa, pb)),
-        _ => (a != b).then(String::new),
-    }
 }
 
 /// Do two values name the same thing? Numbers by bits, objects by id.
@@ -574,108 +517,66 @@ fn same(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// A written value the merge cannot carry: what it is, and the path from
-/// the written slot down to it.
-struct Unmergeable {
-    what: &'static str,
-    below: String,
-}
-
-/// Encode a written value. Objects with an id below `fresh` existed at
-/// entry and go by id; newer ones go by value, without their `undefined`
-/// properties and trailing `undefined` elements, which like holes left by
-/// growth emit nothing.
-fn encode(
-    v: &Value,
+/// Names the values one worker wrote. An object with an id below `fresh`
+/// existed at entry and goes by id; a newer one is listed once, when a
+/// slot first reaches it, and goes by its index in the list.
+struct Namer<'a> {
+    interp: &'a Interp,
+    baseline: &'a FxHashSet<Sym>,
     fresh: u64,
-    depth: u32,
-    visiting: &mut FxHashSet<u64>,
-) -> Result<Val, Unmergeable> {
-    let Value::Object(o) = v else {
-        return Ok(Val::Scalar(Scalar::of(v).expect("a scalar")));
-    };
-    let refuse = |what| {
-        Err(Unmergeable {
-            what,
-            below: String::new(),
-        })
-    };
-    if o.is_callable() {
-        return refuse("function");
-    }
-    if let Some(tag) = o.tag() {
-        return refuse(tag);
-    }
-    if o.id() < fresh {
-        return Ok(Val::Ref(o.id()));
-    }
-    if depth == 0 {
-        return refuse("depth-capped");
-    }
-    if !visiting.insert(o.id()) {
-        return refuse("cycle");
-    }
-    let under = |seg: String| {
-        move |mut e: Unmergeable| {
-            e.below.insert_str(0, &seg);
-            e
-        }
-    };
-    let obj = o.borrow();
-    let els = match &obj.kind {
-        ObjKind::Array(els) => {
-            let mut out = Vec::with_capacity(els.len());
-            for (i, e) in els.iter().enumerate() {
-                out.push(encode(e, fresh, depth - 1, visiting).map_err(under(format!("[{i}]")))?);
-            }
-            while out.last() == Some(&Val::Scalar(Scalar::Undefined)) {
-                out.pop();
-            }
-            Some(out)
-        }
-        _ => None,
-    };
-    let mut props = Vec::new();
-    for k in &obj.key_order {
-        let v = &obj.props[k];
-        if matches!(v, Value::Undefined) {
-            continue;
-        }
-        let name = resolve(*k);
-        let val = encode(v, fresh, depth - 1, visiting).map_err(under(format!(".{name}")))?;
-        props.push((name.to_string(), val));
-    }
-    drop(obj);
-    visiting.remove(&o.id());
-    Ok(match els {
-        Some(els) => Val::Arr(els, props),
-        None => Val::Obj(props),
-    })
+    news: Vec<ObjRef>,
+    index: FxHashMap<u64, usize>,
 }
 
-/// This worker's ops for one instance: the changed slots of every object
-/// its write log saw, then the changed program globals by name. An
-/// unchanged value emits nothing, and neither does an `undefined` in a
-/// slot that did not exist at entry (a hole left by growth). Host-tagged
-/// objects stay out, as their effects are checked at the barrier.
+impl Namer<'_> {
+    /// The value `v` in the slot at `loc`. A function or a host object
+    /// cannot cross to another replica and refuses, named by the slot's
+    /// global path.
+    fn val(&mut self, loc: Loc<'_>, v: &Value) -> Result<Val, String> {
+        let Value::Object(o) = v else {
+            return Ok(Val::Scalar(Scalar::of(v).expect("a scalar")));
+        };
+        let what = if o.is_callable() {
+            "function"
+        } else if let Some(tag) = o.tag() {
+            tag
+        } else if o.id() < self.fresh {
+            return Ok(Val::Old(o.id()));
+        } else {
+            let next = self.news.len();
+            let i = *self.index.entry(o.id()).or_insert(next);
+            if i == next {
+                self.news.push(o.clone());
+            }
+            return Ok(Val::New(i));
+        };
+        Err(format!(
+            "body created or changed an unmergeable value ({what}) at {}",
+            first_path(self.interp, self.baseline, &[loc]).1
+        ))
+    }
+}
+
+/// This worker's writes for one instance: the changed slots of every
+/// object its write log saw, then the changed program globals by name,
+/// then every new object those slots reach. An unchanged value emits no
+/// op, and neither does an `undefined` in an array slot past the entry
+/// length (a hole left by growth). Host-tagged objects stay out, as their
+/// effects are checked at the barrier.
 fn instance_ops(
     interp: &Interp,
     baseline: &FxHashSet<Sym>,
     act: &ActiveInstance,
     dirty: &[PreImage],
-) -> Result<Vec<Op>, String> {
-    let fresh = act.enter_next_id;
-    let mut visiting = FxHashSet::default();
-    let mut ops = Vec::new();
-    let mut val = |loc: Loc<'_>, v: &Value| {
-        encode(v, fresh, SNAP_DEPTH, &mut visiting).map_err(|e| {
-            format!(
-                "body created or changed an unmergeable value ({}) at {}",
-                e.what,
-                first_path(interp, baseline, &[(loc, &e.below)]).1
-            )
-        })
+) -> Result<Writes, String> {
+    let mut namer = Namer {
+        interp,
+        baseline,
+        fresh: act.enter_next_id,
+        news: Vec::new(),
+        index: FxHashMap::default(),
     };
+    let mut ops = Vec::new();
     for pre in dirty {
         let obj = pre.obj.borrow();
         if obj.tag.is_some() {
@@ -690,7 +591,7 @@ fn instance_ops(
                 match old.get(i) {
                     Some(prev) if same(prev, v) => {}
                     None if matches!(v, Value::Undefined) => {}
-                    _ => ops.push(Op::Elem(id, i, val(Loc::Elem(id, i), v)?)),
+                    _ => ops.push(Op::Elem(id, i, namer.val(Loc::Elem(id, i), v)?)),
                 }
             }
         }
@@ -701,14 +602,10 @@ fn instance_ops(
         }
         for k in &obj.key_order {
             let v = &obj.props[k];
-            match pre.props.get(k) {
-                Some(prev) if same(prev, v) => {}
-                None if matches!(v, Value::Undefined) => {}
-                _ => {
-                    let name = resolve(*k);
-                    let v = val(Loc::Prop(id, &name), v)?;
-                    ops.push(Op::Prop(id, name.to_string(), v));
-                }
+            if !pre.props.get(k).is_some_and(|prev| same(prev, v)) {
+                let name = resolve(*k);
+                let v = namer.val(Loc::Prop(id, &name), v)?;
+                ops.push(Op::Prop(id, name.to_string(), v));
             }
         }
     }
@@ -718,38 +615,68 @@ fn instance_ops(
         .into_iter()
         .filter(|(s, v)| match act.globals.get(s) {
             Some(prev) => !same(prev, v),
-            None => !baseline.contains(s) && !matches!(v, Value::Undefined),
+            None => !baseline.contains(s),
         })
         .map(|(s, v)| (resolve(s), v))
         .collect();
     globals.sort_by(|a, b| a.0.cmp(&b.0));
     for (name, v) in &globals {
-        let v = val(Loc::Global(name), v)?;
+        let v = namer.val(Loc::Global(name), v)?;
         ops.push(Op::Global(name.to_string(), v));
     }
-    Ok(ops)
+    // The worklist: naming a new object's contents may list more of them.
+    let mut news = Vec::with_capacity(namer.news.len());
+    while let Some(o) = namer.news.get(news.len()).cloned() {
+        let id = o.id();
+        let obj = o.borrow();
+        let elems = match &obj.kind {
+            ObjKind::Array(els) => Some(
+                els.iter()
+                    .enumerate()
+                    .map(|(i, e)| namer.val(Loc::Elem(id, i), e))
+                    .collect::<Result<_, _>>()?,
+            ),
+            _ => None,
+        };
+        // A prototype has no slot of its own; a refusal names the object.
+        let proto = match &obj.proto {
+            Some(p) => namer.val(Loc::Len(id), &Value::Object(p.clone()))?,
+            None => Val::Scalar(Scalar::Null),
+        };
+        let props = obj
+            .key_order
+            .iter()
+            .map(|k| {
+                let name = resolve(*k);
+                let v = namer.val(Loc::Prop(id, &name), &obj.props[k])?;
+                Ok((name.to_string(), v))
+            })
+            .collect::<Result<_, String>>()?;
+        news.push(NewObj {
+            elems,
+            proto,
+            props,
+        });
+    }
+    Ok(Writes { news, ops })
 }
 
-/// The global path of the first of `wanted` (a location and the path
-/// below it) that a walk of the program globals meets, and its index. The
-/// walk takes globals by name, then depth first each object's length, its
-/// elements, its deleted and then its present named properties, so the
-/// first clash named is the first in that order. An object no global reaches
-/// is named by id. Only a refusal pays for this walk.
-fn first_path(
-    interp: &Interp,
-    baseline: &FxHashSet<Sym>,
-    wanted: &[(Loc<'_>, &str)],
-) -> (usize, String) {
+/// The global path of the first of `wanted` that a walk of the program
+/// globals meets, and its index. The walk takes globals by name, then
+/// depth first each object's length, its elements, its deleted and then
+/// its present named properties, so the first clash named is the first in
+/// that order. An object no global reaches is named by id. Only a refusal
+/// pays for this walk.
+fn first_path(interp: &Interp, baseline: &FxHashSet<Sym>, wanted: &[Loc<'_>]) -> (usize, String) {
     struct Walk<'w, 'a> {
-        wanted: &'w [(Loc<'a>, &'w str)],
+        wanted: &'w [Loc<'a>],
         seen: FxHashSet<u64>,
         path: String,
     }
     impl Walk<'_, '_> {
         fn hit(&self, loc: Loc<'_>) -> Option<(usize, String)> {
-            let i = self.wanted.iter().position(|(l, _)| *l == loc)?;
-            Some((i, format!("{}{}", self.path, self.wanted[i].1)))
+            let i = self.wanted.iter().position(|l| *l == loc)?;
+            Some((i, self.path.clone()))
         }
 
         fn slot(
@@ -785,10 +712,10 @@ fn first_path(
                     }
                 }
             }
-            for (i, (l, below)) in self.wanted.iter().enumerate() {
+            for (i, l) in self.wanted.iter().enumerate() {
                 if let Loc::Prop(oid, k) = l {
                     if *oid == id && !obj.props.contains_key(&intern(k)) {
-                        return Some((i, format!("{}.{k}{below}", self.path)));
+                        return Some((i, format!("{}.{k}", self.path)));
                     }
                 }
             }
@@ -814,56 +741,67 @@ fn first_path(
             return found;
         }
     }
-    let (loc, below) = wanted[0];
-    let at = match loc {
+    let at = match wanted[0] {
         Loc::Global(name) => format!(".{name}"),
         Loc::Elem(id, i) => format!("(object #{id})[{i}]"),
         Loc::Prop(id, k) => format!("(object #{id}).{k}"),
         Loc::Len(id) => format!("(object #{id})"),
     };
-    (0, format!("{at}{below}"))
+    (0, at)
 }
 
-/// Materialize a merged value on this replica. By-value objects are built
-/// in the same order on every replica, so their ids agree.
-fn build(v: &Val) -> Result<Value, String> {
-    let named = |o: &ObjRef, props: &[(String, Val)]| {
-        props.iter().try_for_each(|(k, v)| {
-            o.set_prop(k, build(v)?);
-            Ok::<_, String>(())
+/// Replay every worker's writes on this replica, in worker order, and
+/// count the ops. First every worker's new objects are made, empty and in
+/// worker order, so each gets one id on every replica; then they are
+/// filled, then every op's value is resolved, and only then does an op
+/// write, so an object one op unlinks is still there for a later op that
+/// links it elsewhere. A target object this replica no longer holds is
+/// unreachable here, and its write is dropped.
+fn apply(interp: &Interp, merged: &[Writes]) -> Result<u64, String> {
+    let made: Vec<Vec<ObjRef>> = merged
+        .iter()
+        .map(|w| {
+            w.news
+                .iter()
+                .map(|n| match n.elems {
+                    Some(_) => new_array(Vec::new()),
+                    None => new_object(),
+                })
+                .collect()
+        })
+        .collect();
+    let value = |k: usize, v: &Val| -> Result<Value, String> {
+        Ok(match v {
+            Val::Scalar(s) => s.to_value(),
+            Val::Old(id) => Value::Object(
+                object_by_id(*id)
+                    .ok_or_else(|| format!("merged object #{id} is gone on this replica"))?,
+            ),
+            Val::New(i) => Value::Object(made[k][*i].clone()),
         })
     };
-    Ok(match v {
-        Val::Scalar(s) => s.to_value(),
-        Val::Ref(id) => Value::Object(
-            object_by_id(*id)
-                .ok_or_else(|| format!("merged object #{id} is gone on this replica"))?,
-        ),
-        Val::Obj(props) => {
-            let o = ceres_interp::new_object();
-            named(&o, props)?;
-            Value::Object(o)
+    for (k, w) in merged.iter().enumerate() {
+        for (n, o) in w.news.iter().zip(&made[k]) {
+            if let Some(els) = &n.elems {
+                let els = els.iter().map(|e| value(k, e)).collect::<Result<_, _>>()?;
+                o.with_array_mut(|v| *v = els);
+            }
+            if let Value::Object(p) = value(k, &n.proto)? {
+                o.set_proto(Some(p));
+            }
+            for (key, v) in &n.props {
+                o.set_prop(key, value(k, v)?);
+            }
         }
-        Val::Arr(els, props) => {
-            let o = ceres_interp::new_array(els.iter().map(build).collect::<Result<_, _>>()?);
-            named(&o, props)?;
-            Value::Object(o)
+    }
+    let mut ops = Vec::new();
+    for (k, w) in merged.iter().enumerate() {
+        for op in &w.ops {
+            ops.push((op, op.val().map(|v| value(k, v)).transpose()?));
         }
-    })
-}
-
-/// Replay every worker's ops on this replica, in worker order, and count
-/// them. Every value is built before the first write, so an object one op
-/// unlinks is still there for a later op that links it elsewhere. A
-/// target object this replica no longer holds is unreachable here, and
-/// its write is dropped.
-fn apply(interp: &Interp, merged: &[Vec<Op>]) -> Result<u64, String> {
-    let ops: Vec<&Op> = merged.iter().flatten().collect();
-    let values = ops
-        .iter()
-        .map(|op| op.val().map(build).transpose())
-        .collect::<Result<Vec<_>, _>>()?;
-    for (op, value) in ops.iter().zip(values) {
+    }
+    let count = ops.len() as u64;
+    for (op, value) in ops {
         match (op, value) {
             (Op::Global(name, _), Some(v)) => {
                 if !interp.global.set(name, v.clone()) {
@@ -893,7 +831,7 @@ fn apply(interp: &Interp, merged: &[Vec<Op>]) -> Result<u64, String> {
             _ => unreachable!("every write op carries a value"),
         }
     }
-    Ok(ops.len() as u64)
+    Ok(count)
 }
 
 // ---------------------------------------------------------------------------
@@ -924,7 +862,7 @@ struct WorkerRound {
     enter_next_id: u64,
     /// The id the next object allocated gets.
     next_id: u64,
-    ops: Vec<Op>,
+    writes: Writes,
 }
 
 /// What the barrier publishes back to every worker.
@@ -934,31 +872,26 @@ struct RoundResult {
     /// `Σ E_k - max E_k` — ticks removed from the critical path.
     saved: u64,
     /// Where every replica moves its object-id counter before the apply:
-    /// the highest any worker reached, so the objects the apply builds get
+    /// the highest any worker reached, so the objects the apply makes get
     /// one id on every replica.
     next_id: u64,
-    /// All workers' ops, in worker order.
-    merged: Vec<Vec<Op>>,
+    /// All workers' writes, in worker order.
+    merged: Vec<Writes>,
 }
 
 /// A write conflict found at a barrier: each location worker `worker`
 /// wrote that an earlier worker wrote differently.
 struct Conflict {
     worker: usize,
-    /// The earlier worker, this worker's op, and the path below the op's
-    /// location where they clash.
-    clashes: Vec<(usize, Op, String)>,
+    /// The earlier worker, and this worker's op.
+    clashes: Vec<(usize, Op)>,
 }
 
 impl Conflict {
     /// The refusal, naming the first clash by its global path on this
     /// replica.
     fn refusal(&self, interp: &Interp, baseline: &FxHashSet<Sym>) -> ParallelError {
-        let wanted: Vec<(Loc<'_>, &str)> = self
-            .clashes
-            .iter()
-            .map(|(_, op, below)| (op.loc(), below.as_str()))
-            .collect();
+        let wanted: Vec<Loc<'_>> = self.clashes.iter().map(|(_, op)| op.loc()).collect();
         let (i, path) = first_path(interp, baseline, &wanted);
         ParallelError::WriteConflict(format!(
             "workers {} and {} wrote different values to `{path}`",
@@ -1077,23 +1010,22 @@ fn merge_round(rounds: Vec<WorkerRound>) -> Result<RoundResult, Refusal> {
     let (target_ticks, saved) = settle_round(&rounds).map_err(Refusal::Failed)?;
 
     // Write-conflict check: each worker emits at most one op per
-    // location, so two workers writing one location must agree.
-    let total = rounds.iter().map(|r| r.ops.len()).sum();
+    // location, so two workers writing one location must write one value.
+    // A new object is its own worker's, unlike any other worker's.
+    let total = rounds.iter().map(|r| r.writes.ops.len()).sum();
     let mut writers: FxHashMap<Loc<'_>, (usize, &Op)> =
         FxHashMap::with_capacity_and_hasher(total, Default::default());
     for (k, r) in rounds.iter().enumerate() {
         let mut clashes = Vec::new();
-        for op in &r.ops {
+        for op in &r.writes.ops {
             match writers.entry(op.loc()) {
                 Entry::Vacant(e) => {
                     e.insert((k, op));
                 }
                 Entry::Occupied(e) => {
                     let (prev_k, prev) = *e.get();
-                    if prev != op {
-                        if let Some(below) = op.clash(prev) {
-                            clashes.push((prev_k, op.clone(), below));
-                        }
+                    if prev != op || matches!(op.val(), Some(Val::New(_))) {
+                        clashes.push((prev_k, op.clone()));
                     }
                 }
             }
@@ -1108,7 +1040,7 @@ fn merge_round(rounds: Vec<WorkerRound>) -> Result<RoundResult, Refusal> {
         target_ticks,
         saved,
         next_id: rounds.iter().map(|r| r.next_id).max().unwrap_or(0),
-        merged: rounds.into_iter().map(|r| r.ops).collect(),
+        merged: rounds.into_iter().map(|r| r.writes).collect(),
     })
 }
 
@@ -1383,8 +1315,8 @@ fn install_par_hooks(
                 })
             };
             let dirty = close_write_log();
-            let ops = match instance_ops(interp, &st.baseline, &act, &dirty) {
-                Ok(ops) => ops,
+            let writes = match instance_ops(interp, &st.baseline, &act, &dirty) {
+                Ok(writes) => writes,
                 Err(e) => return Err(fatal(&coord, ParallelError::Unmergeable(e))),
             };
             drop(dirty);
@@ -1401,7 +1333,7 @@ fn install_par_hooks(
                 mutations: dom.mutations(),
                 enter_next_id: act.enter_next_id,
                 next_id: next_object_id(),
-                ops,
+                writes,
             };
             let result = match coord.rendezvous(wid, round) {
                 Ok(r) => r,
@@ -1545,8 +1477,7 @@ fn worker_run(
     }
 
     let st = state.borrow();
-    let final_snap = snapshot_globals(&interp, &st.baseline);
-    let state_render = render_snapshot(&final_snap);
+    let state_render = render_globals(&interp, &st.baseline);
     let state_digest = crate::cache::sha256_hex(state_render.as_bytes());
     Ok(ParallelRunOutput {
         workers: spec.workers,

@@ -202,11 +202,16 @@ fn gated(source: &str, target: Option<u32>, workers: usize) -> ParallelSpec {
 /// `cells[i]` and `objs[i]`, through every kind of write the merge
 /// carries: index and named writes, growth holes, every mutating array
 /// method, `delete`, compound assignment and `++`, fresh nested objects
-/// and arrays, one fresh object stored in two slots, a pre-existing
-/// object moved to another slot, an implicit global, strings, `-0` and
-/// NaN. Loop 1 sets up; loop 2 is the target.
+/// and arrays with `undefined` properties and elements, one fresh object
+/// stored in two slots, an `undefined` in a new key of a pre-existing
+/// object, an object made by `new` with its prototype, a fresh object
+/// that refers to itself, a pre-existing object moved to another slot, an
+/// implicit global, strings, `-0` and NaN. Loop 1 sets up; loop 2 is the
+/// target.
 const EVERY_WRITE: &str = "var N = 9;\n\
-    var cells = [], objs = [], olds = [], grow = [], fresh = [], twinA = [], twinB = [], moved = [];\n\
+    var cells = [], objs = [], olds = [], grow = [], fresh = [], twinA = [], twinB = [], moved = [], ctor = [], cyc = [];\n\
+    function V(x) { this.x = x; }\n\
+    V.prototype.twice = function () { return this.x * 2; };\n\
     for (var s = 0; s < N; s++) {\n\
       cells[s] = [s, s + 1, s + 2, s + 3, s + 4];\n\
       objs[s] = { k: s, n: s * 2, gone: 'x' + s, z: 0, nan: 0 };\n\
@@ -230,17 +235,26 @@ const EVERY_WRITE: &str = "var N = 9;\n\
       o.s = 'str' + i;\n\
       o.z = -0;\n\
       o.nan = NaN;\n\
+      o.flag = undefined;\n\
       grow[2 * i + 1] = i;\n\
-      fresh[i] = { a: [i, { b: i }], c: { d: [1, 2] } };\n\
+      fresh[i] = { a: [i, { b: i }, undefined], c: { d: [1, 2] }, u: undefined };\n\
       var f = { v: i };\n\
       twinA[i] = f;\n\
       twinB[i] = f;\n\
+      ctor[i] = new V(i);\n\
+      var n = { id: i };\n\
+      n.self = n;\n\
+      n.kids = [n, { up: n }];\n\
+      cyc[i] = n;\n\
       moved[i] = olds[i];\n\
       olds[i] = null;\n\
       if (i === 3) { made = 'implicit'; }\n\
     }\n\
     for (var i = 0; i < N; i++) { body(i); }\n\
-    var summary = cells[4].join(',') + '|' + objs[4].k + '|' + grow.length + '|' + moved[2].tag + '|' + made;";
+    var summary = cells[4].join(',') + '|' + objs[4].k + '|' + grow.length + '|' + moved[2].tag + '|' + made;\n\
+    var same = twinA[2] === twinB[2];\n\
+    var tw = ctor[3].twice();\n\
+    var loops = cyc[4].kids[1].up === cyc[4];";
 
 #[test]
 fn every_kind_of_write_merges_byte_identically() {
@@ -254,6 +268,9 @@ fn every_kind_of_write_merges_byte_identically() {
         "nan: NaN",
         "label: \"cell4\"",
         "grow = [\n  undefined,\n  0.0,",
+        "same = true",
+        "tw = 6.0",
+        "loops = true",
     ] {
         assert!(
             seq.state_render.contains(needle),
@@ -273,17 +290,28 @@ fn every_kind_of_write_merges_byte_identically() {
 }
 
 /// Two iterations that `splice` into one shared array write its first
-/// element differently: a write conflict named by its global path.
+/// element differently: a write conflict named by its global path. Two
+/// workers that `push` a new object each onto one shared array clash at
+/// the slot, as their new objects always differ.
 #[test]
 fn shared_splice_is_a_write_conflict() {
-    let src = "var shared = [0, 1, 2, 3];\n\
-               for (var i = 0; i < 4; i++) { shared.splice(0, 0, i); }";
-    assert!(run_parallel(&gated(src, Some(1), 1)).is_ok());
-    match run_parallel(&gated(src, Some(1), 2)) {
-        Err(ParallelError::WriteConflict(msg)) => {
-            assert!(msg.contains("`.shared[0]`"), "{msg}")
+    for (src, path) in [
+        (
+            "var shared = [0, 1, 2, 3];\n\
+             for (var i = 0; i < 4; i++) { shared.splice(0, 0, i); }",
+            "`.shared[0]`",
+        ),
+        (
+            "var out = [];\n\
+             for (var i = 0; i < 4; i++) { out.push({ v: i }); }",
+            "`.out[0]`",
+        ),
+    ] {
+        assert!(run_parallel(&gated(src, Some(1), 1)).is_ok());
+        match run_parallel(&gated(src, Some(1), 2)) {
+            Err(ParallelError::WriteConflict(msg)) => assert!(msg.contains(path), "{msg}"),
+            other => panic!("expected a write conflict, got {other:?}"),
         }
-        other => panic!("expected a write conflict, got {other:?}"),
     }
 }
 
