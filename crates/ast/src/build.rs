@@ -1,8 +1,9 @@
 //! Convenience constructors for synthesized AST nodes.
 //!
-//! The instrumentation passes build many small snippets (hook calls,
-//! temporaries, try/finally wrappers); these helpers keep that code terse.
-//! All nodes produced here carry [`crate::span::Span::SYNTHETIC`].
+//! The instrumentation rewriter (a [`crate::visit::VisitMut`]) and the
+//! loop transforms build many small snippets (hook calls, blocks,
+//! try/finally wrappers); these helpers keep that code terse. All nodes
+//! produced here carry [`crate::span::Span::SYNTHETIC`].
 
 use crate::ast::*;
 
@@ -29,39 +30,6 @@ pub fn call(callee: &str, args: Vec<Expr>) -> Expr {
     })
 }
 
-/// `callee(args...)` for an arbitrary callee expression.
-pub fn call_expr(callee: Expr, args: Vec<Expr>) -> Expr {
-    Expr::synth(ExprKind::Call {
-        callee: Box::new(callee),
-        args,
-    })
-}
-
-/// `object.prop`
-pub fn member(object: Expr, prop: &str) -> Expr {
-    Expr::synth(ExprKind::Member {
-        object: Box::new(object),
-        prop: prop.to_string(),
-    })
-}
-
-/// `object[index]`
-pub fn index(object: Expr, idx: Expr) -> Expr {
-    Expr::synth(ExprKind::Index {
-        object: Box::new(object),
-        index: Box::new(idx),
-    })
-}
-
-/// `target = value`
-pub fn assign(target: Expr, value: Expr) -> Expr {
-    Expr::synth(ExprKind::Assign {
-        op: AssignOp::Assign,
-        target: Box::new(target),
-        value: Box::new(value),
-    })
-}
-
 /// `(a, b, ...)`
 pub fn seq(exprs: Vec<Expr>) -> Expr {
     Expr::synth(ExprKind::Seq(exprs))
@@ -75,15 +43,6 @@ pub fn expr_stmt(e: Expr) -> Stmt {
 /// `{ stmts }`
 pub fn block(stmts: Vec<Stmt>) -> Stmt {
     Stmt::synth(StmtKind::Block(stmts))
-}
-
-/// `var name = init;`
-pub fn var_decl(name: &str, init: Option<Expr>) -> Stmt {
-    Stmt::synth(StmtKind::VarDecl(vec![VarDeclarator {
-        name: name.to_string(),
-        init,
-        span: crate::span::Span::SYNTHETIC,
-    }]))
 }
 
 /// `try { body } finally { fin }`
@@ -105,9 +64,6 @@ mod tests {
         let e = call("__ceres_loop_enter", vec![num(7.0)]);
         assert_eq!(expr_to_source(&e), "__ceres_loop_enter(7)");
 
-        let e = assign(member(ident("a"), "b"), str_lit("x"));
-        assert_eq!(expr_to_source(&e), "a.b = \"x\"");
-
         let s = try_finally(
             vec![expr_stmt(ident("work"))],
             vec![expr_stmt(call("done", vec![]))],
@@ -115,20 +71,5 @@ mod tests {
         let src = stmt_to_source(&s);
         assert!(src.starts_with("try {"), "got {src}");
         assert!(src.contains("finally {"), "got {src}");
-    }
-
-    #[test]
-    fn index_and_seq() {
-        let e = seq(vec![
-            assign(ident("t"), ident("o")),
-            index(ident("t"), num(0.0)),
-        ]);
-        assert_eq!(expr_to_source(&e), "t = o, t[0]");
-    }
-
-    #[test]
-    fn var_decl_prints() {
-        assert_eq!(stmt_to_source(&var_decl("x", Some(num(1.0)))), "var x = 1;");
-        assert_eq!(stmt_to_source(&var_decl("y", None)), "var y;");
     }
 }

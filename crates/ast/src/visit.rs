@@ -7,11 +7,11 @@
 //! overrides only what it needs and calls the matching free function to
 //! continue: `walk_*` for [`Visit`], `walk_*_mut` for [`VisitMut`].
 //!
-//! Loop numbering, the parser's span stripping and the loop gates' find and
-//! replace use [`VisitMut`]. The loop-shape scan, the static loop features,
-//! the compiler's hook-namespace scan and [`hoisted`] use [`Visit`]. The
-//! instrumentation passes are not visitors: they are a pure
-//! `&Stmt -> Stmt` fold that builds a new tree.
+//! Loop numbering, the parser's span stripping, the loop gates' find and
+//! replace and the instrumentation rewriter use [`VisitMut`]; the rewriter
+//! runs over a clone of the numbered program and rewrites each node after
+//! its children. The loop-shape scan, the static loop features, the
+//! compiler's hook-namespace scan and [`hoisted`] use [`Visit`].
 #![deny(missing_docs)]
 
 use crate::ast::*;

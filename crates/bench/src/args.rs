@@ -170,9 +170,10 @@ pub fn parse_fleet_args(args: &[String], defaults: FleetArgs) -> Result<FleetArg
 
 /// The `jsceresd`-only flag set, peeled off *before* the shared fleet
 /// flags: serving topology (address, queue/cache bounds, shard count),
-/// persistence directories, and backend selection. Everything the shared
-/// parser recognizes passes through in `rest`. All flags are documented
-/// operator-facing in `docs/OPERATIONS.md`.
+/// persistence directories, and backend selection. The shared flags the
+/// daemon reads (workers, watchdog, mode, seed) pass through in `rest`;
+/// the fleet-only ones it would ignore are refused. All flags are
+/// documented operator-facing in `docs/OPERATIONS.md`.
 #[derive(Debug, Clone, Default)]
 pub struct DaemonArgs {
     /// `--addr HOST:PORT` (default `127.0.0.1:7015`; port 0 picks one).
@@ -200,7 +201,8 @@ pub struct DaemonArgs {
 }
 
 /// Peel the daemon-only flags out of `args`; pass `DaemonArgs::rest` on
-/// to [`parse_fleet_args`] for the shared set.
+/// to [`parse_fleet_args`] for the shared set. A fleet-only flag (report
+/// artifacts, `--scale`, fault injection) is an error naming it.
 pub fn parse_daemon_args(args: &[String]) -> Result<DaemonArgs, String> {
     let mut d = DaemonArgs {
         addr: "127.0.0.1:7015".to_string(),
@@ -254,6 +256,10 @@ pub fn parse_daemon_args(args: &[String]) -> Result<DaemonArgs, String> {
             "--spill-dir" => {
                 d.spill_dir = Some(value(args, i, "--spill-dir")?);
                 i += 2;
+            }
+            flag @ ("--scale" | "--json" | "--metrics" | "--trace" | "--deterministic"
+            | "--inject" | "--inject-seed") => {
+                return Err(format!("jsceresd does not take {flag}"));
             }
             _ => {
                 d.rest.push(args[i].clone());
@@ -418,9 +424,16 @@ mod tests {
             sv(&["--queue-cap", "0"]),
             sv(&["--cache-shards", "banana"]),
             sv(&["--cache-dir"]),
+            sv(&["--scale", "3"]),
+            sv(&["--json", "out.json"]),
+            sv(&["--metrics", "m.json"]),
+            sv(&["--trace", "t.json"]),
+            sv(&["--deterministic"]),
+            sv(&["--inject", "panic:1.0"]),
+            sv(&["--inject-seed", "7"]),
         ] {
             let e = parse_daemon_args(&bad).unwrap_err();
-            assert!(!e.is_empty(), "{bad:?}");
+            assert!(e.contains(&bad[0]), "{bad:?}: {e}");
         }
     }
 }

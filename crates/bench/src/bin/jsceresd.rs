@@ -26,8 +26,6 @@
 //!   --seed <n>              default seed (default 2015)
 //!   --watchdog-ticks <n>    per-job deterministic tick budget
 //!   --watchdog-wall-ms <n>  per-job wall-clock backstop (default 120000)
-//!   --deterministic         accepted for CLI symmetry; the daemon always
-//!                           serves canonical (deterministic) payloads
 //! ```
 //!
 //! Protocol: line-delimited JSON over TCP — see `docs/SERVING.md`. One
@@ -66,7 +64,7 @@ fn usage() -> ! {
          \x20               [--queue-cap N] [--spill-dir DIR]\n\
          \x20               [--cache-cap N] [--cache-shards N] [--cache-dir DIR]\n\
          \x20               [--mode light|loop|dep] [--seed N] [--watchdog-ticks N]\n\
-         \x20               [--watchdog-wall-ms N] [--deterministic]"
+         \x20               [--watchdog-wall-ms N]"
     );
     std::process::exit(2);
 }

@@ -161,7 +161,7 @@ pub enum ParallelError {
     /// its global path.
     WriteConflict(String),
     /// A gated body wrote a value the merge cannot carry: a function or a
-    /// host object.
+    /// host object the body created.
     Unmergeable(String),
     /// A peer worker failed first; this worker was unwound.
     Poisoned(String),
@@ -529,19 +529,19 @@ struct Namer<'a> {
 }
 
 impl Namer<'_> {
-    /// The value `v` in the slot at `loc`. A function or a host object
-    /// cannot cross to another replica and refuses, named by the slot's
-    /// global path.
+    /// The value `v` in the slot at `loc`. A function or a host object the
+    /// body created cannot cross to another replica and refuses, named by
+    /// the slot's global path; one that existed at entry goes by id.
     fn val(&mut self, loc: Loc<'_>, v: &Value) -> Result<Val, String> {
         let Value::Object(o) = v else {
             return Ok(Val::Scalar(Scalar::of(v).expect("a scalar")));
         };
-        let what = if o.is_callable() {
+        let what = if o.id() < self.fresh {
+            return Ok(Val::Old(o.id()));
+        } else if o.is_callable() {
             "function"
         } else if let Some(tag) = o.tag() {
             tag
-        } else if o.id() < self.fresh {
-            return Ok(Val::Old(o.id()));
         } else {
             let next = self.news.len();
             let i = *self.index.entry(o.id()).or_insert(next);

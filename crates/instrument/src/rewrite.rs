@@ -1,13 +1,17 @@
-//! The AST rewriting passes.
+//! The AST rewriting pass.
 //!
-//! The rewriter consumes a loop-numbered program and produces a new program
-//! with hook calls inserted. It never mutates in place: transformation is a
-//! pure `&Stmt -> Stmt` / `&Expr -> Expr` fold, so synthesized nodes are
-//! built once and never re-visited (no double instrumentation).
+//! [`instrument_program`] clones the loop-numbered program once and runs one
+//! [`VisitMut`] over the clone. Each node is rewritten after its children
+//! have been, so the hooks it inserts are never visited (no double
+//! instrumentation). A site that takes a place apart (an assignment or
+//! update target, a `delete` operand, a method call's callee) visits only
+//! the place's object and key, so the place itself is never hooked as a
+//! read.
 
 use crate::hooks;
 use ceres_ast::ast::*;
-use ceres_ast::build;
+use ceres_ast::build::{self, call, str_lit};
+use ceres_ast::visit::{walk_expr_mut, walk_func_mut, walk_stmt_mut, VisitMut};
 use ceres_ast::{assign_loop_ids, LoopInfo};
 use ceres_parser::ParseError;
 
@@ -36,35 +40,12 @@ pub fn instrument_source(source: &str, mode: Mode) -> Result<(String, Vec<LoopIn
 
 /// Instrument an already-numbered program.
 pub fn instrument_program(program: &Program, mode: Mode) -> Program {
-    let rw = Rewriter { mode };
-    let mut body = Vec::with_capacity(program.body.len() + 1);
-    if mode == Mode::Dependence {
-        if let Some(decl) = declvars_stmt(&program.body, &[]) {
-            body.push(decl);
-        }
-    }
-    for stmt in &program.body {
-        body.push(rw.stmt(stmt));
-    }
-    Program { body }
-}
-
-/// Build a `__ceres_declvars("a", "b", …)` statement for `params` plus the
-/// hoisted names of `body`, each once in first-occurrence order. Returns
-/// `None` when there is nothing to stamp.
-fn declvars_stmt(body: &[Stmt], params: &[String]) -> Option<Stmt> {
-    let mut names: Vec<&str> = params.iter().map(String::as_str).collect();
-    names.dedup();
-    for h in ceres_ast::hoisted(body) {
-        if !names.contains(&h.name()) {
-            names.push(h.name());
-        }
-    }
-    if names.is_empty() {
-        return None;
-    }
-    let args = names.iter().map(|n| build::str_lit(n)).collect();
-    Some(build::expr_stmt(build::call(hooks::DECLVARS, args)))
+    let mut rw = Rewriter { mode };
+    let mut out = program.clone();
+    let decl = rw.declvars(&out.body, &[]);
+    rw.visit_program(&mut out);
+    out.body.splice(0..0, decl);
+    out
 }
 
 struct Rewriter {
@@ -76,628 +57,270 @@ impl Rewriter {
         self.mode == Mode::Dependence
     }
 
-    // ------------------------------------------------------------------
-    // Statements
-    // ------------------------------------------------------------------
-
-    fn stmt(&self, s: &Stmt) -> Stmt {
-        let kind = match &s.kind {
-            StmtKind::Expr(e) => StmtKind::Expr(self.expr(e)),
-            StmtKind::VarDecl(ds) => StmtKind::VarDecl(self.var_decls(ds)),
-            StmtKind::Func(decl) => StmtKind::Func(FuncDecl {
-                name: decl.name.clone(),
-                func: self.func(&decl.func),
-            }),
-            StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(|e| self.expr(e))),
-            StmtKind::If { cond, then, alt } => StmtKind::If {
-                cond: self.expr(cond),
-                then: Box::new(self.stmt(then)),
-                alt: alt.as_ref().map(|a| Box::new(self.stmt(a))),
-            },
-            StmtKind::While {
-                loop_id,
-                cond,
-                body,
-            } => {
-                return self.wrap_loop(
-                    *loop_id,
-                    Stmt::new(
-                        StmtKind::While {
-                            loop_id: *loop_id,
-                            cond: self.expr(cond),
-                            body: Box::new(self.loop_body(*loop_id, body, None)),
-                        },
-                        s.span,
-                    ),
-                );
+    /// In dependence mode, `__ceres_declvars("a", "b", …)` for `params`
+    /// plus the hoisted names of `body`, each once in first-occurrence
+    /// order. `None` in the other modes, or when there is nothing to stamp.
+    fn declvars(&self, body: &[Stmt], params: &[String]) -> Option<Stmt> {
+        if !self.tracks_accesses() {
+            return None;
+        }
+        let mut names: Vec<&str> = params.iter().map(String::as_str).collect();
+        names.dedup();
+        for h in ceres_ast::hoisted(body) {
+            if !names.contains(&h.name()) {
+                names.push(h.name());
             }
-            StmtKind::DoWhile {
-                loop_id,
-                body,
-                cond,
-            } => {
-                return self.wrap_loop(
-                    *loop_id,
-                    Stmt::new(
-                        StmtKind::DoWhile {
-                            loop_id: *loop_id,
-                            body: Box::new(self.loop_body(*loop_id, body, None)),
-                            cond: self.expr(cond),
-                        },
-                        s.span,
-                    ),
-                );
-            }
-            StmtKind::For {
-                loop_id,
-                init,
-                cond,
-                update,
-                body,
-            } => {
-                let init = init.as_ref().map(|i| match i {
-                    ForInit::VarDecl(ds) => ForInit::VarDecl(self.var_decls(ds)),
-                    ForInit::Expr(e) => ForInit::Expr(self.for_init_expr(e)),
-                });
-                return self.wrap_loop(
-                    *loop_id,
-                    Stmt::new(
-                        StmtKind::For {
-                            loop_id: *loop_id,
-                            init,
-                            cond: cond.as_ref().map(|c| self.expr(c)),
-                            update: update.as_ref().map(|u| self.expr(u)),
-                            body: Box::new(self.loop_body(*loop_id, body, None)),
-                        },
-                        s.span,
-                    ),
-                );
-            }
-            StmtKind::ForIn {
-                loop_id,
-                decl,
-                var,
-                object,
-                body,
-            } => {
-                // The loop variable is (re)written each iteration: record it.
-                let extra = if self.tracks_accesses() {
-                    Some(build::expr_stmt(build::call(
-                        hooks::WRVAR,
-                        vec![build::str_lit(var), build::str_lit("forin")],
-                    )))
-                } else {
-                    None
-                };
-                return self.wrap_loop(
-                    *loop_id,
-                    Stmt::new(
-                        StmtKind::ForIn {
-                            loop_id: *loop_id,
-                            decl: *decl,
-                            var: var.clone(),
-                            object: self.expr(object),
-                            body: Box::new(self.loop_body(*loop_id, body, extra)),
-                        },
-                        s.span,
-                    ),
-                );
-            }
-            StmtKind::Block(ss) => StmtKind::Block(ss.iter().map(|s| self.stmt(s)).collect()),
-            StmtKind::Break => StmtKind::Break,
-            StmtKind::Continue => StmtKind::Continue,
-            StmtKind::Throw(e) => StmtKind::Throw(self.expr(e)),
-            StmtKind::Try {
-                block,
-                catch,
-                finally,
-            } => StmtKind::Try {
-                block: block.iter().map(|s| self.stmt(s)).collect(),
-                catch: catch.as_ref().map(|c| {
-                    let mut body: Vec<Stmt> = Vec::with_capacity(c.body.len() + 1);
-                    if self.tracks_accesses() {
-                        // Catch parameters are fresh bindings: stamp them.
-                        body.push(build::expr_stmt(build::call(
-                            hooks::DECLVARS,
-                            vec![build::str_lit(&c.param)],
-                        )));
-                    }
-                    body.extend(c.body.iter().map(|s| self.stmt(s)));
-                    CatchClause {
-                        param: c.param.clone(),
-                        body,
-                    }
-                }),
-                finally: finally
-                    .as_ref()
-                    .map(|f| f.iter().map(|s| self.stmt(s)).collect()),
-            },
-            StmtKind::Switch { disc, cases } => StmtKind::Switch {
-                disc: self.expr(disc),
-                cases: cases
-                    .iter()
-                    .map(|c| SwitchCase {
-                        test: c.test.as_ref().map(|t| self.expr(t)),
-                        body: c.body.iter().map(|s| self.stmt(s)).collect(),
-                    })
-                    .collect(),
-            },
-            StmtKind::Empty => StmtKind::Empty,
-        };
-        Stmt::new(kind, s.span)
+        }
+        let args: Vec<Expr> = names.into_iter().map(str_lit).collect();
+        (!args.is_empty()).then(|| build::expr_stmt(call(hooks::DECLVARS, args)))
     }
 
-    fn var_decls(&self, ds: &[VarDeclarator]) -> Vec<VarDeclarator> {
-        ds.iter()
-            .map(|d| {
-                let init = d.init.as_ref().map(|e| {
-                    let e = self.expr(e);
-                    if self.tracks_accesses() {
-                        // `var p = __ceres_wrvar("p", "init", e)` — a write
-                        // to `p` (Fig. 6's line-7 warning comes from
-                        // exactly this case), with the value observed.
-                        build::call(
-                            hooks::WRVAR,
-                            vec![build::str_lit(&d.name), build::str_lit("init"), e],
-                        )
-                    } else {
-                        e
-                    }
-                });
-                VarDeclarator {
-                    name: d.name.clone(),
-                    init,
-                    span: d.span,
-                }
-            })
-            .collect()
+    /// Visit what an assignment, update, `delete` or call takes apart: a
+    /// property place's object and key, never the place itself as a read.
+    fn visit_place(&mut self, place: &mut Expr) {
+        match &mut place.kind {
+            ExprKind::Member { object, .. } => self.visit_expr(object),
+            ExprKind::Index { object, index } => {
+                self.visit_expr(object);
+                self.visit_expr(index);
+            }
+            _ => self.visit_expr(place),
+        }
     }
 
     /// `for (k = 0; …)` initializers are induction-variable setup: record
     /// the write with op "init" so the classifier doesn't mistake loop
     /// bookkeeping for a cross-iteration conflict.
-    fn for_init_expr(&self, e: &Expr) -> Expr {
-        if !self.tracks_accesses() {
-            return self.expr(e);
+    fn visit_for_init(&mut self, e: &mut Expr) {
+        if let ExprKind::Seq(parts) = &mut e.kind {
+            return parts.iter_mut().for_each(|p| self.visit_for_init(p));
         }
-        match &e.kind {
-            ExprKind::Assign {
-                op: AssignOp::Assign,
-                target,
-                value,
-            } if matches!(target.kind, ExprKind::Ident(_)) => {
-                let ExprKind::Ident(name) = &target.kind else {
-                    unreachable!()
-                };
-                Expr::new(
-                    ExprKind::Assign {
-                        op: AssignOp::Assign,
-                        target: target.clone(),
-                        value: Box::new(build::call(
-                            hooks::WRVAR,
-                            vec![
-                                build::str_lit(name),
-                                build::str_lit("init"),
-                                self.expr(value),
-                            ],
-                        )),
-                    },
-                    e.span,
-                )
-            }
-            ExprKind::Seq(parts) => {
-                build::seq(parts.iter().map(|p| self.for_init_expr(p)).collect())
-            }
-            _ => self.expr(e),
-        }
-    }
-
-    fn func(&self, f: &Func) -> Func {
-        let mut body: Vec<Stmt> = Vec::with_capacity(f.body.len() + 1);
-        if self.tracks_accesses() {
-            if let Some(decl) = declvars_stmt(&f.body, &f.params) {
-                body.push(decl);
+        if let ExprKind::Assign {
+            op: AssignOp::Assign,
+            target,
+            value,
+        } = &mut e.kind
+        {
+            if let ExprKind::Ident(name) = &target.kind {
+                self.visit_expr(value);
+                **value = wrvar(name, "init", Some(take(value)));
+                return;
             }
         }
-        body.extend(f.body.iter().map(|s| self.stmt(s)));
-        Func {
-            params: f.params.clone(),
-            body,
-            span: f.span,
-        }
+        self.visit_expr(e);
     }
 
-    /// Prefix the (block) body with the per-iteration hook, plus an optional
-    /// extra statement (used by for-in's loop-variable write).
-    fn loop_body(&self, id: LoopId, body: &Stmt, extra: Option<Stmt>) -> Stmt {
-        let transformed = self.stmt(body);
-        if self.mode == Mode::Lightweight {
-            return transformed;
-        }
-        let mut stmts = vec![build::expr_stmt(build::call(
-            hooks::ITER,
-            vec![build::num(id.0 as f64)],
-        ))];
-        if let Some(e) = extra {
-            stmts.push(e);
-        }
-        match transformed.kind {
-            StmtKind::Block(inner) => stmts.extend(inner),
-            other => stmts.push(Stmt::new(other, transformed.span)),
-        }
-        build::block(stmts)
-    }
-
-    /// Wrap an instrumented loop statement with enter/exit hooks:
+    /// Prefix a walked loop's body with the per-iteration hook (and a
+    /// for-in's loop-variable write), then wrap the loop with enter/exit
+    /// hooks:
     ///
     /// ```text
     /// enter(); try { <loop> } finally { exit(); }
     /// ```
-    fn wrap_loop(&self, id: LoopId, loop_stmt: Stmt) -> Stmt {
+    fn wrap_loop(&self, s: &mut Stmt) {
+        let Some(id) = s.kind.loop_id() else { return };
+        let id_arg = || vec![build::num(id.0 as f64)];
+        if self.mode != Mode::Lightweight {
+            let (body, var) = match &mut s.kind {
+                StmtKind::ForIn { var, body, .. } => (body, Some(var)),
+                StmtKind::While { body, .. }
+                | StmtKind::DoWhile { body, .. }
+                | StmtKind::For { body, .. } => (body, None),
+                _ => unreachable!("a loop"),
+            };
+            let mut head = vec![build::expr_stmt(call(hooks::ITER, id_arg()))];
+            if self.tracks_accesses() {
+                // The loop variable is (re)written each iteration: record it.
+                head.extend(var.map(|v| build::expr_stmt(wrvar(v, "forin", None))));
+            }
+            match &mut body.kind {
+                StmtKind::Block(stmts) => drop(stmts.splice(0..0, head)),
+                _ => {
+                    head.push(std::mem::replace(&mut **body, Stmt::synth(StmtKind::Empty)));
+                    **body = build::block(head);
+                }
+            }
+        }
         let (enter, exit) = match self.mode {
-            Mode::Lightweight => (
-                build::call(hooks::LW_ENTER, vec![]),
-                build::call(hooks::LW_EXIT, vec![]),
-            ),
+            Mode::Lightweight => (call(hooks::LW_ENTER, vec![]), call(hooks::LW_EXIT, vec![])),
             Mode::LoopProfile | Mode::Dependence => (
-                build::call(hooks::LOOP_ENTER, vec![build::num(id.0 as f64)]),
-                build::call(hooks::LOOP_EXIT, vec![build::num(id.0 as f64)]),
+                call(hooks::LOOP_ENTER, id_arg()),
+                call(hooks::LOOP_EXIT, id_arg()),
             ),
         };
-        build::block(vec![
+        let loop_stmt = std::mem::replace(s, Stmt::synth(StmtKind::Empty));
+        *s = build::block(vec![
             build::expr_stmt(enter),
             build::try_finally(vec![loop_stmt], vec![build::expr_stmt(exit)]),
-        ])
+        ]);
+    }
+}
+
+impl VisitMut for Rewriter {
+    fn visit_func(&mut self, func: &mut Func) {
+        let decl = self.declvars(&func.body, &func.params);
+        walk_func_mut(self, func);
+        func.body.splice(0..0, decl);
     }
 
-    // ------------------------------------------------------------------
-    // Expressions
-    // ------------------------------------------------------------------
-
-    fn expr(&self, e: &Expr) -> Expr {
-        if !self.tracks_accesses() {
-            // Lightweight/loop modes only need function bodies transformed
-            // (they may contain loops); everything else is structural.
-            return self.expr_structural(e);
-        }
-        self.expr_dependence(e)
-    }
-
-    /// Recurse into subexpressions without adding access hooks (still
-    /// transforms nested function bodies, which may contain loops).
-    fn expr_structural(&self, e: &Expr) -> Expr {
-        let kind = match &e.kind {
-            ExprKind::Func { name, func } => ExprKind::Func {
-                name: name.clone(),
-                func: self.func(func),
-            },
-            ExprKind::Array(els) => ExprKind::Array(els.iter().map(|x| self.expr(x)).collect()),
-            ExprKind::Object(props) => ExprKind::Object(
-                props
-                    .iter()
-                    .map(|(k, v)| (k.clone(), self.expr(v)))
-                    .collect(),
-            ),
-            ExprKind::Unary { op, expr } => ExprKind::Unary {
-                op: *op,
-                expr: Box::new(self.expr(expr)),
-            },
-            ExprKind::Update { op, prefix, target } => ExprKind::Update {
-                op: *op,
-                prefix: *prefix,
-                target: Box::new(self.expr(target)),
-            },
-            ExprKind::Binary { op, left, right } => ExprKind::Binary {
-                op: *op,
-                left: Box::new(self.expr(left)),
-                right: Box::new(self.expr(right)),
-            },
-            ExprKind::Logical { op, left, right } => ExprKind::Logical {
-                op: *op,
-                left: Box::new(self.expr(left)),
-                right: Box::new(self.expr(right)),
-            },
-            ExprKind::Assign { op, target, value } => ExprKind::Assign {
-                op: *op,
-                target: Box::new(self.expr(target)),
-                value: Box::new(self.expr(value)),
-            },
-            ExprKind::Cond { cond, then, alt } => ExprKind::Cond {
-                cond: Box::new(self.expr(cond)),
-                then: Box::new(self.expr(then)),
-                alt: Box::new(self.expr(alt)),
-            },
-            ExprKind::Call { callee, args } => ExprKind::Call {
-                callee: Box::new(self.expr(callee)),
-                args: args.iter().map(|a| self.expr(a)).collect(),
-            },
-            ExprKind::New { callee, args } => ExprKind::New {
-                callee: Box::new(self.expr(callee)),
-                args: args.iter().map(|a| self.expr(a)).collect(),
-            },
-            ExprKind::Member { object, prop } => ExprKind::Member {
-                object: Box::new(self.expr(object)),
-                prop: prop.clone(),
-            },
-            ExprKind::Index { object, index } => ExprKind::Index {
-                object: Box::new(self.expr(object)),
-                index: Box::new(self.expr(index)),
-            },
-            ExprKind::Seq(es) => ExprKind::Seq(es.iter().map(|x| self.expr(x)).collect()),
-            other => other.clone(),
+    fn visit_stmt(&mut self, s: &mut Stmt) {
+        let tracks = self.tracks_accesses();
+        // In dependence mode a `for` initializer expression stays out of
+        // the walk: `visit_for_init` visits it below.
+        let init = match &mut s.kind {
+            StmtKind::For {
+                init: init @ Some(ForInit::Expr(_)),
+                ..
+            } if tracks => init.take(),
+            _ => None,
         };
-        Expr::new(kind, e.span)
+        walk_stmt_mut(self, s);
+        match &mut s.kind {
+            StmtKind::VarDecl(ds)
+            | StmtKind::For {
+                init: Some(ForInit::VarDecl(ds)),
+                ..
+            } if tracks => {
+                // `var p = __ceres_wrvar("p", "init", e)` — a write to `p`
+                // (Fig. 6's line-7 warning comes from exactly this case),
+                // with the value observed.
+                for d in ds {
+                    d.init = d.init.take().map(|e| wrvar(&d.name, "init", Some(e)));
+                }
+            }
+            StmtKind::For { init: slot, .. } => {
+                if let Some(ForInit::Expr(mut e)) = init {
+                    self.visit_for_init(&mut e);
+                    *slot = Some(ForInit::Expr(e));
+                }
+            }
+            // Catch parameters are fresh bindings: stamp them.
+            StmtKind::Try { catch: Some(c), .. } => {
+                let decl = self.declvars(&[], std::slice::from_ref(&c.param));
+                c.body.splice(0..0, decl);
+            }
+            _ => {}
+        }
+        self.wrap_loop(s);
     }
 
-    /// Full dependence-mode expression rewrite.
-    fn expr_dependence(&self, e: &Expr) -> Expr {
-        match &e.kind {
-            // Reads of properties. The base-variable name (third argument)
-            // lets reports name the subject the way the paper does
-            // ("reads of properties x, y, m of com").
-            ExprKind::Member { object, prop } => {
-                let mut args = vec![self.expr(object), build::str_lit(prop)];
-                if let Some(b) = base_var(object) {
-                    args.push(build::str_lit(&b));
-                }
-                build::call(hooks::GETPROP, args)
+    fn visit_expr(&mut self, e: &mut Expr) {
+        if !self.tracks_accesses() {
+            // Lightweight/loop modes only need function bodies rewritten
+            // (they may contain loops).
+            return walk_expr_mut(self, e);
+        }
+        match &mut e.kind {
+            // Reads of properties.
+            ExprKind::Member { .. } | ExprKind::Index { .. } => {
+                walk_expr_mut(self, e);
+                *e = prop_hook(hooks::GETPROP, take(e).kind, []);
             }
-            ExprKind::Index { object, index } => {
-                let mut args = vec![self.expr(object), self.expr(index)];
-                if let Some(b) = base_var(object) {
-                    args.push(build::str_lit(&b));
-                }
-                build::call(hooks::GETPROP, args)
-            }
-            // Method calls keep their receiver via __ceres_mcall. The base
-            // slot is always present (null when the base is not a variable)
-            // because the call arguments follow variadically.
-            ExprKind::Call { callee, args } => match &callee.kind {
-                ExprKind::Member { object, prop } => {
-                    let base = match base_var(object) {
-                        Some(b) => build::str_lit(&b),
-                        None => Expr::synth(ExprKind::Null),
-                    };
-                    let mut hook_args = vec![self.expr(object), build::str_lit(prop), base];
-                    hook_args.extend(args.iter().map(|a| self.expr(a)));
-                    build::call(hooks::MCALL, hook_args)
-                }
-                ExprKind::Index { object, index } => {
-                    let base = match base_var(object) {
-                        Some(b) => build::str_lit(&b),
-                        None => Expr::synth(ExprKind::Null),
-                    };
-                    let mut hook_args = vec![self.expr(object), self.expr(index), base];
-                    hook_args.extend(args.iter().map(|a| self.expr(a)));
-                    build::call(hooks::MCALL, hook_args)
-                }
-                _ => Expr::new(
-                    ExprKind::Call {
-                        callee: Box::new(self.expr(callee)),
-                        args: args.iter().map(|a| self.expr(a)).collect(),
-                    },
-                    e.span,
-                ),
-            },
             // Object creation sites get wrapped (the paper's Proxy).
-            ExprKind::New { callee, args } => build::call(
-                hooks::WRAP,
-                vec![Expr::new(
-                    ExprKind::New {
-                        callee: Box::new(self.expr(callee)),
-                        args: args.iter().map(|a| self.expr(a)).collect(),
-                    },
-                    e.span,
-                )],
-            ),
-            ExprKind::Object(props) => build::call(
-                hooks::WRAP,
-                vec![Expr::new(
-                    ExprKind::Object(
-                        props
-                            .iter()
-                            .map(|(k, v)| (k.clone(), self.expr(v)))
-                            .collect(),
-                    ),
-                    e.span,
-                )],
-            ),
-            ExprKind::Array(els) => build::call(
-                hooks::WRAP,
-                vec![Expr::new(
-                    ExprKind::Array(els.iter().map(|x| self.expr(x)).collect()),
-                    e.span,
-                )],
-            ),
-            ExprKind::Func { name, func } => build::call(
-                hooks::WRAP,
-                vec![Expr::new(
-                    ExprKind::Func {
-                        name: name.clone(),
-                        func: self.func(func),
-                    },
-                    e.span,
-                )],
-            ),
-            // Assignments.
-            ExprKind::Assign { op, target, value } => self.assign(*op, target, value, e),
-            // Increment/decrement.
+            ExprKind::New { .. }
+            | ExprKind::Object(_)
+            | ExprKind::Array(_)
+            | ExprKind::Func { .. } => {
+                walk_expr_mut(self, e);
+                *e = call(hooks::WRAP, vec![take(e)]);
+            }
+            ExprKind::Assign { op, target, value } => {
+                self.visit_place(target);
+                self.visit_expr(value);
+                if let ExprKind::Ident(name) = &target.kind {
+                    // `x op= __ceres_wrvar("x", "op", v)` — the hook records
+                    // the write (and observes the value's runtime type for
+                    // the polymorphism report), then passes v through.
+                    **value = wrvar(name, op.as_str(), Some(take(value)));
+                } else if is_prop(target) {
+                    let value = take(value);
+                    *e = match op.binary() {
+                        None => prop_hook(hooks::SETPROP, take(target).kind, [value]),
+                        Some(bop) => {
+                            let bop = str_lit(bop.as_str());
+                            prop_hook(hooks::SETPROP2, take(target).kind, [bop, value])
+                        }
+                    };
+                }
+            }
             ExprKind::Update { op, prefix, target } => {
-                let delta = match op {
-                    UpdateOp::Inc => 1.0,
-                    UpdateOp::Dec => -1.0,
-                };
-                match &target.kind {
-                    ExprKind::Ident(name) => build::seq(vec![
-                        build::call(
-                            hooks::WRVAR,
-                            vec![
-                                build::str_lit(name),
-                                build::str_lit(match op {
-                                    UpdateOp::Inc => "++",
-                                    UpdateOp::Dec => "--",
-                                }),
-                            ],
-                        ),
-                        Expr::new(
-                            ExprKind::Update {
-                                op: *op,
-                                prefix: *prefix,
-                                target: target.clone(),
-                            },
-                            e.span,
-                        ),
-                    ]),
-                    ExprKind::Member { object, prop } => self.update_prop(
-                        self.expr(object),
-                        build::str_lit(prop),
-                        delta,
-                        *prefix,
-                        base_var(object),
-                    ),
-                    ExprKind::Index { object, index } => self.update_prop(
-                        self.expr(object),
-                        self.expr(index),
-                        delta,
-                        *prefix,
-                        base_var(object),
-                    ),
-                    _ => self.expr_structural(e),
+                self.visit_place(target);
+                if let ExprKind::Ident(name) = &target.kind {
+                    let hook = wrvar(name, op.as_str(), None);
+                    *e = build::seq(vec![hook, take(e)]);
+                } else if is_prop(target) {
+                    let delta = build::num(if *op == UpdateOp::Inc { 1.0 } else { -1.0 });
+                    let prefix = build::num(if *prefix { 1.0 } else { 0.0 });
+                    *e = prop_hook(hooks::UPDATE_PROP, take(target).kind, [delta, prefix]);
                 }
             }
             // `delete o.p` must keep the member syntactically intact.
             ExprKind::Unary {
                 op: UnaryOp::Delete,
-                expr: inner,
-            } => {
-                let inner = match &inner.kind {
-                    ExprKind::Member { object, prop } => Expr::new(
-                        ExprKind::Member {
-                            object: Box::new(self.expr(object)),
-                            prop: prop.clone(),
-                        },
-                        inner.span,
-                    ),
-                    ExprKind::Index { object, index } => Expr::new(
-                        ExprKind::Index {
-                            object: Box::new(self.expr(object)),
-                            index: Box::new(self.expr(index)),
-                        },
-                        inner.span,
-                    ),
-                    _ => self.expr(inner),
-                };
-                Expr::new(
-                    ExprKind::Unary {
-                        op: UnaryOp::Delete,
-                        expr: Box::new(inner),
-                    },
-                    e.span,
-                )
+                expr,
+            } => self.visit_place(expr),
+            // Method calls keep their receiver via __ceres_mcall. The base
+            // slot is always present (null when the base is not a variable)
+            // because the call arguments follow variadically.
+            ExprKind::Call { callee, args } => {
+                self.visit_place(callee);
+                args.iter_mut().for_each(|a| self.visit_expr(a));
+                if is_prop(callee) {
+                    let (object, key, base) = split(take(callee).kind);
+                    let mut hook_args = Vec::with_capacity(args.len() + 3);
+                    hook_args.extend([object, key, base.unwrap_or(Expr::synth(ExprKind::Null))]);
+                    hook_args.append(args);
+                    *e = call(hooks::MCALL, hook_args);
+                }
             }
-            // `typeof x` tolerates undeclared names: leave the operand raw.
-            ExprKind::Unary {
-                op: UnaryOp::TypeOf,
-                expr: inner,
-            } if matches!(inner.kind, ExprKind::Ident(_)) => e.clone(),
-            _ => self.expr_structural(e),
+            _ => walk_expr_mut(self, e),
         }
-    }
-
-    fn assign(&self, op: AssignOp, target: &Expr, value: &Expr, whole: &Expr) -> Expr {
-        match &target.kind {
-            ExprKind::Ident(name) => {
-                // `x op= __ceres_wrvar("x", "op", v)` — the hook records the
-                // write (and observes the value's runtime type for the
-                // polymorphism report), then passes v through unchanged.
-                Expr::new(
-                    ExprKind::Assign {
-                        op,
-                        target: Box::new(target.clone()),
-                        value: Box::new(build::call(
-                            hooks::WRVAR,
-                            vec![
-                                build::str_lit(name),
-                                build::str_lit(op.as_str()),
-                                self.expr(value),
-                            ],
-                        )),
-                    },
-                    whole.span,
-                )
-            }
-            ExprKind::Member { object, prop } => self.prop_assign(
-                op,
-                self.expr(object),
-                build::str_lit(prop),
-                self.expr(value),
-                base_var(object),
-            ),
-            ExprKind::Index { object, index } => self.prop_assign(
-                op,
-                self.expr(object),
-                self.expr(index),
-                self.expr(value),
-                base_var(object),
-            ),
-            _ => self.expr_structural(whole),
-        }
-    }
-
-    fn prop_assign(
-        &self,
-        op: AssignOp,
-        obj: Expr,
-        key: Expr,
-        value: Expr,
-        base: Option<String>,
-    ) -> Expr {
-        let mut args = match op.binary() {
-            None => vec![obj, key, value],
-            Some(bop) => vec![obj, key, build::str_lit(bop.as_str()), value],
-        };
-        if let Some(b) = &base {
-            args.push(build::str_lit(b));
-        }
-        build::call(
-            if op.binary().is_none() {
-                hooks::SETPROP
-            } else {
-                hooks::SETPROP2
-            },
-            args,
-        )
-    }
-
-    fn update_prop(
-        &self,
-        obj: Expr,
-        key: Expr,
-        delta: f64,
-        prefix: bool,
-        base: Option<String>,
-    ) -> Expr {
-        let mut args = vec![
-            obj,
-            key,
-            build::num(delta),
-            build::num(if prefix { 1.0 } else { 0.0 }),
-        ];
-        if let Some(b) = &base {
-            args.push(build::str_lit(b));
-        }
-        build::call(hooks::UPDATE_PROP, args)
     }
 }
 
-/// If the base expression of a property access is a plain variable, return
-/// its name (used for the binding-stamp refinement of type (b) warnings —
-/// see DESIGN.md §4).
-fn base_var(object: &Expr) -> Option<String> {
-    match &object.kind {
-        ExprKind::Ident(name) => Some(name.clone()),
+/// Move `e` out, leaving a placeholder.
+fn take(e: &mut Expr) -> Expr {
+    std::mem::replace(e, Expr::synth(ExprKind::Null))
+}
+
+/// `o.p` or `o[k]`.
+fn is_prop(e: &Expr) -> bool {
+    matches!(e.kind, ExprKind::Member { .. } | ExprKind::Index { .. })
+}
+
+/// A property place's object, its key as an expression and, if the object
+/// is a plain variable, its name as a string literal: the binding-stamp
+/// refinement of type (b) warnings (DESIGN.md §4) and the subject reports
+/// name ("reads of properties x, y, m of com").
+fn split(place: ExprKind) -> (Expr, Expr, Option<Expr>) {
+    let (object, key) = match place {
+        ExprKind::Member { object, prop } => (*object, Expr::synth(ExprKind::Str(prop))),
+        ExprKind::Index { object, index } => (*object, *index),
+        _ => unreachable!("a property place"),
+    };
+    let base = match &object.kind {
+        ExprKind::Ident(name) => Some(str_lit(name)),
         _ => None,
-    }
+    };
+    (object, key, base)
+}
+
+/// `hook(object, key, mid…, base)` for a property place, the base only when
+/// the object is a variable.
+fn prop_hook<const N: usize>(hook: &str, place: ExprKind, mid: [Expr; N]) -> Expr {
+    let (object, key, base) = split(place);
+    let mut args = Vec::with_capacity(N + 3);
+    args.extend([object, key]);
+    args.extend(mid);
+    args.extend(base);
+    call(hook, args)
+}
+
+/// `__ceres_wrvar("name", "op")`, with the written value when there is one.
+fn wrvar(name: &str, op: &str, value: Option<Expr>) -> Expr {
+    let mut args = vec![str_lit(name), str_lit(op)];
+    args.extend(value);
+    call(hooks::WRVAR, args)
 }
 
 #[cfg(test)]

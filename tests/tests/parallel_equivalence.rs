@@ -205,11 +205,15 @@ fn gated(source: &str, target: Option<u32>, workers: usize) -> ParallelSpec {
 /// and arrays with `undefined` properties and elements, one fresh object
 /// stored in two slots, an `undefined` in a new key of a pre-existing
 /// object, an object made by `new` with its prototype, a fresh object
-/// that refers to itself, a pre-existing object moved to another slot, an
-/// implicit global, strings, `-0` and NaN. Loop 1 sets up; loop 2 is the
-/// target.
+/// that refers to itself, a pre-existing object moved to another slot, a
+/// function, a native function and a canvas context that existed at entry,
+/// an implicit global, strings, `-0` and NaN. Loop 1 sets up; loop 2 is
+/// the target.
 const EVERY_WRITE: &str = "var N = 9;\n\
     var cells = [], objs = [], olds = [], grow = [], fresh = [], twinA = [], twinB = [], moved = [], ctor = [], cyc = [];\n\
+    var fns = [], maxes = [], ctxs = [];\n\
+    var shared = function () { return 7; };\n\
+    var cx = document.getElementById('canvas').getContext('2d');\n\
     function V(x) { this.x = x; }\n\
     V.prototype.twice = function () { return this.x * 2; };\n\
     for (var s = 0; s < N; s++) {\n\
@@ -248,13 +252,18 @@ const EVERY_WRITE: &str = "var N = 9;\n\
       cyc[i] = n;\n\
       moved[i] = olds[i];\n\
       olds[i] = null;\n\
+      fns[i] = shared;\n\
+      maxes[i] = Math.max;\n\
+      ctxs[i] = cx;\n\
       if (i === 3) { made = 'implicit'; }\n\
     }\n\
     for (var i = 0; i < N; i++) { body(i); }\n\
     var summary = cells[4].join(',') + '|' + objs[4].k + '|' + grow.length + '|' + moved[2].tag + '|' + made;\n\
     var same = twinA[2] === twinB[2];\n\
     var tw = ctor[3].twice();\n\
-    var loops = cyc[4].kids[1].up === cyc[4];";
+    var loops = cyc[4].kids[1].up === cyc[4];\n\
+    var fcall = fns[4]() + maxes[4](3, 8);\n\
+    var fsame = fns[2] === shared && maxes[2] === Math.max && ctxs[2] === cx;";
 
 #[test]
 fn every_kind_of_write_merges_byte_identically() {
@@ -271,6 +280,8 @@ fn every_kind_of_write_merges_byte_identically() {
         "same = true",
         "tw = 6.0",
         "loops = true",
+        "fcall = 15.0",
+        "fsame = true",
     ] {
         assert!(
             seq.state_render.contains(needle),
