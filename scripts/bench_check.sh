@@ -40,8 +40,12 @@
 #       (b) at least PAR_MIN_APPS (default 5) apps parallelized; (c) of
 #       the apps the paper bounds above 3x, at least PAR_MIN_WITHIN
 #       (default 5) have what-if predictions within the documented error
-#       bound of the measured speedup (docs/PARALLELIZE.md). All gated
-#       quantities are virtual-clock-denominated and deterministic.
+#       bound of the measured speedup (docs/PARALLELIZE.md); (d) the
+#       printed report, minus its `JSON written to` line, is byte-identical
+#       to tests/golden/parallel_bench_w$PAR_BENCH_WORKERS.txt, so the
+#       refusal trail's messages and digests are pinned too
+#       (CERES_REGEN_GOLDENS=1 rewrites the golden). All gated quantities
+#       are virtual-clock-denominated and deterministic.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -167,8 +171,33 @@ parallel-equivalence)
     MIN_APPS=${PAR_MIN_APPS:-5}
     MIN_WITHIN=${PAR_MIN_WITHIN:-5}
 
+    GOLDEN=tests/golden/parallel_bench_w$WORKERS.txt
+    TEXT=$(mktemp)
+    trap 'rm -f "$TEXT"' EXIT
+
     cargo build --release --bin repro
-    target/release/repro parallel-bench --workers "$WORKERS" --json "$OUT"
+    target/release/repro parallel-bench --workers "$WORKERS" --json "$OUT" | tee "$TEXT"
+
+    python3 - "$TEXT" "$GOLDEN" <<'EOF'
+import os, sys
+text, golden = sys.argv[1], sys.argv[2]
+got = "".join(l for l in open(text) if not l.startswith("JSON written to "))
+if os.environ.get("CERES_REGEN_GOLDENS"):
+    open(golden, "w").write(got)
+    print(f"regenerated {golden}")
+    sys.exit(0)
+if not os.path.exists(golden):
+    sys.exit(f"FAIL: no golden {golden}; record one with "
+             "CERES_REGEN_GOLDENS=1 scripts/bench_check.sh parallel-equivalence")
+want = open(golden).read()
+if got != want:
+    import difflib
+    diff = difflib.unified_diff(want.splitlines(), got.splitlines(),
+                                "golden", "live", lineterm="")
+    print("\n".join(diff), file=sys.stderr)
+    sys.exit(f"FAIL: the parallel-bench report drifted from {golden}")
+print(f"OK: report and refusal trail match {golden}")
+EOF
 
     python3 - "$OUT" "$MIN_APPS" "$MIN_WITHIN" <<'EOF'
 import json, sys

@@ -366,3 +366,27 @@ fn function_local_buffer_merges() {
         assert!(eq.identical, "W={workers}: {:?}", eq.diffs);
     }
 }
+
+/// A loop header that reads state the body writes costs a different
+/// number of ticks on the worker that ran the body than on the others, so
+/// the replicas cannot agree on one shared header cost: the barrier's
+/// clock check refuses the run at every W > 1 instead of resyncing to a
+/// tick the one-worker run never reaches.
+#[test]
+fn a_loop_header_that_reads_body_state_is_refused() {
+    let src = "var flag = false; var out = [];\n\
+               for (var i = 0; i < (flag ? 12 : 12 + 0 * 1); i++) { out[i] = i; flag = i % 2 === 0; }\n\
+               var done = out.length;";
+    assert!(run_parallel(&gated(src, Some(1), 1)).is_ok());
+    for workers in [2, 3, 4] {
+        match run_parallel(&gated(src, Some(1), workers)) {
+            Err(ParallelError::Diverged(msg)) => {
+                assert!(
+                    msg.contains("un-owned iteration cost"),
+                    "W={workers}: {msg}"
+                )
+            }
+            other => panic!("W={workers}: expected a clock divergence, got {other:?}"),
+        }
+    }
+}
