@@ -250,36 +250,10 @@ fn table2() {
 
 fn table3() {
     header("Table 3: case study — detailed inspection of loop nests");
-    println!(
-        "{:<22}{:>4} {:>7} {:>11}  {:<7} {:<4} {:<10} {:<10}",
-        "name", "%", "inst", "trips", "diverg", "DOM", "brk-deps", "parallel"
+    print!(
+        "{}",
+        ceres_workloads::run_fleet_report(Mode::Dependence, 1, 1).render_table3()
     );
-    for w in workloads() {
-        let run = run_workload(&w, Mode::Dependence, 1).expect(w.slug);
-        let nests = run.nests();
-        // The paper's protocol: inspect top nests covering ≥ 2/3 of the
-        // app's loop time.
-        let mut covered = 0.0;
-        let mut first = true;
-        for n in &nests {
-            if covered >= 200.0 / 3.0 {
-                break;
-            }
-            covered += n.pct_loop_time;
-            println!(
-                "{:<22}{:>4.0} {:>7} {:>11}  {:<7} {:<4} {:<10} {:<10}",
-                if first { w.name } else { "" },
-                n.pct_loop_time,
-                n.instances,
-                n.trips.display_pm(),
-                n.divergence.as_str(),
-                if n.dom_access { "yes" } else { "no" },
-                n.dependence_difficulty.as_str(),
-                n.parallelization_difficulty.as_str(),
-            );
-            first = false;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -17,9 +17,9 @@
 //! (round-robin: worker k owns iteration c iff `c % W == k`):
 //!
 //! ```text
-//! __ceres_par_enter(ID);                 // open the write log, start clock window
+//! __ceres_par_enter(ID);                 // open the write log, read the clock
 //! for (var i = 0; i < N; i++) {
-//!   if (__ceres_par_iter(ID)) { body }   // true on the owner only
+//!   if (__ceres_par_iter(ID)) { body }   // read the clock; true on the owner only
 //! }
 //! __ceres_par_exit(ID);                  // join barrier: merge + resync
 //! ```
@@ -61,27 +61,33 @@
 //! # Virtual-clock resynchronization
 //!
 //! Replicas must leave the barrier with **identical virtual clocks**, or
-//! timers registered after the loop would fire in different orders. Let
-//! `t_0..t_{N-1}` be a worker's clock at each gate call and `t_N` at the
-//! exit hook, so `d_c = t_{c+1} - t_c` is what iteration `c` cost locally.
-//! An un-owned iteration costs a constant `h` (header update + condition +
-//! gate call; the runtime verifies all un-owned `d_c` are equal). A
-//! worker's *owned extra* is `E_k = Σ_owned (d_c - h)` — the body work it
-//! actually did. Exchanging `(Δ_k = t_N - t_enter, E_k)` at the barrier,
-//! every worker computes the shared sequential part `S = Δ_k - E_k`
-//! (which must agree across workers — checked) and resynchronizes to
+//! timers registered after the loop would fire in different orders. The
+//! hooks only read the clock: each worker records it at the enter hook, at
+//! each of the N gate calls and at the exit hook, and brings those N + 2
+//! readings to the barrier, where one function (`settle_round`) does
+//! all the algebra. Reading `j + 1` minus reading `j` is segment `j`:
+//! segment 0 is the loop's prefix (init, first condition, first gate) and
+//! segment `c + 1` is iteration `c`, owned by worker `c % W`. Every worker
+//! that does not own a segment must have paid one shared cost for it: the
+//! common prefix, the header `h` (update, condition, gate), or on the last
+//! iteration the exit edge `e`; any other cost refuses the round. Worker
+//! `k`'s *owned extra* `E_k` is its instance time `Δ_k` minus the shared
+//! part `S` (the prefix plus each iteration's `h` or `e`), the body work
+//! it actually did, and every worker resynchronizes to
 //!
 //! ```text
 //! t_enter + S + Σ_k E_k
 //! ```
 //!
-//! — the tick the loop would have reached on **one** worker. Total ticks
-//! are therefore identical to the 1-worker run of the same gated program,
-//! and everything downstream (timers, sampling budget, watchdog) behaves
-//! identically. The parallelism win is recorded on the side: per instance
-//! the critical path is `S + max_k E_k`, so the run banks
-//! `Σ_k E_k - max_k E_k` *saved* ticks ([`ParallelRunOutput::par_saved_ticks`]),
-//! and the measured speedup is `final_ticks / (final_ticks - saved)`.
+//! — the entry tick plus each segment's cost on its owner, the tick the
+//! loop would have reached on **one** worker. Total ticks are therefore
+//! identical to the 1-worker run of the same gated program, and everything
+//! downstream (timers, sampling budget, watchdog) behaves identically. The
+//! parallelism win is recorded on the side: per instance the critical path
+//! is `S + max_k E_k`, so the run banks `Σ_k E_k - max_k E_k` *saved*
+//! ticks ([`ParallelRunOutput::par_saved_ticks`]), and the measured
+//! speedup is `final_ticks / (final_ticks - saved)`. On one worker nothing
+//! is un-owned, so `S` is the prefix and nothing is saved.
 //!
 //! # Equivalence gate
 //!
@@ -209,12 +215,14 @@ pub struct ParallelRunOutput {
     pub events: u64,
     /// Gated-loop instances executed.
     pub instances: u64,
-    /// Total gated iterations across all instances.
+    /// Gated iterations worker 0 owned, across all instances: every
+    /// iteration at `workers == 1`, about a `1/workers` share otherwise.
     pub par_iterations: u64,
     /// Virtual ticks the fork-join actually removed from the critical
     /// path: `Σ_instances (Σ_k E_k - max_k E_k)`. Zero when `workers == 1`.
     pub par_saved_ticks: u64,
-    /// Join barriers crossed (== instances when `workers > 1`).
+    /// Join barriers crossed: one per instance, so always equal to
+    /// [`ParallelRunOutput::instances`], `workers == 1` included.
     pub rounds: u64,
     /// Merge ops applied across all barriers: each worker's changed slots
     /// of entry-time objects and changed program globals, counted once per
@@ -841,19 +849,8 @@ fn apply(interp: &Interp, merged: &[Writes]) -> Result<u64, String> {
 /// What one worker brings to a join barrier.
 #[derive(Debug, Clone)]
 struct WorkerRound {
-    enter_ticks: u64,
-    exit_ticks: u64,
-    iters: u64,
-    /// `Σ (d_c - h)` over owned iterations `0..N-2` (the last iteration's
-    /// segment runs to the exit hook over a different code path and is
-    /// settled at the barrier via `last_cost`). `None` when the worker
-    /// owned every gate-to-gate iteration (small trip counts) — then
-    /// derived from the peers' shared `S` instead.
-    pre_extra: Option<u64>,
-    /// Does this worker own iteration `N-1`?
-    owns_last: bool,
-    /// `t_exit - t_{N-1}`: the exit edge, plus the last body if owned.
-    last_cost: u64,
+    /// The clock at the enter hook, at each gate and at the exit hook.
+    ticks: Vec<u64>,
     console_grew: bool,
     rng_state: u64,
     canvas: Vec<(u64, u64)>,
@@ -867,7 +864,7 @@ struct WorkerRound {
 
 /// What the barrier publishes back to every worker.
 struct RoundResult {
-    /// Resync target: `enter + S + Σ E_k`.
+    /// Resync target: the entry tick plus each segment's cost on its owner.
     target_ticks: u64,
     /// `Σ E_k - max E_k` — ticks removed from the critical path.
     saved: u64,
@@ -1049,10 +1046,10 @@ fn merge_round(rounds: Vec<WorkerRound>) -> Result<RoundResult, Refusal> {
 fn settle_round(rounds: &[WorkerRound]) -> Result<(u64, u64), ParallelError> {
     let first = &rounds[0];
     for (k, r) in rounds.iter().enumerate() {
-        if r.enter_ticks != first.enter_ticks {
+        if r.ticks[0] != first.ticks[0] {
             return Err(ParallelError::Diverged(format!(
                 "workers entered the instance at different ticks ({} vs {} on worker {k})",
-                first.enter_ticks, r.enter_ticks
+                first.ticks[0], r.ticks[0]
             )));
         }
         if r.enter_next_id != first.enter_next_id {
@@ -1061,10 +1058,11 @@ fn settle_round(rounds: &[WorkerRound]) -> Result<(u64, u64), ParallelError> {
                 first.enter_next_id, r.enter_next_id
             )));
         }
-        if r.iters != first.iters {
+        if r.ticks.len() != first.ticks.len() {
             return Err(ParallelError::Diverged(format!(
                 "trip count differs: worker 0 saw {}, worker {k} saw {}",
-                first.iters, r.iters
+                first.ticks.len() - 2,
+                r.ticks.len() - 2
             )));
         }
         if r.console_grew {
@@ -1089,86 +1087,44 @@ fn settle_round(rounds: &[WorkerRound]) -> Result<(u64, u64), ParallelError> {
         }
     }
 
-    // Shared sequential part S = Δ_k - E_k, which every worker with a
-    // known E must agree on. The last iteration's segment runs through
-    // the loop-exit edge (a different code path than gate-to-gate), so
-    // its constant cost `e` is recovered from the workers that do *not*
-    // own iteration N-1 and the owner's body extra is `last_cost - e`.
-    Ok(if rounds.len() == 1 {
-        (first.exit_ticks, 0)
-    } else {
-        // Exit-edge constant `e` (meaningful only when the loop iterated).
-        let mut exit_edge: Option<u64> = None;
-        if first.iters > 0 {
-            for (k, r) in rounds.iter().enumerate() {
-                if !r.owns_last {
-                    match exit_edge {
-                        None => exit_edge = Some(r.last_cost),
-                        Some(e) if e != r.last_cost => {
-                            return Err(ParallelError::Diverged(format!(
-                                "exit-edge cost not constant ({e} vs {} ticks on worker {k})",
-                                r.last_cost
-                            )));
-                        }
-                        _ => {}
-                    }
-                }
+    // Segment `j` is `ticks[j + 1] - ticks[j]`: segment 0 runs from the
+    // enter hook to the first gate, and segment `c + 1` is iteration `c`,
+    // owned by worker `c % W`. A worker that does not own a segment pays
+    // one shared cost for it, by kind: the prefix, a header, or the exit
+    // edge on the last iteration.
+    let segments = first.ticks.len() - 1;
+    let kind = |j: usize| match j {
+        0 => 0,
+        _ if j + 1 < segments => 1,
+        _ => 2,
+    };
+    let mut shared = [None; 3];
+    for (k, r) in rounds.iter().enumerate() {
+        for (j, t) in r.ticks.windows(2).enumerate() {
+            if j > 0 && (j - 1) % rounds.len() == k {
+                continue;
+            }
+            let d = t[1] - t[0];
+            let s = *shared[kind(j)].get_or_insert(d);
+            if d != s {
+                return Err(ParallelError::Diverged(format!(
+                    "un-owned iteration cost not constant ({s} vs {d} ticks in segment {j} on worker {k}) — loop header observes body effects"
+                )));
             }
         }
-        // Full owned extra E_k where locally computable.
-        let mut extras: Vec<Option<u64>> = Vec::with_capacity(rounds.len());
-        for (k, r) in rounds.iter().enumerate() {
-            let last_extra = if r.owns_last {
-                let e = exit_edge.ok_or_else(|| {
-                    ParallelError::Diverged("every worker claims the last iteration".to_string())
-                })?;
-                Some(r.last_cost.checked_sub(e).ok_or_else(|| {
-                    ParallelError::Diverged(format!(
-                        "worker {k}'s last-iteration segment undercuts the exit edge"
-                    ))
-                })?)
-            } else {
-                Some(0)
-            };
-            extras.push(match (r.pre_extra, last_extra) {
-                (Some(p), Some(l)) => Some(p + l),
-                _ => None,
-            });
-        }
-        let mut s: Option<u64> = None;
-        for (k, r) in rounds.iter().enumerate() {
-            if let Some(e) = extras[k] {
-                let delta = r.exit_ticks - r.enter_ticks;
-                let sk = delta.checked_sub(e).ok_or_else(|| {
-                    ParallelError::Diverged(format!(
-                        "worker {k} accounted more owned ticks than its instance took"
-                    ))
-                })?;
-                match s {
-                    None => s = Some(sk),
-                    Some(prev) if prev != sk => {
-                        return Err(ParallelError::Diverged(format!(
-                            "sequential part disagrees across workers ({prev} vs {sk} ticks on worker {k}) — un-owned iteration cost was not constant"
-                        )));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let s = s.ok_or_else(|| {
-            ParallelError::Diverged(
-                "no worker could separate its owned work from the shared header cost".to_string(),
-            )
-        })?;
-        let extras: Vec<u64> = rounds
-            .iter()
-            .zip(&extras)
-            .map(|(r, e)| e.unwrap_or_else(|| (r.exit_ticks - r.enter_ticks).saturating_sub(s)))
-            .collect();
-        let sum: u64 = extras.iter().sum();
-        let max = extras.iter().copied().max().unwrap_or(0);
-        (first.enter_ticks + s + sum, sum - max)
-    })
+    }
+    // `S` sums each segment's shared cost, and a worker's owned extra `E_k`
+    // is the rest of its instance: the bodies it ran. One worker sees no
+    // header or exit edge, so its `E_0` is all but the prefix and nothing
+    // is saved.
+    let s: u64 = (0..segments).map(|j| shared[kind(j)].unwrap_or(0)).sum();
+    let extras: Vec<u64> = rounds
+        .iter()
+        .map(|r| (r.ticks[segments] - r.ticks[0]).saturating_sub(s))
+        .collect();
+    let sum: u64 = extras.iter().sum();
+    let max = extras.iter().copied().max().unwrap_or(0);
+    Ok((first.ticks[0] + s + sum, sum - max))
 }
 
 // ---------------------------------------------------------------------------
@@ -1185,18 +1141,12 @@ struct ParState {
     instances: u64,
     iterations: u64,
     saved: u64,
-    rounds: u64,
     merged_ops: u64,
 }
 
 struct ActiveInstance {
-    enter_ticks: u64,
-    last_gate: u64,
-    iter_index: u64,
-    /// The constant un-owned iteration cost `h`, once observed.
-    header_cost: Option<u64>,
-    /// `d_c` for each owned iteration (resolved against `h` at exit).
-    owned_costs: Vec<u64>,
+    /// The clock at the enter hook and at each gate so far.
+    ticks: Vec<u64>,
     console_len: usize,
     /// The id of the first object allocated inside the instance; the write
     /// log covers every older one.
@@ -1231,7 +1181,6 @@ fn install_par_hooks(
                     ),
                 ));
             }
-            let now = interp.clock.now_ticks();
             let globals = interp
                 .global
                 .local_values()
@@ -1240,11 +1189,7 @@ fn install_par_hooks(
                 .collect();
             open_write_log();
             st.active = Some(ActiveInstance {
-                enter_ticks: now,
-                last_gate: now,
-                iter_index: 0,
-                header_cost: None,
-                owned_costs: Vec::new(),
+                ticks: vec![interp.clock.now_ticks()],
                 console_len: interp.console.len(),
                 enter_next_id: next_object_id(),
                 globals,
@@ -1266,28 +1211,15 @@ fn install_par_hooks(
                     ),
                 ));
             };
-            let now = interp.clock.now_ticks();
-            if act.iter_index > 0 {
-                let d = now - act.last_gate;
-                let idx = act.iter_index - 1;
-                if let Err(e) = settle_iteration(act, idx, d, wid, workers) {
-                    return Err(fatal(&coord, e));
-                }
-            }
-            act.last_gate = now;
-            let owned = (act.iter_index as usize) % workers == wid;
-            act.iter_index += 1;
-            if owned {
-                st.iterations += 1;
-            }
-            Ok(Value::Bool(owned))
+            act.ticks.push(interp.clock.now_ticks());
+            Ok(Value::Bool((act.ticks.len() - 2) % workers == wid))
         });
     }
     {
         interp.register_native(PAR_EXIT, move |interp, _ctx, _args| {
             let mut st = state.borrow_mut();
             let (wid, workers) = (st.wid, st.workers);
-            let Some(act) = st.active.take() else {
+            let Some(mut act) = st.active.take() else {
                 return Err(fatal(
                     &coord,
                     ParallelError::Diverged(
@@ -1295,38 +1227,16 @@ fn install_par_hooks(
                     ),
                 ));
             };
-            let now = interp.clock.now_ticks();
-            // The segment from the last gate to here crosses the loop-exit
-            // edge — a different code path than gate-to-gate — so it is
-            // settled at the barrier (see `merge_round`), not against `h`.
-            let last_cost = now - act.last_gate;
-            let owns_last = act.iter_index > 0 && ((act.iter_index - 1) as usize) % workers == wid;
-            // E'_k over gate-to-gate iterations: known when the header cost
-            // was observed (some iteration was un-owned) or when nothing
-            // was owned.
-            let pre_extra = if act.owned_costs.is_empty() {
-                Some(0)
-            } else {
-                act.header_cost.map(|h| {
-                    act.owned_costs
-                        .iter()
-                        .map(|d| d.saturating_sub(h))
-                        .sum::<u64>()
-                })
-            };
+            act.ticks.push(interp.clock.now_ticks());
             let dirty = close_write_log();
             let writes = match instance_ops(interp, &st.baseline, &act, &dirty) {
                 Ok(writes) => writes,
                 Err(e) => return Err(fatal(&coord, ParallelError::Unmergeable(e))),
             };
             drop(dirty);
+            let owned = (wid..act.ticks.len() - 2).step_by(workers).count();
             let round = WorkerRound {
-                enter_ticks: act.enter_ticks,
-                exit_ticks: now,
-                iters: act.iter_index,
-                pre_extra,
-                owns_last,
-                last_cost,
+                ticks: act.ticks,
                 console_grew: interp.console.len() != act.console_len,
                 rng_state: interp.rng_state(),
                 canvas: canvas_checksums(&dom),
@@ -1359,36 +1269,11 @@ fn install_par_hooks(
             }
             interp.clock.tick(result.target_ticks - now);
             st.instances += 1;
-            st.rounds += 1;
+            st.iterations += owned as u64;
             st.saved += result.saved;
             Ok(Value::Undefined)
         });
     }
-}
-
-/// Account one finished iteration's measured cost `d`.
-fn settle_iteration(
-    act: &mut ActiveInstance,
-    iter: u64,
-    d: u64,
-    wid: usize,
-    workers: usize,
-) -> Result<(), ParallelError> {
-    let owned = (iter as usize) % workers == wid;
-    if owned {
-        act.owned_costs.push(d);
-    } else {
-        match act.header_cost {
-            None => act.header_cost = Some(d),
-            Some(h) if h != d => {
-                return Err(ParallelError::Diverged(format!(
-                    "un-owned iteration cost not constant ({h} vs {d} ticks at iteration {iter}) — loop header observes body effects"
-                )));
-            }
-            _ => {}
-        }
-    }
-    Ok(())
 }
 
 fn canvas_checksums(dom: &DomHandle) -> Vec<(u64, u64)> {
@@ -1423,7 +1308,6 @@ fn worker_run(
         instances: 0,
         iterations: 0,
         saved: 0,
-        rounds: 0,
         merged_ops: 0,
     }));
     install_par_hooks(&mut interp, state.clone(), coord.clone(), dom.clone());
@@ -1491,7 +1375,7 @@ fn worker_run(
         instances: st.instances,
         par_iterations: st.iterations,
         par_saved_ticks: st.saved,
-        rounds: st.rounds,
+        rounds: st.instances,
         merged_ops: st.merged_ops,
         wall_ms: wall_start.elapsed().as_secs_f64() * 1e3,
     })

@@ -102,9 +102,10 @@ pub struct ParallelBenchRow {
     pub paper_over_3x: bool,
     /// Saved virtual ticks (the critical-path win).
     pub saved_ticks: u64,
-    /// Fork-join instances / gated iterations executed.
+    /// Fork-join instances of the executed nest in the W-worker run.
     pub instances: u64,
-    /// Total gated iterations.
+    /// Gated iterations worker 0 owned in the W-worker run: about a `1/W`
+    /// share of the nest's iterations, not their total.
     pub iterations: u64,
 }
 
