@@ -671,16 +671,7 @@ fn amdahl() {
     for w in workloads() {
         let run = run_workload(&w, Mode::Dependence, 1).expect(w.slug);
         let nests = run.nests();
-        let parallel_pct: f64 = nests
-            .iter()
-            .filter(|n| n.parallelization_difficulty <= Difficulty::Medium)
-            .map(|n| n.pct_loop_time)
-            .sum();
-        // Parallel fraction of the *compute* (loop time over active time).
-        let denom = run.active_ms.max(run.loops_ms).max(0.001);
-        let p = ((parallel_pct / 100.0) * run.loops_ms / denom)
-            .clamp(0.0, 1.0)
-            .abs();
+        let p = run.parallel_fraction(&nests);
         let bound = amdahl_bound(p);
         if bound > 3.0 {
             over3 += 1;
@@ -717,17 +708,7 @@ fn tasklimit() {
     for w in workloads() {
         let run = run_workload(&w, Mode::Dependence, 1).expect(w.slug);
         let study = run.task_study();
-        let nests = run.nests();
-        let parallel_pct: f64 = nests
-            .iter()
-            .filter(|n| n.parallelization_difficulty <= Difficulty::Medium)
-            .map(|n| n.pct_loop_time)
-            .sum();
-        let denom = run.active_ms.max(run.loops_ms).max(0.001);
-        let p = ((parallel_pct / 100.0) * run.loops_ms / denom)
-            .clamp(0.0, 1.0)
-            .abs();
-        let data_bound = amdahl_bound(p);
+        let data_bound = amdahl_bound(run.parallel_fraction(&run.nests()));
         println!(
             "{:<22}{:>7}{:>11}{:>11.2}x{:>11}",
             w.name,

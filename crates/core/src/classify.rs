@@ -312,20 +312,16 @@ fn is_reduction_op(op: &str) -> bool {
 /// Does the dependence this warning describes *block* parallelizing the
 /// nest's profitable loop?
 ///
-/// The first `dependence` level `L` in the characterization names the loop
-/// that carries the dependence. Iterations of loops *inside* `L` are still
-/// independent, so if the bulk of the nest's parallelism lives below `L`
-/// (deeper loops have larger trip counts — e.g. fluidSim's 8-trip Jacobi
-/// `k` loop over a 10×10 sweep), the dependence does not block the nest:
+/// The characterization's split level `L` names the loop that carries the
+/// dependence. Iterations of loops *inside* `L` are still independent, so
+/// if the bulk of the nest's parallelism lives below `L` (deeper loops
+/// have larger trip counts — e.g. fluidSim's 8-trip Jacobi `k` loop over
+/// a 10×10 sweep), the dependence does not block the nest:
 /// one parallelizes the inner sweep and keeps `L` sequential. If `L` is
 /// itself the widest loop at-or-below its level (sigma's per-node layout
 /// loop, a single accumulator loop), the dependence blocks.
 fn blocks_nest(engine: &Engine, w: &Warning) -> bool {
-    let Some(level) = w
-        .characterization
-        .iter()
-        .position(|l| l.iteration == crate::stack::Flag::Dependence)
-    else {
+    let Some(split) = w.characterization.split else {
         return false;
     };
     let trips = |id: ceres_ast::LoopId| -> f64 {
@@ -335,7 +331,7 @@ fn blocks_nest(engine: &Engine, w: &Warning) -> bool {
             .map(|r| r.trips.mean())
             .unwrap_or(0.0)
     };
-    let carrier = trips(w.characterization[level].loop_id);
+    let carrier = trips(w.characterization.loops[split.level()]);
     // The nest's profitable parallelism level: the widest loop anywhere in
     // the nest. A dependence carried by a much narrower loop (fluidSim's
     // 8-trip Jacobi `k`, a 3-trip argmin over spheres) leaves that wide

@@ -25,17 +25,17 @@
 //! * each access is one direct call into the engine, which returns before
 //!   touching the stamp tables when it cannot record and otherwise
 //!   characterizes the access against the current stack on the spot;
-//! * characterizations are computed as per-loop bitsets
-//!   ([`crate::stack::CharBits`]) and expanded into rendered
-//!   [`Characterization`]s only when a *new* deduplicated warning is
-//!   materialized;
+//! * a characterization is computed as one `Copy` [`Split`] (the level
+//!   where the stamp leaves the stack, and whether that level kept the
+//!   loop instance); a warning is deduplicated on it and the open loop
+//!   ids without allocating, and only a *new* warning stores those ids;
 //! * task read/write sets are FxHash sets and observed runtime types a
 //!   [`TypeSet`] bitmask, so the per-access inserts hash no more than a
 //!   `u64`.
 
-use crate::stack::{characterize, flow, Characterization, Characterized, StackEntry};
+use crate::stack::{characterize, flow, matched, Characterization, Split, StackEntry};
 use crate::welford::Welford;
-use ceres_ast::{LoopId, LoopInfo};
+use ceres_ast::{BinaryOp, LoopId, LoopInfo};
 use ceres_instrument::{hooks, Mode};
 use ceres_interp::intern::{self, sym_of_key, FxHashMap, FxHashSet, Sym};
 use ceres_interp::{ops, CallCtx, HookSink, Interp, JsResult, Monitor, ScopeRef, Value};
@@ -251,9 +251,9 @@ pub struct Engine {
     object_stamps: FxHashMap<u64, u32>,
     write_snapshots: FxHashMap<(u64, Sym), u32>,
     pub warnings: Vec<Warning>,
-    /// (kind, subject, op) → indices of materialized warnings with that
-    /// key; candidates are distinguished by characterization (usually 1).
-    warning_index: FxHashMap<(WarningKind, Sym, Sym), Vec<usize>>,
+    /// (kind, subject, op, split) → indices of materialized warnings with
+    /// that key; candidates are distinguished by their loop ids (usually 1).
+    warning_index: FxHashMap<(WarningKind, Sym, Sym, Option<Split>), Vec<usize>>,
     /// (base, key) → composed subject (`p.vX`, `data[*]`) cache, so the
     /// `format!` runs once per distinct pair, not per access.
     subject_cache: FxHashMap<(Sym, Sym), Sym>,
@@ -379,7 +379,7 @@ impl Engine {
                 WarningKind::Recursion,
                 intern::intern(&name),
                 Sym::NONE,
-                Characterized::Full(Vec::new()),
+                None,
                 root,
             );
         }
@@ -451,22 +451,25 @@ impl Engine {
         s
     }
 
-    /// Deduplicate-or-materialize a warning for an access characterized
-    /// as `c` against the current stack. The dedup key is (kind, subject,
-    /// op) plus the characterization, which is compared level-by-level
-    /// against candidates without allocating.
+    /// Deduplicate-or-materialize a warning for an access split at `split`
+    /// from the current stack; a warning without a split (recursion)
+    /// characterizes no level. The dedup key is (kind, subject, op, split)
+    /// plus the characterized levels' loop ids, which are compared against
+    /// candidates without allocating.
     fn push_warning(
         &mut self,
         kind: WarningKind,
         subject: Sym,
         op: Sym,
-        c: Characterized,
+        split: Option<Split>,
         root: LoopId,
     ) {
-        let key = (kind, subject, op);
+        let levels: &[StackEntry] = if split.is_some() { &self.stack } else { &[] };
+        let key = (kind, subject, op, split);
         if let Some(cands) = self.warning_index.get(&key) {
             for &i in cands {
-                if c.matches(&self.warnings[i].characterization, &self.stack) {
+                let loops = &self.warnings[i].characterization.loops;
+                if loops.iter().eq(levels.iter().map(|e| &e.loop_id)) {
                     self.warnings[i].count += 1;
                     return;
                 }
@@ -475,7 +478,7 @@ impl Engine {
         let w = Warning {
             kind,
             subject: intern::resolve(subject).to_string(),
-            characterization: c.expand(&self.stack),
+            characterization: Characterization::at(levels, split),
             op: op.is_some().then(|| intern::resolve(op).to_string()),
             nest_root: root,
             count: 1,
@@ -514,10 +517,9 @@ impl Engine {
         // Unstamped binding: conservatively "created before all loops"
         // (the empty stamp). Binding ids start at 1, so 0 is never stamped.
         let stamp = self.binding_stamps.get(&binding).copied().unwrap_or(0);
-        let c = characterize(self.stamp(stamp), &self.stack);
-        if c.problematic() {
+        if let Some(split) = characterize(self.stamp(stamp), &self.stack) {
             let root = self.stack[0].loop_id;
-            self.push_warning(WarningKind::VarWrite, name, op, c, root);
+            self.push_warning(WarningKind::VarWrite, name, op, Some(split), root);
         }
     }
 
@@ -544,10 +546,10 @@ impl Engine {
             .get(&binding)
             .map(|&sid| self.stamp(sid));
         let eff = match base_stamp {
-            Some(b) if matched_prefix_len(b, cur) > matched_prefix_len(obj_stamp, cur) => b,
+            Some(b) if matched(b, cur) > matched(obj_stamp, cur) => b,
             _ => obj_stamp,
         };
-        let c = characterize(eff, cur);
+        let split = characterize(eff, cur);
         let root = cur[0].loop_id;
         let ctx = cur.last().map(|e| (e.loop_id, e.instance));
         self.subject_stats
@@ -567,11 +569,11 @@ impl Engine {
             }
         };
         let waw = prev.and_then(|prev| flow(self.stamp(prev), &self.stack));
-        if c.problematic() {
-            self.push_warning(WarningKind::SharedPropWrite, subject, op, c, root);
+        if split.is_some() {
+            self.push_warning(WarningKind::SharedPropWrite, subject, op, split, root);
         }
-        if let Some(c) = waw {
-            self.push_warning(WarningKind::WawWrite, subject, Sym::NONE, c, root);
+        if waw.is_some() {
+            self.push_warning(WarningKind::WawWrite, subject, Sym::NONE, waw, root);
         }
     }
 
@@ -588,10 +590,10 @@ impl Engine {
         let Some(&snap) = self.write_snapshots.get(&(obj, key)) else {
             return;
         };
-        if let Some(c) = flow(self.stamp(snap), &self.stack) {
+        if let Some(split) = flow(self.stamp(snap), &self.stack) {
             let subject = self.subject_sym(base, key);
             let root = self.stack[0].loop_id;
-            self.push_warning(WarningKind::FlowRead, subject, Sym::NONE, c, root);
+            self.push_warning(WarningKind::FlowRead, subject, Sym::NONE, Some(split), root);
         }
     }
 
@@ -710,18 +712,6 @@ impl Engine {
     }
 }
 
-/// How many leading levels of `stamp` match `current` exactly (same loop,
-/// instance, and iteration).
-fn matched_prefix_len(stamp: &[StackEntry], current: &[StackEntry]) -> usize {
-    stamp
-        .iter()
-        .zip(current)
-        .take_while(|(s, c)| {
-            s.loop_id == c.loop_id && s.instance == c.instance && s.iteration == c.iteration
-        })
-        .count()
-}
-
 /// Intern an optional base-variable name argument ([`Sym::NONE`] when the
 /// rewriter passed `null`).
 fn opt_sym(v: &Value) -> Sym {
@@ -795,10 +785,14 @@ struct EngineHooks {
     push: Sym,
     elements: Sym,
     mutating: Vec<Sym>,
+    /// The binary operator of each compound assignment, by the spelling
+    /// the rewriter passes to `__ceres_setprop2`.
+    compound: Vec<(Sym, BinaryOp)>,
 }
 
 impl EngineHooks {
     fn new(eng: EngineRef) -> EngineHooks {
+        use ceres_ast::AssignOp::*;
         EngineHooks {
             eng,
             eq: intern::intern("="),
@@ -809,6 +803,13 @@ impl EngineHooks {
                 .iter()
                 .map(|m| intern::intern(m))
                 .collect(),
+            compound: [
+                Assign, Add, Sub, Mul, Div, Rem, Shl, Shr, UShr, BitAnd, BitOr, BitXor,
+            ]
+            .iter()
+            .filter_map(|op| op.binary())
+            .map(|op| (intern::intern(op.as_str()), op))
+            .collect(),
         }
     }
 
@@ -959,7 +960,13 @@ impl HookSink for EngineHooks {
         }
         drop(e);
         let old = interp.get_property_sym(obj, key)?;
-        let new = apply_binop(&intern::resolve(op), &old, value);
+        // An op spelling the rewriter never emits evaluates as `+`.
+        let bop = self
+            .compound
+            .iter()
+            .find(|(s, _)| *s == op)
+            .map_or(BinaryOp::Add, |&(_, bop)| bop);
+        let new = interp.binary_op(bop, &old, value)?;
         if let Value::Object(o) = obj {
             self.eng
                 .borrow_mut()
@@ -1125,25 +1132,6 @@ fn binding_of(ctx: &CallCtx, name: Sym) -> u64 {
     match &ctx.caller_scope {
         Some(scope) if name.is_some() => scope.lookup_sym(name).map_or(0, |b| b.borrow().id),
         _ => 0,
-    }
-}
-
-/// Evaluate `old op value` for compound property assignment.
-fn apply_binop(op: &str, old: &Value, value: &Value) -> Value {
-    use ceres_interp::ops::*;
-    match op {
-        "+" => js_add(old, value),
-        "-" => Value::Num(to_number(old) - to_number(value)),
-        "*" => Value::Num(to_number(old) * to_number(value)),
-        "/" => Value::Num(to_number(old) / to_number(value)),
-        "%" => Value::Num(to_number(old) % to_number(value)),
-        "<<" => Value::Num((to_int32(old) << (to_uint32(value) & 31)) as f64),
-        ">>" => Value::Num((to_int32(old) >> (to_uint32(value) & 31)) as f64),
-        ">>>" => Value::Num((to_uint32(old) >> (to_uint32(value) & 31)) as f64),
-        "&" => Value::Num((to_int32(old) & to_int32(value)) as f64),
-        "|" => Value::Num((to_int32(old) | to_int32(value)) as f64),
-        "^" => Value::Num((to_int32(old) ^ to_int32(value)) as f64),
-        _ => js_add(old, value),
     }
 }
 
@@ -1544,7 +1532,7 @@ while (steps < 3) {
     fn characterizations_deeper_than_64_levels_are_recorded_in_full() {
         // `dive` re-enters its own loop 70 times, so the innermost
         // accesses are characterized against a 71-level stack: 42 of the
-        // warnings are deeper than the 64 levels a `CharBits` covers.
+        // warnings are deeper than 64 levels.
         let (_interp, eng) = run(
             "var shared = 0; var box = { v: 0 };\n\
              function dive(d) {\n\
@@ -1560,8 +1548,8 @@ while (steps < 3) {
         // One `oo`/`od`/`dd` pair (instance, iteration) per level.
         let flags = |c: &Characterization| -> String {
             let f = |flag| if flag == Flag::Ok { 'o' } else { 'd' };
-            c.iter()
-                .flat_map(|l| [f(l.instance), f(l.iteration)])
+            c.levels()
+                .flat_map(|(_, instance, iteration)| [f(instance), f(iteration)])
                 .collect()
         };
         let mut got: Vec<_> = eng
@@ -1573,7 +1561,7 @@ while (steps < 3) {
                     w.kind,
                     w.subject.as_str(),
                     w.op.as_deref(),
-                    c.len(),
+                    c.loops.len(),
                     w.count,
                     flags(c),
                 )
@@ -1657,6 +1645,29 @@ while (steps < 3) {
             let (interp, _eng) = run(src, mode);
             assert_eq!(interp.console, vec![expected], "{mode:?}");
         }
+    }
+
+    #[test]
+    fn compound_property_assignments_compute_as_uninstrumented() {
+        // Every compound operator the rewriter hands `__ceres_setprop2`.
+        let src = "var o = { s: \"x\", n: -77.5 };\n\
+                   var out = [];\n\
+                   o.s += 1; out.push(o.s);\n\
+                   o.n -= 3; out.push(o.n); o.n *= 5; out.push(o.n);\n\
+                   o.n /= 2; out.push(o.n); o.n %= 7; out.push(o.n);\n\
+                   o.n <<= 3; out.push(o.n); o.n >>= 1; out.push(o.n);\n\
+                   o.n >>>= 28; out.push(o.n); o.n &= 6; out.push(o.n);\n\
+                   o.n |= 9; out.push(o.n); o.n ^= 5; out.push(o.n);\n\
+                   console.log(out.join(\",\"));";
+        let mut plain = Interp::new(42);
+        plain.eval_source(src).unwrap();
+        assert_eq!(
+            plain.console,
+            ["x1,-80.5,-402.5,-201.25,-5.25,-40,-20,15,6,15,10"]
+        );
+        let (interp, eng) = run(src, Mode::Dependence);
+        assert_eq!(interp.console, plain.console);
+        assert_eq!(eng.borrow().tally.get(hooks::SETPROP2), 11);
     }
 }
 

@@ -94,10 +94,7 @@ pub use serve::{
     DrainHandle, Frame, ServeConfig, ServerHandle, ONESHOT_SCHEMA_VERSION, SERVE_STATS_SCHEMA,
 };
 pub use spill::{ephemeral_dir, SpillQueue, SpillStats};
-pub use stack::{
-    characterize, characterize_write, flow, flow_dependence, render, CharBits, Characterization,
-    Characterized, Flag,
-};
+pub use stack::{characterize, flow, matched, render, Characterization, Flag, Split};
 pub use suggest::{render_suggestions, suggest, Suggestion};
 pub use supervisor::{worker_serve_stdio, SlotOutcome, WorkerResponse, WorkerSlot, WorkerSpec};
 pub use tasks::{task_limit_study, TaskLimitStudy, TaskRecord};

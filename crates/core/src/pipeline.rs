@@ -17,7 +17,7 @@
 //!    [`ReportRepo`];
 //! 7. the caller interprets the returned [`AppRun`].
 
-use crate::classify::{classify_nests, static_features, NestClassification};
+use crate::classify::{classify_nests, static_features, Difficulty, NestClassification};
 use crate::engine::{attach_engine, EngineRef};
 use crate::report::{
     render_loop_profile, render_nest_table, render_polymorphism, render_warnings, ReportRepo,
@@ -107,6 +107,22 @@ impl AppRun {
             .unwrap_or_else(|_| ceres_ast::Program::empty());
         let features = static_features(&program);
         classify_nests(&self.engine.borrow(), &features)
+    }
+
+    /// The Sec. 4.2 parallel fraction of the compute: the loop time of the
+    /// `nests` rated `medium` or easier, scaled from loop time to active
+    /// time.
+    pub fn parallel_fraction(&self, nests: &[NestClassification]) -> f64 {
+        let parallel_pct: f64 = nests
+            .iter()
+            .filter(|n| n.parallelization_difficulty <= Difficulty::Medium)
+            .map(|n| n.pct_loop_time)
+            .sum();
+        let denom = self.active_ms.max(self.loops_ms).max(0.001);
+        // `abs` turns the `-0.0` an empty float sum yields into `0.0`.
+        ((parallel_pct / 100.0) * self.loops_ms / denom)
+            .clamp(0.0, 1.0)
+            .abs()
     }
 }
 

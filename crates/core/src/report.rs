@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn warning_order_is_independent_of_insertion_order() {
         use crate::engine::{Engine, Warning, WarningKind};
-        use crate::stack::{Flag, LevelChar};
+        use crate::stack::{Characterization, Split};
         use ceres_ast::LoopId;
 
         // Two warnings that tie on (kind, subject): same accumulator
@@ -224,11 +224,10 @@ mod tests {
         let mk = |root: u32| Warning {
             kind: WarningKind::VarWrite,
             subject: "g".to_string(),
-            characterization: vec![LevelChar {
-                loop_id: LoopId(root),
-                instance: Flag::Ok,
-                iteration: Flag::Dependence,
-            }],
+            characterization: Characterization {
+                loops: vec![LoopId(root)],
+                split: Some(Split::Iteration(0)),
+            },
             op: Some("=".to_string()),
             nest_root: LoopId(root),
             count: 1,

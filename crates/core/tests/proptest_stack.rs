@@ -1,7 +1,7 @@
 //! Property tests for the characterization-stack algebra (paper Sec. 3.3).
 
 use ceres_ast::LoopId;
-use ceres_core::stack::{characterize_write, flow_dependence, Flag, StackEntry};
+use ceres_core::stack::{characterize, flow, matched, Characterization, Flag, Split, StackEntry};
 use proptest::prelude::*;
 
 fn entry_strategy() -> impl Strategy<Value = StackEntry> {
@@ -27,9 +27,10 @@ proptest! {
 
     #[test]
     fn dependence_ok_is_never_produced(stamp in stack_strategy(), current in stack_strategy()) {
-        for level in characterize_write(&stamp, &current) {
+        let c = Characterization::at(&current, characterize(&stamp, &current));
+        for (_, instance, iteration) in c.levels() {
             prop_assert!(
-                !(level.instance == Flag::Dependence && level.iteration == Flag::Ok),
+                !(instance == Flag::Dependence && iteration == Flag::Ok),
                 "invalid `dependence ok` from stamp {stamp:?} vs {current:?}"
             );
         }
@@ -40,10 +41,10 @@ proptest! {
         stamp in stack_strategy(),
         current in stack_strategy(),
     ) {
-        let c = characterize_write(&stamp, &current);
-        prop_assert_eq!(c.len(), current.len());
-        for (level, cur) in c.iter().zip(&current) {
-            prop_assert_eq!(level.loop_id, cur.loop_id);
+        let c = Characterization::at(&current, characterize(&stamp, &current));
+        prop_assert_eq!(c.levels().count(), current.len());
+        for ((id, _, _), cur) in c.levels().zip(&current) {
+            prop_assert_eq!(id, cur.loop_id);
         }
     }
 
@@ -52,13 +53,13 @@ proptest! {
         // Once a level shows any dependence, every deeper level must show
         // iteration-dependence too (a location shared across iterations of
         // an outer loop is shared across everything inside it).
-        let c = characterize_write(&stamp, &current);
+        let c = Characterization::at(&current, characterize(&stamp, &current));
         let mut broken = false;
-        for level in &c {
+        for (_, _, iteration) in c.levels() {
             if broken {
-                prop_assert_eq!(level.iteration, Flag::Dependence);
+                prop_assert_eq!(iteration, Flag::Dependence);
             }
-            if level.iteration == Flag::Dependence {
+            if iteration == Flag::Dependence {
                 broken = true;
             }
         }
@@ -66,13 +67,9 @@ proptest! {
 
     #[test]
     fn identical_stamp_and_stack_is_clean(stack in stack_strategy()) {
-        let c = characterize_write(&stack, &stack);
-        for level in c {
-            prop_assert_eq!(level.instance, Flag::Ok);
-            prop_assert_eq!(level.iteration, Flag::Ok);
-        }
+        prop_assert_eq!(characterize(&stack, &stack), None);
         // And a read of a value written this very iteration is no flow dep.
-        prop_assert!(flow_dependence(&stack, &stack).is_none());
+        prop_assert!(flow(&stack, &stack).is_none());
     }
 
     #[test]
@@ -80,21 +77,43 @@ proptest! {
         snapshot in stack_strategy(),
         current in stack_strategy(),
     ) {
-        if let Some(c) = flow_dependence(&snapshot, &current) {
-            // The found level: first iteration-dependence; all levels above
-            // it matched exactly, and the level itself matched loop+instance.
-            let found = c.iter().position(|l| l.iteration == Flag::Dependence)
-                .expect("a reported flow dep has a dependence level");
-            for k in 0..found {
-                prop_assert_eq!(c[k].instance, Flag::Ok);
-                prop_assert_eq!(c[k].iteration, Flag::Ok);
-                prop_assert_eq!(snapshot[k].loop_id, current[k].loop_id);
-                prop_assert_eq!(snapshot[k].iteration, current[k].iteration);
-            }
+        if let Some(split) = flow(&snapshot, &current) {
+            // The found level: all levels above it matched exactly, and the
+            // level itself matched loop+instance but not iteration.
+            prop_assert!(matches!(split, Split::Iteration(_)));
+            let found = split.level();
+            prop_assert_eq!(&snapshot[..found], &current[..found]);
             prop_assert_eq!(snapshot[found].loop_id, current[found].loop_id);
             prop_assert_eq!(snapshot[found].instance, current[found].instance);
             prop_assert_ne!(snapshot[found].iteration, current[found].iteration);
         }
+    }
+
+    #[test]
+    fn flow_dependence_is_a_write_characterization(
+        snapshot in stack_strategy(),
+        current in stack_strategy(),
+    ) {
+        // A read that depends on another iteration's write sees the same
+        // split the write itself would have been characterized with.
+        if let Some(split) = flow(&snapshot, &current) {
+            prop_assert_eq!(characterize(&snapshot, &current), Some(split));
+        }
+    }
+
+    #[test]
+    fn split_level_is_the_matched_prefix(
+        stamp in stack_strategy(),
+        current in stack_strategy(),
+    ) {
+        let m = matched(&stamp, &current);
+        for split in [characterize(&stamp, &current), flow(&stamp, &current)]
+            .into_iter()
+            .flatten()
+        {
+            prop_assert_eq!(split.level(), m);
+        }
+        prop_assert_eq!(characterize(&stamp, &current).is_none(), m == current.len());
     }
 
     #[test]
@@ -107,14 +126,13 @@ proptest! {
         let mut current = stack.clone();
         let last = current.len() - 1;
         current[last].iteration += bump;
-        let c = characterize_write(&stack, &current);
-        prop_assert_eq!(c[last].instance, Flag::Ok);
-        prop_assert_eq!(c[last].iteration, Flag::Dependence);
-        for level in &c[..last] {
-            prop_assert_eq!(level.iteration, Flag::Ok);
+        prop_assert_eq!(characterize(&stack, &current), Some(Split::Iteration(last)));
+        let c = Characterization::at(&current, characterize(&stack, &current));
+        for (i, (_, instance, iteration)) in c.levels().enumerate() {
+            prop_assert_eq!(instance, Flag::Ok);
+            prop_assert_eq!(iteration == Flag::Dependence, i == last);
         }
         // And the read side agrees it is a flow dependence at that level.
-        let f = flow_dependence(&stack, &current).expect("flow dep");
-        prop_assert_eq!(f[last].iteration, Flag::Dependence);
+        prop_assert_eq!(flow(&stack, &current), Some(Split::Iteration(last)));
     }
 }

@@ -871,7 +871,9 @@ impl Interp {
         }
     }
 
-    pub(crate) fn binary_op(&mut self, op: BinaryOp, l: &Value, r: &Value) -> JsResult {
+    /// Evaluate `l op r`. `in` and `instanceof` are the caller's to
+    /// evaluate; passing either panics.
+    pub fn binary_op(&mut self, op: BinaryOp, l: &Value, r: &Value) -> JsResult {
         use ops::CmpResult::*;
         Ok(match op {
             BinaryOp::Add => ops::js_add(l, r),

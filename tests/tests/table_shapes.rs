@@ -145,16 +145,7 @@ fn sec42_parallelizable_and_hard_splits() {
     for w in all() {
         let run = run_workload(&w, Mode::Dependence, 1).unwrap();
         let nests = run.nests();
-        let parallel_pct: f64 = nests
-            .iter()
-            .filter(|n| n.parallelization_difficulty <= Difficulty::Medium)
-            .map(|n| n.pct_loop_time)
-            .sum();
-        let denom = run.active_ms.max(run.loops_ms).max(0.001);
-        let p = ((parallel_pct / 100.0) * run.loops_ms / denom)
-            .clamp(0.0, 1.0)
-            .abs();
-        if ceres_core::amdahl_bound(p) > 3.0 {
+        if ceres_core::amdahl_bound(run.parallel_fraction(&nests)) > 3.0 {
             over3 += 1;
         }
         if nests
