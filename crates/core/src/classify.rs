@@ -592,12 +592,6 @@ pub fn amdahl_bound(parallel_fraction: f64) -> f64 {
     }
 }
 
-/// Speedup with `n` cores: `1 / ((1 - p) + p / n)`.
-pub fn amdahl_speedup(parallel_fraction: f64, n: f64) -> f64 {
-    let p = parallel_fraction.clamp(0.0, 1.0);
-    1.0 / ((1.0 - p) + p / n.max(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,7 +604,6 @@ mod tests {
         assert!((amdahl_bound(0.9) - 10.0).abs() < 1e-12);
         assert!(amdahl_bound(0.0) == 1.0);
         assert!(amdahl_bound(1.0).is_infinite());
-        assert!((amdahl_speedup(0.9, 4.0) - 1.0 / (0.1 + 0.225)).abs() < 1e-12);
         // >3x requires p > 2/3.
         assert!(amdahl_bound(0.67) > 3.0);
         assert!(amdahl_bound(0.66) < 3.0);

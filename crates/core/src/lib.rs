@@ -70,8 +70,7 @@ pub mod whatif;
 
 pub use cache::{sha256, sha256_hex, CacheKey, CacheStats, ShardedCache, ShardedCacheStats};
 pub use classify::{
-    amdahl_bound, amdahl_speedup, classify_nests, static_features, Difficulty, Divergence,
-    NestClassification,
+    amdahl_bound, classify_nests, static_features, Difficulty, Divergence, NestClassification,
 };
 pub use engine::{attach_engine, run_instrumented, Engine, EngineRef, Warning, WarningKind};
 pub use fleet::{

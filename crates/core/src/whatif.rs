@@ -261,8 +261,9 @@ mod tests {
         assert!((predicted_speedup(0.0, 8) - 1.0).abs() < 1e-12);
         // p = 1, W = 4: ideal 4x.
         assert!((predicted_speedup(1.0, 4) - 4.0).abs() < 1e-12);
-        // Amdahl: p = 0.9, W = 2 → 1/(0.1 + 0.45).
+        // Amdahl: p = 0.9, W = 2 → 1/(0.1 + 0.45); W = 4 → 1/(0.1 + 0.225).
         assert!((predicted_speedup(0.9, 2) - 1.0 / 0.55).abs() < 1e-12);
+        assert!((predicted_speedup(0.9, 4) - 1.0 / (0.1 + 0.225)).abs() < 1e-12);
         // Monotone in W, bounded by 1/(1-p).
         assert!(predicted_speedup(0.8, 4) < predicted_speedup(0.8, 8));
         assert!(predicted_speedup(0.8, 1024) < 1.0 / 0.2 + 1e-9);

@@ -14,13 +14,13 @@
 //!   at compile time, plus a per-chunk *slot* index into the frame's inline
 //!   binding cache (see `vm.rs`). String property keys and diagnostic
 //!   strings live in the chunk's constant pool.
-//! * **Typed hook calls.** Each instrumentation call site the rewriter
-//!   emits is one [`Insn::Hook`] whose operands — interned string literals,
-//!   loop ids, and the binding-cache slots of variable operands — sit in
-//!   the chunk's [`HookSite`] table; only computed operands travel on the
-//!   value stack. [`Insn::CallHook`] is left for the other `__ceres_*`
-//!   names (the fork-join gates) and for call shapes the rewriter never
-//!   emits.
+//! * **Typed hook calls.** When the interpreter has a
+//!   [`HookSink`](crate::hooks::HookSink) installed, each instrumentation
+//!   call site the rewriter emits is one [`Insn::Hook`] whose operands —
+//!   interned string literals, loop ids, and the binding-cache slots of
+//!   variable operands — sit in the chunk's [`HookSite`] table; only
+//!   computed operands travel on the value stack. Every other call is an
+//!   ordinary [`Insn::Call`].
 //! * **Tick fidelity.** [`Insn::Tick`] replays the tree-walker's per-node
 //!   `charge(1)` calls — the compiler merges consecutive node-entry charges
 //!   into one instruction, and the VM still charges them one at a time so
@@ -169,49 +169,6 @@ pub enum HookSite {
     },
 }
 
-impl HookSite {
-    /// The hook's name (an entry of [`crate::hooks::ALL_HOOKS`]).
-    pub fn name(&self) -> &'static str {
-        use crate::hooks::*;
-        match self {
-            HookSite::LwEnter => LW_ENTER,
-            HookSite::LwExit => LW_EXIT,
-            HookSite::LoopEnter(_) => LOOP_ENTER,
-            HookSite::Iter(_) => ITER,
-            HookSite::LoopExit(_) => LOOP_EXIT,
-            HookSite::DeclVars { .. } => DECLVARS,
-            HookSite::WrVar { .. } => WRVAR,
-            HookSite::Wrap => WRAP,
-            HookSite::GetProp { .. } => GETPROP,
-            HookSite::SetProp { .. } => SETPROP,
-            HookSite::SetProp2 { .. } => SETPROP2,
-            HookSite::UpdateProp { .. } => UPDATE_PROP,
-            HookSite::MCall { .. } => MCALL,
-        }
-    }
-
-    /// How many computed operands the call pops off the value stack.
-    pub fn operands(&self) -> usize {
-        match *self {
-            HookSite::LwEnter
-            | HookSite::LwExit
-            | HookSite::LoopEnter(_)
-            | HookSite::Iter(_)
-            | HookSite::LoopExit(_)
-            | HookSite::DeclVars { .. } => 0,
-            HookSite::WrVar { value, .. } => value as usize,
-            HookSite::Wrap => 1,
-            HookSite::GetProp { key, .. } | HookSite::UpdateProp { key, .. } => {
-                1 + key.is_none() as usize
-            }
-            HookSite::SetProp { key, .. } | HookSite::SetProp2 { key, .. } => {
-                2 + key.is_none() as usize
-            }
-            HookSite::MCall { key, argc, .. } => 1 + key.is_none() as usize + argc as usize,
-        }
-    }
-}
-
 /// One bytecode instruction.
 ///
 /// Stack-effect notation in the comments: `[a][b] -> [c]` pops `b` then `a`
@@ -337,42 +294,18 @@ pub enum Insn {
         /// Constant-pool index of the callee source text.
         src: u32,
     },
-    /// `[a0]…[an-1] -> [ret]`: call the registered `__ceres_*` native
-    /// `sym` directly, bypassing the scope-chain lookup a `LoadVar` +
-    /// [`Insn::Call`] pair would do per call site. Serves the names outside
-    /// [`crate::hooks::ALL_HOOKS`] (the fork-join gates) and hook calls
-    /// whose arguments do not have a rewriter shape; the rest are
-    /// [`Insn::Hook`]. Only emitted when the compiled program never binds
-    /// or assigns a `__ceres_`-prefixed name, so the global native
-    /// registration is the unique binding the name can resolve to.
-    CallHook {
-        /// Interned hook name.
-        sym: Sym,
-        /// Argument count.
-        argc: u16,
-    },
-    /// Charge `ticks` (a run ending with a typed hook call's callee Ident
-    /// charge), then resolve the callee as the tree-walker does before it
-    /// evaluates any argument: throw `ReferenceError` when `sym` is bound
-    /// to neither the installed [`HookSink`](crate::hooks::HookSink), a
-    /// registered native, nor a variable. Precedes every [`Insn::Hook`].
-    HookCallee {
-        /// Node-entry charges, the callee's last.
-        ticks: u32,
-        /// Interned hook name.
-        sym: Sym,
-    },
-    /// `[operands…] -> [r]`: charge `ticks` (the folded literals after the
-    /// last computed operand), then make the typed instrumentation hook
-    /// call `hooks[site]`: the interpreter's
-    /// [`HookSink`](crate::hooks::HookSink) method directly, or, with none
-    /// installed, the hook by name with the same arguments
-    /// [`Insn::CallHook`] would pass. Emitted under the same license as
-    /// `CallHook`.
+    /// `[operands…] -> [r]`: charge `ticks` (the node-entry charges pending
+    /// since the last computed operand, or since the last real instruction
+    /// when there is none), then make the typed instrumentation hook
+    /// call `hooks[site]` through the interpreter's
+    /// [`HookSink`](crate::hooks::HookSink). Emitted only for an
+    /// interpreter with a sink installed and a program that never binds or
+    /// assigns a `__ceres_`-prefixed name, so the hook's global native is
+    /// the callee the tree-walker would resolve.
     Hook {
         /// Index into [`Chunk::hooks`].
         site: u32,
-        /// Trailing node-entry charges.
+        /// Pending node-entry charges.
         ticks: u32,
     },
     /// `[f][a0]…[an-1] -> [obj]` constructor call.

@@ -12,12 +12,14 @@
 //! time). Pending ticks are flushed before any real instruction and before
 //! every jump target, so a tick never migrates across a control-flow edge.
 //!
-//! Calls of the instrumentation hooks ([`crate::hooks::ALL_HOOKS`]) with
-//! the argument shapes the rewriter emits lower to [`Insn::Hook`]: their
-//! string, number and `null` literals are folded into the call site's
-//! [`HookSite`] (keeping only each literal's node-entry charge), and their
-//! variable operands get binding-cache slots. Any other `__ceres_*` call
-//! lowers to [`Insn::CallHook`].
+//! When the interpreter that runs the program has a
+//! [`HookSink`](crate::hooks::HookSink) installed, calls of the
+//! instrumentation hooks ([`crate::hooks::ALL_HOOKS`]) with the argument
+//! shapes the rewriter emits lower to [`Insn::Hook`]: their string, number
+//! and `null` literals are folded into the call site's [`HookSite`]
+//! (keeping only each literal's node-entry charge), and their variable
+//! operands get binding-cache slots. Every other call, the fork-join
+//! `__ceres_par_*` gates included, is an ordinary [`Insn::Call`].
 
 use crate::bytecode::{Chunk, HookSite, Insn, Module, VarRef};
 use crate::hooks;
@@ -27,13 +29,18 @@ use ceres_ast::visit::{walk_expr, walk_func, walk_stmt, Visit};
 use std::rc::Rc;
 
 /// Compile a whole program (including every nested function) to a module.
-/// Chunk 0 is the top-level script.
-pub fn compile_program(program: &Program) -> Module {
-    let mut binding = HookBinding::default();
-    binding.visit_program(program);
+/// Chunk 0 is the top-level script. `typed_hooks` says whether the
+/// interpreter that runs the module has a
+/// [`HookSink`](crate::hooks::HookSink) installed.
+pub fn compile_program(program: &Program, typed_hooks: bool) -> Module {
+    let typed_hooks = typed_hooks && {
+        let mut binding = HookBinding::default();
+        binding.visit_program(program);
+        !binding.0
+    };
     let mut c = Compiler {
         chunks: Vec::new(),
-        hook_spec: !binding.0,
+        typed_hooks,
     };
     c.compile_chunk(None, None, &[], &program.body);
     Module { chunks: c.chunks }
@@ -41,10 +48,10 @@ pub fn compile_program(program: &Program) -> Module {
 
 struct Compiler {
     chunks: Vec<Chunk>,
-    /// Lower `__ceres_*(…)` calls to [`Insn::Hook`] or [`Insn::CallHook`].
-    /// True unless the program itself binds a name in the reserved hook
-    /// namespace (then scope-chain resolution must stay fully general).
-    hook_spec: bool,
+    /// Lower rewriter hook calls to [`Insn::Hook`]: a sink is installed,
+    /// and the program itself binds no name in the reserved hook namespace
+    /// (else every call resolves through the scope chain).
+    typed_hooks: bool,
 }
 
 /// Is `name` in the namespace reserved for instrumentation hooks?
@@ -54,8 +61,8 @@ fn is_hook_name(name: &str) -> bool {
 
 /// Finds whether a program binds (declares, shadows, or assigns) a
 /// `__ceres_*` name anywhere. Instrumented programs never do — the
-/// rewriter owns that prefix — so a clean scan is what licenses the
-/// [`Insn::Hook`] and [`Insn::CallHook`] fast paths.
+/// rewriter owns that prefix — so a clean scan is what licenses
+/// [`Insn::Hook`].
 #[derive(Default)]
 struct HookBinding(bool);
 
@@ -234,10 +241,10 @@ fn num_lit(e: &Expr) -> Option<f64> {
 /// The typed form of a call of hook `name` with `args`, when the arguments
 /// have the shape the rewriter emits: the call site, and per argument
 /// whether it is a literal folded into the site. `None` for any other
-/// shape (the call then stays an [`Insn::CallHook`]).
+/// name or shape (the call then stays an ordinary call).
 fn hook_site(ctx: &mut Ctx, name: &str, args: &[Expr]) -> Option<(HookSite, Vec<bool>)> {
     // Loop ids fold only when `id as f64` gives back the literal, so the
-    // by-name fallback passes the native the same number.
+    // sink gets the id the tree-walker's by-name native decodes from it.
     let loop_id = |e: &Expr| {
         num_lit(e)
             .filter(|n| *n == (*n as u32) as f64)
@@ -858,44 +865,30 @@ impl Compiler {
                 ctx.patch(jend, l_end);
             }
             ExprKind::Call { callee, args } => {
-                // Instrumentation callouts bind directly to the hook. Tick
-                // parity with the generic lowering: the callee Ident's
+                // A rewriter hook call binds directly to the sink. Tick
+                // parity with the ordinary lowering: the callee Ident's
                 // node-entry charge is kept (`LoadVar`/`PushUndef` carry
                 // no charges of their own), and so is each folded literal's.
-                if self.hook_spec {
-                    if let ExprKind::Ident(name) = &callee.kind {
-                        if is_hook_name(name) {
-                            let sym = intern(name);
-                            ctx.tick(); // callee Ident node entry charge
-                            match hook_site(ctx, name, args) {
-                                Some((hook, folded)) => {
-                                    let ticks = std::mem::take(&mut ctx.pending_ticks);
-                                    ctx.code.push(Insn::HookCallee { ticks, sym });
-                                    for (a, folded) in args.iter().zip(folded) {
-                                        if folded {
-                                            ctx.tick(); // the literal's node entry charge
-                                        } else {
-                                            self.expr(ctx, a);
-                                        }
-                                    }
-                                    let ticks = std::mem::take(&mut ctx.pending_ticks);
-                                    let site = ctx.hooks.len() as u32;
-                                    ctx.hooks.push(hook);
-                                    ctx.code.push(Insn::Hook { site, ticks });
-                                }
-                                None => {
-                                    for a in args {
-                                        self.expr(ctx, a);
-                                    }
-                                    ctx.emit(Insn::CallHook {
-                                        sym,
-                                        argc: args.len() as u16,
-                                    });
-                                }
-                            }
-                            return;
+                // They stay pending, for the first computed operand's
+                // `Tick` or the `Hook` itself to charge.
+                let typed = match &callee.kind {
+                    ExprKind::Ident(name) if self.typed_hooks => hook_site(ctx, name, args),
+                    _ => None,
+                };
+                if let Some((hook, folded)) = typed {
+                    ctx.tick(); // callee Ident node entry charge
+                    for (a, folded) in args.iter().zip(folded) {
+                        if folded {
+                            ctx.tick(); // the literal's node entry charge
+                        } else {
+                            self.expr(ctx, a);
                         }
                     }
+                    let ticks = std::mem::take(&mut ctx.pending_ticks);
+                    let site = ctx.hooks.len() as u32;
+                    ctx.hooks.push(hook);
+                    ctx.code.push(Insn::Hook { site, ticks });
+                    return;
                 }
                 // Method calls compute the receiver; the Member/Index node
                 // of the callee itself is *not* charged (see eval_call).
@@ -961,20 +954,20 @@ impl Compiler {
 mod tests {
     use super::*;
 
-    /// Does the compiled module use a hook fast path ([`Insn::Hook`] or
-    /// [`Insn::CallHook`])?
-    fn uses_call_hook(src: &str) -> bool {
+    /// Does the module compiled with `typed_hooks` have an [`Insn::Hook`]?
+    fn uses_typed_hook(src: &str, typed_hooks: bool) -> bool {
         let program = ceres_parser::parse_program(src).unwrap();
-        compile_program(&program).chunks.iter().any(|c| {
-            c.code
-                .iter()
-                .any(|i| matches!(i, Insn::Hook { .. } | Insn::CallHook { .. }))
-        })
+        compile_program(&program, typed_hooks)
+            .chunks
+            .iter()
+            .any(|c| c.code.iter().any(|i| matches!(i, Insn::Hook { .. })))
     }
 
     #[test]
     fn binding_a_hook_name_anywhere_turns_the_fast_path_off() {
-        assert!(uses_call_hook("__ceres_iter(1);"));
+        assert!(uses_typed_hook("__ceres_iter(1);", true));
+        // Without a sink, a hook call is an ordinary call.
+        assert!(!uses_typed_hook("__ceres_iter(1);", false));
         for binding in [
             "var __ceres_x;",
             "for (var __ceres_x = 0; false; ) {}",
@@ -990,7 +983,7 @@ mod tests {
                 format!("{binding}\n__ceres_iter(1);"),
                 format!("(function () {{ {binding} }});\n__ceres_iter(1);"),
             ] {
-                assert!(!uses_call_hook(&src), "{src}");
+                assert!(!uses_typed_hook(&src, true), "{src}");
             }
         }
     }

@@ -9,11 +9,12 @@
 //!
 //! A hook can be reached two ways:
 //!
-//! * **By name.** The tree-walker (and the VM, for call shapes the
-//!   compiler does not type) evaluates `__ceres_getprop(o, "k", "o")` as an
-//!   ordinary call of the native registered under that name, which decodes
-//!   its `Value` arguments.
-//! * **Typed.** The compiler lowers each rewriter call site to
+//! * **By name.** The tree-walker evaluates `__ceres_getprop(o, "k", "o")`
+//!   as an ordinary call of the native registered under that name, which
+//!   decodes its `Value` arguments. So does the VM for every call it does
+//!   not type.
+//! * **Typed.** When the interpreter has a [`HookSink`] installed, the
+//!   compiler lowers each rewriter call site to
 //!   [`Insn::Hook`](crate::bytecode::Insn::Hook): string-literal operands
 //!   are interned at compile time, binding ids come from the VM's slot
 //!   cache, and the VM calls the matching [`HookSink`] method directly.

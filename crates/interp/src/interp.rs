@@ -177,8 +177,9 @@ pub struct Interp {
     /// Analysis observer (set by `ceres-core`, used by `ceres-dom`).
     pub monitor: Option<Rc<dyn Monitor>>,
     /// Typed entry points of the instrumentation hooks (set by
-    /// `ceres-core` beside the by-name natives). Without one, the VM's
-    /// typed hook instructions call the hooks by name.
+    /// `ceres-core` beside the by-name natives). A program the VM compiles
+    /// while one is installed calls the rewriter's hooks through it; without
+    /// one, every hook call is an ordinary call of whatever the name binds.
     pub hook_sink: Option<Rc<dyn crate::hooks::HookSink>>,
     /// Which evaluator [`Interp::eval_program`] uses.
     pub backend: Backend,
@@ -198,10 +199,6 @@ pub struct Interp {
     /// Pre-interned property names the hot access paths compare against.
     sym_length: Sym,
     sym_name: Sym,
-    /// Natives registered under the reserved `__ceres_*` instrumentation
-    /// namespace, addressable by [`crate::bytecode::Insn::CallHook`]
-    /// without a scope-chain walk.
-    pub(crate) hook_natives: intern::FxHashMap<Sym, crate::value::NativeFn>,
     /// Allocation-registry mark taken at construction; `Drop` sweeps every
     /// object allocated since to break `Rc` cycles (closure env ↔ scope).
     heap_mark: usize,
@@ -240,7 +237,6 @@ impl Interp {
             function_methods: new_object(),
             sym_length: intern::intern("length"),
             sym_name: intern::intern("name"),
-            hook_natives: intern::FxHashMap::default(),
             heap_mark,
         };
         crate::builtins::install(&mut interp);
@@ -272,15 +268,8 @@ impl Interp {
         name: &str,
         f: impl Fn(&mut Interp, &CallCtx, &[Value]) -> JsResult + 'static,
     ) {
-        let nf: crate::value::NativeFn = Rc::new(f);
-        let obj = native_fn(name, nf.clone());
+        let obj = native_fn(name, Rc::new(f));
         self.global.declare(name, Value::Object(obj));
-        // Hook natives are additionally indexed for `Insn::CallHook`;
-        // re-registration replaces the entry, so the map always mirrors
-        // the live global binding.
-        if name.starts_with("__ceres_") {
-            self.hook_natives.insert(intern::intern(name), nf);
-        }
     }
 
     /// Register a global value.

@@ -39,12 +39,10 @@ use crate::bytecode::{Chunk, HookSite, Insn, Module, VarRef};
 use crate::compile::compile_program;
 use crate::env::{BindingRef, Scope, ScopeRef};
 use crate::hooks::HookSink;
-use crate::intern::{intern, resolve, sym_of_key, Sym};
+use crate::intern::{resolve, sym_of_key, Sym};
 use crate::interp::{Control, Interp, JsResult};
 use crate::ops;
-use crate::value::{
-    new_array, new_object, CallCtx, CompiledFn, JsFunction, ObjKind, ObjRef, Value,
-};
+use crate::value::{new_array, new_object, CompiledFn, JsFunction, ObjKind, ObjRef, Value};
 use ceres_ast::ast::{Program, UnaryOp};
 use std::rc::Rc;
 
@@ -155,7 +153,7 @@ impl Interp {
     /// the lowering into [`Interp::compile_us`].
     pub(crate) fn vm_eval_program(&mut self, program: &Program) -> JsResult<()> {
         let t0 = std::time::Instant::now();
-        let module = Rc::new(compile_program(program));
+        let module = Rc::new(compile_program(program, self.hook_sink.is_some()));
         self.compile_us += t0.elapsed().as_micros() as u64;
         let scope = self.global.clone();
         // Same hoist order as `hoist_into`: all vars, then all functions.
@@ -494,60 +492,23 @@ impl Interp {
                             }
                         }
                     }
-                    Insn::CallHook { sym, argc } => {
-                        let base = stack.len() - argc as usize;
-                        let scope = scopes.last().expect("scope chain");
-                        let r = self.call_hook_by_name(sym, &stack[base..], scope);
-                        stack.truncate(base);
-                        match r {
-                            Ok(v) => stack.push(v),
-                            Err(c) => break 'act action_of(c),
-                        }
-                    }
-                    Insn::HookCallee { ticks, sym } => {
-                        vm_try!(self.charge_n(ticks as u64));
-                        let bound = sink.is_some()
-                            || self.hook_natives.contains_key(&sym)
-                            || scopes
-                                .last()
-                                .expect("scope chain")
-                                .lookup_sym(sym)
-                                .is_some();
-                        if !bound {
-                            break 'act throw_action(
-                                "ReferenceError",
-                                format!("{} is not defined", resolve(sym)),
-                            );
-                        }
-                    }
                     Insn::Hook { site, ticks } => {
                         if ticks > 0 {
                             vm_try!(self.charge_n(ticks as u64));
                         }
-                        let site = chunk.hooks[site as usize];
-                        let r = match &sink {
-                            Some(sink) => {
-                                // The same boundary events the by-name
-                                // call charges around a native.
-                                self.clock.fn_boundary();
-                                let r = self.call_typed_hook(
-                                    &**sink, chunk, site, &mut stack, &scopes, &mut slots,
-                                );
-                                self.clock.fn_boundary();
-                                r
-                            }
-                            None => {
-                                let base = stack.len() - site.operands();
-                                let args = by_name_args(chunk, site, &stack[base..]);
-                                stack.truncate(base);
-                                let scope = scopes.last().expect("scope chain");
-                                self.call_hook_by_name(intern(site.name()), &args, scope)
-                            }
+                        // The compiler types hook calls only for an
+                        // interpreter with a sink installed.
+                        let Some(sink) = &sink else {
+                            break 'act Action::Fatal("typed hook call without a hook sink".into());
                         };
-                        match r {
-                            Ok(v) => stack.push(v),
-                            Err(c) => break 'act action_of(c),
-                        }
+                        // The same boundary events a call of the by-name
+                        // native charges around its body.
+                        self.clock.fn_boundary();
+                        let site = chunk.hooks[site as usize];
+                        let r = self
+                            .call_typed_hook(&**sink, chunk, site, &mut stack, &scopes, &mut slots);
+                        self.clock.fn_boundary();
+                        stack.push(vm_try!(r));
                     }
                     Insn::New { argc } => {
                         let base = stack.len() - argc as usize;
@@ -753,36 +714,6 @@ impl Interp {
         }
     }
 
-    /// Call hook `sym` by name with `args`, as a `LoadVar` + [`Insn::Call`]
-    /// pair from `scope` would: the registered native directly when there
-    /// is one, else whatever the name resolves to, else a
-    /// `ReferenceError`.
-    #[inline]
-    fn call_hook_by_name(&mut self, sym: Sym, args: &[Value], scope: &ScopeRef) -> JsResult {
-        match self.hook_natives.get(&sym).cloned() {
-            Some(nf) => {
-                // Same observable sequence as the generic native path in
-                // `call_value`: a boundary event either side of the body.
-                self.clock.fn_boundary();
-                let ctx = CallCtx {
-                    this: Value::Undefined,
-                    caller_scope: Some(scope.clone()),
-                };
-                let r = nf(self, &ctx, args);
-                self.clock.fn_boundary();
-                r
-            }
-            None => match scope.lookup_sym(sym) {
-                None => self.throw("ReferenceError", format!("{} is not defined", resolve(sym))),
-                Some(b) => {
-                    let f = b.borrow().value.clone();
-                    self.call_value(&f, Value::Undefined, args, Some(scope.clone()))
-                        .map_err(|c| self.rewrite_not_a_function(c, || resolve(sym).to_string()))
-                }
-            },
-        }
-    }
-
     /// Call the typed entry point of hook call site `site`, popping its
     /// computed operands. Binding ids come from the frame's slot cache,
     /// which resolves the binding a walk from the innermost scope finds.
@@ -865,61 +796,4 @@ impl Interp {
             }
         }
     }
-}
-
-/// The argument list of hook call site `site` as the by-name call passes
-/// it: each folded literal rebuilt as the value its evaluation pushes,
-/// with the computed `operands` in their argument positions.
-#[inline(never)]
-fn by_name_args(chunk: &Chunk, site: HookSite, operands: &[Value]) -> Vec<Value> {
-    let str_of = |sym: Sym| Value::Str(resolve(sym));
-    let base_of = |base: Option<VarRef>| base.map(|b| str_of(b.sym));
-    let mut ops = operands.iter().cloned();
-    let mut next = || ops.next().expect("hook operand");
-    let mut args = Vec::with_capacity(operands.len() + 3);
-    match site {
-        HookSite::LwEnter | HookSite::LwExit => {}
-        HookSite::LoopEnter(id) | HookSite::Iter(id) | HookSite::LoopExit(id) => {
-            args.push(Value::Num(id as f64))
-        }
-        HookSite::DeclVars { start, len } => args.extend(
-            chunk.hook_vars[start as usize..(start + len) as usize]
-                .iter()
-                .map(|v| str_of(v.sym)),
-        ),
-        HookSite::WrVar { name, op, value } => {
-            args.extend([str_of(name.sym), str_of(op)]);
-            args.extend(value.then(next));
-        }
-        HookSite::Wrap => args.push(next()),
-        HookSite::GetProp { key, base } => {
-            args.extend([next(), key.map_or_else(&mut next, str_of)]);
-            args.extend(base.map(str_of));
-        }
-        HookSite::SetProp { key, base } => {
-            args.extend([next(), key.map_or_else(&mut next, str_of), next()]);
-            args.extend(base_of(base));
-        }
-        HookSite::SetProp2 { key, op, base } => {
-            args.extend([next(), key.map_or_else(&mut next, str_of)]);
-            args.extend([str_of(op), next()]);
-            args.extend(base_of(base));
-        }
-        HookSite::UpdateProp {
-            key,
-            delta,
-            prefix,
-            base,
-        } => {
-            args.extend([next(), key.map_or_else(&mut next, str_of)]);
-            args.extend([Value::Num(delta), Value::Num(prefix)]);
-            args.extend(base_of(base));
-        }
-        HookSite::MCall { key, base, argc } => {
-            args.extend([next(), key.map_or_else(&mut next, str_of)]);
-            args.push(base.map_or(Value::Null, str_of));
-            args.extend((0..argc).map(|_| next()));
-        }
-    }
-    args
 }

@@ -304,8 +304,9 @@ fn to_string_lossy(v: &Value) -> String {
 
 #[test]
 fn typed_hooks_without_an_engine_fail_like_calls_by_name() {
-    // No engine, no natives: each backend's first hook call throws the
-    // same ReferenceError at the same tick.
+    // No engine, no natives: with no sink installed, hook calls are
+    // ordinary calls on both backends, so the first one throws the same
+    // ReferenceError at the same tick.
     for mode in [Mode::Lightweight, Mode::LoopProfile, Mode::Dependence] {
         let (instrumented, _) = ceres_instrument::instrument_source(HOOK_SHAPES, mode).unwrap();
         let results = [Backend::Tree, Backend::Vm].map(|b| {
@@ -322,9 +323,9 @@ fn typed_hooks_without_an_engine_fail_like_calls_by_name() {
 
 #[test]
 fn typed_hooks_without_an_engine_pass_plain_natives_the_same_arguments() {
-    // Plain natives under every hook name, logging their arguments: the
-    // VM's typed instructions fall back to calling them by name, with
-    // every folded literal rebuilt, exactly as the tree-walker does.
+    // Plain natives under every hook name, logging their arguments: with
+    // no sink installed, the VM calls them as ordinary calls, with the
+    // same arguments the tree-walker passes.
     for mode in [Mode::Lightweight, Mode::LoopProfile, Mode::Dependence] {
         let (instrumented, _) = ceres_instrument::instrument_source(HOOK_SHAPES, mode).unwrap();
         let runs = [Backend::Tree, Backend::Vm].map(|b| {
@@ -364,24 +365,25 @@ fn typed_hooks_without_an_engine_pass_plain_natives_the_same_arguments() {
 
 #[test]
 fn app_hook_calls_compile_to_typed_instructions() {
-    // Every hook call site the rewriter emits into the 12 apps, in every
-    // mode, is an `Insn::Hook`; `CallHook` is left for other names.
+    // With a sink installed, every hook call site the rewriter emits into
+    // the 12 apps, in every mode, is an `Insn::Hook`: no hook name is
+    // loaded for an ordinary call.
     use ceres_interp::bytecode::Insn;
     for w in ceres_workloads::all() {
         for mode in [Mode::Lightweight, Mode::LoopProfile, Mode::Dependence] {
             let (instrumented, _) = ceres_instrument::instrument_source(w.source, mode).unwrap();
             let program = ceres_parser::parse_program(&instrumented).unwrap();
-            let module = ceres_interp::compile::compile_program(&program);
+            let module = ceres_interp::compile::compile_program(&program, true);
             let code = module.chunks.iter().flat_map(|c| c.code.iter());
             let mut typed = 0;
             for insn in code {
                 match insn {
                     Insn::Hook { .. } => typed += 1,
-                    Insn::CallHook { sym, .. } => {
+                    Insn::LoadVar { sym, .. } => {
                         let name = ceres_interp::resolve(*sym);
                         assert!(
                             !ceres_instrument::hooks::ALL_HOOKS.contains(&&*name),
-                            "{} {mode:?}: `{name}` compiled to CallHook",
+                            "{} {mode:?}: `{name}` compiled to an ordinary call",
                             w.slug
                         );
                     }
@@ -391,6 +393,25 @@ fn app_hook_calls_compile_to_typed_instructions() {
             assert!(typed > 0, "{} {mode:?}", w.slug);
         }
     }
+}
+
+#[test]
+fn an_unbound_gate_throws_before_its_arguments_run() {
+    // A `__ceres_*` name outside the rewriter's hooks is an ordinary call:
+    // the callee resolves, and throws, before any argument is evaluated,
+    // with or without a sink installed.
+    let src = "function f() { console.log('argument evaluated'); return 1; }\n\
+               try { __ceres_par_iter(f()); } catch (e) { console.log(e.message); }";
+    assert_equivalent(src);
+    let runs = [Backend::Tree, Backend::Vm].map(|b| {
+        set_default_backend(Some(b));
+        let out = run_instrumented(src, Mode::Dependence, 7);
+        set_default_backend(None);
+        let (interp, _engine) = out.unwrap_or_else(|e| panic!("{b:?}: {e:?}"));
+        (interp.console.clone(), interp.clock.now_ticks())
+    });
+    assert_eq!(runs[0].0, ["__ceres_par_iter is not defined"]);
+    assert_eq!(runs[0], runs[1], "console or ticks diverged");
 }
 
 #[test]
