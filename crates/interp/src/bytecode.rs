@@ -29,6 +29,10 @@
 //!   `throw` are single instructions; the VM walks a runtime handler stack
 //!   (pushed by the `Push*` instructions) to find the target, rather than
 //!   unwinding nested Rust frames with `?`.
+//! * **A compile-time prologue.** Each chunk lists the declarations its
+//!   frame makes at entry ([`Decl`]), with the binding-cache slot each
+//!   fills, and elides the `this` and `arguments` bindings of a body that
+//!   cannot name them.
 
 use crate::intern::Sym;
 use ceres_ast::ast::{BinaryOp, Func, UnaryOp};
@@ -49,13 +53,14 @@ pub struct Chunk {
     /// The source AST of the function. Kept so mixed-backend calls and
     /// `f.length` keep working — the VM never walks it.
     pub func: Option<Rc<Func>>,
-    /// Parameter names in declaration order.
-    pub params: Vec<Sym>,
-    /// Hoisted `var` names in source (tree-walk) order.
-    pub hoisted_vars: Vec<Sym>,
-    /// Hoisted function declarations: `(binding name, chunk index)` in
-    /// source order. Closures are constructed at frame entry.
-    pub hoisted_funcs: Vec<(Sym, u32)>,
+    /// The prologue layout: the declarations a frame of this chunk makes
+    /// at entry, in the order the tree-walker makes them (parameters,
+    /// `this`, `arguments`, hoisted vars, hoisted functions; the program
+    /// has only the last two).
+    pub prologue: Vec<Decl>,
+    /// Number of [`Decl::Bind`]s in the prologue, which an activation's
+    /// binding map is sized for.
+    pub bindings: u32,
     /// The instruction stream. Always ends with [`Insn::End`].
     pub code: Vec<Insn>,
     /// String constant pool (property keys, literals, callee diagnostics).
@@ -67,10 +72,47 @@ pub struct Chunk {
     /// Variable operands of [`HookSite::DeclVars`] sites, in argument
     /// order.
     pub hook_vars: Vec<VarRef>,
-    /// Pre-interned `"this"` (used by the frame prologue).
+    /// Pre-interned `"this"` (the [`Insn::LoadThis`] lookup).
     pub sym_this: Sym,
-    /// Pre-interned `"arguments"` (used by the frame prologue).
-    pub sym_arguments: Sym,
+}
+
+/// One declaration of a frame prologue.
+#[derive(Clone, Copy, Debug)]
+pub enum Decl {
+    /// Declare `sym` with the value `init` makes. A name declared earlier
+    /// in the prologue keeps its binding and drops the value, as the
+    /// tree-walker's `declare` does.
+    Bind {
+        /// Interned name.
+        sym: Sym,
+        /// Where the value comes from.
+        init: Init,
+        /// The binding-cache slot the binding is written to, when the
+        /// chunk reads or writes the name.
+        slot: Option<u32>,
+    },
+    /// `this` or `arguments` in a body that never names it: use up the
+    /// binding id the declaration would take and, for `arguments`
+    /// (`object`), its array's object id, allocating nothing.
+    Elide {
+        /// Is this `arguments` (an object id too)?
+        object: bool,
+    },
+}
+
+/// Where a prologue binding's value comes from.
+#[derive(Clone, Copy, Debug)]
+pub enum Init {
+    /// Call argument `i`, or `undefined` past the last.
+    Arg(u32),
+    /// The call's receiver.
+    This,
+    /// A new array of the call's arguments.
+    Arguments,
+    /// `undefined` (a hoisted `var`).
+    Undefined,
+    /// A closure over chunk `idx` (a hoisted function declaration).
+    Closure(u32),
 }
 
 /// A variable operand of a hook call site: the interned name, and its

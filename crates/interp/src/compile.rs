@@ -21,9 +21,9 @@
 //! operands get binding-cache slots. Every other call, the fork-join
 //! `__ceres_par_*` gates included, is an ordinary [`Insn::Call`].
 
-use crate::bytecode::{Chunk, HookSite, Insn, Module, VarRef};
+use crate::bytecode::{Chunk, Decl, HookSite, Init, Insn, Module, VarRef};
 use crate::hooks;
-use crate::intern::{intern, FxHashMap, Sym};
+use crate::intern::{intern, resolve, FxHashMap, Sym};
 use ceres_ast::ast::*;
 use ceres_ast::visit::{walk_expr, walk_func, walk_stmt, Visit};
 use std::rc::Rc;
@@ -42,7 +42,7 @@ pub fn compile_program(program: &Program, typed_hooks: bool) -> Module {
         chunks: Vec::new(),
         typed_hooks,
     };
-    c.compile_chunk(None, None, &[], &program.body);
+    c.compile_chunk(None, None, &program.body);
     Module { chunks: c.chunks }
 }
 
@@ -220,6 +220,27 @@ impl Ctx {
             slot: self.slot(sym),
         }
     }
+
+    /// Can the chunk name variable `sym`? Every variable instruction and
+    /// variable hook operand takes a binding-cache slot; for-in targets,
+    /// catch parameters and the base names of `getprop`/`mcall` sites do
+    /// not. A string constant that spells `sym` counts too, because a
+    /// by-name hook native looks its string arguments up in the caller's
+    /// scope.
+    fn names(&self, sym: Sym) -> bool {
+        self.slots.contains_key(&sym)
+            || self.code.iter().any(|i| match *i {
+                Insn::ForInInit { sym: s, .. }
+                | Insn::ForInNext { sym: s, .. }
+                | Insn::PushCatch { param: s, .. } => s == sym,
+                _ => false,
+            })
+            || self.hooks.iter().any(|h| match *h {
+                HookSite::GetProp { base, .. } | HookSite::MCall { base, .. } => base == Some(sym),
+                _ => false,
+            })
+            || self.str_map.contains_key(&*resolve(sym))
+    }
 }
 
 /// The interned text of a string literal.
@@ -333,43 +354,30 @@ fn hook_site(ctx: &mut Ctx, name: &str, args: &[Expr]) -> Option<(HookSite, Vec<
 impl Compiler {
     /// Compile one function body (or the program when `func` is `None`)
     /// into a fresh chunk; returns its index.
-    fn compile_chunk(
-        &mut self,
-        name: Option<String>,
-        func: Option<&Func>,
-        params: &[String],
-        body: &[Stmt],
-    ) -> u32 {
+    fn compile_chunk(&mut self, name: Option<String>, func: Option<&Func>, body: &[Stmt]) -> u32 {
         let idx = self.chunks.len() as u32;
         // Reserve the slot so nested functions get later indices, matching
         // a pre-order numbering.
         self.chunks.push(Chunk {
             name: None,
             func: None,
-            params: Vec::new(),
-            hoisted_vars: Vec::new(),
-            hoisted_funcs: Vec::new(),
+            prologue: Vec::new(),
+            bindings: 0,
             code: Vec::new(),
             strs: Vec::new(),
             num_slots: 0,
             hooks: Vec::new(),
             hook_vars: Vec::new(),
             sym_this: Sym::NONE,
-            sym_arguments: Sym::NONE,
         });
 
         // Hoisting mirrors `hoist_into`: vars in source order, then
         // function declarations (closures built at frame entry).
         let (vars, funcs) = crate::interp::hoisted_of(body);
-        let hoisted_vars: Vec<Sym> = vars.iter().map(|v| intern(v)).collect();
         let mut hoisted_funcs = Vec::with_capacity(funcs.len());
         for decl in &funcs {
-            let f_idx = self.compile_chunk(
-                Some(decl.name.clone()),
-                Some(&decl.func),
-                &decl.func.params,
-                &decl.func.body,
-            );
+            let f_idx =
+                self.compile_chunk(Some(decl.name.clone()), Some(&decl.func), &decl.func.body);
             hoisted_funcs.push((intern(&decl.name), f_idx));
         }
 
@@ -379,19 +387,58 @@ impl Compiler {
         }
         ctx.emit(Insn::End);
 
+        // The prologue in `call_js` order. `this` and `arguments` are
+        // bound only when the body can name them; `arguments` also when
+        // the prologue itself declares the name, whose later
+        // declarations then find it bound.
+        let sym_this = intern("this");
+        let sym_arguments = intern("arguments");
+        let bind = |sym: Sym, init: Init| Decl::Bind {
+            sym,
+            init,
+            slot: ctx.slots.get(&sym).copied(),
+        };
+        let mut prologue = Vec::new();
+        if let Some(f) = func {
+            for (i, p) in f.params.iter().enumerate() {
+                prologue.push(bind(intern(p), Init::Arg(i as u32)));
+            }
+            prologue.push(if ctx.names(sym_this) {
+                bind(sym_this, Init::This)
+            } else {
+                Decl::Elide { object: false }
+            });
+            let declares_arguments = f.params.iter().any(|p| p == "arguments")
+                || vars.contains(&"arguments")
+                || funcs.iter().any(|d| d.name == "arguments");
+            prologue.push(if declares_arguments || ctx.names(sym_arguments) {
+                bind(sym_arguments, Init::Arguments)
+            } else {
+                Decl::Elide { object: true }
+            });
+        }
+        prologue.extend(vars.iter().map(|v| bind(intern(v), Init::Undefined)));
+        prologue.extend(
+            hoisted_funcs
+                .iter()
+                .map(|&(sym, f)| bind(sym, Init::Closure(f))),
+        );
+        let bindings = prologue
+            .iter()
+            .filter(|d| matches!(d, Decl::Bind { .. }))
+            .count();
+
         let chunk = &mut self.chunks[idx as usize];
         chunk.name = name;
         chunk.func = func.map(|f| Rc::new(f.clone()));
-        chunk.params = params.iter().map(|p| intern(p)).collect();
-        chunk.hoisted_vars = hoisted_vars;
-        chunk.hoisted_funcs = hoisted_funcs;
+        chunk.prologue = prologue;
+        chunk.bindings = bindings as u32;
         chunk.code = ctx.code;
         chunk.strs = ctx.strs;
         chunk.num_slots = ctx.slots.len() as u32;
         chunk.hooks = ctx.hooks;
         chunk.hook_vars = ctx.hook_vars;
-        chunk.sym_this = intern("this");
-        chunk.sym_arguments = intern("arguments");
+        chunk.sym_this = sym_this;
         idx
     }
 
@@ -684,7 +731,7 @@ impl Compiler {
                 }
             }
             ExprKind::Func { name, func } => {
-                let idx = self.compile_chunk(name.clone(), Some(func), &func.params, &func.body);
+                let idx = self.compile_chunk(name.clone(), Some(func), &func.body);
                 ctx.emit(Insn::MakeClosure(idx));
             }
             ExprKind::Unary { op, expr: inner } => match op {

@@ -37,6 +37,12 @@ fn next_binding_id() -> u64 {
     })
 }
 
+/// Use up one binding id without declaring anything: the VM's stand-in
+/// for the `this` or `arguments` binding of a body that never names it.
+pub(crate) fn skip_binding_id() {
+    next_binding_id();
+}
+
 /// One lexical scope (function activation, global, or catch clause).
 ///
 /// Variables are keyed by interned [`Sym`] so a chain walk costs one
@@ -61,8 +67,17 @@ impl Scope {
 
     /// A child scope (function activation or catch clause).
     pub fn child(parent: &ScopeRef) -> ScopeRef {
+        Scope::child_with_capacity(parent, 0)
+    }
+
+    /// A child scope whose binding map is sized for `bindings` names, so
+    /// declaring them never grows it.
+    pub fn child_with_capacity(parent: &ScopeRef, bindings: usize) -> ScopeRef {
         Rc::new(Scope {
-            vars: RefCell::new(FxHashMap::default()),
+            vars: RefCell::new(FxHashMap::with_capacity_and_hasher(
+                bindings,
+                Default::default(),
+            )),
             parent: Some(parent.clone()),
         })
     }
@@ -75,16 +90,16 @@ impl Scope {
 
     /// [`Scope::declare`] with a pre-interned name.
     pub fn declare_sym(&self, name: Sym, value: Value) -> BindingRef {
-        let mut vars = self.vars.borrow_mut();
-        if let Some(existing) = vars.get(&name) {
-            return existing.clone();
-        }
-        let binding = Rc::new(RefCell::new(Binding {
-            id: next_binding_id(),
-            value,
-        }));
-        vars.insert(name, binding.clone());
-        binding
+        self.vars
+            .borrow_mut()
+            .entry(name)
+            .or_insert_with(|| {
+                Rc::new(RefCell::new(Binding {
+                    id: next_binding_id(),
+                    value,
+                }))
+            })
+            .clone()
     }
 
     /// Find the binding for `name`, walking up the scope chain.

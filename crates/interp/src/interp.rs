@@ -189,6 +189,8 @@ pub struct Interp {
     pub(crate) queue: BinaryHeap<Scheduled>,
     pub(crate) queue_seq: u64,
     pub(crate) cancelled_timers: std::collections::HashSet<u64>,
+    /// Buffers of finished VM frames, reused by the next frame.
+    pub(crate) frame_pool: Vec<crate::vm::Frame>,
     rng: u64,
     call_depth: usize,
     /// Prototype objects for primitive-adjacent method lookup.
@@ -229,6 +231,7 @@ impl Interp {
             queue: BinaryHeap::new(),
             queue_seq: 0,
             cancelled_timers: std::collections::HashSet::new(),
+            frame_pool: Vec::new(),
             rng: seed.max(1),
             call_depth: 0,
             array_methods: new_object(),
@@ -1172,52 +1175,59 @@ impl Interp {
         args: &[Value],
         caller_scope: Option<ScopeRef>,
     ) -> JsResult {
-        let obj = match f.as_object() {
-            Some(o) if o.is_callable() => o.clone(),
-            _ => return self.throw("TypeError", "not a function"),
-        };
-        enum Kind {
-            Js(Rc<Func>, ScopeRef, Option<CompiledFn>),
+        enum Callee {
+            Vm(CompiledFn, ScopeRef),
+            Tree(Rc<Func>, ScopeRef),
             Native(NativeFn),
+            NotCallable,
         }
-        let kind = {
-            let b = obj.borrow();
-            match &b.kind {
-                ObjKind::Function(jf) => Kind::Js(jf.func.clone(), jf.env.clone(), jf.code.clone()),
-                ObjKind::Native { f, .. } => Kind::Native(f.clone()),
-                _ => unreachable!("checked is_callable"),
-            }
+        // One borrow of the callee reads everything the call needs; the
+        // AST is cloned only for a closure without bytecode.
+        let callee = match f {
+            Value::Object(o) => match &o.borrow().kind {
+                ObjKind::Function(jf) => match &jf.code {
+                    Some(code) => Callee::Vm(code.clone(), jf.env.clone()),
+                    None => Callee::Tree(jf.func.clone(), jf.env.clone()),
+                },
+                ObjKind::Native { f, .. } => Callee::Native(f.clone()),
+                _ => Callee::NotCallable,
+            },
+            _ => Callee::NotCallable,
         };
-        match kind {
-            Kind::Native(nf) => {
+        match callee {
+            // Compiled closures run on the VM; AST-only closures take the
+            // tree-walker, so the two backends interoperate within one heap.
+            Callee::Vm(code, env) => self.js_frame(|it| it.vm_call(code, &env, this, args)),
+            Callee::Tree(func, env) => {
+                self.js_frame(|it| match it.call_js(&func, &env, this, args) {
+                    Ok(()) => Ok(Value::Undefined),
+                    Err(Control::Return(v)) => Ok(v),
+                    Err(other) => Err(other),
+                })
+            }
+            Callee::Native(nf) => {
                 self.clock.fn_boundary();
                 let ctx = CallCtx { this, caller_scope };
                 let r = nf(self, &ctx, args);
                 self.clock.fn_boundary();
                 r
             }
-            Kind::Js(func, env, code) => {
-                if self.call_depth >= MAX_CALL_DEPTH {
-                    return self.throw("RangeError", "maximum call stack size exceeded");
-                }
-                self.call_depth += 1;
-                self.clock.fn_boundary();
-                let result = match &code {
-                    // Compiled closures run on the VM; AST-only closures
-                    // take the tree-walker, so the two backends interoperate
-                    // within one heap.
-                    Some(code) => self.vm_call(code, &env, this, args),
-                    None => match self.call_js(&func, &env, this, args) {
-                        Ok(()) => Ok(Value::Undefined),
-                        Err(Control::Return(v)) => Ok(v),
-                        Err(other) => Err(other),
-                    },
-                };
-                self.clock.fn_boundary();
-                self.call_depth -= 1;
-                result
-            }
+            Callee::NotCallable => self.throw("TypeError", "not a function"),
         }
+    }
+
+    /// Run an interpreted call's `body` one level deeper, between its two
+    /// function-boundary events.
+    fn js_frame(&mut self, body: impl FnOnce(&mut Interp) -> JsResult) -> JsResult {
+        if self.call_depth >= MAX_CALL_DEPTH {
+            return self.throw("RangeError", "maximum call stack size exceeded");
+        }
+        self.call_depth += 1;
+        self.clock.fn_boundary();
+        let result = body(self);
+        self.clock.fn_boundary();
+        self.call_depth -= 1;
+        result
     }
 
     fn call_js(

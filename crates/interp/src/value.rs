@@ -321,6 +321,15 @@ pub fn advance_object_ids(to: u64) {
     }
 }
 
+/// Use up one object id without allocating. Its registry entry is empty,
+/// as the entry of an object dropped at once would be, so
+/// [`object_by_id`] and [`advance_object_ids`] line up either way. The VM
+/// uses this for the `arguments` array of a body that never names it.
+pub(crate) fn skip_object_id() {
+    NEXT_OBJ_ID.set(NEXT_OBJ_ID.get() + 1);
+    OBJ_REGISTRY.with(|r| r.borrow_mut().push(std::rc::Weak::new()));
+}
+
 /// The live object with this id on this thread, if any.
 pub fn object_by_id(id: u64) -> Option<ObjRef> {
     let index = ID_JUMPS.with(|j| {

@@ -34,15 +34,33 @@
 //! construct that *does* push a scope — disables the cache while its scope
 //! is live (`scopes.len() > 1`). Negative results are never cached, so an
 //! implicit-global creation by a callee is still seen.
+//!
+//! The prologue fills the slots of the names it declares at frame entry:
+//! each declaration of the chunk's compile-time layout ([`Decl`]) carries
+//! its slot, so the first read of a parameter, a hoisted var or function,
+//! `this` or `arguments` is a slot load, not a hash lookup. Other names
+//! (globals, captured variables) fill their slot at first use.
+//!
+//! ## What a call allocates
+//!
+//! A call of `function f(a, b) { return a + b; }` allocates the activation
+//! scope, its binding map (sized once from the layout) and one binding per
+//! parameter. The frame's buffers come from a pool on the interpreter.
+//! `this` and `arguments` are bound only in a chunk that can name them
+//! (see `Ctx::names` in `compile.rs`); elsewhere the prologue uses up the
+//! binding ids and the `arguments` array's object id without allocating,
+//! so every id stays the tree-walker's.
 
-use crate::bytecode::{Chunk, HookSite, Insn, Module, VarRef};
+use crate::bytecode::{Chunk, Decl, HookSite, Init, Insn, Module, VarRef};
 use crate::compile::compile_program;
-use crate::env::{BindingRef, Scope, ScopeRef};
+use crate::env::{skip_binding_id, BindingRef, Scope, ScopeRef};
 use crate::hooks::HookSink;
 use crate::intern::{resolve, sym_of_key, Sym};
 use crate::interp::{Control, Interp, JsResult};
 use crate::ops;
-use crate::value::{new_array, new_object, CompiledFn, JsFunction, ObjKind, ObjRef, Value};
+use crate::value::{
+    new_array, new_object, skip_object_id, CompiledFn, JsFunction, ObjKind, ObjRef, Value,
+};
 use ceres_ast::ast::{Program, UnaryOp};
 use std::rc::Rc;
 
@@ -148,6 +166,59 @@ fn make_closure(module: &Rc<Module>, idx: u32, scope: &ScopeRef) -> Value {
     Value::Object(obj)
 }
 
+/// The buffers of one frame: value stack, scope stack, binding-cache
+/// slots, handler stack, `finally` re-raise slots and for-in iterators.
+/// A finished frame's buffers go back to the interpreter's pool empty, and
+/// the next frame takes them from there, so a warm call allocates none.
+#[derive(Default)]
+pub(crate) struct Frame {
+    stack: Vec<Value>,
+    scopes: Vec<ScopeRef>,
+    slots: Vec<Option<BindingRef>>,
+    handlers: Vec<Handler>,
+    /// One per entered finally body.
+    pendings: Vec<Option<Action>>,
+    /// Live for-in key snapshots: (keys, next index).
+    iters: Vec<(Vec<Rc<str>>, usize)>,
+}
+
+/// Make a frame's prologue declarations (`chunk.prologue`) in `scope`,
+/// writing each binding into its cache slot. The order, the heap ids and
+/// the binding ids are `call_js`'s; an elided `this` or `arguments` uses up
+/// its ids without allocating.
+fn declare_prologue(
+    module: &Rc<Module>,
+    chunk: &Chunk,
+    scope: &ScopeRef,
+    slots: &mut [Option<BindingRef>],
+    mut this: Value,
+    args: &[Value],
+) {
+    for decl in &chunk.prologue {
+        let (sym, init, slot) = match *decl {
+            Decl::Bind { sym, init, slot } => (sym, init, slot),
+            Decl::Elide { object } => {
+                if object {
+                    skip_object_id();
+                }
+                skip_binding_id();
+                continue;
+            }
+        };
+        let value = match init {
+            Init::Arg(i) => args.get(i as usize).cloned().unwrap_or(Value::Undefined),
+            Init::This => std::mem::replace(&mut this, Value::Undefined),
+            Init::Arguments => Value::Object(new_array(args.to_vec())),
+            Init::Undefined => Value::Undefined,
+            Init::Closure(idx) => make_closure(module, idx, scope),
+        };
+        let binding = scope.declare_sym(sym, value);
+        if let Some(slot) = slot {
+            slots[slot as usize] = Some(binding);
+        }
+    }
+}
+
 impl Interp {
     /// Compile and run a program on the VM backend (global scope), timing
     /// the lowering into [`Interp::compile_us`].
@@ -156,43 +227,47 @@ impl Interp {
         let module = Rc::new(compile_program(program, self.hook_sink.is_some()));
         self.compile_us += t0.elapsed().as_micros() as u64;
         let scope = self.global.clone();
-        // Same hoist order as `hoist_into`: all vars, then all functions.
-        let chunk = &module.chunks[0];
-        for sym in &chunk.hoisted_vars {
-            scope.declare_sym(*sym, Value::Undefined);
-        }
-        for (sym, idx) in &chunk.hoisted_funcs {
-            let f = make_closure(&module, *idx, &scope);
-            scope.declare_sym(*sym, f);
-        }
-        self.run_chunk(&module, 0, scope, true).map(|_| ())
+        self.run_frame(&module, 0, scope, Value::Undefined, &[])
+            .map(|_| ())
     }
 
-    /// Run a compiled function body: build the activation (same
-    /// declaration order as `call_js`) and execute its chunk.
+    /// Run a compiled function body in a new activation of `env`.
     pub(crate) fn vm_call(
         &mut self,
-        code: &CompiledFn,
+        code: CompiledFn,
         env: &ScopeRef,
         this: Value,
         args: &[Value],
     ) -> JsResult {
-        let module = code.module.clone();
-        let chunk = &module.chunks[code.chunk as usize];
-        let activation = Scope::child(env);
-        for (i, p) in chunk.params.iter().enumerate() {
-            activation.declare_sym(*p, args.get(i).cloned().unwrap_or(Value::Undefined));
-        }
-        activation.declare_sym(chunk.sym_this, this);
-        activation.declare_sym(chunk.sym_arguments, Value::Object(new_array(args.to_vec())));
-        for sym in &chunk.hoisted_vars {
-            activation.declare_sym(*sym, Value::Undefined);
-        }
-        for (sym, idx) in &chunk.hoisted_funcs {
-            let f = make_closure(&module, *idx, &activation);
-            activation.declare_sym(*sym, f);
-        }
-        self.run_chunk(&module, code.chunk, activation, false)
+        let chunk = &code.module.chunks[code.chunk as usize];
+        let activation = Scope::child_with_capacity(env, chunk.bindings as usize);
+        self.run_frame(&code.module, code.chunk, activation, this, args)
+    }
+
+    /// Take a frame from the pool, make `chunk_idx`'s prologue in `scope`,
+    /// run the chunk, and return the frame's buffers to the pool.
+    fn run_frame(
+        &mut self,
+        module: &Rc<Module>,
+        chunk_idx: u32,
+        scope: ScopeRef,
+        this: Value,
+        args: &[Value],
+    ) -> JsResult {
+        let chunk = &module.chunks[chunk_idx as usize];
+        let mut frame = self.frame_pool.pop().unwrap_or_default();
+        frame.slots.resize(chunk.num_slots as usize, None);
+        declare_prologue(module, chunk, &scope, &mut frame.slots, this, args);
+        frame.scopes.push(scope);
+        let r = self.run_chunk(module, chunk, &mut frame, chunk_idx == 0);
+        frame.stack.clear();
+        frame.scopes.clear();
+        frame.slots.clear();
+        frame.handlers.clear();
+        frame.pendings.clear();
+        frame.iters.clear();
+        self.frame_pool.push(frame);
+        r
     }
 
     /// The dispatch loop: one JS frame.
@@ -203,23 +278,22 @@ impl Interp {
     fn run_chunk(
         &mut self,
         module: &Rc<Module>,
-        chunk_idx: u32,
-        scope: ScopeRef,
+        chunk: &Chunk,
+        frame: &mut Frame,
         is_program: bool,
     ) -> JsResult {
-        let chunk = &module.chunks[chunk_idx as usize];
         let code = &chunk.code[..];
         let strs = &chunk.strs[..];
         let sink = self.hook_sink.clone();
         let mut pc: usize = 0;
-        let mut stack: Vec<Value> = Vec::with_capacity(16);
-        let mut scopes: Vec<ScopeRef> = vec![scope];
-        let mut slots: Vec<Option<BindingRef>> = vec![None; chunk.num_slots as usize];
-        let mut handlers: Vec<Handler> = Vec::new();
-        // `finally` re-raise slots: one per entered finally body.
-        let mut pendings: Vec<Option<Action>> = Vec::new();
-        // Live for-in key snapshots: (keys, next index).
-        let mut iters: Vec<(Vec<Rc<str>>, usize)> = Vec::new();
+        let Frame {
+            stack,
+            scopes,
+            slots,
+            handlers,
+            pendings,
+            iters,
+        } = frame;
 
         'dispatch: loop {
             let insn = code[pc];
@@ -257,7 +331,7 @@ impl Interp {
                     Insn::PushNull => stack.push(Value::Null),
                     Insn::PushBool(b) => stack.push(Value::Bool(b)),
                     Insn::LoadThis { slot } => {
-                        let v = lookup_cached(&scopes, &mut slots, slot, chunk.sym_this)
+                        let v = lookup_cached(scopes, slots, slot, chunk.sym_this)
                             .map(|b| b.borrow().value.clone())
                             .unwrap_or(Value::Undefined);
                         stack.push(v);
@@ -271,20 +345,18 @@ impl Interp {
                         stack.push(v);
                     }
 
-                    Insn::LoadVar { sym, slot } => {
-                        match lookup_cached(&scopes, &mut slots, slot, sym) {
-                            Some(b) => stack.push(b.borrow().value.clone()),
-                            None => {
-                                break 'act throw_action(
-                                    "ReferenceError",
-                                    format!("{} is not defined", resolve(sym)),
-                                );
-                            }
+                    Insn::LoadVar { sym, slot } => match lookup_cached(scopes, slots, slot, sym) {
+                        Some(b) => stack.push(b.borrow().value.clone()),
+                        None => {
+                            break 'act throw_action(
+                                "ReferenceError",
+                                format!("{} is not defined", resolve(sym)),
+                            );
                         }
-                    }
+                    },
                     Insn::StoreVar { sym, slot } => {
                         let v = pop!();
-                        match lookup_cached(&scopes, &mut slots, slot, sym) {
+                        match lookup_cached(scopes, slots, slot, sym) {
                             Some(b) => b.borrow_mut().value = v,
                             None => {
                                 // Implicit global, as sloppy-mode JS creates.
@@ -297,7 +369,7 @@ impl Interp {
                     }
                     Insn::StoreDecl { sym, slot } => {
                         let v = pop!();
-                        match lookup_cached(&scopes, &mut slots, slot, sym) {
+                        match lookup_cached(scopes, slots, slot, sym) {
                             Some(b) => b.borrow_mut().value = v,
                             None => {
                                 let b = scopes.last().expect("scope chain").declare_sym(sym, v);
@@ -308,7 +380,7 @@ impl Interp {
                         }
                     }
                     Insn::TypeofVar { sym, slot } => {
-                        let v = match lookup_cached(&scopes, &mut slots, slot, sym) {
+                        let v = match lookup_cached(scopes, slots, slot, sym) {
                             Some(b) => Value::str(b.borrow().value.type_of()),
                             None => Value::str("undefined"),
                         };
@@ -473,13 +545,14 @@ impl Interp {
                     }
 
                     Insn::Call { argc, src } => {
-                        // Arguments are passed as a slice of the value
-                        // stack — no per-call Vec.
+                        // The callee and the arguments are borrowed from
+                        // the value stack and `this` is moved off it: no
+                        // per-call Vec, no clone.
                         let base = stack.len() - argc as usize;
-                        let f = stack[base - 2].clone();
-                        let this = stack[base - 1].clone();
+                        let this = std::mem::replace(&mut stack[base - 1], Value::Undefined);
                         let caller = scopes.last().expect("scope chain").clone();
-                        let r = self.call_value(&f, this, &stack[base..], Some(caller));
+                        let r =
+                            self.call_value(&stack[base - 2], this, &stack[base..], Some(caller));
                         stack.truncate(base - 2);
                         match r {
                             Ok(v) => stack.push(v),
@@ -505,16 +578,14 @@ impl Interp {
                         // native charges around its body.
                         self.clock.fn_boundary();
                         let site = chunk.hooks[site as usize];
-                        let r = self
-                            .call_typed_hook(&**sink, chunk, site, &mut stack, &scopes, &mut slots);
+                        let r = self.call_typed_hook(&**sink, chunk, site, stack, scopes, slots);
                         self.clock.fn_boundary();
                         stack.push(vm_try!(r));
                     }
                     Insn::New { argc } => {
                         let base = stack.len() - argc as usize;
-                        let f = stack[base - 1].clone();
-                        let scope = scopes.last().expect("scope chain").clone();
-                        let r = self.construct(&f, &stack[base..], &scope);
+                        let scope = scopes.last().expect("scope chain");
+                        let r = self.construct(&stack[base - 1], &stack[base..], scope);
                         stack.truncate(base - 1);
                         let v = vm_try!(r);
                         stack.push(v);

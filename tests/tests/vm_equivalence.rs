@@ -11,6 +11,7 @@
 use ceres_core::engine::run_instrumented;
 use ceres_core::Mode;
 use ceres_interp::ops::{to_int32, to_number, to_uint32};
+use ceres_interp::value::next_object_id;
 use ceres_interp::{set_default_backend, Backend, Interp, Value};
 use proptest::prelude::*;
 
@@ -189,6 +190,10 @@ struct HookStream {
     warnings: Vec<String>,
     polymorphic: Vec<(String, Vec<&'static str>)>,
     tasks: Vec<(String, Vec<u64>, Vec<u64>)>,
+    /// Every (variable or property subject, binding id) written inside a
+    /// loop, with the types written.
+    bindings: Vec<(String, u64, Vec<&'static str>)>,
+    next_object_id: u64,
 }
 
 /// Run `f` on a fresh thread: object and binding ids are thread-local
@@ -211,6 +216,18 @@ fn hook_stream(src: &'static str, mode: Mode, backend: Backend) -> HookStream {
             .map(|(id, r)| (*id, r.instances, r.trips.total().to_bits()))
             .collect();
         records.sort();
+        let mut bindings: Vec<_> = eng
+            .observed_types
+            .iter()
+            .map(|((s, id), tys)| {
+                (
+                    ceres_interp::resolve(*s).to_string(),
+                    *id,
+                    tys.names().collect(),
+                )
+            })
+            .collect();
+        bindings.sort();
         let sorted = |set: &ceres_interp::FxHashSet<u64>| {
             let mut v: Vec<u64> = set.iter().copied().collect();
             v.sort();
@@ -243,6 +260,8 @@ fn hook_stream(src: &'static str, mode: Mode, backend: Backend) -> HookStream {
                 .iter()
                 .map(|t| (t.label.clone(), sorted(&t.reads), sorted(&t.writes)))
                 .collect(),
+            bindings,
+            next_object_id: next_object_id(),
         }
     })
 }
@@ -279,6 +298,109 @@ fn instrumented_runs_fire_identical_hook_streams() {
     );
     assert_eq!(dep.tasks.len(), 2);
     assert!(dep.tasks.iter().all(|t| !t.1.is_empty() && !t.2.is_empty()));
+}
+
+/// Programs that reach every shape of the VM's compile-time prologue: a
+/// body binds `this` and `arguments` only when it can name them, and
+/// otherwise uses up their ids without allocating. Each calls its
+/// functions inside a loop, so Dependence mode records the binding id of
+/// every local they write.
+const PROLOGUE_CASES: &[&str] = &[
+    // Read, write, index-write and `typeof` of `arguments`.
+    "function sum() { var t = 0; for (var i = 0; i < arguments.length; i++) { t += arguments[i]; } return t; }\n\
+     function setFirst(a) { arguments[0] = 9; return a + ':' + arguments[0]; }\n\
+     function replace(a) { arguments = [a, a]; return arguments.length; }\n\
+     function kind() { var k = typeof arguments; return k; }\n\
+     function none(a, b) { var c = a + b; return c; }\n\
+     var out = [];\n\
+     for (var r = 0; r < 3; r++) { out.push(sum(r, 2, 3), setFirst(r), replace(r), kind(), none(r, 1)); }\n\
+     console.log(out.join(','));",
+    // A parameter, a var and a function named `arguments`, and other
+    // redeclarations, which keep the first binding.
+    "function p(arguments) { var t = arguments; return t; }\n\
+     function q(a) { var arguments; var t = typeof arguments + a; return t; }\n\
+     function q2(a) { var arguments = a * 2; return arguments; }\n\
+     function q3(a) { var arguments; var t = a; return t; }\n\
+     function fa(a) { function arguments() { return 'fn'; } var t = a; return t; }\n\
+     function dup(a, a) { var t = a; return t; }\n\
+     function twice() { function h() { return 1; } function h() { return 2; } var t = h(); return t; }\n\
+     function shadow(v) { var v; function v() { return 0; } var t = typeof v; return t; }\n\
+     var out = [];\n\
+     for (var r = 0; r < 3; r++) { out.push(p(r), q(r), q2(r), q3(r), fa(r), dup(r, r + 1), twice(), shadow(r)); }\n\
+     console.log(out.join(','));",
+    // Nested closures, each reading its own `arguments` and `this`.
+    "function outer(a) {\n\
+       var self = this;\n\
+       var inner = function (b) { var t = arguments.length + ':' + (this === self) + ':' + arguments[0]; return t; };\n\
+       var t = arguments.length + '/' + inner(a, 1, 2) + '/' + inner.call(self, 5);\n\
+       return t;\n\
+     }\n\
+     var o = { m: outer, tag: 'o' };\n\
+     var out = [];\n\
+     for (var r = 0; r < 3; r++) { out.push(o.m(r, r), outer(r)); }\n\
+     console.log(out.join(','));",
+    // `this` read only by a nested function.
+    "function make(x) { var y = x * 2; return function () { var t = this.v + y; return t; }; }\n\
+     var holder = { v: 10 };\n\
+     var out = [];\n\
+     for (var r = 0; r < 3; r++) { holder.f = make(r); out.push(holder.f()); }\n\
+     console.log(out.join(','));",
+    // `f.call`, `f.apply` and `new F`, with and without `this` in the body.
+    "function withThis(a, b) { var t = this.k + a + b; return t; }\n\
+     function without(a, b) { var t = a * b; return t; }\n\
+     function Point(x) { this.x = x; }\n\
+     function Plain(x) { var y = x + 1; }\n\
+     var ctx = { k: 100 };\n\
+     var out = [];\n\
+     for (var r = 0; r < 3; r++) {\n\
+       out.push(withThis.call(ctx, r, 1), withThis.apply(ctx, [r, 2]), without.call(null, r, 3), without.apply(ctx, [r, 4]));\n\
+       var p = new Point(r), q = new Plain(r);\n\
+       out.push(p.x, typeof q, q instanceof Plain);\n\
+     }\n\
+     console.log(out.join(','));",
+    // `catch (arguments)` and `for (arguments in o)`.
+    "function c(a) { try { throw a + 1; } catch (arguments) { var t = arguments; return t; } }\n\
+     function c2(a) { try { throw a; } catch (arguments) { } var t = typeof a; return t; }\n\
+     function fi(o) { var ks = []; for (arguments in o) { ks.push(arguments); } return ks.join(''); }\n\
+     function fv(o) { var n = 0; for (var arguments in o) { n++; } return n; }\n\
+     function fe(o) { for (arguments in o) { } var t = 1; return t; }\n\
+     var out = [];\n\
+     for (var r = 0; r < 3; r++) { out.push(c(r), c2(r), fi({ a: 1, b: 2 }), fv({ x: 1, y: 2 }), fe({ z: r })); }\n\
+     console.log(out.join(','));",
+    // A program that binds a `__ceres_*` name, so its hook calls go by
+    // name through the caller's scope, and writes `this.x`.
+    "var __ceres_local = 0;\n\
+     function Thing(v) { this.x = v; var w = v * 2; this.y = w; }\n\
+     function bump(t) { t.x += 1; var n = arguments.length; return n; }\n\
+     var out = [];\n\
+     for (var r = 0; r < 3; r++) { var t = new Thing(r); out.push(bump(t, r), t.x, t.y); __ceres_local = r; }\n\
+     console.log(out.join(','));",
+];
+
+#[test]
+fn prologue_layouts_match_the_tree_walker() {
+    for &src in PROLOGUE_CASES {
+        // Console, completion, ticks and the next object id, uninstrumented.
+        let [tree, vm] = [Backend::Tree, Backend::Vm].map(|b| {
+            on_fresh_thread(move || {
+                let mut interp = interp_on(b, 42);
+                let err = interp.eval_source(src).err().map(|c| format!("{c:?}"));
+                (
+                    interp.console.clone(),
+                    err,
+                    interp.clock.now_ticks(),
+                    next_object_id(),
+                )
+            })
+        });
+        assert_eq!(tree.1, None, "{src}");
+        assert_eq!(tree, vm, "uninstrumented run diverged on:\n{src}");
+        // The hook streams of Dependence mode, binding ids included.
+        let tree = hook_stream(src, Mode::Dependence, Backend::Tree);
+        let vm = hook_stream(src, Mode::Dependence, Backend::Vm);
+        assert!(!tree.bindings.is_empty(), "{src}");
+        assert_eq!(tree, vm, "Dependence instrumentation diverged on:\n{src}");
+    }
 }
 
 /// The message of a thrown error value (or the debug form of any other
