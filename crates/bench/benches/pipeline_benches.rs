@@ -22,7 +22,10 @@ fn bench_pipeline(c: &mut Criterion) {
                 let run = analyze(
                     &server,
                     "app.js",
-                    AnalyzeOptions::builder().mode(mode).build(),
+                    AnalyzeOptions {
+                        mode,
+                        ..AnalyzeOptions::default()
+                    },
                     Box::new(|_, _| Ok(())),
                 )
                 .unwrap();
@@ -45,10 +48,11 @@ fn bench_pipeline(c: &mut Criterion) {
                 let run = analyze(
                     &server,
                     "app.js",
-                    AnalyzeOptions::builder()
-                        .mode(Mode::Dependence)
-                        .focus(focus)
-                        .build(),
+                    AnalyzeOptions {
+                        mode: Mode::Dependence,
+                        focus,
+                        ..AnalyzeOptions::default()
+                    },
                     Box::new(|_, _| Ok(())),
                 )
                 .unwrap();

@@ -5,8 +5,8 @@
 //! carried a hand-rolled copy of the same twelve flags, and the copies
 //! had already drifted (different mode spellings, different error
 //! wording). This is now the single source of truth: one [`FleetArgs`]
-//! struct that maps 1:1 onto [`ceres_core::AnalyzeOptions`] builder
-//! fields and [`FleetPolicy`] knobs, parsed by one function. Mode names
+//! struct that maps 1:1 onto [`ceres_core::AnalyzeOptions`] fields and
+//! [`FleetPolicy`] knobs, parsed by one function. Mode names
 //! delegate to [`ceres_core::parse_mode`] — the same parser the daemon
 //! wire protocol uses — so a mode spelling accepted anywhere is accepted
 //! everywhere.
@@ -18,9 +18,9 @@ use ceres_core::fleet::default_workers;
 use ceres_core::{parse_mode, FaultPlan, FaultSpec, FleetPolicy, Mode};
 use std::time::Duration;
 
-/// The shared fleet/daemon flag set. Field-for-field this mirrors the
-/// `AnalyzeOptions` builder (`mode`, `seed`) plus the fleet supervision
-/// and artifact flags.
+/// The shared fleet/daemon flag set. Field-for-field this mirrors
+/// `AnalyzeOptions` (`mode`, `seed`) plus the fleet supervision and
+/// artifact flags.
 #[derive(Debug, Clone)]
 pub struct FleetArgs {
     /// `--mode` (accepts every spelling `ceres_core::parse_mode` does).
@@ -62,7 +62,9 @@ impl Default for FleetArgs {
     }
 }
 
-fn parsed<T: std::str::FromStr>(value: &str, flag: &str, want: &str) -> Result<T, String> {
+/// Parse `value`, the argument of `flag`, or say what the flag wants:
+/// ``--seed needs an integer (got `abc`)``.
+pub fn parsed<T: std::str::FromStr>(value: &str, flag: &str, want: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("{flag} needs {want} (got `{value}`)"))

@@ -95,6 +95,12 @@ fn parse_args() -> Options {
             usage();
         })
     };
+    let integer = |value: String, flag: &str| -> u64 {
+        ceres_bench::args::parsed(&value, flag, "an integer").unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage();
+        })
+    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--mode" => {
@@ -113,9 +119,9 @@ fn parse_args() -> Options {
                     usage();
                 }
             }
-            "--seed" => opts.seed = next_value(&mut args, "--seed").parse().unwrap_or(2015),
+            "--seed" => opts.seed = integer(next_value(&mut args, "--seed"), "--seed"),
             "--max-ticks" => {
-                opts.max_ticks = next_value(&mut args, "--max-ticks").parse().ok();
+                opts.max_ticks = Some(integer(next_value(&mut args, "--max-ticks"), "--max-ticks"));
             }
             "--report" => opts.report = Some(next_value(&mut args, "--report")),
             "--refactor" => {
@@ -297,12 +303,13 @@ fn main() {
     let run = analyze(
         &server,
         &opts.file,
-        AnalyzeOptions::builder()
-            .mode(opts.mode)
-            .seed(opts.seed)
-            .focus(opts.focus.map(ceres_ast::LoopId))
-            .max_ticks(opts.max_ticks)
-            .build(),
+        AnalyzeOptions {
+            mode: opts.mode,
+            seed: opts.seed,
+            focus: opts.focus.map(ceres_ast::LoopId),
+            max_ticks: opts.max_ticks,
+            ..AnalyzeOptions::default()
+        },
         Box::new(|_, _| Ok(())),
     );
     let mut run = match run {

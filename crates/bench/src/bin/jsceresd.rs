@@ -35,7 +35,7 @@
 //! `result`/`error`). Requests name either
 //! a registry workload (`{"app":"nbody"}` — any slug from
 //! `jsceres analyze-all`) or inline source (`{"source":"var x = 1;"}`),
-//! plus the analysis options of the `AnalyzeOptions` builder. Results
+//! plus the analysis options of `AnalyzeOptions`. Results
 //! are content-addressed: a repeated request is served byte-identically
 //! from the cache without re-entering the interpreter.
 //!
@@ -127,16 +127,12 @@ fn parse_args() -> DaemonOptions {
 }
 
 /// The argument vector for spawning ourselves as a worker: `--worker`
-/// plus the resolved serve defaults, so a worker computes identical
-/// options (and cache keys) for any job line even though the supervisor
-/// already makes every option explicit.
+/// plus the supervision policy, from which a worker takes each job's
+/// wall-clock cap and tick budget. Mode and seed are not passed: every
+/// job line spells them out (`ceres_core::request_wire_json`).
 fn worker_args(config: &ServeConfig) -> Vec<String> {
     let mut args = vec![
         "--worker".to_string(),
-        "--mode".to_string(),
-        ceres_core::mode_wire_name(config.default_mode).to_string(),
-        "--seed".to_string(),
-        config.default_seed.to_string(),
         "--watchdog-wall-ms".to_string(),
         config.policy.wall_budget.as_millis().to_string(),
     ];

@@ -277,9 +277,10 @@ fn fig5() {
     let mut run = ceres_core::analyze(
         &server,
         "index.html",
-        ceres_core::AnalyzeOptions::builder()
-            .mode(Mode::Dependence)
-            .build(),
+        ceres_core::AnalyzeOptions {
+            mode: Mode::Dependence,
+            ..ceres_core::AnalyzeOptions::default()
+        },
         Box::new(|_, _| Ok(())),
     )
     .expect("pipeline");

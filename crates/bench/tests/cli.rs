@@ -81,6 +81,19 @@ fn jsceres_rejects_bad_usage() {
     assert!(!out.status.success());
     let out = jsceres().arg("--mode").arg("bogus").output().unwrap();
     assert!(!out.status.success());
+    // A malformed number is a usage error naming its flag, not a
+    // silent default.
+    let file = write_temp("usage.js", "var x = 1;");
+    for flag in ["--seed", "--max-ticks"] {
+        let out = jsceres().arg(&file).arg(flag).arg("abc").output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} needs an integer (got `abc`)")),
+            "{flag}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(file);
 }
 
 #[test]
@@ -234,8 +247,16 @@ fn analyze_all_metrics_json_is_deterministic_across_worker_counts() {
     assert!(seq.contains("\"totals\""), "{seq}");
 }
 
+/// Once per transport: worker processes (the default), then
+/// `--in-process`.
 #[test]
 fn jsceresd_serves_caches_and_drains() {
+    for transport in [None, Some("--in-process")] {
+        serve_cache_and_drain(transport);
+    }
+}
+
+fn serve_cache_and_drain(transport: Option<&str>) {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use std::process::Stdio;
@@ -245,6 +266,7 @@ fn jsceresd_serves_caches_and_drains() {
         .arg("127.0.0.1:0")
         .arg("--workers")
         .arg("2")
+        .args(transport)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -272,19 +294,27 @@ fn jsceresd_serves_caches_and_drains() {
     let src =
         r#"{"id":"s1","source":"var n = 0; for (var i = 0; i < 9; i++) { n += i; }","mode":"dep"}"#;
     let cold = roundtrip(src);
-    assert!(cold.contains("\"ok\":true"), "{cold}");
+    assert!(cold.contains("\"ok\":true"), "{transport:?}: {cold}");
     assert!(cold.contains("\"cached\":false"), "{cold}");
     let warm = roundtrip(src);
     assert!(warm.contains("\"cached\":true"), "{warm}");
 
     let stats = roundtrip(r#"{"op":"stats"}"#);
     assert!(stats.contains("\"cache_hits\":1"), "{stats}");
+    let backend = transport.map_or("process", |_| "in-process");
+    assert!(
+        stats.contains(&format!("\"backend\":\"{backend}\"")),
+        "{stats}"
+    );
 
     // Shutdown drains and the process exits 0 with a summary on stderr.
     let bye = roundtrip(r#"{"op":"shutdown"}"#);
     assert!(bye.contains("\"ok\":true"), "{bye}");
     let out = daemon.wait_with_output().unwrap();
-    assert!(out.status.success(), "daemon must exit 0 after drain");
+    assert!(
+        out.status.success(),
+        "{transport:?}: daemon must exit 0 after drain"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("drained:"), "{stderr}");
 }

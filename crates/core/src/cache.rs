@@ -521,11 +521,12 @@ mod tests {
     }
 
     fn key(source: &str, mode: Mode, seed: u64, focus: Option<u32>) -> CacheKey {
-        let opts = AnalyzeOptions::builder()
-            .mode(mode)
-            .seed(seed)
-            .focus(focus.map(ceres_ast::LoopId))
-            .build();
+        let opts = AnalyzeOptions {
+            mode,
+            seed,
+            focus: focus.map(ceres_ast::LoopId),
+            ..AnalyzeOptions::default()
+        };
         CacheKey::of(source, &opts, 1)
     }
 

@@ -39,9 +39,11 @@
 #![deny(missing_docs)]
 
 use crate::classify::NestClassification;
-use crate::pipeline::AppRun;
+use crate::pipeline::{analyze, AnalyzeOptions, AppRun, Document, WebServer};
 use crate::stack::render;
+use ceres_dom::DomHandle;
 use ceres_instrument::Mode;
+use ceres_interp::{Interp, JsResult};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -80,6 +82,33 @@ impl JobError {
 /// re-invoked on retry, and `Arc` because a wall-clock-abandoned attempt
 /// keeps its clone alive on the orphaned runner thread.
 pub type JobWork = Arc<dyn Fn(usize, u32) -> Result<AppReport, JobError> + Send + Sync>;
+
+/// The one page runner: the work of analyzing `page` as the app `app`
+/// (`slug`). Each attempt serves the page on its own [`WebServer`], runs
+/// the whole pipeline over it under `opts` with the `interaction`
+/// script, and reduces the run to an [`AppReport`] stamped with its wall
+/// time and worker. Fleet runs and served requests both build their work
+/// here. The page is served as `request.html`, the name a parse error
+/// quotes.
+pub fn page_work(
+    app: String,
+    slug: String,
+    page: Document,
+    opts: AnalyzeOptions,
+    interaction: fn(&mut Interp, &DomHandle) -> JsResult<()>,
+) -> JobWork {
+    Arc::new(move |worker, _attempt| {
+        let start = std::time::Instant::now();
+        let mut server = WebServer::new();
+        server.publish("request.html", page.clone());
+        let run = analyze(&server, "request.html", opts.clone(), Box::new(interaction))
+            .map_err(|c| JobError::from_control(&c))?;
+        let mut report = AppReport::from_run(&app, &slug, opts.mode, &run);
+        report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        report.worker = worker;
+        Ok(report)
+    })
+}
 
 /// One unit of fleet work: analyze one application.
 pub struct FleetJob {
@@ -566,11 +595,12 @@ impl FaultSpec {
             if !(0.0..=1.0).contains(&rate) {
                 return Err(format!("inject rate out of [0,1] in `{clause}`"));
             }
-            match kind {
-                "panic" => spec.panic = rate,
-                "hang" => spec.hang = rate,
-                "error" => spec.error = rate,
-                other => return Err(format!("unknown fault kind `{other}`")),
+            match Fault::named(kind) {
+                Some(Fault::Panic) => spec.panic = rate,
+                Some(Fault::Hang) => spec.hang = rate,
+                Some(Fault::Error) => spec.error = rate,
+                // Fleet jobs run in process, where no worker can abort.
+                Some(Fault::Crash) | None => return Err(format!("unknown fault kind `{kind}`")),
             }
         }
         Ok(spec)
@@ -591,6 +621,58 @@ pub enum Fault {
     Hang,
     /// Report a transient error (exercises retry + backoff).
     Error,
+    /// Abort the worker process (exercises the supervisor's restart).
+    /// Only a served request injects it; see [`with_faults`].
+    Crash,
+}
+
+impl Fault {
+    /// Every fault class by the name `--inject` and a request's `inject`
+    /// give it.
+    pub const KINDS: [(&'static str, Fault); 4] = [
+        ("panic", Fault::Panic),
+        ("hang", Fault::Hang),
+        ("error", Fault::Error),
+        ("crash", Fault::Crash),
+    ];
+
+    /// The fault class called `kind`, if any.
+    pub fn named(kind: &str) -> Option<Fault> {
+        Fault::KINDS
+            .iter()
+            .find(|(name, _)| *name == kind)
+            .map(|&(_, fault)| fault)
+    }
+}
+
+/// The one fault injector: wrap `work` so that `roll(attempt)` picks the
+/// fault, if any, that replaces each attempt. `Panic` unwinds, `Hang`
+/// spins the interpreter until the tick watchdog fires
+/// ([`injected_hang`]), `Error` is a transient failure that a retry can
+/// clear, and `Crash` fails the job: a worker *process* aborts before it
+/// runs a crash-injected job, so a job that gets here runs in process,
+/// where an abort would take the daemon down. The fleet rolls its
+/// [`FaultPlan`]; a served request's `inject` fixes one fault.
+pub fn with_faults(
+    work: JobWork,
+    slug: &str,
+    policy: &FleetPolicy,
+    roll: impl Fn(u32) -> Option<Fault> + Send + Sync + 'static,
+) -> JobWork {
+    let (slug, policy) = (slug.to_string(), policy.clone());
+    Arc::new(move |worker, attempt| match roll(attempt) {
+        None => work(worker, attempt),
+        Some(Fault::Panic) => panic!("injected fault: panic in {slug}"),
+        Some(Fault::Hang) => Err(injected_hang(&policy)),
+        Some(Fault::Error) => Err(JobError::Transient(format!(
+            "injected fault: transient error in {slug}"
+        ))),
+        Some(Fault::Crash) => Err(JobError::Fatal(format!(
+            "injected fault: crash in {slug} requires the process-worker \
+             backend (in-process jobs fail cleanly instead of aborting \
+             the daemon)"
+        ))),
+    })
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -1204,6 +1286,7 @@ mod tests {
                 Some(Fault::Panic) => counts[0] += 1,
                 Some(Fault::Hang) => counts[1] += 1,
                 Some(Fault::Error) => counts[2] += 1,
+                Some(Fault::Crash) => panic!("a fault plan never rolls a crash"),
                 None => none += 1,
             }
         }
@@ -1230,6 +1313,10 @@ mod tests {
         assert!(FaultSpec::parse("panic:2.0").is_err());
         assert!(FaultSpec::parse("panic:x").is_err());
         assert!(FaultSpec::parse("meteor:0.1").is_err());
+        assert_eq!(
+            FaultSpec::parse("crash:0.1"),
+            Err("unknown fault kind `crash`".to_string())
+        );
         assert!(FaultSpec::parse("panic").is_err());
     }
 

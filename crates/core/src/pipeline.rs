@@ -126,23 +126,19 @@ impl AppRun {
     }
 }
 
-/// Options for [`analyze`] — the stable knob surface of the core API.
-///
-/// Construct via [`AnalyzeOptions::builder`]; the struct is
-/// `#[non_exhaustive]` so new knobs can be added without breaking
-/// downstream crates. [`AnalyzeOptions::default`] remains as a migration
-/// shim (fields stay public and individually assignable), but new code
-/// should prefer the builder:
+/// Options for [`analyze`] — the knob surface of the core API. Every
+/// field is public: name the ones that differ from the defaults and take
+/// the rest from [`AnalyzeOptions::default`]:
 ///
 /// ```
 /// use ceres_core::{AnalyzeOptions, Mode};
-/// let opts = AnalyzeOptions::builder()
-///     .mode(Mode::Dependence)
-///     .seed(2015)
-///     .build();
-/// assert_eq!(opts.seed, 2015);
+/// let opts = AnalyzeOptions {
+///     mode: Mode::Dependence,
+///     seed: 7,
+///     ..AnalyzeOptions::default()
+/// };
+/// assert_eq!(opts.max_events, 10_000);
 /// ```
-#[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct AnalyzeOptions {
     /// Instrumentation mode (paper Sec. 3.1–3.3 staging).
@@ -173,67 +169,6 @@ impl Default for AnalyzeOptions {
             max_ticks: None,
             wall_budget: None,
         }
-    }
-}
-
-impl AnalyzeOptions {
-    /// Start building an option set from the defaults.
-    pub fn builder() -> AnalyzeOptionsBuilder {
-        AnalyzeOptionsBuilder {
-            opts: AnalyzeOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`AnalyzeOptions`] (`AnalyzeOptions::builder()`); each
-/// setter overrides one default, `build()` yields the finished options.
-/// This is the single construction path shared by the CLIs, the fleet,
-/// and the `jsceresd` daemon (via `AnalysisRequest::to_options`).
-#[derive(Debug, Clone)]
-pub struct AnalyzeOptionsBuilder {
-    opts: AnalyzeOptions,
-}
-
-impl AnalyzeOptionsBuilder {
-    /// Set the instrumentation mode.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.opts.mode = mode;
-        self
-    }
-
-    /// Set the interpreter seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.opts.seed = seed;
-        self
-    }
-
-    /// Set (or clear) the dependence-mode focus loop.
-    pub fn focus(mut self, focus: Option<ceres_ast::LoopId>) -> Self {
-        self.opts.focus = focus;
-        self
-    }
-
-    /// Cap the number of processed events.
-    pub fn max_events(mut self, max_events: usize) -> Self {
-        self.opts.max_events = max_events;
-        self
-    }
-
-    /// Set (or clear) the deterministic watchdog tick budget.
-    pub fn max_ticks(mut self, max_ticks: Option<u64>) -> Self {
-        self.opts.max_ticks = max_ticks;
-        self
-    }
-
-    /// Set (or clear) the cooperative wall-clock cap.
-    pub fn wall_budget(mut self, wall_budget: Option<std::time::Duration>) -> Self {
-        self.opts.wall_budget = wall_budget;
-        self
-    }
-
-    /// Finish the build.
-    pub fn build(self) -> AnalyzeOptions {
-        self.opts
     }
 }
 
@@ -600,7 +535,10 @@ mod tests {
         let mut run = analyze(
             &server,
             "app.js",
-            AnalyzeOptions::builder().mode(Mode::Dependence).build(),
+            AnalyzeOptions {
+                mode: Mode::Dependence,
+                ..AnalyzeOptions::default()
+            },
             no_interaction(),
         )
         .expect("pipeline");

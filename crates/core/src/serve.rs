@@ -19,7 +19,7 @@
 //!    *same bytes* the one-shot envelope carries. All frames are built
 //!    by one [`render_frame`] (the one-shot envelope is the degenerate
 //!    single-`result` render). The request fields map 1:1 onto the
-//!    [`AnalyzeOptions`] builder, so the daemon, `jsceres`, and
+//!    [`AnalyzeOptions`] fields, so the daemon, `jsceres`, and
 //!    `repro fleet` all speak the same options vocabulary.
 //! 2. **A sharded, persistent, content-addressed result cache.** Each
 //!    analyze request is keyed by [`crate::cache::CacheKey`]; keys route
@@ -28,18 +28,25 @@
 //!    insert is written through to a shard file and reloaded on the next
 //!    start, so a restarted daemon serves warm hits **byte-identically**
 //!    with zero new interpreter ticks.
-//! 3. **One job path, two transports.** Each worker thread pops the
-//!    next admitted job from the ring or the spill file and supervises it
-//!    with [`crate::supervisor::run_job`], and nothing else. With a
-//!    [`crate::supervisor::WorkerSpec`] configured (the `jsceresd`
-//!    default), each worker thread owns one worker *process*
-//!    (`jsceresd --worker`) that calls `run_job` with its stdout as the
-//!    frame sink; a crash costs one job, the supervisor restarts the
-//!    worker with bounded backoff, and the daemon keeps serving. Without
-//!    a spec (library/test default, `jsceresd --in-process`) the worker
-//!    thread calls `run_job` itself, with the client's channel as the
-//!    sink. Either way a job's `phase` frames, `parse` and `rewrite`
-//!    included, come from the same run that produces its result.
+//! 3. **One job path, two transports.** [`resolve`] maps a request to
+//!    its [`ResolvedJob`] and [`CacheKey`], once per process: admission
+//!    resolves each request, looks its key up, and a ring job carries
+//!    that resolution to its worker thread. Only a job popped from the
+//!    spill file is resolved again, from its spec. Each worker thread
+//!    pops the next admitted job and supervises it with
+//!    [`crate::supervisor::run_job`], which runs a resolved job and
+//!    resolves nothing. With a [`crate::supervisor::WorkerSpec`]
+//!    configured (the `jsceresd` default), each worker thread owns one
+//!    worker *process* (`jsceresd --worker`) that resolves the job line
+//!    once and calls `run_job` with its stdout as the frame sink; a
+//!    crash costs one job, the supervisor restarts the worker with
+//!    bounded backoff, and the daemon keeps serving. Without a spec
+//!    (library/test default, `jsceresd --in-process`) the worker thread
+//!    calls `run_job` itself, with the client's channel as the sink.
+//!    Either way a job's `phase` frames, `parse` and `rewrite` included,
+//!    come from the same run that produces its result, and its work is
+//!    the fleet's page runner ([`crate::fleet::page_work`]) under the
+//!    fleet's fault injector ([`crate::fleet::with_faults`]).
 //! 4. **Spill-to-disk admission.** The in-memory ring holds up to
 //!    `queue_capacity` jobs; overflow is appended to a crash-safe
 //!    [`SpillQueue`] segment file and drained strictly FIFO behind the
@@ -66,13 +73,15 @@
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::fleet::{
-    injected_hang, AppOutcome, AppReport, FleetPolicy, JobError, JobWork, API_SCHEMA_VERSION,
+    page_work, with_faults, AppOutcome, Fault, FleetPolicy, JobWork, API_SCHEMA_VERSION,
 };
 use crate::obs::{FleetMetrics, ServeCounters};
-use crate::pipeline::{analyze, AnalyzeOptions, Document, WebServer};
+use crate::pipeline::{AnalyzeOptions, Document};
 use crate::spill::SpillQueue;
-use crate::supervisor::{run_job, SlotOutcome, WorkerResponse, WorkerSlot, WorkerSpec};
+use crate::supervisor::{run_job, FrameSink, SlotOutcome, WorkerResponse, WorkerSlot, WorkerSpec};
+use ceres_dom::DomHandle;
 use ceres_instrument::Mode;
+use ceres_interp::{Interp, JsResult};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -106,7 +115,7 @@ pub const ONESHOT_SCHEMA_VERSION: u32 = 1;
 
 /// One request line. Every field is optional on the wire; `op` defaults
 /// to `"analyze"` and the analysis fields default per [`ServeConfig`].
-/// The analysis fields mirror the [`AnalyzeOptions`] builder one-to-one.
+/// The analysis fields mirror the [`AnalyzeOptions`] fields one-to-one.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AnalysisRequest {
     /// `"analyze"` (default), `"ping"`, `"stats"`, or `"shutdown"`.
@@ -399,7 +408,8 @@ fn error_fragment(error: &str) -> String {
 // Request resolution
 // ---------------------------------------------------------------------
 
-/// A request resolved to runnable work plus its cache identity.
+/// A request resolved to runnable work plus its cache identity; with
+/// its [`CacheKey`], what [`resolve`] returns.
 pub struct ResolvedJob {
     /// Display name for the report.
     pub app: String,
@@ -424,98 +434,41 @@ pub struct ResolvedJob {
 pub type Resolver =
     Arc<dyn Fn(&AnalysisRequest, &AnalyzeOptions) -> Result<ResolvedJob, String> + Send + Sync>;
 
-/// Build the supervised work closure for analyzing raw source text: its
-/// own `WebServer → instrument → Interp → Engine` stack per attempt,
-/// exactly like a fleet job. Sources starting with `<` are served as
-/// HTML (inline scripts extracted); anything else as plain JavaScript.
-pub fn source_work(app: String, slug: String, source: String, opts: AnalyzeOptions) -> JobWork {
-    Arc::new(move |worker, _attempt| {
-        let start = std::time::Instant::now();
-        let mut server = WebServer::new();
-        let doc = if source.trim_start().starts_with('<') {
+impl ResolvedJob {
+    /// Resolve `req` to the analysis of `source` under `opts`, run by
+    /// the [`page_work`] runner with the `interaction` script. A source
+    /// starting with `<` is served as HTML (inline scripts extracted),
+    /// anything else as plain JavaScript. The request's `inject` fault,
+    /// if any, wraps the work ([`with_faults`]; `error` fails the first
+    /// attempt only, every other fault every attempt) and makes the job
+    /// uncacheable. Every resolver ends here, so a request means the
+    /// same work everywhere.
+    pub fn for_page(
+        req: &AnalysisRequest,
+        opts: &AnalyzeOptions,
+        policy: &FleetPolicy,
+        app: &str,
+        slug: &str,
+        source: String,
+        interaction: fn(&mut Interp, &DomHandle) -> JsResult<()>,
+    ) -> Result<ResolvedJob, String> {
+        let page = if source.trim_start().starts_with('<') {
             Document::Html(source.clone())
         } else {
             Document::Js(source.clone())
         };
-        server.publish("request.html", doc);
-        let run = analyze(
-            &server,
-            "request.html",
-            opts.clone(),
-            Box::new(|_, _| Ok(())),
-        )
-        .map_err(|c| JobError::from_control(&c))?;
-        let mut report = AppReport::from_run(&app, &slug, opts.mode, &run);
-        report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        report.worker = worker;
-        Ok(report)
-    })
-}
-
-/// Wrap `inner` with an injected fault (`panic` | `hang` | `error` |
-/// `crash`), mirroring the fleet's seeded harness: `panic` unwinds every
-/// attempt, `hang` spins the interpreter until the tick watchdog fires,
-/// `error` reports a transient failure on the first attempt and then
-/// lets the real work run — exercising panic isolation, watchdog
-/// cancellation, and retry respectively. `crash` aborts the worker
-/// *process* and therefore only bites under the process backend (a
-/// worker process calls `abort` before reaching this closure); on the
-/// in-process backend the closure below fails the job cleanly instead
-/// of taking the daemon down.
-pub fn inject_fault(
-    kind: &str,
-    slug: &str,
-    policy: &FleetPolicy,
-    inner: JobWork,
-) -> Result<JobWork, String> {
-    let slug = slug.to_string();
-    let policy = policy.clone();
-    match kind {
-        "panic" => Ok(Arc::new(move |_, _| {
-            panic!("injected fault: panic in {slug}")
-        })),
-        "hang" => Ok(Arc::new(move |_, _| Err(injected_hang(&policy)))),
-        "error" => Ok(Arc::new(move |worker, attempt| {
-            if attempt == 1 {
-                Err(JobError::Transient(format!(
-                    "injected fault: transient error in {slug}"
-                )))
-            } else {
-                inner(worker, attempt)
-            }
-        })),
-        "crash" => Ok(Arc::new(move |_, _| {
-            Err(JobError::Fatal(format!(
-                "injected fault: crash in {slug} requires the process-worker \
-                 backend (in-process jobs fail cleanly instead of aborting \
-                 the daemon)"
-            )))
-        })),
-        other => Err(format!(
-            "unknown inject kind `{other}` (want panic|hang|error|crash)"
-        )),
-    }
-}
-
-impl ResolvedJob {
-    /// Finish resolving `req` to `work`: wrap it in the request's
-    /// injected fault, if any, which also makes the job uncacheable.
-    /// Shared by every resolver, so injection means the same everywhere.
-    pub fn for_request(
-        req: &AnalysisRequest,
-        policy: &FleetPolicy,
-        app: String,
-        slug: String,
-        source: String,
-        work: JobWork,
-    ) -> Result<ResolvedJob, String> {
-        let work = match &req.inject {
-            Some(kind) => inject_fault(kind, &slug, policy, work)?,
-            None => work,
-        };
+        let mut work = page_work(app.into(), slug.into(), page, opts.clone(), interaction);
+        if let Some(kind) = &req.inject {
+            let fault = Fault::named(kind).ok_or_else(|| {
+                let kinds = Fault::KINDS.map(|(name, _)| name).join("|");
+                format!("unknown inject kind `{kind}` (want {kinds})")
+            })?;
+            let roll = move |attempt| (fault != Fault::Error || attempt == 1).then_some(fault);
+            work = with_faults(work, slug, policy, roll);
+        }
         Ok(ResolvedJob {
-            app,
-            slug,
+            app: app.into(),
+            slug: slug.into(),
             source,
             work,
             cacheable: req.inject.is_none(),
@@ -535,21 +488,24 @@ pub fn source_resolver(policy: FleetPolicy) -> Resolver {
             .source
             .clone()
             .ok_or_else(|| "request needs `app` or `source`".to_string())?;
-        let work = source_work(
-            "inline".to_string(),
-            "inline".to_string(),
-            source.clone(),
-            opts.clone(),
-        );
-        ResolvedJob::for_request(
-            req,
-            &policy,
-            "inline".to_string(),
-            "inline".to_string(),
-            source,
-            work,
-        )
+        let (app, slug) = ("inline", "inline");
+        ResolvedJob::for_page(req, opts, &policy, app, slug, source, |_, _| Ok(()))
     })
+}
+
+/// Map a request to its [`ResolvedJob`] and [`CacheKey`]. A process
+/// resolves each request once: admission does, and a ring job carries
+/// the result to its worker thread. Only a job popped from the spill
+/// file is resolved again, from its spec; a worker process resolves its
+/// job line once.
+pub fn resolve(
+    req: &AnalysisRequest,
+    opts: &AnalyzeOptions,
+    resolver: &Resolver,
+) -> Result<(ResolvedJob, CacheKey), String> {
+    let job = resolver(req, opts)?;
+    let key = CacheKey::of(&job.source, opts, req.scale.unwrap_or(1));
+    Ok((job, key))
 }
 
 /// Build [`AnalyzeOptions`] from a request plus the server defaults.
@@ -563,16 +519,18 @@ pub fn request_options(
         Some(m) => parse_mode(m)?,
         None => config.default_mode,
     };
-    let mut b = AnalyzeOptions::builder()
-        .mode(mode)
-        .seed(req.seed.unwrap_or(config.default_seed))
-        .focus(req.focus.map(ceres_ast::LoopId))
-        .max_ticks(req.max_ticks.or(config.policy.tick_budget))
-        .wall_budget(config.policy.wall_budget.checked_div(2));
+    let mut opts = AnalyzeOptions {
+        mode,
+        seed: req.seed.unwrap_or(config.default_seed),
+        focus: req.focus.map(ceres_ast::LoopId),
+        max_ticks: req.max_ticks.or(config.policy.tick_budget),
+        wall_budget: config.policy.wall_budget.checked_div(2),
+        ..AnalyzeOptions::default()
+    };
     if let Some(me) = req.max_events {
-        b = b.max_events(me as usize);
+        opts.max_events = me as usize;
     }
-    Ok(b.build())
+    Ok(opts)
 }
 
 /// The fields every job fragment leads with.
@@ -705,13 +663,25 @@ impl Default for ServeConfig {
 }
 
 /// One admitted unit of work: a self-contained wire-format job spec
-/// (also the spill payload and the worker job line) and where to send
-/// its frames. Replayed spill jobs have no reply channel — their results
-/// go to the cache only. Every frame goes to the channel; the
-/// connection handler drops non-terminal frames for one-shot clients.
+/// (also the spill payload and the worker job line), where to send its
+/// frames, and, for a ring job, what admission resolved the spec to.
+/// Replayed spill jobs have no reply channel — their results go to the
+/// cache only. Every frame goes to the channel; the connection handler
+/// drops non-terminal frames for one-shot clients.
 struct QueuedJob {
     wire: String,
     reply: Option<mpsc::Sender<Frame>>,
+    /// `None` for a job popped from the spill file: its worker thread
+    /// resolves `wire` again.
+    resolved: Option<Resolved>,
+}
+
+/// A request resolved for a worker thread: its job and cache key, and
+/// whether its client wants the job's frames.
+struct Resolved {
+    job: ResolvedJob,
+    key: CacheKey,
+    stream: bool,
 }
 
 impl QueuedJob {
@@ -1016,7 +986,11 @@ fn next_job(shared: &Shared) -> Option<QueuedJob> {
         if let Some(spill) = q.spill.as_mut() {
             if let Some((seq, wire)) = spill.pop() {
                 let reply = q.waiters.remove(&seq);
-                return Some(QueuedJob { wire, reply });
+                return Some(QueuedJob {
+                    wire,
+                    reply,
+                    resolved: None,
+                });
             }
         }
         q = shared
@@ -1026,30 +1000,18 @@ fn next_job(shared: &Shared) -> Option<QueuedJob> {
     }
 }
 
-/// A queued job's spec parsed and resolved: what a worker needs to run
-/// it and to store and report its result.
-struct PreparedJob {
-    req: AnalysisRequest,
-    key: CacheKey,
-    cacheable: bool,
-    app: String,
-    slug: String,
-}
-
-/// Parse and resolve a queued spec; `Err` is the error fragment. (The
-/// spec was validated at admission; failures here are replay-era drift,
-/// e.g. a registry app renamed between restarts.)
-fn prepare_job(shared: &Shared, job: &QueuedJob) -> Result<PreparedJob, String> {
-    let req: AnalysisRequest = serde_json::from_str(&job.wire)
-        .map_err(|e| error_fragment(&format!("bad queued job spec: {e}")))?;
-    let opts = request_options(&req, &shared.config).map_err(|e| error_fragment(&e))?;
-    let resolved = (shared.resolver)(&req, &opts).map_err(|e| error_fragment(&e))?;
-    Ok(PreparedJob {
-        key: CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1)),
-        req,
-        cacheable: resolved.cacheable,
-        app: resolved.app,
-        slug: resolved.slug,
+/// Resolve a job popped from the spill file from its spec. (The spec was
+/// validated at admission; a failure here is replay-era drift, e.g. a
+/// registry app renamed between restarts.)
+fn resolve_spilled(shared: &Shared, wire: &str) -> Result<Resolved, String> {
+    let req: AnalysisRequest =
+        serde_json::from_str(wire).map_err(|e| format!("bad queued job spec: {e}"))?;
+    let opts = request_options(&req, &shared.config)?;
+    let (job, key) = resolve(&req, &opts, &shared.resolver)?;
+    Ok(Resolved {
+        job,
+        key,
+        stream: req.stream == Some(true),
     })
 }
 
@@ -1059,33 +1021,32 @@ fn prepare_job(shared: &Shared, job: &QueuedJob) -> Result<PreparedJob, String> 
 /// on, one write-through line), and send each client its terminal frame.
 fn exec_loop(shared: &Shared) {
     let mut slot = shared.config.worker_spec.clone().map(WorkerSlot::new);
-    while let Some(job) = next_job(shared) {
-        let prepared = match prepare_job(shared, &job) {
-            Ok(prepared) => prepared,
-            Err(fragment) => {
+    while let Some(mut job) = next_job(shared) {
+        let resolved = job.resolved.take();
+        let resolved = match resolved.map_or_else(|| resolve_spilled(shared, &job.wire), Ok) {
+            Ok(resolved) => resolved,
+            Err(e) => {
                 shared.bump(|c| c.jobs_failed += 1);
-                job.send(Frame::Error { fragment });
+                job.send(Frame::Error {
+                    fragment: error_fragment(&e),
+                });
                 continue;
             }
         };
+        let (key, cacheable) = (&resolved.key, resolved.job.cacheable);
         let resp = match slot.as_mut() {
-            Some(slot) => run_on_slot(shared, slot, &job, &prepared),
+            Some(slot) => run_on_slot(shared, slot, &job, &resolved),
             None => {
-                let reply = job.reply.clone();
-                run_job(
-                    &prepared.req,
-                    &shared.config,
-                    &shared.resolver,
+                let sink = job.reply.clone().filter(|_| resolved.stream).map(|reply| {
                     Box::new(move |frame| {
-                        if let Some(reply) = &reply {
-                            let _ = reply.send(frame);
-                        }
-                    }),
-                )
+                        let _ = reply.send(frame);
+                    }) as FrameSink
+                });
+                run_job(resolved.job, key, &shared.config.policy, sink)
             }
         };
-        let fragment = if resp.ok && prepared.cacheable {
-            shared.cache.insert_or_get(&prepared.key, resp.fragment)
+        let fragment = if resp.ok && cacheable {
+            shared.cache.insert_or_get(key, resp.fragment)
         } else {
             resp.fragment
         };
@@ -1117,7 +1078,7 @@ fn run_on_slot(
     shared: &Shared,
     slot: &mut WorkerSlot,
     job: &QueuedJob,
-    prepared: &PreparedJob,
+    resolved: &Resolved,
 ) -> WorkerResponse {
     let (outcome, restarts) = slot.run(&job.wire, &mut |frame| job.send(frame));
     if restarts > 0 {
@@ -1125,9 +1086,9 @@ fn run_on_slot(
     }
     let failed = |status: &str, attempts: u32, error: &str| {
         WorkerResponse::failed(failure_fragment(
-            &prepared.key.fingerprint(),
-            &prepared.app,
-            &prepared.slug,
+            &resolved.key.fingerprint(),
+            &resolved.job.app,
+            &resolved.job.slug,
             status,
             attempts,
             error,
@@ -1340,15 +1301,9 @@ fn handle_analyze(
         seq: 0,
     };
 
-    let opts = match request_options(req, &shared.config) {
-        Ok(o) => o,
-        Err(e) => {
-            return fw.send(&Frame::Error {
-                fragment: error_fragment(&e),
-            })
-        }
-    };
-    let resolved = match (shared.resolver)(req, &opts) {
+    let resolved = request_options(req, &shared.config)
+        .and_then(|opts| Ok((resolve(req, &opts, &shared.resolver)?, opts)));
+    let ((job, key), opts) = match resolved {
         Ok(r) => r,
         Err(e) => {
             return fw.send(&Frame::Error {
@@ -1362,12 +1317,11 @@ fn handle_analyze(
             c.streams += 1;
         }
     });
-    let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
 
     // Fault-injected requests bypass the cache in both directions: a hit
     // would skip the very supervisor path the injection exists to
     // exercise, and storing the result would leak injection artifacts.
-    if resolved.cacheable {
+    if job.cacheable {
         if let Some(fragment) = shared.cache.lookup(&key) {
             shared.bump(|c| c.cache_hits += 1);
             // A warm hit needs no pipeline: the stream collapses to its
@@ -1432,9 +1386,15 @@ fn handle_analyze(
                 }
             }
         } else {
+            // The worker thread runs what admission resolved.
             q.memory.push_back(QueuedJob {
                 wire,
                 reply: Some(tx),
+                resolved: Some(Resolved {
+                    job,
+                    key,
+                    stream: stream_mode,
+                }),
             });
             let depth = q.memory.len() as u64;
             drop(q);
@@ -1764,8 +1724,24 @@ mod tests {
         assert!(c.contains("\"ok\":false"), "{c}");
         assert!(c.contains("process-worker"), "{c}");
 
-        assert_eq!(server.counters().jobs_failed, 2);
+        // A hang runs until the tick watchdog cancels it, once: a
+        // timeout is not retried, and its result is not cached.
+        let h = roundtrip(addr, r#"{"source":"var x;","inject":"hang"}"#);
+        assert!(h.contains("\"status\":\"timed-out\""), "{h}");
+        assert!(h.contains("\"attempts\":1"), "{h}");
+        assert!(h.contains("\"cached\":false"), "{h}");
+
+        // An unknown kind is refused at admission, naming the kind and
+        // every valid one.
+        let u = roundtrip(addr, r#"{"source":"var x;","inject":"meteor"}"#);
+        assert!(u.contains("\"ok\":false"), "{u}");
+        for name in ["`meteor`", "panic|hang|error|crash"] {
+            assert!(u.contains(name), "missing {name}: {u}");
+        }
+
+        assert_eq!(server.counters().jobs_failed, 3);
         assert_eq!(server.counters().jobs_ok, 3);
+        assert_eq!(server.counters().cache_hits, 0);
         server.shutdown();
     }
 
@@ -1888,6 +1864,110 @@ mod tests {
         );
         assert_eq!(c.jobs_ok, 8);
         assert_eq!(c.rejected_queue_full, 0);
+        server.shutdown();
+    }
+
+    /// Wraps `inner`, counting its calls by the request's source.
+    fn counting(inner: Resolver, counts: &Arc<Mutex<HashMap<String, usize>>>) -> Resolver {
+        let counts = Arc::clone(counts);
+        Arc::new(move |req, opts| {
+            let source = req.source.clone().unwrap_or_default();
+            *counts.lock().unwrap().entry(source).or_default() += 1;
+            inner(req, opts)
+        })
+    }
+
+    /// Poll `done` every millisecond until it holds, panicking with
+    /// `what` after 60 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn each_process_resolves_a_request_once() {
+        let counts = Arc::new(Mutex::new(HashMap::new()));
+        let resolutions = |source: &str| counts.lock().unwrap().get(source).copied();
+        let job = |source: &str| format!(r#"{{"source":"{source}"}}"#);
+        let bind = || TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let policy = FleetPolicy::default();
+
+        // In process: admission resolves a cold request and its worker
+        // thread runs that resolution; a warm hit resolves once more.
+        let resolver = counting(source_resolver(policy.clone()), &counts);
+        let server = serve(bind(), ServeConfig::default(), resolver);
+        let cold = "var c = 1;";
+        let reply = roundtrip(server.local_addr(), &job(cold));
+        assert!(reply.contains("\"cached\":false"), "{reply}");
+        assert_eq!(resolutions(cold), Some(1), "a cold in-process request");
+        let reply = roundtrip(server.local_addr(), &job(cold));
+        assert!(reply.contains("\"cached\":true"), "{reply}");
+        assert_eq!(resolutions(cold), Some(2), "then a warm hit");
+        server.shutdown();
+
+        // A spilled job is resolved at admission and again when popped
+        // from the spill file. One worker and a ring of one: `held`
+        // holds the worker, `queued` fills the ring, `spilled` spills.
+        let (held, queued, spilled) = ("var h = 1;", "var q = 1;", "var s = 1;");
+        let latch = Latch::default();
+        let config = ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        };
+        let gated = gated_resolver(policy.clone(), held.to_string(), &latch);
+        let server = serve(bind(), config, counting(gated, &counts));
+        let addr = server.local_addr();
+        let send = |source: &str| {
+            let line = job(source);
+            std::thread::spawn(move || roundtrip(addr, &line))
+        };
+        let mut replies = vec![send(held)];
+        wait_started(&latch);
+        replies.push(send(queued));
+        // `held` has left the ring, so a ring of one job is `queued`.
+        wait_until("`queued` is in the ring", || {
+            roundtrip(addr, r#"{"op":"stats"}"#).contains("\"queue_depth\":1,")
+        });
+        replies.push(send(spilled));
+        wait_until("`spilled` spills", || server.counters().jobs_spilled == 1);
+        release(&latch);
+        for reply in replies {
+            let reply = reply.join().unwrap();
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+        }
+        let counted = [held, queued, spilled].map(resolutions);
+        assert_eq!(
+            counted,
+            [Some(1), Some(1), Some(2)],
+            "held, queued, spilled"
+        );
+        server.shutdown();
+
+        // With worker processes, the daemon resolves at admission only.
+        // A stand-in worker answers every job line.
+        let script =
+            r#"while read l; do echo '{"ok":true,"ticks":0,"fragment":"\"stub\":1"}'; done"#;
+        let config = ServeConfig {
+            worker_spec: Some(WorkerSpec {
+                program: PathBuf::from("/bin/sh"),
+                args: vec!["-c".to_string(), script.to_string()],
+            }),
+            ..ServeConfig::default()
+        };
+        let resolver = counting(source_resolver(policy), &counts);
+        let server = serve(bind(), config, resolver);
+        let remote = "var r = 1;";
+        let reply = roundtrip(server.local_addr(), &job(remote));
+        assert!(reply.contains("\"stub\":1"), "{reply}");
+        assert_eq!(
+            resolutions(remote),
+            Some(1),
+            "the daemon side of a process job"
+        );
         server.shutdown();
     }
 

@@ -9,17 +9,20 @@
 //! implements it:
 //!
 //! * [`run_job`] is the one code path that supervises a served job: it
-//!   resolves the request, runs it under [`crate::fleet::supervise`] (so
-//!   retry, tick watchdog, and panic containment still apply), streams
-//!   its progress frames to a sink, and builds the result fragment. Both
-//!   transports call it — a worker process with its stdout as the sink,
-//!   the in-process backend on its worker thread with the client's
-//!   channel as the sink.
+//!   takes a job already resolved by [`crate::serve::resolve`], runs it
+//!   under [`crate::fleet::supervise`] (so retry, tick watchdog, and
+//!   panic containment still apply), streams its progress frames to a
+//!   sink, and builds the result fragment. Both transports call it — a
+//!   worker process with its stdout as the sink, the in-process backend
+//!   on its worker thread with the client's channel as the sink. Each
+//!   process resolves a job once: the daemon at admission, and a worker
+//!   process again for its job line, because a resolved job (a closure)
+//!   cannot cross the pipe.
 //! * [`WorkerSpec`] describes how to start one analysis worker — in
 //!   production, `jsceresd --worker …`, the daemon re-executing itself.
 //! * [`worker_serve_stdio`] is the worker side: a loop that reads one
-//!   line-JSON job per line on stdin, runs it through [`run_job`], and
-//!   writes one [`WorkerResponse`] line on stdout.
+//!   line-JSON job per line on stdin, resolves it, runs it through
+//!   [`run_job`], and writes one [`WorkerResponse`] line on stdout.
 //! * [`WorkerSlot`] is the supervisor side: each serve worker thread
 //!   owns one slot, which owns (at most) one child process. A child
 //!   that dies mid-job costs exactly that job: the slot reaps it,
@@ -47,11 +50,11 @@
 #![deny(missing_docs)]
 
 use crate::cache::CacheKey;
-use crate::fleet::{supervise, FleetJob};
+use crate::fleet::{supervise, FleetJob, FleetPolicy};
 use crate::obs::{install_progress_sink, Progress, PHASES};
 use crate::serve::{
-    failure_fragment, request_options, result_fragment, write_line, AnalysisRequest, Frame,
-    Resolver, ServeConfig,
+    failure_fragment, request_options, resolve, result_fragment, write_line, AnalysisRequest,
+    Frame, ResolvedJob, Resolver, ServeConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader};
@@ -65,9 +68,9 @@ use std::time::Duration;
 pub struct WorkerSpec {
     /// Executable to spawn (normally `std::env::current_exe()`).
     pub program: PathBuf,
-    /// Arguments — normally `--worker` plus the resolved serve defaults,
-    /// so the child computes identical options (and cache keys) for
-    /// every job.
+    /// Arguments — normally `--worker` plus the supervision policy
+    /// (wall-clock cap, tick budget). Each job line spells out its own
+    /// options, so a child's defaults never reach a job or its key.
     pub args: Vec<String>,
 }
 
@@ -329,8 +332,9 @@ impl WorkerSlot {
 /// The worker side of the protocol: serve jobs from stdin to stdout
 /// until EOF. This is what `jsceresd --worker` runs. Each job line is an
 /// [`AnalysisRequest`] with options already made explicit by the
-/// supervisor; each job runs through [`run_job`] with stdout as its
-/// frame sink, and ends with one [`WorkerResponse`] line.
+/// supervisor; each is resolved once and runs through [`run_job`], with
+/// stdout as its frame sink for a streaming job, and ends with one
+/// [`WorkerResponse`] line.
 ///
 /// The *process* boundary is reserved for the failures [`run_job`]'s
 /// supervision cannot contain. `inject:"crash"` aborts the worker process
@@ -349,8 +353,9 @@ pub fn worker_serve_stdio(config: &ServeConfig, resolver: &Resolver) -> std::io:
         if trimmed.is_empty() {
             continue;
         }
-        let response = match serde_json::from_str::<AnalysisRequest>(trimmed) {
-            Ok(req) => {
+        let response = serde_json::from_str::<AnalysisRequest>(trimmed)
+            .map_err(|e| format!("bad worker job line: {e}"))
+            .and_then(|req| {
                 if req.inject.as_deref() == Some("crash") {
                     // The one fault `supervise` cannot contain, on
                     // purpose: die the way a segfaulting worker would, so
@@ -362,20 +367,19 @@ pub fn worker_serve_stdio(config: &ServeConfig, resolver: &Resolver) -> std::io:
                     );
                     std::process::abort();
                 }
-                let sink = Box::new(|frame: Frame| {
-                    let _ = write_pipe_line(&frame);
+                let (job, key) = resolve(&req, &request_options(&req, config)?, resolver)?;
+                let sink = (req.stream == Some(true)).then(|| {
+                    Box::new(|frame: Frame| {
+                        let _ = write_pipe_line(&frame);
+                    }) as FrameSink
                 });
-                run_job(&req, config, resolver, sink)
-            }
-            Err(e) => WorkerResponse::failed(failure_fragment(
-                "",
-                "",
-                "",
-                "failed",
-                0,
-                &format!("bad worker job line: {e}"),
-            )),
-        };
+                Ok(run_job(job, &key, &config.policy, sink))
+            })
+            // A line that does not resolve fails with an empty key, app
+            // and slug.
+            .unwrap_or_else(|e| {
+                WorkerResponse::failed(failure_fragment("", "", "", "failed", 0, &e))
+            });
         write_pipe_line(&response)?;
     }
 }
@@ -386,12 +390,12 @@ fn write_pipe_line<T: Serialize>(value: &T) -> std::io::Result<()> {
     write_line(&mut std::io::stdout().lock(), line)
 }
 
-/// Run one served job: resolve `req`, supervise it, and build its
-/// [`WorkerResponse`]. This is the only place a served job is
-/// supervised, whichever transport carries it. A streaming job
-/// (`stream:true`) delivers a `phase` frame per pipeline phase and its
-/// `partial` timing row to `sink` as the pipeline records them. A
-/// request that cannot be resolved fails with an empty key, app and slug.
+/// Run one served job, already resolved to `job` and its `key`: supervise
+/// it under `policy` and build its [`WorkerResponse`]. This is the only
+/// place a served job is supervised, whichever transport carries it; it
+/// resolves nothing. With a `sink` (a streaming client), the job delivers
+/// a `phase` frame per pipeline phase and its `partial` timing row to it
+/// as the pipeline records them.
 ///
 /// Frames reach `sink` only while the per-job gate holds it, and only
 /// under the gate's lock. Closing the gate (taking the sink out, before
@@ -399,20 +403,15 @@ fn write_pipe_line<T: Serialize>(value: &T) -> std::io::Result<()> {
 /// silences stragglers — a runner thread abandoned by the wall watchdog
 /// must not deliver a frame after the terminal one.
 pub fn run_job(
-    req: &AnalysisRequest,
-    config: &ServeConfig,
-    resolver: &Resolver,
-    sink: FrameSink,
+    job: ResolvedJob,
+    key: &CacheKey,
+    policy: &FleetPolicy,
+    sink: Option<FrameSink>,
 ) -> WorkerResponse {
-    let resolved = request_options(req, config).and_then(|opts| Ok((resolver(req, &opts)?, opts)));
-    let (resolved, opts) = match resolved {
-        Ok(r) => r,
-        Err(e) => return WorkerResponse::failed(failure_fragment("", "", "", "failed", 0, &e)),
-    };
-    let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
-    let gate = Arc::new(Mutex::new(Some(sink)));
-    let mut work = resolved.work;
-    if req.stream == Some(true) {
+    let mut work = job.work;
+    let stream = sink.is_some();
+    let gate = Arc::new(Mutex::new(sink));
+    if stream {
         // The sink is installed on the supervised runner thread, where
         // the pipeline's recording points fire; the guard uninstalls it
         // even when the attempt panics. A retried attempt re-emits its
@@ -430,18 +429,18 @@ pub fn run_job(
         });
     }
     let job = FleetJob {
-        app: resolved.app,
-        slug: resolved.slug,
+        app: job.app,
+        slug: job.slug,
         work,
     };
-    let outcome = supervise(&job, 0, &config.policy);
+    let outcome = supervise(&job, 0, policy);
     gate.lock().unwrap_or_else(PoisonError::into_inner).take();
     let ticks = outcome
         .report
         .as_ref()
         .map(|r| r.obs.counters.interp_ticks)
         .unwrap_or(0);
-    let (ok, fragment) = result_fragment(&key, &outcome);
+    let (ok, fragment) = result_fragment(key, &outcome);
     WorkerResponse {
         ok,
         ticks,

@@ -283,10 +283,11 @@ mod tests {
 
     #[test]
     fn whatif_ranks_the_hot_ok_nest_first() {
-        let opts = crate::AnalyzeOptions::builder()
-            .mode(crate::Mode::Dependence)
-            .seed(2015)
-            .build();
+        let opts = crate::AnalyzeOptions {
+            mode: crate::Mode::Dependence,
+            seed: 2015,
+            ..crate::AnalyzeOptions::default()
+        };
         let src = "var out = [];\n\
                    function work(i) { var a = 0; for (var j = 0; j < 60; j++) { a = a + i * j; } return a; }\n\
                    for (var i = 0; i < 40; i++) { out[i] = work(i); }\n\

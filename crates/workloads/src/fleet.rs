@@ -2,36 +2,44 @@
 //! pool. Lives here (not in ceres-core) because the dependency points
 //! workloads → core; the core pool is workload-agnostic.
 //!
-//! This layer also hosts the seeded fault-injection harness: with a
+//! This layer also rolls the seeded fault-injection harness: with a
 //! [`FaultPlan`], a job may (deterministically, per job index and attempt)
 //! panic, hang, or report a transient error *before* doing its real work,
 //! so CI can prove the supervisor degrades gracefully instead of taking
-//! the whole case study down.
+//! the whole case study down. The faults themselves are the core
+//! injector's ([`with_faults`]), the same ones a served `inject` runs.
 
-use crate::registry::{all, run_workload_budgeted};
+use crate::registry::{all, workload_html};
 use ceres_core::fleet::{
-    injected_hang, run_fleet_with, AppReport, Fault, FaultPlan, FleetJob, FleetOutcome,
-    FleetPolicy, JobError,
+    page_work, run_fleet_with, with_faults, FaultPlan, FleetJob, FleetOutcome, FleetPolicy,
 };
-use ceres_core::Mode;
+use ceres_core::{AnalyzeOptions, Document, Mode};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Build one [`FleetJob`] per registered workload, in Table 1 order.
 ///
-/// Each job closure constructs its own `WebServer → instrument → Interp →
-/// Engine` pipeline when a worker picks it up — nothing is shared between
-/// apps, so isolation is by construction rather than by locking. The
-/// policy's budgets are threaded into the pipeline; the fault plan (if
-/// any) is consulted per attempt, so an injected transient error can
-/// clear on retry.
+/// Each job's work is the core page runner ([`page_work`]): it builds
+/// its own `WebServer → instrument → Interp → Engine` pipeline when a
+/// worker picks it up — nothing is shared between apps, so isolation is
+/// by construction rather than by locking. The policy's budgets are
+/// threaded into the pipeline; the fault plan (if any) is rolled per
+/// attempt by the core injector ([`with_faults`]), so an injected
+/// transient error can clear on retry.
 pub fn fleet_jobs(
     mode: Mode,
     scale: u32,
     policy: &FleetPolicy,
     faults: Option<FaultPlan>,
 ) -> Vec<FleetJob> {
-    let policy = policy.clone();
+    let opts = AnalyzeOptions {
+        mode,
+        max_ticks: policy.tick_budget,
+        // Leave headroom under the fleet's hard wall backstop so the
+        // cooperative in-interpreter cap fires first.
+        wall_budget: policy.wall_budget.checked_div(2),
+        ..AnalyzeOptions::default()
+    };
     // Shared epoch so every app's obs record is stamped with its offset
     // from the start of the fleet, letting a chrome trace show occupancy.
     let epoch = Instant::now();
@@ -39,32 +47,17 @@ pub fn fleet_jobs(
         .into_iter()
         .enumerate()
         .map(|(index, w)| {
-            let app = w.name.to_string();
-            let slug = w.slug.to_string();
-            let policy = policy.clone();
+            let (app, slug) = (w.name.to_string(), w.slug.to_string());
+            let page = Document::Html(workload_html(&w, scale));
+            let work = page_work(app.clone(), slug.clone(), page, opts.clone(), w.interaction);
+            let roll = move |attempt| faults.and_then(|p| p.roll(index, attempt));
+            let work = with_faults(work, &slug, policy, roll);
             FleetJob {
-                app: app.clone(),
-                slug: slug.clone(),
+                app,
+                slug,
                 work: Arc::new(move |worker, attempt| {
-                    match faults.and_then(|p| p.roll(index, attempt)) {
-                        Some(Fault::Panic) => panic!("injected fault: panic in {slug}"),
-                        Some(Fault::Hang) => return Err(injected_hang(&policy)),
-                        Some(Fault::Error) => {
-                            return Err(JobError::Transient(format!(
-                                "injected fault: transient error in {slug}"
-                            )))
-                        }
-                        None => {}
-                    }
                     let start = Instant::now();
-                    // Leave headroom under the fleet's hard wall backstop so
-                    // the cooperative in-interpreter cap fires first.
-                    let wall = policy.wall_budget.checked_div(2);
-                    let run = run_workload_budgeted(&w, mode, scale, policy.tick_budget, wall)
-                        .map_err(|c| JobError::from_control(&c))?;
-                    let mut report = AppReport::from_run(&app, &slug, mode, &run);
-                    report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                    report.worker = worker;
+                    let mut report = work(worker, attempt)?;
                     report.obs.wall_start_us = start.duration_since(epoch).as_micros() as u64;
                     Ok(report)
                 }),
@@ -100,7 +93,7 @@ pub fn run_fleet_report_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceres_core::fleet::FaultSpec;
+    use ceres_core::fleet::{injected_hang, FaultSpec, JobError};
 
     #[test]
     fn fleet_jobs_cover_the_registry_in_order() {

@@ -404,12 +404,13 @@ pub fn run_workload_budgeted(
     analyze(
         &server,
         "index.html",
-        AnalyzeOptions::builder()
-            .mode(mode)
-            .seed(2015)
-            .max_ticks(max_ticks)
-            .wall_budget(wall_budget)
-            .build(),
+        AnalyzeOptions {
+            mode,
+            seed: 2015,
+            max_ticks,
+            wall_budget,
+            ..AnalyzeOptions::default()
+        },
         Box::new(interaction),
     )
 }

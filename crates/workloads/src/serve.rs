@@ -3,15 +3,15 @@
 //! `ceres_core::serve` is registry-agnostic (the dependency points
 //! workloads → core), so the daemon's ability to serve `{"app":"haar"}`
 //! requests lives here: a [`Resolver`] that maps registry slugs to their
-//! generated pages and interaction scripts, hands inline `source` to the
-//! core's resolver, and applies per-request fault injection. Shared by the
-//! `jsceresd` binary and the integration tests so both exercise the same
-//! resolution logic.
+//! generated pages and interaction scripts and hands inline `source` to
+//! the core's resolver. Both end in [`ResolvedJob::for_page`], which
+//! applies per-request fault injection. Shared by the `jsceresd` binary
+//! and the integration tests so both exercise the same resolution logic.
 
 use crate::registry::{by_slug, workload_html};
-use ceres_core::fleet::{AppReport, FleetPolicy, JobError, JobWork};
+use ceres_core::fleet::FleetPolicy;
 use ceres_core::serve::{source_resolver, AnalysisRequest, ResolvedJob, Resolver};
-use ceres_core::{analyze, AnalyzeOptions, Document, WebServer};
+use ceres_core::AnalyzeOptions;
 use std::sync::Arc;
 
 /// Build the daemon resolver: registry workloads by `app` slug, with the
@@ -30,21 +30,7 @@ pub fn registry_resolver(policy: FleetPolicy) -> Resolver {
         }
         let w = by_slug(slug)
             .ok_or_else(|| format!("unknown app `{slug}` (see jsceres analyze-all)"))?;
-        let source = workload_html(&w, req.scale.unwrap_or(1));
-        let (app, slug) = (w.name.to_string(), w.slug.to_string());
-        let (app2, slug2) = (app.clone(), slug.clone());
-        let (page, opts, interaction) = (source.clone(), opts.clone(), w.interaction);
-        let work: JobWork = Arc::new(move |worker, _attempt| {
-            let start = std::time::Instant::now();
-            let mut server = WebServer::new();
-            server.publish("index.html", Document::Html(page.clone()));
-            let run = analyze(&server, "index.html", opts.clone(), Box::new(interaction))
-                .map_err(|c| JobError::from_control(&c))?;
-            let mut report = AppReport::from_run(&app2, &slug2, opts.mode, &run);
-            report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            report.worker = worker;
-            Ok(report)
-        });
-        ResolvedJob::for_request(req, &policy, app, slug, source, work)
+        let page = workload_html(&w, req.scale.unwrap_or(1));
+        ResolvedJob::for_page(req, opts, &policy, w.name, w.slug, page, w.interaction)
     })
 }

@@ -25,7 +25,10 @@ fn fig5_pipeline_produces_reports_on_disk() {
     let mut run = analyze(
         &server,
         "index.html",
-        AnalyzeOptions::builder().mode(Mode::Dependence).build(),
+        AnalyzeOptions {
+            mode: Mode::Dependence,
+            ..AnalyzeOptions::default()
+        },
         Box::new(|_, _| Ok(())),
     )
     .expect("pipeline");
@@ -73,10 +76,11 @@ fn focused_analysis_limits_warnings() {
     let run = analyze(
         &server,
         "app.js",
-        AnalyzeOptions::builder()
-            .mode(Mode::Dependence)
-            .focus(Some(ceres_ast::LoopId(2)))
-            .build(),
+        AnalyzeOptions {
+            mode: Mode::Dependence,
+            focus: Some(ceres_ast::LoopId(2)),
+            ..AnalyzeOptions::default()
+        },
         Box::new(|_, _| Ok(())),
     )
     .expect("pipeline");

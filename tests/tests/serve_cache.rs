@@ -135,10 +135,11 @@ fn cache_keys_never_collide_across_workloads_and_options() {
     for w in ceres_workloads::all() {
         for scale in [1u32, 2] {
             let source = workload_html(&w, scale);
-            let opts = AnalyzeOptions::builder()
-                .mode(Mode::Dependence)
-                .seed(2015)
-                .build();
+            let opts = AnalyzeOptions {
+                mode: Mode::Dependence,
+                seed: 2015,
+                ..AnalyzeOptions::default()
+            };
             claim(CacheKey::of(&source, &opts, scale));
         }
     }
@@ -148,11 +149,12 @@ fn cache_keys_never_collide_across_workloads_and_options() {
     for mode in [Mode::Lightweight, Mode::LoopProfile, Mode::Dependence] {
         for seed in [2015u64, 7] {
             for focus in [None, Some(1u32), Some(2)] {
-                let opts = AnalyzeOptions::builder()
-                    .mode(mode)
-                    .seed(seed)
-                    .focus(focus.map(ceres_ast::LoopId))
-                    .build();
+                let opts = AnalyzeOptions {
+                    mode,
+                    seed,
+                    focus: focus.map(ceres_ast::LoopId),
+                    ..AnalyzeOptions::default()
+                };
                 claim(CacheKey::of(source, &opts, 1));
             }
         }
@@ -161,11 +163,14 @@ fn cache_keys_never_collide_across_workloads_and_options() {
 
     // Wall-clock budgets are scheduling policy, not content: they must
     // NOT split the cache.
-    let a = AnalyzeOptions::builder().mode(Mode::Dependence).build();
-    let b = AnalyzeOptions::builder()
-        .mode(Mode::Dependence)
-        .wall_budget(Some(std::time::Duration::from_secs(5)))
-        .build();
+    let a = AnalyzeOptions {
+        mode: Mode::Dependence,
+        ..AnalyzeOptions::default()
+    };
+    let b = AnalyzeOptions {
+        wall_budget: Some(std::time::Duration::from_secs(5)),
+        ..a.clone()
+    };
     assert_eq!(
         CacheKey::of(source, &a, 1).fingerprint(),
         CacheKey::of(source, &b, 1).fingerprint(),
