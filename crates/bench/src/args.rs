@@ -1,35 +1,129 @@
-//! Shared CLI flag parsing for the `jsceres`, `repro`, and `jsceresd`
-//! binaries.
+//! Command-line flags for the `jsceres`, `repro`, and `jsceresd` binaries.
 //!
-//! Before this module, `jsceres analyze-all` and `repro fleet` each
-//! carried a hand-rolled copy of the same twelve flags, and the copies
-//! had already drifted (different mode spellings, different error
-//! wording). This is now the single source of truth: one [`FleetArgs`]
-//! struct that maps 1:1 onto [`ceres_core::AnalyzeOptions`] fields and
-//! [`FleetPolicy`] knobs, parsed by one function. Mode names
-//! delegate to [`ceres_core::parse_mode`] — the same parser the daemon
-//! wire protocol uses — so a mode spelling accepted anywhere is accepted
-//! everywhere.
+//! One scanner, [`Flags`], walks every command's arguments. A command
+//! matches each flag the scanner yields, one arm per flag it takes, and
+//! asks the scanner for that flag's value; anything else is
+//! ``unknown argument `--x` ``. So a command takes exactly the flags it
+//! reads, and every usage error is worded the same way everywhere:
+//! ``--x needs a value``, ``--x needs an integer (got `abc`)``,
+//! ``--x needs a positive integer (got `0`)``. Errors come back as
+//! `Err(String)`; each binary prints it and exits 2 ([`exit_usage`]).
 //!
-//! Parsers return `Err(String)` instead of exiting so each binary keeps
-//! its own usage rendering and exit-code convention (2 for usage).
+//! Two flag sets live here, each parsed straight into what it sets:
+//! [`FleetArgs`], shared by `jsceres analyze-all` and `repro fleet` (both
+//! run [`crate::fleet`]), and [`DaemonArgs`], `jsceresd`'s [`ServeConfig`]
+//! plus how the process runs. The other commands parse their few flags
+//! where they run. Mode names go through [`ceres_core::parse_mode`], the
+//! parser the daemon's wire protocol uses, so a mode spelling accepted
+//! anywhere is accepted everywhere.
 
 use ceres_core::fleet::default_workers;
+use ceres_core::serve::ServeConfig;
 use ceres_core::{parse_mode, FaultPlan, FaultSpec, FleetPolicy, Mode};
+use std::str::FromStr;
 use std::time::Duration;
 
-/// The shared fleet/daemon flag set. Field-for-field this mirrors
-/// `AnalyzeOptions` (`mode`, `seed`) plus the fleet supervision and
-/// artifact flags.
-#[derive(Debug, Clone)]
+/// Print `error` and then `usage`, each when not empty, to stderr and
+/// exit 2: the usage-error code of every binary.
+pub fn exit_usage(error: &str, usage: &str) -> ! {
+    for text in [error, usage] {
+        if !text.is_empty() {
+            eprintln!("{text}");
+        }
+    }
+    std::process::exit(2);
+}
+
+/// This process's arguments after its name; a `-h` or `--help` among
+/// them prints `usage` and exits 2.
+pub fn args_or_help(usage: &str) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        exit_usage("", usage);
+    }
+    args
+}
+
+/// The flag scanner: yields each argument in turn and reads the value of
+/// the flag it last yielded, naming that flag in every error.
+pub struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    /// A scanner over `args` (the arguments after the command's name).
+    pub fn new(args: &'a [String]) -> Flags<'a> {
+        Flags {
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// The next argument, or `None` at the end.
+    pub fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value: ``--x needs a value`` when none is left.
+    pub fn value(&mut self) -> Result<String, String> {
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{} needs a value", self.flag))
+    }
+
+    /// The current flag's value parsed as a `T`, or
+    /// ``--x needs <want> (got `v`)``.
+    pub fn parse<T: FromStr>(&mut self, want: &str) -> Result<T, String> {
+        let value = self.value()?;
+        value
+            .parse()
+            .map_err(|_| format!("{} needs {want} (got `{value}`)", self.flag))
+    }
+
+    /// The current flag's value as an integer.
+    pub fn integer<T: FromStr>(&mut self) -> Result<T, String> {
+        self.parse("an integer")
+    }
+
+    /// The current flag's value as a count of at least 1.
+    pub fn positive<T: FromStr + PartialOrd + From<u8>>(&mut self) -> Result<T, String> {
+        let value = self.value()?;
+        match value.parse() {
+            Ok(n) if n >= T::from(1) => Ok(n),
+            _ => Err(format!(
+                "{} needs a positive integer (got `{value}`)",
+                self.flag
+            )),
+        }
+    }
+
+    /// The current flag's value through `parse`, whose error gets the
+    /// flag's name in front: ``--mode: unknown mode `x` (…)``.
+    pub fn parse_with<T>(
+        &mut self,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let value = self.value()?;
+        parse(&value).map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    /// The error for an argument no arm took: ``unknown argument `--x` ``.
+    pub fn unknown(&self) -> String {
+        format!("unknown argument `{}`", self.flag)
+    }
+}
+
+/// The flags of a fleet run (`jsceres analyze-all`, `repro fleet`).
+#[derive(Debug)]
 pub struct FleetArgs {
-    /// `--mode` (accepts every spelling `ceres_core::parse_mode` does).
+    /// `--mode` (default dependence).
     pub mode: Mode,
     /// `--scale`: workload problem-size multiplier.
     pub scale: u32,
-    /// `--seed`: virtual-clock seed.
-    pub seed: u64,
-    /// `--workers` / `--sequential`.
+    /// `--workers` / `--sequential` (default: the machine parallelism).
     pub workers: usize,
     /// `--json FILE`: merged report artifact.
     pub json: Option<String>,
@@ -41,16 +135,16 @@ pub struct FleetArgs {
     pub deterministic: bool,
     /// `--watchdog-ticks` / `--watchdog-wall-ms`.
     pub policy: FleetPolicy,
-    /// `--inject SPEC` + `--inject-seed N`, combined.
+    /// `--inject SPEC` + `--inject-seed N` (default 7), combined.
     pub faults: Option<FaultPlan>,
 }
 
-impl Default for FleetArgs {
-    fn default() -> Self {
-        FleetArgs {
+impl FleetArgs {
+    /// Parse a fleet command's arguments over the defaults.
+    pub fn parse(args: &[String]) -> Result<FleetArgs, String> {
+        let mut fleet = FleetArgs {
             mode: Mode::Dependence,
             scale: 1,
-            seed: 2015,
             workers: default_workers(),
             json: None,
             metrics: None,
@@ -58,125 +152,40 @@ impl Default for FleetArgs {
             deterministic: false,
             policy: FleetPolicy::default(),
             faults: None,
-        }
-    }
-}
-
-/// Parse `value`, the argument of `flag`, or say what the flag wants:
-/// ``--seed needs an integer (got `abc`)``.
-pub fn parsed<T: std::str::FromStr>(value: &str, flag: &str, want: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag} needs {want} (got `{value}`)"))
-}
-
-/// Parse the shared fleet flags into `defaults`, consuming every
-/// recognized flag. Unknown flags are an error (the caller renders its
-/// own usage text).
-pub fn parse_fleet_args(args: &[String], defaults: FleetArgs) -> Result<FleetArgs, String> {
-    let mut flags = defaults;
-    let mut inject: Option<FaultSpec> = None;
-    let mut inject_seed: u64 = 7;
-    let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--mode" => {
-                flags.mode = parse_mode(&value(args, i, "--mode")?)?;
-                i += 2;
-            }
-            "--scale" => {
-                flags.scale = parsed(&value(args, i, "--scale")?, "--scale", "an integer")?;
-                i += 2;
-            }
-            "--seed" => {
-                flags.seed = parsed(&value(args, i, "--seed")?, "--seed", "an integer")?;
-                i += 2;
-            }
-            "--workers" => {
-                let n: usize = parsed(
-                    &value(args, i, "--workers")?,
-                    "--workers",
-                    "a positive integer",
-                )?;
-                if n == 0 {
-                    return Err("--workers needs a positive integer".to_string());
+        };
+        let (mut inject, mut inject_seed) = (None::<FaultSpec>, 7);
+        let mut f = Flags::new(args);
+        while let Some(flag) = f.next_flag() {
+            match flag {
+                "--mode" => fleet.mode = f.parse_with(parse_mode)?,
+                "--scale" => fleet.scale = f.positive()?,
+                "--workers" => fleet.workers = f.positive()?,
+                "--sequential" => fleet.workers = 1,
+                "--json" => fleet.json = Some(f.value()?),
+                "--metrics" => fleet.metrics = Some(f.value()?),
+                "--trace" => fleet.trace = Some(f.value()?),
+                "--deterministic" => fleet.deterministic = true,
+                "--watchdog-ticks" => fleet.policy.tick_budget = Some(f.integer()?),
+                "--watchdog-wall-ms" => {
+                    fleet.policy.wall_budget = Duration::from_millis(f.integer()?)
                 }
-                flags.workers = n;
-                i += 2;
+                "--inject" => inject = Some(f.parse_with(FaultSpec::parse)?),
+                "--inject-seed" => inject_seed = f.integer()?,
+                _ => return Err(f.unknown()),
             }
-            "--sequential" => {
-                flags.workers = 1;
-                i += 1;
-            }
-            "--json" => {
-                flags.json = Some(value(args, i, "--json")?);
-                i += 2;
-            }
-            "--metrics" => {
-                flags.metrics = Some(value(args, i, "--metrics")?);
-                i += 2;
-            }
-            "--trace" => {
-                flags.trace = Some(value(args, i, "--trace")?);
-                i += 2;
-            }
-            "--deterministic" => {
-                flags.deterministic = true;
-                i += 1;
-            }
-            "--watchdog-ticks" => {
-                flags.policy.tick_budget = Some(parsed(
-                    &value(args, i, "--watchdog-ticks")?,
-                    "--watchdog-ticks",
-                    "an integer",
-                )?);
-                i += 2;
-            }
-            "--watchdog-wall-ms" => {
-                let ms: u64 = parsed(
-                    &value(args, i, "--watchdog-wall-ms")?,
-                    "--watchdog-wall-ms",
-                    "an integer",
-                )?;
-                flags.policy.wall_budget = Duration::from_millis(ms);
-                i += 2;
-            }
-            "--inject" => {
-                inject = Some(
-                    FaultSpec::parse(&value(args, i, "--inject")?)
-                        .map_err(|e| format!("--inject: {e}"))?,
-                );
-                i += 2;
-            }
-            "--inject-seed" => {
-                inject_seed = parsed(
-                    &value(args, i, "--inject-seed")?,
-                    "--inject-seed",
-                    "an integer",
-                )?;
-                i += 2;
-            }
-            other => return Err(format!("unknown argument `{other}`")),
         }
+        fleet.faults = inject
+            .filter(|s| !s.is_zero())
+            .map(|s| FaultPlan::new(s, inject_seed));
+        Ok(fleet)
     }
-    flags.faults = inject
-        .filter(|s| !s.is_zero())
-        .map(|s| FaultPlan::new(s, inject_seed));
-    Ok(flags)
 }
 
-/// The `jsceresd`-only flag set, peeled off *before* the shared fleet
-/// flags: serving topology (address, queue/cache bounds, shard count),
-/// persistence directories, and backend selection. The shared flags the
-/// daemon reads (workers, watchdog, mode, seed) pass through in `rest`;
-/// the fleet-only ones it would ignore are refused. All flags are
-/// documented operator-facing in `docs/OPERATIONS.md`.
-#[derive(Debug, Clone, Default)]
+/// What `jsceresd` runs: the served configuration, from
+/// [`ServeConfig::default`] plus the flags, and the three flags that say
+/// how the process runs rather than what it serves. Every flag is
+/// documented for operators in `docs/OPERATIONS.md`.
+#[derive(Debug)]
 pub struct DaemonArgs {
     /// `--addr HOST:PORT` (default `127.0.0.1:7015`; port 0 picks one).
     pub addr: String,
@@ -187,94 +196,51 @@ pub struct DaemonArgs {
     /// path themselves instead of handing it to worker processes (same
     /// job path and bytes; loses crash isolation).
     pub in_process: bool,
-    /// `--queue-cap N`: in-memory job-ring bound (overflow spills).
-    pub queue_capacity: Option<usize>,
-    /// `--cache-cap N`: result-cache capacity in entries, all shards.
-    pub cache_capacity: Option<usize>,
-    /// `--cache-shards N`: number of cache shards.
-    pub cache_shards: Option<usize>,
-    /// `--cache-dir DIR`: persist the result cache here across restarts.
-    pub cache_dir: Option<String>,
-    /// `--spill-dir DIR`: keep the overflow queue here; the backlog
-    /// survives restarts and is replayed on start.
-    pub spill_dir: Option<String>,
-    /// Unrecognized (shared fleet) flags, for [`parse_fleet_args`].
-    pub rest: Vec<String>,
+    /// `--workers`, `--queue-cap`, `--cache-cap`, `--cache-shards`,
+    /// `--cache-dir`, `--spill-dir`, `--mode`, `--seed` and the watchdog
+    /// budgets, each on its field.
+    pub config: ServeConfig,
 }
 
-/// Peel the daemon-only flags out of `args`; pass `DaemonArgs::rest` on
-/// to [`parse_fleet_args`] for the shared set. A fleet-only flag (report
-/// artifacts, `--scale`, fault injection) is an error naming it.
-pub fn parse_daemon_args(args: &[String]) -> Result<DaemonArgs, String> {
-    let mut d = DaemonArgs {
-        addr: "127.0.0.1:7015".to_string(),
-        ..DaemonArgs::default()
-    };
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let positive = |v: &str, flag: &str| -> Result<usize, String> {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!("{flag} needs a positive integer (got `{v}`)")),
-        }
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                d.addr = value(args, i, "--addr")?;
-                i += 2;
-            }
-            "--worker" => {
-                d.worker = true;
-                i += 1;
-            }
-            "--in-process" => {
-                d.in_process = true;
-                i += 1;
-            }
-            "--queue-cap" => {
-                d.queue_capacity = Some(positive(&value(args, i, "--queue-cap")?, "--queue-cap")?);
-                i += 2;
-            }
-            "--cache-cap" => {
-                d.cache_capacity = Some(positive(&value(args, i, "--cache-cap")?, "--cache-cap")?);
-                i += 2;
-            }
-            "--cache-shards" => {
-                d.cache_shards = Some(positive(
-                    &value(args, i, "--cache-shards")?,
-                    "--cache-shards",
-                )?);
-                i += 2;
-            }
-            "--cache-dir" => {
-                d.cache_dir = Some(value(args, i, "--cache-dir")?);
-                i += 2;
-            }
-            "--spill-dir" => {
-                d.spill_dir = Some(value(args, i, "--spill-dir")?);
-                i += 2;
-            }
-            flag @ ("--scale" | "--json" | "--metrics" | "--trace" | "--deterministic"
-            | "--inject" | "--inject-seed") => {
-                return Err(format!("jsceresd does not take {flag}"));
-            }
-            _ => {
-                d.rest.push(args[i].clone());
-                i += 1;
+impl DaemonArgs {
+    /// Parse `jsceresd`'s arguments over the defaults.
+    pub fn parse(args: &[String]) -> Result<DaemonArgs, String> {
+        let mut daemon = DaemonArgs {
+            addr: "127.0.0.1:7015".to_string(),
+            worker: false,
+            in_process: false,
+            config: ServeConfig::default(),
+        };
+        let config = &mut daemon.config;
+        let mut f = Flags::new(args);
+        while let Some(flag) = f.next_flag() {
+            match flag {
+                "--addr" => daemon.addr = f.value()?,
+                "--worker" => daemon.worker = true,
+                "--in-process" => daemon.in_process = true,
+                "--workers" => config.workers = f.positive()?,
+                "--queue-cap" => config.queue_capacity = f.positive()?,
+                "--cache-cap" => config.cache_capacity = f.positive()?,
+                "--cache-shards" => config.cache_shards = f.positive()?,
+                "--cache-dir" => config.cache_dir = Some(f.value()?.into()),
+                "--spill-dir" => config.spill_dir = Some(f.value()?.into()),
+                "--mode" => config.default_mode = f.parse_with(parse_mode)?,
+                "--seed" => config.default_seed = f.integer()?,
+                "--watchdog-ticks" => config.policy.tick_budget = Some(f.integer()?),
+                "--watchdog-wall-ms" => {
+                    config.policy.wall_budget = Duration::from_millis(f.integer()?)
+                }
+                _ => return Err(f.unknown()),
             }
         }
+        Ok(daemon)
     }
-    Ok(d)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -282,47 +248,49 @@ mod tests {
 
     #[test]
     fn defaults_pass_through_untouched() {
-        let f = parse_fleet_args(&[], FleetArgs::default()).unwrap();
+        let f = FleetArgs::parse(&[]).unwrap();
         assert_eq!(f.mode, Mode::Dependence);
         assert_eq!(f.scale, 1);
-        assert_eq!(f.seed, 2015);
+        assert_eq!(f.workers, default_workers());
         assert!(f.faults.is_none());
+        let d = DaemonArgs::parse(&[]).unwrap();
+        assert_eq!(d.addr, "127.0.0.1:7015");
+        assert_eq!(d.config.workers, 2);
+        assert_eq!(d.config.default_mode, Mode::LoopProfile);
+        assert_eq!(d.config.default_seed, 2015);
+        assert_eq!(d.config.queue_capacity, 64);
+        assert_eq!(d.config.cache_capacity, 256);
+        assert_eq!(d.config.cache_shards, 8);
     }
 
     #[test]
     fn every_shared_flag_maps_onto_its_field() {
-        let f = parse_fleet_args(
-            &sv(&[
-                "--mode",
-                "loop-profile",
-                "--scale",
-                "3",
-                "--seed",
-                "42",
-                "--workers",
-                "2",
-                "--json",
-                "out.json",
-                "--metrics",
-                "m.json",
-                "--trace",
-                "t.json",
-                "--deterministic",
-                "--watchdog-ticks",
-                "500",
-                "--watchdog-wall-ms",
-                "9000",
-                "--inject",
-                "panic:0.5",
-                "--inject-seed",
-                "11",
-            ]),
-            FleetArgs::default(),
-        )
+        let f = FleetArgs::parse(&sv(&[
+            "--mode",
+            "loop-profile",
+            "--scale",
+            "3",
+            "--workers",
+            "2",
+            "--json",
+            "out.json",
+            "--metrics",
+            "m.json",
+            "--trace",
+            "t.json",
+            "--deterministic",
+            "--watchdog-ticks",
+            "500",
+            "--watchdog-wall-ms",
+            "9000",
+            "--inject",
+            "panic:0.5",
+            "--inject-seed",
+            "11",
+        ]))
         .unwrap();
         assert_eq!(f.mode, Mode::LoopProfile);
         assert_eq!(f.scale, 3);
-        assert_eq!(f.seed, 42);
         assert_eq!(f.workers, 2);
         assert_eq!(f.json.as_deref(), Some("out.json"));
         assert_eq!(f.metrics.as_deref(), Some("m.json"));
@@ -349,44 +317,51 @@ mod tests {
             ("deps", Mode::Dependence),
             ("dependence", Mode::Dependence),
         ] {
-            let f = parse_fleet_args(&sv(&["--mode", spelling]), FleetArgs::default()).unwrap();
+            let f = FleetArgs::parse(&sv(&["--mode", spelling])).unwrap();
             assert_eq!(f.mode, want, "spelling `{spelling}`");
+            let d = DaemonArgs::parse(&sv(&["--mode", spelling])).unwrap();
+            assert_eq!(d.config.default_mode, want, "spelling `{spelling}`");
         }
     }
 
     #[test]
     fn errors_name_the_flag() {
-        for bad in [
-            sv(&["--mode", "quantum"]),
-            sv(&["--workers", "0"]),
-            sv(&["--workers"]),
-            sv(&["--inject", "meteor:0.1"]),
-            sv(&["--frobnicate"]),
+        for (bad, want) in [
+            (sv(&["--mode", "quantum"]), "--mode: unknown mode `quantum`"),
+            (
+                sv(&["--workers", "0"]),
+                "--workers needs a positive integer (got `0`)",
+            ),
+            (
+                sv(&["--scale", "0"]),
+                "--scale needs a positive integer (got `0`)",
+            ),
+            (sv(&["--workers"]), "--workers needs a value"),
+            (sv(&["--inject", "meteor:0.1"]), "--inject: "),
+            (sv(&["--frobnicate"]), "unknown argument `--frobnicate`"),
+            // A fleet runs every app with the registry seed.
+            (sv(&["--seed", "42"]), "unknown argument `--seed`"),
         ] {
-            let e = parse_fleet_args(&bad, FleetArgs::default()).unwrap_err();
-            assert!(!e.is_empty(), "{bad:?}");
+            let e = FleetArgs::parse(&bad).unwrap_err();
+            assert!(e.contains(want), "{bad:?}: {e}");
         }
     }
 
     #[test]
     fn sequential_overrides_workers_in_order() {
-        let f = parse_fleet_args(
-            &sv(&["--workers", "8", "--sequential"]),
-            FleetArgs::default(),
-        )
-        .unwrap();
+        let f = FleetArgs::parse(&sv(&["--workers", "8", "--sequential"])).unwrap();
         assert_eq!(f.workers, 1);
     }
 
     #[test]
     fn zero_rate_inject_disables_the_plan() {
-        let f = parse_fleet_args(&sv(&["--inject", "panic:0.0"]), FleetArgs::default()).unwrap();
+        let f = FleetArgs::parse(&sv(&["--inject", "panic:0.0"])).unwrap();
         assert!(f.faults.is_none());
     }
 
     #[test]
-    fn daemon_flags_peel_off_and_pass_the_rest_through() {
-        let d = parse_daemon_args(&sv(&[
+    fn daemon_flags_land_in_the_serve_config() {
+        let d = DaemonArgs::parse(&sv(&[
             "--addr",
             "0.0.0.0:9000",
             "--queue-cap",
@@ -404,20 +379,29 @@ mod tests {
             "dep",
             "--seed",
             "9",
+            "--workers",
+            "3",
+            "--watchdog-ticks",
+            "500",
+            "--watchdog-wall-ms",
+            "9000",
         ]))
         .unwrap();
         assert_eq!(d.addr, "0.0.0.0:9000");
-        assert_eq!(d.queue_capacity, Some(16));
-        assert_eq!(d.cache_capacity, Some(512));
-        assert_eq!(d.cache_shards, Some(4));
-        assert_eq!(d.cache_dir.as_deref(), Some("/tmp/ceres-cache"));
-        assert_eq!(d.spill_dir.as_deref(), Some("/tmp/ceres-spill"));
         assert!(d.in_process);
         assert!(!d.worker);
-        assert_eq!(d.rest, sv(&["--mode", "dep", "--seed", "9"]));
-        let f = parse_fleet_args(&d.rest, FleetArgs::default()).unwrap();
-        assert_eq!(f.mode, Mode::Dependence);
-        assert_eq!(f.seed, 9);
+        let c = &d.config;
+        assert_eq!(c.queue_capacity, 16);
+        assert_eq!(c.cache_capacity, 512);
+        assert_eq!(c.cache_shards, 4);
+        assert_eq!(c.cache_dir, Some(PathBuf::from("/tmp/ceres-cache")));
+        assert_eq!(c.spill_dir, Some(PathBuf::from("/tmp/ceres-spill")));
+        assert_eq!(c.default_mode, Mode::Dependence);
+        assert_eq!(c.default_seed, 9);
+        assert_eq!(c.workers, 3);
+        assert_eq!(c.policy.tick_budget, Some(500));
+        assert_eq!(c.policy.wall_budget, Duration::from_millis(9000));
+        assert!(DaemonArgs::parse(&sv(&["--worker"])).unwrap().worker);
     }
 
     #[test]
@@ -434,7 +418,7 @@ mod tests {
             sv(&["--inject", "panic:1.0"]),
             sv(&["--inject-seed", "7"]),
         ] {
-            let e = parse_daemon_args(&bad).unwrap_err();
+            let e = DaemonArgs::parse(&bad).unwrap_err();
             assert!(e.contains(&bad[0]), "{bad:?}: {e}");
         }
     }

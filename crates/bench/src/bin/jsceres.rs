@@ -15,11 +15,12 @@
 //!   --deterministic         zero wall-clock fields in --metrics/--trace
 //!
 //! jsceres analyze-all [options]     analyze the whole 12-app fleet
+//!                                   (the same command as `repro fleet`)
 //!
 //!   --mode light|loop|dep   instrumentation mode (default: dep)
 //!   --scale <n>             workload problem-size multiplier (default 1)
-//!   --workers <n>           worker threads (default: CERES_FLEET_WORKERS
-//!                           or the machine parallelism)
+//!   --workers <n>           worker threads (default: the machine
+//!                           parallelism)
 //!   --sequential            shorthand for --workers 1
 //!   --json <file>           also write the merged report as JSON
 //!   --watchdog-ticks <n>    per-app deterministic tick budget
@@ -36,22 +37,36 @@
 //! 3 = partial success, 4 = no app succeeded.
 //! ```
 //!
+//! Each form takes exactly the flags listed for it; any other is a usage
+//! error (exit 2).
+//!
 //! The file is served through the in-process proxy pipeline (Fig. 5), run
 //! to completion (event queue drained, no user interaction), and the
 //! analysis is printed: timing, loop profile, warnings, polymorphism, and
 //! the Table 3-style nest classification.
 
+use ceres_bench::{args_or_help, exit_usage, write_obs, Flags, FleetArgs};
 use ceres_core::report::{
     render_loop_profile, render_nest_table, render_polymorphism, render_warnings, ReportRepo,
 };
-use ceres_core::{analyze, publish_report, AnalyzeOptions, Document, Mode, WebServer};
+use ceres_core::{analyze, parse_mode, publish_report, AnalyzeOptions, Document, Mode, WebServer};
 
+const USAGE: &str = "usage: jsceres <file.js|file.html> [--mode light|loop|dep] [--focus N]\n\
+\x20              [--seed N] [--max-ticks N] [--report DIR] [--emit-instrumented]\n\
+\x20              [--refactor LOOP_ID] [--metrics FILE] [--trace FILE]\n\
+\x20              [--deterministic]\n\
+\x20      jsceres analyze-all [--mode light|loop|dep] [--scale N] [--workers N]\n\
+\x20              [--sequential] [--json FILE] [--watchdog-ticks N]\n\
+\x20              [--watchdog-wall-ms N] [--inject SPEC] [--inject-seed N]\n\
+\x20              [--metrics FILE] [--trace FILE] [--deterministic]";
+
+/// What `--focus` and `--refactor` want.
+const LOOP_ID: &str = "a loop id from the loop profile";
+
+/// `jsceres <file>`: the analysis options plus what to do with the run.
 struct Options {
     file: String,
-    mode: Mode,
-    focus: Option<u32>,
-    seed: u64,
-    max_ticks: Option<u64>,
+    analyze: AnalyzeOptions,
     report: Option<String>,
     emit_instrumented: bool,
     refactor: Option<u32>,
@@ -60,28 +75,10 @@ struct Options {
     deterministic: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: jsceres <file.js|file.html> [--mode light|loop|dep] [--focus N]\n\
-         \x20              [--seed N] [--max-ticks N] [--report DIR] [--emit-instrumented]\n\
-         \x20              [--refactor LOOP_ID] [--metrics FILE] [--trace FILE]\n\
-         \x20              [--deterministic]\n\
-         \x20      jsceres analyze-all [--mode light|loop|dep] [--scale N] [--workers N]\n\
-         \x20              [--sequential] [--json FILE] [--watchdog-ticks N]\n\
-         \x20              [--watchdog-wall-ms N] [--inject SPEC] [--inject-seed N]\n\
-         \x20              [--metrics FILE] [--trace FILE] [--deterministic]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Options {
-    let mut args = std::env::args().skip(1);
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         file: String::new(),
-        mode: Mode::LoopProfile,
-        focus: None,
-        seed: 2015,
-        max_ticks: None,
+        analyze: AnalyzeOptions::default(),
         report: None,
         emit_instrumented: false,
         refactor: None,
@@ -89,143 +86,40 @@ fn parse_args() -> Options {
         trace: None,
         deterministic: false,
     };
-    let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            usage();
-        })
-    };
-    let integer = |value: String, flag: &str| -> u64 {
-        ceres_bench::args::parsed(&value, flag, "an integer").unwrap_or_else(|e| {
-            eprintln!("{e}");
-            usage();
-        })
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--mode" => {
-                opts.mode = match ceres_core::parse_mode(&next_value(&mut args, "--mode")) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        usage();
-                    }
-                };
-            }
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--mode" => opts.analyze.mode = f.parse_with(parse_mode)?,
             "--focus" => {
-                opts.focus = next_value(&mut args, "--focus").parse().ok();
-                if opts.focus.is_none() {
-                    eprintln!("--focus needs a loop id (see the loop profile output)");
-                    usage();
-                }
+                opts.analyze.focus = Some(ceres_ast::LoopId(f.parse(LOOP_ID)?));
             }
-            "--seed" => opts.seed = integer(next_value(&mut args, "--seed"), "--seed"),
-            "--max-ticks" => {
-                opts.max_ticks = Some(integer(next_value(&mut args, "--max-ticks"), "--max-ticks"));
-            }
-            "--report" => opts.report = Some(next_value(&mut args, "--report")),
-            "--refactor" => {
-                opts.refactor = next_value(&mut args, "--refactor").parse().ok();
-                if opts.refactor.is_none() {
-                    eprintln!("--refactor needs a loop id (see the loop profile output)");
-                    usage();
-                }
-            }
+            "--seed" => opts.analyze.seed = f.integer()?,
+            "--max-ticks" => opts.analyze.max_ticks = Some(f.integer()?),
+            "--report" => opts.report = Some(f.value()?),
             "--emit-instrumented" => opts.emit_instrumented = true,
-            "--metrics" => opts.metrics = Some(next_value(&mut args, "--metrics")),
-            "--trace" => opts.trace = Some(next_value(&mut args, "--trace")),
+            "--refactor" => opts.refactor = Some(f.parse(LOOP_ID)?),
+            "--metrics" => opts.metrics = Some(f.value()?),
+            "--trace" => opts.trace = Some(f.value()?),
             "--deterministic" => opts.deterministic = true,
-            "-h" | "--help" => usage(),
-            other if opts.file.is_empty() && !other.starts_with('-') => {
-                opts.file = other.to_string();
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
+            file if opts.file.is_empty() && !file.starts_with('-') => opts.file = file.to_string(),
+            _ => return Err(f.unknown()),
         }
     }
-    if opts.file.is_empty() {
-        usage();
-    }
-    opts
-}
-
-/// `jsceres analyze-all`: fan the registered workloads across the fleet
-/// worker pool and print the merged Table 2/Table 3 renderings.
-fn analyze_all(args: &[String]) {
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        usage();
-    }
-    let flags = match ceres_bench::parse_fleet_args(args, ceres_bench::FleetArgs::default()) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    let (mode, scale, workers) = (flags.mode, flags.scale, flags.workers);
-    let (json, metrics_path, trace_path) = (flags.json, flags.metrics, flags.trace);
-    let (deterministic, policy, faults) = (flags.deterministic, flags.policy, flags.faults);
-
-    let start = std::time::Instant::now();
-    let outcome = ceres_workloads::run_fleet_report_with(mode, scale, workers, &policy, faults);
-    let wall = start.elapsed().as_secs_f64();
-
-    println!(
-        "-- fleet: {} apps ({} ok, {} failed), {} workers, mode {:?}, scale {scale} ({wall:.2}s wall) --\n",
-        outcome.apps.len(),
-        outcome.succeeded(),
-        outcome.failures().len(),
-        workers,
-        mode
-    );
-    println!("-- Table 2: task durations (virtual-clock ms) --");
-    print!("{}", outcome.render_table2());
-    if mode != Mode::Lightweight {
-        println!("\n-- Table 3: dominant loop nests --");
-        print!("{}", outcome.render_table3());
-    }
-    if !outcome.all_ok() {
-        println!("\n-- per-app status --");
-        print!("{}", outcome.render_status());
-    }
-    if let Some(path) = json {
-        if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nJSON report written to {path}");
-    }
-    if metrics_path.is_some() || trace_path.is_some() {
-        let metrics = ceres_core::FleetMetrics::from_outcome(&outcome, &policy, deterministic);
-        if let Some(path) = metrics_path {
-            if let Err(e) = std::fs::write(&path, metrics.to_json()) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("metrics written to {path} (schema docs/METRICS.md)");
-        }
-        if let Some(path) = trace_path {
-            if let Err(e) = std::fs::write(&path, ceres_core::chrome_trace(&metrics)) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("chrome trace written to {path} (open in chrome://tracing)");
-        }
-    }
-    std::process::exit(outcome.exit_code());
+    Ok(opts)
 }
 
 fn main() {
-    // Fleet subcommand takes its own flags; dispatch before normal parsing.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv = args_or_help(USAGE);
     if argv.first().map(String::as_str) == Some("analyze-all") {
-        analyze_all(&argv[1..]);
-        return;
+        let args = FleetArgs::parse(&argv[1..]).unwrap_or_else(|e| exit_usage(&e, USAGE));
+        std::process::exit(ceres_bench::fleet(&args));
     }
 
-    let opts = parse_args();
+    let opts = parse_args(&argv).unwrap_or_else(|e| exit_usage(&e, USAGE));
+    if opts.file.is_empty() {
+        exit_usage("", USAGE);
+    }
+    let mode = opts.analyze.mode;
     let content = match std::fs::read_to_string(&opts.file) {
         Ok(c) => c,
         Err(e) => {
@@ -233,19 +127,14 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let is_html = opts.file.ends_with(".html") || opts.file.ends_with(".htm");
+    let doc = if opts.file.ends_with(".html") || opts.file.ends_with(".htm") {
+        Document::Html(content)
+    } else {
+        Document::Js(content)
+    };
 
     if let Some(loop_id) = opts.refactor {
-        let source = if is_html {
-            ceres_dom::extract_scripts(&content)
-                .iter()
-                .map(|b| b.content.as_str())
-                .collect::<Vec<_>>()
-                .join("\n")
-        } else {
-            content.clone()
-        };
-        match ceres_parser::parse_and_number(&source) {
+        match ceres_parser::parse_and_number(&doc.script_text()) {
             Ok((program, _)) => {
                 match ceres_instrument::refactor_loop(&program, ceres_ast::LoopId(loop_id)) {
                     Ok(p) => {
@@ -266,22 +155,9 @@ fn main() {
     }
 
     if opts.emit_instrumented {
-        let source = if is_html {
-            ceres_dom::extract_scripts(&content)
-                .iter()
-                .map(|b| b.content.as_str())
-                .collect::<Vec<_>>()
-                .join("\n")
-        } else {
-            content.clone()
-        };
-        match ceres_instrument::instrument_source(&source, opts.mode) {
+        match ceres_instrument::instrument_source(&doc.script_text(), mode) {
             Ok((out, loops)) => {
-                eprintln!(
-                    "// {} loops instrumented ({:?} mode)",
-                    loops.len(),
-                    opts.mode
-                );
+                eprintln!("// {} loops instrumented ({mode:?} mode)", loops.len());
                 println!("{out}");
                 return;
             }
@@ -293,25 +169,8 @@ fn main() {
     }
 
     let mut server = WebServer::new();
-    let doc = if is_html {
-        Document::Html(content)
-    } else {
-        Document::Js(content)
-    };
     server.publish(&opts.file, doc);
-
-    let run = analyze(
-        &server,
-        &opts.file,
-        AnalyzeOptions {
-            mode: opts.mode,
-            seed: opts.seed,
-            focus: opts.focus.map(ceres_ast::LoopId),
-            max_ticks: opts.max_ticks,
-            ..AnalyzeOptions::default()
-        },
-        Box::new(|_, _| Ok(())),
-    );
+    let run = analyze(&server, &opts.file, opts.analyze, Box::new(|_, _| Ok(())));
     let mut run = match run {
         Ok(r) => r,
         Err(e) => {
@@ -339,24 +198,24 @@ fn main() {
 
     {
         let engine = run.engine.borrow();
-        if opts.mode != Mode::Lightweight {
+        if mode != Mode::Lightweight {
             println!("\n-- loop profile --");
             print!("{}", render_loop_profile(&engine));
         }
-        if opts.mode == Mode::Dependence {
+        if mode == Mode::Dependence {
             println!("\n-- dependence warnings --");
             print!("{}", render_warnings(&engine));
             println!("\n-- polymorphism --");
             print!("{}", render_polymorphism(&engine));
         }
     }
-    if opts.mode != Mode::Lightweight {
+    if mode != Mode::Lightweight {
         let nests = run.nests();
         if !nests.is_empty() {
             let engine = run.engine.borrow();
             println!("\n-- loop nests (Table 3 style) --");
             print!("{}", render_nest_table(&engine, &nests));
-            if opts.mode == Mode::Dependence {
+            if mode == Mode::Dependence {
                 println!("\n-- suggestions --");
                 print!(
                     "{}",
@@ -366,12 +225,11 @@ fn main() {
         }
     }
 
+    let app = std::path::Path::new(&opts.file)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("app");
     if let Some(dir) = &opts.report {
-        let app = std::path::Path::new(&opts.file)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("app")
-            .to_string();
         let mut repo = match ReportRepo::open(dir) {
             Ok(r) => r,
             Err(e) => {
@@ -379,7 +237,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        match publish_report(&mut run, &mut repo, &app) {
+        match publish_report(&mut run, &mut repo, app) {
             Ok(commit) => println!("\nreport committed as {commit} under {dir}"),
             Err(e) => eprintln!("report failed: {e}"),
         }
@@ -387,31 +245,16 @@ fn main() {
 
     // Emitted last so the obs record includes the report phase if
     // --report ran.
-    if opts.metrics.is_some() || opts.trace.is_some() {
-        let app = std::path::Path::new(&opts.file)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("app");
-        let metrics = ceres_core::FleetMetrics::single(
+    if opts.metrics.is_some() {
+        println!();
+    }
+    write_obs(opts.metrics.as_deref(), opts.trace.as_deref(), || {
+        ceres_core::FleetMetrics::single(
             app,
             app,
-            &format!("{:?}", opts.mode),
+            &format!("{mode:?}"),
             &run.obs,
             opts.deterministic,
-        );
-        if let Some(path) = &opts.metrics {
-            if let Err(e) = std::fs::write(path, metrics.to_json()) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("\nmetrics written to {path} (schema docs/METRICS.md)");
-        }
-        if let Some(path) = &opts.trace {
-            if let Err(e) = std::fs::write(path, ceres_core::chrome_trace(&metrics)) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("chrome trace written to {path} (open in chrome://tracing)");
-        }
-    }
+        )
+    });
 }

@@ -28,6 +28,10 @@
 //!   --watchdog-wall-ms <n>  per-job wall-clock backstop (default 120000)
 //! ```
 //!
+//! The flags parse into a `ceres_core::serve::ServeConfig` that starts
+//! from its defaults (`ceres_bench::DaemonArgs`); any other flag is a
+//! usage error (exit 2).
+//!
 //! Protocol: line-delimited JSON over TCP — see `docs/SERVING.md`. One
 //! request per line; one response line per request by default, or — with
 //! `"stream":true` — a schema-2 frame sequence (`accepted`, per-phase
@@ -50,81 +54,18 @@
 //! client sends `{"op":"shutdown"}` (or SIGTERM/SIGINT arrives) and the
 //! drain completes.
 
+use ceres_bench::{args_or_help, exit_usage, DaemonArgs};
 use ceres_core::serve::{serve, ServeConfig};
 use ceres_core::supervisor::{worker_serve_stdio, WorkerSpec};
-use ceres_core::Mode;
 use ceres_workloads::registry_resolver;
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: jsceresd [--addr HOST:PORT] [--workers N] [--in-process] [--worker]\n\
-         \x20               [--queue-cap N] [--spill-dir DIR]\n\
-         \x20               [--cache-cap N] [--cache-shards N] [--cache-dir DIR]\n\
-         \x20               [--mode light|loop|dep] [--seed N] [--watchdog-ticks N]\n\
-         \x20               [--watchdog-wall-ms N]"
-    );
-    std::process::exit(2);
-}
-
-struct DaemonOptions {
-    addr: String,
-    worker: bool,
-    in_process: bool,
-    config: ServeConfig,
-}
-
-fn parse_args() -> DaemonOptions {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        usage();
-    }
-    let daemon = match ceres_bench::parse_daemon_args(&args) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    let defaults = ceres_bench::FleetArgs {
-        mode: Mode::LoopProfile,
-        workers: 2,
-        ..Default::default()
-    };
-    let flags = match ceres_bench::parse_fleet_args(&daemon.rest, defaults) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    let mut config = ServeConfig {
-        workers: flags.workers,
-        policy: flags.policy,
-        default_mode: flags.mode,
-        default_seed: flags.seed,
-        ..ServeConfig::default()
-    };
-    if let Some(n) = daemon.queue_capacity {
-        config.queue_capacity = n;
-    }
-    if let Some(n) = daemon.cache_capacity {
-        config.cache_capacity = n;
-    }
-    if let Some(n) = daemon.cache_shards {
-        config.cache_shards = n;
-    }
-    config.cache_dir = daemon.cache_dir.map(PathBuf::from);
-    config.spill_dir = daemon.spill_dir.map(PathBuf::from);
-    DaemonOptions {
-        addr: daemon.addr,
-        worker: daemon.worker,
-        in_process: daemon.in_process,
-        config,
-    }
-}
+const USAGE: &str = "usage: jsceresd [--addr HOST:PORT] [--workers N] [--in-process] [--worker]\n\
+\x20               [--queue-cap N] [--spill-dir DIR]\n\
+\x20               [--cache-cap N] [--cache-shards N] [--cache-dir DIR]\n\
+\x20               [--mode light|loop|dep] [--seed N] [--watchdog-ticks N]\n\
+\x20               [--watchdog-wall-ms N]";
 
 /// The argument vector for spawning ourselves as a worker: `--worker`
 /// plus the supervision policy, from which a worker takes each job's
@@ -179,7 +120,8 @@ fn install_signal_drain(drain: ceres_core::DrainHandle) {
 fn install_signal_drain(_drain: ceres_core::DrainHandle) {}
 
 fn main() {
-    let mut opts = parse_args();
+    let args = args_or_help(USAGE);
+    let mut opts = DaemonArgs::parse(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
     let policy = opts.config.policy.clone();
 
     if opts.worker {

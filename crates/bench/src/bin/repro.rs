@@ -7,14 +7,16 @@
 //!                                   overhead, speedup, fleet,
 //!                                   fleet-bench, all}
 //!
-//! repro fleet [--workers N] [--sequential] [--json FILE]
+//! repro fleet [--mode light|loop|dep] [--scale N] [--workers N]
+//!             [--sequential] [--json FILE]
 //!             [--watchdog-ticks N] [--watchdog-wall-ms N]
 //!             [--inject SPEC] [--inject-seed N]
 //!             [--metrics FILE] [--trace FILE] [--deterministic]
 //!     run the 12-app fleet through the fault-tolerant parallel analyzer
-//!     and print the merged Table 2/Table 3 (`repro --parallel` is an
-//!     alias). One crashing/hanging app degrades its own row, never the
-//!     fleet. Exit: 0 = all ok, 3 = partial success, 4 = total failure.
+//!     and print the merged Table 2/Table 3: the same command, flags and
+//!     report as `jsceres analyze-all`. One crashing/hanging app degrades
+//!     its own row, never the fleet. Exit: 0 = all ok, 3 = partial
+//!     success, 4 = total failure.
 //!     `--inject panic:0.3,hang:0.1,error:0.2` plus `--inject-seed`
 //!     deterministically injects faults (the CI resilience smoke).
 //!     `--metrics` writes the versioned observability JSON (see
@@ -46,10 +48,14 @@
 //!     parallelized app fails the equivalence gate.
 //! ```
 //!
+//! Each subcommand takes exactly the flags listed for it; any other is a
+//! usage error (exit 2).
+//!
 //! Absolute numbers come from the virtual clock / this machine; the claim
 //! being reproduced is the *shape* (who wins, ratios, classifications) —
 //! see EXPERIMENTS.md for the side-by-side with the paper.
 
+use ceres_bench::{exit_usage, write_artifact, Flags, FleetArgs};
 use ceres_core::{amdahl_bound, render, Difficulty, Mode, WarningKind};
 use ceres_survey as survey;
 use ceres_workloads::{all as workloads, run_workload};
@@ -57,40 +63,33 @@ use std::time::Instant;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let target = argv.first().cloned().unwrap_or_else(|| "all".to_string());
-    match target.as_str() {
-        "fig1" => fig1(),
-        "fig2" => fig2(),
-        "fig3" => fig3(),
-        "fig4" => fig4(),
-        "fig5" => fig5(),
-        "fig6" => fig6(),
-        "table1" => table1(),
-        "table2" => table2(),
-        "table3" => table3(),
-        "amdahl" => amdahl(),
-        "tasklimit" => tasklimit(),
-        "overhead" => overhead(),
-        "speedup" => speedup(),
-        "fleet" | "--parallel" => fleet(&argv[1..]),
-        "fleet-bench" => fleet_bench(&argv[1..]),
-        "bench" => bench(&argv[1..]),
-        "whatif" => whatif_cmd(&argv[1..]),
-        "parallel-bench" => parallel_bench_cmd(&argv[1..]),
-        "all" => {
-            for f in [
-                fig1, fig2, fig3, fig4, table1, table2, table3, fig5, fig6, amdahl, tasklimit,
-                overhead,
-            ] {
-                f();
-                println!();
-            }
-            whatif_cmd(&[]);
-            println!();
-            parallel_bench_cmd(&[]);
-            println!();
-            speedup();
+    let (target, args) = match argv.split_first() {
+        Some((target, args)) => (target.as_str(), args),
+        None => ("all", &[][..]),
+    };
+    let run: fn() = match target {
+        "fig1" => fig1,
+        "fig2" => fig2,
+        "fig3" => fig3,
+        "fig4" => fig4,
+        "fig5" => fig5,
+        "fig6" => fig6,
+        "table1" => table1,
+        "table2" => table2,
+        "table3" => table3,
+        "amdahl" => amdahl,
+        "tasklimit" => tasklimit,
+        "overhead" => overhead,
+        "speedup" => speedup,
+        "all" => all,
+        "fleet" => {
+            let args = FleetArgs::parse(args).unwrap_or_else(|e| exit_usage(&e, ""));
+            std::process::exit(ceres_bench::fleet(&args));
         }
+        "fleet-bench" => return check(fleet_bench(args)),
+        "bench" => return check(bench(args)),
+        "whatif" => return check(whatif_cmd(args)),
+        "parallel-bench" => return check(parallel_bench_cmd(args)),
         other => {
             eprintln!("unknown target `{other}`");
             eprintln!(
@@ -98,7 +97,35 @@ fn main() {
             );
             std::process::exit(2);
         }
+    };
+    // The remaining targets take no flags.
+    let mut f = Flags::new(args);
+    if f.next_flag().is_some() {
+        exit_usage(&f.unknown(), "");
     }
+    run();
+}
+
+/// Exit 2 on a subcommand's usage error.
+fn check(parsed: Result<(), String>) {
+    if let Err(e) = parsed {
+        exit_usage(&e, "");
+    }
+}
+
+/// Every table and figure, in the paper's order.
+fn all() {
+    for f in [
+        fig1, fig2, fig3, fig4, table1, table2, table3, fig5, fig6, amdahl, tasklimit, overhead,
+    ] {
+        f();
+        println!();
+    }
+    check(whatif_cmd(&[]));
+    println!();
+    check(parallel_bench_cmd(&[]));
+    println!();
+    speedup();
 }
 
 fn header(title: &str) {
@@ -318,77 +345,6 @@ fn fig6() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Parallel fleet analyzer
-// ---------------------------------------------------------------------
-
-/// Parse the shared fleet flag set (see `ceres_bench::args`), exiting
-/// with the usage code on error.
-fn parse_fleet_flags(args: &[String]) -> ceres_bench::FleetArgs {
-    match ceres_bench::parse_fleet_args(args, ceres_bench::FleetArgs::default()) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn fleet(args: &[String]) {
-    let flags = parse_fleet_flags(args);
-    header("Parallel fleet analyzer: all 12 apps, one pipeline per worker");
-    let start = Instant::now();
-    let outcome = ceres_workloads::run_fleet_report_with(
-        flags.mode,
-        flags.scale,
-        flags.workers,
-        &flags.policy,
-        flags.faults,
-    );
-    let wall = start.elapsed().as_secs_f64();
-    println!(
-        "{} apps ({} ok, {} failed) on {} workers in {wall:.2}s wall",
-        outcome.apps.len(),
-        outcome.succeeded(),
-        outcome.failures().len(),
-        flags.workers
-    );
-    println!("\n-- Table 2: task durations (virtual-clock ms) --");
-    print!("{}", outcome.render_table2());
-    println!("\n-- Table 3: dominant loop nests --");
-    print!("{}", outcome.render_table3());
-    if !outcome.all_ok() {
-        println!("\n-- per-app status --");
-        print!("{}", outcome.render_status());
-    }
-    if let Some(path) = &flags.json {
-        if let Err(e) = std::fs::write(path, outcome.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nJSON report written to {path}");
-    }
-    if flags.metrics.is_some() || flags.trace.is_some() {
-        let metrics =
-            ceres_core::FleetMetrics::from_outcome(&outcome, &flags.policy, flags.deterministic);
-        if let Some(path) = &flags.metrics {
-            if let Err(e) = std::fs::write(path, metrics.to_json()) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("metrics written to {path} (schema docs/METRICS.md)");
-        }
-        if let Some(path) = &flags.trace {
-            if let Err(e) = std::fs::write(path, ceres_core::chrome_trace(&metrics)) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("chrome trace written to {path} (open in chrome://tracing)");
-        }
-    }
-    std::process::exit(outcome.exit_code());
-}
-
 /// Sec. 3.4: the cost of watching. Per-app virtual-clock readings under
 /// each instrumentation mode; slowdowns are relative to the lightweight
 /// baseline and fully deterministic.
@@ -398,8 +354,18 @@ fn overhead() {
     print!("{}", ceres_workloads::render_overhead(&rows));
 }
 
-fn fleet_bench(args: &[String]) {
-    let flags = parse_fleet_flags(args);
+/// `repro fleet-bench [--workers N] [--json FILE]`: a clean
+/// dependence-mode fleet, timed sequential and on `--workers`.
+fn fleet_bench(args: &[String]) -> Result<(), String> {
+    let (mut workers, mut json) = (ceres_core::default_workers(), None);
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--workers" => workers = f.positive()?,
+            "--json" => json = Some(f.value()?),
+            _ => return Err(f.unknown()),
+        }
+    }
     header("Fleet speedup: sequential vs parallel analysis (wall clock)");
     let time_fleet = |workers: usize| -> f64 {
         let t = Instant::now();
@@ -419,23 +385,21 @@ fn fleet_bench(args: &[String]) {
     // Warm both paths once (file reads, allocator), then measure.
     time_fleet(1);
     let seq_ms = time_fleet(1);
-    let par_ms = time_fleet(flags.workers);
+    let par_ms = time_fleet(workers);
     let speedup = seq_ms / par_ms;
     println!(
-        "sequential {seq_ms:.0} ms | parallel({} workers) {par_ms:.0} ms | speedup {speedup:.2}x",
-        flags.workers
+        "sequential {seq_ms:.0} ms | parallel({workers} workers) {par_ms:.0} ms | speedup {speedup:.2}x"
     );
-    if let Some(path) = &flags.json {
-        let json = format!(
-            "{{\"seq_ms\": {seq_ms:.3}, \"par_ms\": {par_ms:.3}, \"workers\": {}, \"speedup\": {speedup:.4}}}\n",
-            flags.workers
+    if let Some(path) = &json {
+        write_artifact(
+            path,
+            format!(
+                "{{\"seq_ms\": {seq_ms:.3}, \"par_ms\": {par_ms:.3}, \"workers\": {workers}, \"speedup\": {speedup:.4}}}\n"
+            ),
         );
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
         println!("JSON written to {path}");
     }
+    Ok(())
 }
 
 /// The recorded perf trajectory: run the 12-app fleet under all three
@@ -444,57 +408,19 @@ fn fleet_bench(args: &[String]) {
 /// the previous report is embedded so one file carries the before/after
 /// pair and the headline dependence-mode speedup. See
 /// `docs/PERFORMANCE.md` for the playbook.
-fn bench(args: &[String]) {
-    let mut json: Option<String> = None;
-    let mut baseline: Option<String> = None;
+fn bench(args: &[String]) -> Result<(), String> {
+    let (mut json, mut baseline) = (None, None);
     let mut label = "current".to_string();
-    let mut scale: u32 = 1;
-    let mut reps: u32 = 3;
-    let value = |args: &[String], i: usize, flag: &str| -> String {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json = Some(value(args, i, "--json"));
-                i += 2;
-            }
-            "--baseline" => {
-                baseline = Some(value(args, i, "--baseline"));
-                i += 2;
-            }
-            "--label" => {
-                label = value(args, i, "--label");
-                i += 2;
-            }
-            "--scale" => {
-                scale = match value(args, i, "--scale").parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--scale needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            "--reps" => {
-                reps = match value(args, i, "--reps").parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--reps needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown bench argument `{other}`");
-                std::process::exit(2);
-            }
+    let (mut scale, mut reps) = (1, 3);
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--json" => json = Some(f.value()?),
+            "--baseline" => baseline = Some(f.value()?),
+            "--label" => label = f.value()?,
+            "--scale" => scale = f.positive()?,
+            "--reps" => reps = f.positive()?,
+            _ => return Err(f.unknown()),
         }
     }
     header("Fleet benchmark: 12 apps x 3 modes (wall + virtual clock)");
@@ -515,12 +441,10 @@ fn bench(args: &[String]) {
     };
     print!("{}", ceres_workloads::render_bench(&report));
     if let Some(path) = &json {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        write_artifact(path, report.to_json());
         println!("bench JSON written to {path}");
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -529,40 +453,15 @@ fn bench(args: &[String]) {
 
 /// `repro whatif [--workers N[,N...]] [--json FILE]` — the ranked
 /// counterfactual tables for all 12 apps.
-fn whatif_cmd(args: &[String]) {
+fn whatif_cmd(args: &[String]) -> Result<(), String> {
     let mut workers: Vec<usize> = ceres_core::whatif::DEFAULT_WORKERS.to_vec();
     let mut json: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                let v = args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("--workers needs a value (e.g. 4 or 2,4,8)");
-                    std::process::exit(2);
-                });
-                workers = v
-                    .split(',')
-                    .map(|s| match s.trim().parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => {
-                            eprintln!("--workers needs positive integers, got `{s}`");
-                            std::process::exit(2);
-                        }
-                    })
-                    .collect();
-                i += 2;
-            }
-            "--json" => {
-                json = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--json needs a file path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown whatif argument `{other}`");
-                std::process::exit(2);
-            }
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--workers" => workers = f.parse_with(worker_list)?,
+            "--json" => json = Some(f.value()?),
+            _ => return Err(f.unknown()),
         }
     }
     header("What-if profiler: counterfactual speedup per loop nest");
@@ -586,75 +485,53 @@ fn whatif_cmd(args: &[String]) {
         println!();
     }
     if let Some(path) = &json {
-        let body = format!("[\n{}\n]\n", json_rows.join(",\n"));
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        write_artifact(path, format!("[\n{}\n]\n", json_rows.join(",\n")));
         println!("JSON written to {path}");
     }
+    Ok(())
+}
+
+/// `repro whatif --workers 2,4,8`: a comma-separated list of counts of at
+/// least 1.
+fn worker_list(list: &str) -> Result<Vec<usize>, String> {
+    list.split(',')
+        .map(|s| match s.trim().parse() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!(
+                "bad worker count `{s}` (want positive integers like 2,4,8)"
+            )),
+        })
+        .collect()
 }
 
 /// `repro parallel-bench [--workers N] [--scale N] [--json FILE]` — the
 /// predicted-vs-measured Table-3 reproduction.
-fn parallel_bench_cmd(args: &[String]) {
-    let mut workers: usize = 4;
-    let mut scale: u32 = 1;
-    let mut json: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |flag: &str| -> String {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--workers" => {
-                workers = match value("--workers").parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--workers needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            "--scale" => {
-                scale = match value("--scale").parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--scale needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            "--json" => {
-                json = Some(value("--json"));
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown parallel-bench argument `{other}`");
-                std::process::exit(2);
-            }
+fn parallel_bench_cmd(args: &[String]) -> Result<(), String> {
+    let (mut workers, mut scale, mut json) = (4, 1, None);
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--workers" => workers = f.positive()?,
+            "--scale" => scale = f.positive()?,
+            "--json" => json = Some(f.value()?),
+            _ => return Err(f.unknown()),
         }
     }
     header("Fork-join closed loop: predicted vs measured speedup");
     let report = ceres_workloads::parallel_bench(scale, workers);
     print!("{}", ceres_workloads::render_parallel_bench(&report));
     if let Some(path) = &json {
-        let body = serde_json::to_string_pretty(&report).expect("serialize") + "\n";
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        write_artifact(
+            path,
+            serde_json::to_string_pretty(&report).expect("serialize") + "\n",
+        );
         println!("JSON written to {path}");
     }
     // An app that parallelized but failed byte-identity is a gate failure.
     if report.rows.iter().any(|r| r.equivalent == Some(false)) {
         std::process::exit(1);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

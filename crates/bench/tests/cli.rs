@@ -73,25 +73,137 @@ fn jsceres_emit_instrumented_prints_hooks() {
     let _ = std::fs::remove_file(file);
 }
 
+/// Every binary and subcommand refuses bad usage with exit 2 and an error
+/// naming the flag: a flag with no value, a malformed value, an unknown
+/// flag, and a flag the command would not read.
 #[test]
 fn jsceres_rejects_bad_usage() {
     let out = jsceres().output().unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let out = jsceres().arg("nonexistent-file.js").output().unwrap();
-    assert!(!out.status.success());
-    let out = jsceres().arg("--mode").arg("bogus").output().unwrap();
-    assert!(!out.status.success());
-    // A malformed number is a usage error naming its flag, not a
-    // silent default.
+    assert_eq!(out.status.code(), Some(1), "a missing file is not usage");
+
     let file = write_temp("usage.js", "var x = 1;");
-    for flag in ["--seed", "--max-ticks"] {
-        let out = jsceres().arg(&file).arg(flag).arg("abc").output().unwrap();
-        assert_eq!(out.status.code(), Some(2), "{flag}");
+    // Each row: a command line (`FILE` is a real script) and the error it
+    // must print.
+    let table = [
+        // jsceres <file>
+        ("jsceres FILE --seed", "--seed needs a value"),
+        (
+            "jsceres FILE --seed abc",
+            "--seed needs an integer (got `abc`)",
+        ),
+        (
+            "jsceres FILE --max-ticks abc",
+            "--max-ticks needs an integer (got `abc`)",
+        ),
+        (
+            "jsceres FILE --focus x",
+            "--focus needs a loop id from the loop profile (got `x`)",
+        ),
+        ("jsceres --mode bogus", "--mode: unknown mode `bogus`"),
+        ("jsceres FILE --scale 2", "unknown argument `--scale`"),
+        // jsceres analyze-all and repro fleet: one command.
+        ("jsceres analyze-all --json", "--json needs a value"),
+        (
+            "jsceres analyze-all --workers many",
+            "--workers needs a positive integer (got `many`)",
+        ),
+        (
+            "jsceres analyze-all --frobnicate",
+            "unknown argument `--frobnicate`",
+        ),
+        ("jsceres analyze-all --seed 99", "unknown argument `--seed`"),
+        (
+            "jsceres analyze-all --scale 0",
+            "--scale needs a positive integer (got `0`)",
+        ),
+        ("repro fleet --inject", "--inject needs a value"),
+        (
+            "repro fleet --inject meteor:0.1",
+            "--inject: unknown fault kind `meteor`",
+        ),
+        (
+            "repro fleet --frobnicate",
+            "unknown argument `--frobnicate`",
+        ),
+        ("repro fleet --seed 99", "unknown argument `--seed`"),
+        // repro fleet-bench reads only --workers and --json.
+        ("repro fleet-bench --workers", "--workers needs a value"),
+        (
+            "repro fleet-bench --workers 0",
+            "--workers needs a positive integer (got `0`)",
+        ),
+        (
+            "repro fleet-bench --mode light",
+            "unknown argument `--mode`",
+        ),
+        ("repro fleet-bench --scale 3", "unknown argument `--scale`"),
+        (
+            "repro fleet-bench --inject panic:1.0",
+            "unknown argument `--inject`",
+        ),
+        (
+            "repro fleet-bench --metrics f.json",
+            "unknown argument `--metrics`",
+        ),
+        // repro bench, whatif, parallel-bench, and a flagless target.
+        ("repro bench --label", "--label needs a value"),
+        (
+            "repro bench --reps 0",
+            "--reps needs a positive integer (got `0`)",
+        ),
+        ("repro bench --workers 2", "unknown argument `--workers`"),
+        ("repro whatif --json", "--json needs a value"),
+        (
+            "repro whatif --workers 2,x",
+            "--workers: bad worker count `x`",
+        ),
+        ("repro whatif --scale 2", "unknown argument `--scale`"),
+        ("repro parallel-bench --json", "--json needs a value"),
+        (
+            "repro parallel-bench --workers 0",
+            "--workers needs a positive integer (got `0`)",
+        ),
+        (
+            "repro parallel-bench --scale 0",
+            "--scale needs a positive integer (got `0`)",
+        ),
+        (
+            "repro parallel-bench --mode dep",
+            "unknown argument `--mode`",
+        ),
+        ("repro fig6 --json f.json", "unknown argument `--json`"),
+        // jsceresd
+        ("jsceresd --addr", "--addr needs a value"),
+        (
+            "jsceresd --queue-cap 0",
+            "--queue-cap needs a positive integer (got `0`)",
+        ),
+        ("jsceresd --seed abc", "--seed needs an integer (got `abc`)"),
+        ("jsceresd --scale 3", "unknown argument `--scale`"),
+        ("jsceresd --frobnicate", "unknown argument `--frobnicate`"),
+    ];
+    for (line, want) in table {
+        let mut words = line.split_whitespace();
+        let exe = match words.next() {
+            Some("jsceres") => env!("CARGO_BIN_EXE_jsceres"),
+            Some("repro") => env!("CARGO_BIN_EXE_repro"),
+            _ => env!("CARGO_BIN_EXE_jsceresd"),
+        };
+        let out = Command::new(exe)
+            .args(words.map(|w| {
+                if w == "FILE" {
+                    file.as_os_str()
+                } else {
+                    w.as_ref()
+                }
+            }))
+            .output()
+            .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("{flag} needs an integer (got `abc`)")),
-            "{flag}: {stderr}"
-        );
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains(want), "{line}: {stderr}");
     }
     let _ = std::fs::remove_file(file);
 }

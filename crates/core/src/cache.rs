@@ -401,11 +401,6 @@ impl ShardedCache {
         payload
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Aggregate + per-shard stats snapshot.
     pub fn stats(&self) -> ShardedCacheStats {
         let mut total = CacheStats {

@@ -431,24 +431,6 @@ pub fn dependence_difficulty(engine: &Engine, warnings: &[&Warning]) -> Difficul
     }
 }
 
-/// Explain, warning by warning, how [`dependence_difficulty`] bucketed a
-/// nest (debugging/report aid).
-pub fn difficulty_explain(engine: &Engine, warnings: &[&Warning]) -> String {
-    let mut out = String::new();
-    for w in warnings {
-        let blocking = blocks_nest(engine, w);
-        let disjoint = engine
-            .subject_stats_for(&w.subject)
-            .map(|s| s.disjointness())
-            .unwrap_or(-1.0);
-        out.push_str(&format!(
-            "{:?} {} op={:?} blocking={} disjointness={:.2}\n",
-            w.kind, w.subject, w.op, blocking, disjoint
-        ));
-    }
-    out
-}
-
 /// Combine dependence difficulty with the non-concurrent-DOM reality
 /// (Sec. 4.2 / 5.1): DOM access caps an otherwise-parallelizable nest.
 pub fn parallelization_difficulty(dep: Difficulty, dom: bool) -> Difficulty {

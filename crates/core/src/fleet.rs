@@ -434,11 +434,6 @@ impl FleetOutcome {
         self.failures().is_empty()
     }
 
-    /// The successful reports, in job order.
-    pub fn ok_reports(&self) -> Vec<&AppReport> {
-        self.apps.iter().filter_map(|a| a.report.as_ref()).collect()
-    }
-
     /// Process exit code for CLI drivers: 0 = every app analyzed, 3 =
     /// partial success (degraded but useful), 4 = nothing succeeded.
     pub fn exit_code(&self) -> i32 {
@@ -720,17 +715,9 @@ impl FaultPlan {
 // The supervised worker pool
 // ---------------------------------------------------------------------
 
-/// Worker count from `CERES_FLEET_WORKERS`, else the machine parallelism.
+/// The default fleet worker count: the machine parallelism.
 pub fn default_workers() -> usize {
-    std::env::var("CERES_FLEET_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Poison-proof lock: a worker that crashed while holding the queue must

@@ -498,28 +498,45 @@ impl FleetMetrics {
 
 /// Render the fleet's spans as a Chrome trace-event array (load in
 /// `about:tracing` or [Perfetto](https://ui.perfetto.dev)): one complete
-/// (`"ph": "X"`) event per phase span, timestamped with the wall offset
-/// from the fleet epoch and laid out one trace thread per worker — worker
-/// occupancy is visible at a glance. The `--trace` artifact.
+/// (`"ph": "X"`) event per phase span, one event per line, timestamped
+/// with the wall offset from the fleet epoch and laid out one trace thread
+/// per worker — worker occupancy is visible at a glance. The `--trace`
+/// artifact.
 pub fn chrome_trace(metrics: &FleetMetrics) -> String {
+    /// One trace event; fields serialize in the trace-event order.
+    #[derive(Serialize)]
+    struct Event {
+        name: String,
+        cat: String,
+        ph: &'static str,
+        ts: u64,
+        dur: u64,
+        pid: u32,
+        tid: usize,
+        args: EventArgs,
+    }
+    #[derive(Serialize)]
+    struct EventArgs {
+        ticks: u64,
+        app: String,
+    }
     let mut events = Vec::new();
     for a in &metrics.apps {
         for s in &a.spans {
-            events.push(format!(
-                concat!(
-                    "{{\"name\":\"{}:{}\",\"cat\":\"{}\",\"ph\":\"X\",",
-                    "\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},",
-                    "\"args\":{{\"ticks\":{},\"app\":\"{}\"}}}}"
-                ),
-                a.slug,
-                s.phase,
-                s.phase,
-                a.wall_start_us + s.wall_start_us,
-                s.wall_us,
-                a.worker,
-                s.ticks(),
-                a.app.replace('"', "'"),
-            ));
+            let event = Event {
+                name: format!("{}:{}", a.slug, s.phase),
+                cat: s.phase.clone(),
+                ph: "X",
+                ts: a.wall_start_us + s.wall_start_us,
+                dur: s.wall_us,
+                pid: 0,
+                tid: a.worker,
+                args: EventArgs {
+                    ticks: s.ticks(),
+                    app: a.app.clone(),
+                },
+            };
+            events.push(serde_json::to_string(&event).expect("a trace event serializes"));
         }
     }
     format!("[\n{}\n]\n", events.join(",\n"))
@@ -784,5 +801,23 @@ mod tests {
         );
         let ticks = events[2].get("args").and_then(|a| a.get("ticks"));
         assert_eq!(ticks.and_then(|v| v.as_u64()), Some(9000));
+        assert_eq!(
+            trace.lines().count(),
+            2 + events.len(),
+            "one event per line"
+        );
+
+        // A name holding `"` or `\` survives into the trace as itself.
+        let quoted =
+            FleetMetrics::single(r#"q"x\y"#, r#"q"x\y"#, "Dependence", &obs_fixture(), true);
+        let trace = chrome_trace(&quoted);
+        let parsed: serde_json::Value = serde_json::from_str(&trace).expect("valid JSON");
+        let e0 = &parsed.as_array().expect("array")[0];
+        assert_eq!(
+            e0.get("name").and_then(|v| v.as_str()),
+            Some(r#"q"x\y:parse"#)
+        );
+        let app = e0.get("args").and_then(|a| a.get("app"));
+        assert_eq!(app.and_then(|v| v.as_str()), Some(r#"q"x\y"#));
     }
 }

@@ -34,6 +34,23 @@ pub enum Document {
     Js(String),
 }
 
+impl Document {
+    /// The JavaScript the document runs: a script as it is, or a page's
+    /// inline scripts joined with newlines. The scripts share the global
+    /// scope and run in order, so instrumenting their concatenation is
+    /// equivalent and keeps loop ids unique across the page.
+    pub fn script_text(&self) -> String {
+        match self {
+            Document::Js(src) => src.clone(),
+            Document::Html(html) => extract_scripts(html)
+                .iter()
+                .map(|b| b.content.as_str())
+                .collect::<Vec<_>>()
+                .join("\n"),
+        }
+    }
+}
+
 /// The "web server": a named document store.
 #[derive(Default)]
 pub struct WebServer {
@@ -190,20 +207,7 @@ pub fn analyze(
         .get(url)
         .ok_or_else(|| Control::Fatal(format!("404: {url} not published")))?;
 
-    // Collect the raw JavaScript. Multiple inline scripts share the global
-    // scope and run in order, so instrumenting their concatenation is
-    // equivalent and keeps loop ids globally unique.
-    let combined_source = match doc {
-        Document::Js(src) => src.clone(),
-        Document::Html(html) => {
-            let blocks = extract_scripts(html);
-            blocks
-                .iter()
-                .map(|b| b.content.as_str())
-                .collect::<Vec<_>>()
-                .join("\n")
-        }
-    };
+    let combined_source = doc.script_text();
 
     // Step 2: instrument. The virtual clock only runs while JavaScript
     // executes, so the parse/rewrite spans carry wall time but a zero-width

@@ -79,16 +79,6 @@ impl NestPrediction {
                 predicted_speedup_capped(self.parallel_fraction, workers, self.trips_mean)
             })
     }
-
-    /// Fraction of the run's ticks removed on `workers` workers.
-    pub fn tick_reduction(&self, workers: usize) -> f64 {
-        let s = self.speedup(workers);
-        if s <= 0.0 {
-            0.0
-        } else {
-            1.0 - 1.0 / s
-        }
-    }
 }
 
 /// Ranked per-app what-if prediction table.

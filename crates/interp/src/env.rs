@@ -123,11 +123,6 @@ impl Scope {
         self.lookup(name).map(|b| b.borrow().value.clone())
     }
 
-    /// [`Scope::get`] with a pre-interned name.
-    pub fn get_sym(&self, name: Sym) -> Option<Value> {
-        self.lookup_sym(name).map(|b| b.borrow().value.clone())
-    }
-
     /// Assign to an existing binding; returns `false` when `name` is
     /// undeclared anywhere in the chain (the interpreter then creates an
     /// implicit global, as sloppy-mode JS does).

@@ -59,4 +59,19 @@ grep -q "Table 2" "$tmp/analyze_all.out" || {
     exit 1
 }
 
+echo "== repro fleet and jsceres analyze-all are one command =="
+fleet_flags=(--mode light --sequential --deterministic)
+"$BIN/repro" fleet "${fleet_flags[@]}" --metrics "$tmp/fleet_metrics.json" \
+    | sed 's/([0-9.]*s wall)//; s/ written to .*//' > "$tmp/fleet.out"
+"$BIN/jsceres" analyze-all "${fleet_flags[@]}" --metrics "$tmp/analyze_all_metrics.json" \
+    | sed 's/([0-9.]*s wall)//; s/ written to .*//' > "$tmp/analyze_all_det.out"
+cmp "$tmp/fleet_metrics.json" "$tmp/analyze_all_metrics.json" || {
+    echo "FAIL: 'repro fleet' and 'jsceres analyze-all' wrote different --metrics" >&2
+    exit 1
+}
+diff -u "$tmp/fleet.out" "$tmp/analyze_all_det.out" || {
+    echo "FAIL: 'repro fleet' and 'jsceres analyze-all' printed different reports" >&2
+    exit 1
+}
+
 echo "smoke OK"

@@ -53,19 +53,14 @@ fn instrumented(source: &str, mode: Mode) -> String {
     program_to_source(&instrument_program(&program, mode))
 }
 
-/// Each app's page scripts, joined as `pipeline::analyze` joins them.
+/// Each app's page scripts, joined by the pipeline's own
+/// `Document::script_text`.
 fn app_sources() -> Vec<(&'static str, String)> {
     let mut sources: Vec<(&'static str, String)> = ceres_workloads::all()
         .iter()
         .map(|w| {
             let html = ceres_workloads::workload_html(w, 1);
-            let blocks = ceres_dom::extract_scripts(&html);
-            let joined = blocks
-                .iter()
-                .map(|b| b.content.as_str())
-                .collect::<Vec<_>>()
-                .join("\n");
-            (w.slug, joined)
+            (w.slug, ceres_core::Document::Html(html).script_text())
         })
         .collect();
     sources.push(("nbody", NBODY.to_string()));

@@ -15,7 +15,7 @@
 //! Regenerate deliberately with
 //! `CERES_REGEN_GOLDENS=1 cargo test -p ceres-integration-tests --test parallel_golden`.
 
-use ceres_core::{run_parallel, sha256_hex, LoopId, ParallelSpec};
+use ceres_core::{run_parallel, sha256_hex, Document, LoopId, ParallelSpec};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -34,11 +34,7 @@ const TARGETS: &[(&str, u32)] = &[
 
 fn render_target(out: &mut String, slug: &str, target: u32) {
     let w = ceres_workloads::by_slug(slug).unwrap_or_else(|| panic!("no registry app `{slug}`"));
-    let source = ceres_dom::extract_scripts(&ceres_workloads::workload_html(&w, 1))
-        .iter()
-        .map(|b| b.content.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
+    let source = Document::Html(ceres_workloads::workload_html(&w, 1)).script_text();
     for workers in [1, 2, 4] {
         let run = run_parallel(&ParallelSpec {
             source: source.clone(),
