@@ -4,7 +4,8 @@
 //! jsceres <file.js|file.html> [options]
 //!
 //!   --mode light|loop|dep   instrumentation mode (default: loop)
-//!   --focus <loop-id>       dependence focus (paper Sec. 3.3)
+//!   --focus <loop-id>       dependence focus (paper Sec. 3.3); needs --mode dep
+//!                           and a loop id of the program
 //!   --seed <n>              interpreter seed (default 2015)
 //!   --max-ticks <n>         abort runaway programs after n virtual ticks
 //!   --report <dir>          commit a full report under <dir>
@@ -104,6 +105,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             file if opts.file.is_empty() && !file.starts_with('-') => opts.file = file.to_string(),
             _ => return Err(f.unknown()),
         }
+    }
+    if opts.analyze.focus.is_some() && opts.analyze.mode != Mode::Dependence {
+        return Err("--focus needs --mode dep".to_string());
     }
     Ok(opts)
 }

@@ -311,13 +311,17 @@ fn fig5() {
         Box::new(|_, _| Ok(())),
     )
     .expect("pipeline");
-    let dir = std::env::temp_dir().join("js-ceres-reports");
+    // A report repository of this run's own, so every run commits the
+    // same first commit and prints the same lines.
+    let dir = std::env::temp_dir().join(format!("js-ceres-fig5-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let mut repo = ceres_core::ReportRepo::open(&dir).expect("report repo");
     let commit = ceres_core::publish_report(&mut run, &mut repo, "fig5-demo").expect("commit");
     for step in &run.steps {
         println!("  step {step}");
     }
-    println!("report committed as {commit} under {}", dir.display());
+    println!("report committed as fig5-demo/{commit} in a fresh report repository");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn fig6() {

@@ -101,6 +101,11 @@ fn jsceres_rejects_bad_usage() {
             "jsceres FILE --focus x",
             "--focus needs a loop id from the loop profile (got `x`)",
         ),
+        ("jsceres FILE --focus 1", "--focus needs --mode dep"),
+        (
+            "jsceres FILE --mode light --focus 1",
+            "--focus needs --mode dep",
+        ),
         ("jsceres --mode bogus", "--mode: unknown mode `bogus`"),
         ("jsceres FILE --scale 2", "unknown argument `--scale`"),
         // jsceres analyze-all and repro fleet: one command.
@@ -208,6 +213,24 @@ fn jsceres_rejects_bad_usage() {
     let _ = std::fs::remove_file(file);
 }
 
+/// A focus that names no loop of the program fails the run: it would
+/// record nothing and read clean.
+#[test]
+fn jsceres_refuses_a_focus_on_no_loop() {
+    let nbody = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/js/nbody.js");
+    let out = jsceres()
+        .args([nbody, "--mode", "dep", "--focus", "999"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("focus loop 999 is not a loop of"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a refused run prints no report");
+}
+
 #[test]
 fn jsceres_writes_reports() {
     let file = write_temp(
@@ -247,6 +270,20 @@ fn repro_survey_targets_run_quickly() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Games"), "{stdout}");
     assert!(stdout.contains("26"), "{stdout}");
+}
+
+/// Two runs of `repro fig5` print the same bytes: each commits its
+/// report into a repository of its own.
+#[test]
+fn repro_fig5_prints_the_same_on_every_run() {
+    let run = || {
+        let out = repro().arg("fig5").output().unwrap();
+        assert!(out.status.success());
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let first = run();
+    assert!(first.contains("commits (commit-0001)"), "{first}");
+    assert_eq!(first, run());
 }
 
 #[test]

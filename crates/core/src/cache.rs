@@ -10,9 +10,14 @@
 //!
 //! Keys are content-addressed: the source text enters the key as its
 //! SHA-256 digest (std-only implementation below, pinned by FIPS 180-4
-//! test vectors), so two requests naming the same program — whether sent
-//! inline or resolved from the registry — share an entry, while a single
-//! changed byte of JavaScript misses. The remaining dimensions
+//! test vectors), so two requests for the same page share an entry,
+//! while a single changed byte of JavaScript misses. A text is hashed
+//! once, where it is made ([`Digested`]): the daemon's registry resolver
+//! digests each app's page once per app and scale, so a warm hit hashes
+//! only its key. A source sent inline has its own namespace
+//! ([`CacheKey::inline`]): a registry app's run adds its interaction
+//! script and its name, so an inline copy of its page is a different
+//! analysis. The remaining dimensions
 //! (`mode × seed × focus × max_events × max_ticks × scale`) mirror
 //! [`crate::pipeline::AnalyzeOptions`] one field at a time; anything that
 //! can change the analysis result must appear here. Wall-clock budgets are
@@ -29,6 +34,7 @@
 use crate::pipeline::AnalyzeOptions;
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // SHA-256 (std-only, FIPS 180-4)
@@ -115,11 +121,32 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// SHA-256 digest of `data`, lowercase hex.
 pub fn sha256_hex(data: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(64);
     for b in sha256(data) {
-        s.push_str(&format!("{b:02x}"));
+        s.push(char::from(HEX[usize::from(b >> 4)]));
+        s.push(char::from(HEX[usize::from(b & 0xf)]));
     }
     s
+}
+
+/// A source text and its SHA-256, the content half of its [`CacheKey`]:
+/// the text is hashed once, where it is made, and every job built from
+/// one `Digested` shares the one digest.
+#[derive(Debug, Clone)]
+pub struct Digested {
+    /// The source text.
+    pub text: String,
+    /// `sha256_hex(text)`.
+    pub sha256: Arc<str>,
+}
+
+impl Digested {
+    /// Hash `text`.
+    pub fn new(text: String) -> Digested {
+        let sha256 = sha256_hex(text.as_bytes()).into();
+        Digested { text, sha256 }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -149,19 +176,31 @@ pub struct CacheKey {
     /// already baked into the canonical source of registry requests, but
     /// keeping it in the key costs nothing and guards refactors).
     pub scale: u32,
+    /// Whether the source was sent inline rather than named from the
+    /// registry. Inline keys render a leading `inline` tag, so an inline
+    /// copy of a registry page never answers for the app, whose run adds
+    /// its interaction script and its name. Registry keys render no tag.
+    pub inline: bool,
 }
 
 impl CacheKey {
-    /// Build the key for analyzing `source` under `opts` at `scale`.
+    /// Build the key for analyzing `source` under `opts` at `scale`, in
+    /// the registry namespace.
     pub fn of(source: &str, opts: &AnalyzeOptions, scale: u32) -> CacheKey {
+        CacheKey::with_digest(&sha256_hex(source.as_bytes()), opts, scale)
+    }
+
+    /// [`CacheKey::of`] for a source already hashed to `source_sha256`.
+    pub fn with_digest(source_sha256: &str, opts: &AnalyzeOptions, scale: u32) -> CacheKey {
         CacheKey {
-            source_sha256: sha256_hex(source.as_bytes()),
+            source_sha256: source_sha256.to_string(),
             mode: format!("{:?}", opts.mode),
             seed: opts.seed,
             focus: opts.focus.map(|l| l.0),
             max_events: opts.max_events,
             max_ticks: opts.max_ticks,
             scale,
+            inline: false,
         }
     }
 
@@ -171,7 +210,8 @@ impl CacheKey {
     /// collision between distinct tuples.
     pub fn canonical(&self) -> String {
         format!(
-            "src:{}\x1fmode:{}\x1fseed:{}\x1ffocus:{}\x1fevents:{}\x1fticks:{}\x1fscale:{}",
+            "{}src:{}\x1fmode:{}\x1fseed:{}\x1ffocus:{}\x1fevents:{}\x1fticks:{}\x1fscale:{}",
+            if self.inline { "inline\x1f" } else { "" },
             self.source_sha256,
             self.mode,
             self.seed,

@@ -163,7 +163,8 @@ pub struct AnalyzeOptions {
     /// Interpreter seed; the virtual clock and `Math.random` derive from it.
     pub seed: u64,
     /// Dependence-mode focus loop (paper: "allows the programmer to focus
-    /// on a specific loop").
+    /// on a specific loop"). [`analyze`] refuses an id that names no loop
+    /// of the program.
     pub focus: Option<ceres_ast::LoopId>,
     /// Cap on processed events (safety for self-rescheduling apps).
     pub max_events: usize,
@@ -216,6 +217,13 @@ pub fn analyze(
     let mut program = ceres_parser::parse_program(&combined_source)
         .map_err(|e| Control::Fatal(format!("parse error in {url}: {e}")))?;
     let loops = ceres_ast::assign_loop_ids(&mut program);
+    if let Some(focus) = opts.focus.filter(|&f| !loops.iter().any(|l| l.id == f)) {
+        return Err(Control::Fatal(format!(
+            "focus loop {} is not a loop of {url} ({} loops found)",
+            focus.0,
+            loops.len()
+        )));
+    }
     recorder.record("parse", 0, 0, parse_start);
     let rewrite_start = recorder.now_us();
     let instrumented = ceres_ast::program_to_source(&instrument_program(&program, opts.mode));

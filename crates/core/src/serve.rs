@@ -71,7 +71,7 @@
 
 #![deny(missing_docs)]
 
-use crate::cache::{CacheKey, ShardedCache};
+use crate::cache::{CacheKey, Digested, ShardedCache};
 use crate::fleet::{
     page_work, with_faults, AppOutcome, Fault, FleetPolicy, JobWork, API_SCHEMA_VERSION,
 };
@@ -415,11 +415,16 @@ pub struct ResolvedJob {
     pub app: String,
     /// Short identifier.
     pub slug: String,
-    /// Canonical source text — the content half of the [`CacheKey`]. For
-    /// registry apps this is the full generated HTML page (scale baked
-    /// in), so registry and inline requests for the same program share an
-    /// entry.
+    /// Canonical source text. For registry apps this is the full
+    /// generated HTML page (scale baked in). An inline request for the
+    /// same text is keyed in the inline namespace ([`CacheKey::inline`]),
+    /// so the two never share an entry: the app's run adds its
+    /// interaction script and its name.
     pub source: String,
+    /// SHA-256 of `source`, lowercase hex: the content half of the
+    /// [`CacheKey`], hashed where the source was made. Every request for
+    /// one registry app and scale shares one digest.
+    pub source_sha256: Arc<str>,
     /// The supervised work closure.
     pub work: JobWork,
     /// Whether an `Ok` result may be stored. Fault-injected requests are
@@ -449,13 +454,14 @@ impl ResolvedJob {
         policy: &FleetPolicy,
         app: &str,
         slug: &str,
-        source: String,
+        source: Digested,
         interaction: fn(&mut Interp, &DomHandle) -> JsResult<()>,
     ) -> Result<ResolvedJob, String> {
-        let page = if source.trim_start().starts_with('<') {
-            Document::Html(source.clone())
+        let Digested { text, sha256 } = source;
+        let page = if text.trim_start().starts_with('<') {
+            Document::Html(text.clone())
         } else {
-            Document::Js(source.clone())
+            Document::Js(text.clone())
         };
         let mut work = page_work(app.into(), slug.into(), page, opts.clone(), interaction);
         if let Some(kind) = &req.inject {
@@ -469,7 +475,8 @@ impl ResolvedJob {
         Ok(ResolvedJob {
             app: app.into(),
             slug: slug.into(),
-            source,
+            source: text,
+            source_sha256: sha256,
             work,
             cacheable: req.inject.is_none(),
         })
@@ -489,6 +496,7 @@ pub fn source_resolver(policy: FleetPolicy) -> Resolver {
             .clone()
             .ok_or_else(|| "request needs `app` or `source`".to_string())?;
         let (app, slug) = ("inline", "inline");
+        let source = Digested::new(source);
         ResolvedJob::for_page(req, opts, &policy, app, slug, source, |_, _| Ok(()))
     })
 }
@@ -497,14 +505,19 @@ pub fn source_resolver(policy: FleetPolicy) -> Resolver {
 /// resolves each request once: admission does, and a ring job carries
 /// the result to its worker thread. Only a job popped from the spill
 /// file is resolved again, from its spec; a worker process resolves its
-/// job line once.
+/// job line once. The key is built from the job's digest, without
+/// hashing its source; a request that names no `app` sent its source
+/// inline and is keyed in the inline namespace.
 pub fn resolve(
     req: &AnalysisRequest,
     opts: &AnalyzeOptions,
     resolver: &Resolver,
 ) -> Result<(ResolvedJob, CacheKey), String> {
     let job = resolver(req, opts)?;
-    let key = CacheKey::of(&job.source, opts, req.scale.unwrap_or(1));
+    let key = CacheKey {
+        inline: req.app.is_none(),
+        ..CacheKey::with_digest(&job.source_sha256, opts, req.scale.unwrap_or(1))
+    };
     Ok((job, key))
 }
 
@@ -2053,5 +2066,36 @@ mod tests {
         let k1 = CacheKey::of("var q = 1;", &opts, req.scale.unwrap_or(1));
         let k2 = CacheKey::of("var q = 1;", &opts2, parsed.scale.unwrap_or(1));
         assert_eq!(k1.fingerprint(), k2.fingerprint());
+    }
+
+    /// An inline source is keyed in its own namespace, and the same text
+    /// in the registry namespace keeps the fingerprint it had before the
+    /// namespace existed: the key `tests/golden/serve_envelope.json` pinned
+    /// for this request until then.
+    #[test]
+    fn inline_keys_have_their_own_namespace() {
+        let config = ServeConfig::default();
+        let source = "var t = 0; for (var i = 0; i < 6; i++) { t += i; }";
+        let req = AnalysisRequest {
+            source: Some(source.to_string()),
+            mode: Some("dep".to_string()),
+            seed: Some(2015),
+            ..AnalysisRequest::default()
+        };
+        let opts = request_options(&req, &config).unwrap();
+        let (job, key) = resolve(&req, &opts, &source_resolver(config.policy)).unwrap();
+        assert!(key.inline);
+        assert_eq!(
+            &*job.source_sha256,
+            CacheKey::of(source, &opts, 1).source_sha256
+        );
+        assert_eq!(
+            key.fingerprint(),
+            "dded4aad2eeedfc596f4f701183ec6711e7e92832c1792bbd8c2b9a20c53a75c"
+        );
+        assert_eq!(
+            CacheKey::of(source, &opts, 1).fingerprint(),
+            "bd9b8b598cbf0afbbf2861f48761f84d6e3558e8bc46f5cf5d819c3115bc659e"
+        );
     }
 }

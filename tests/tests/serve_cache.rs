@@ -212,6 +212,46 @@ fn registry_app_warm_hit_is_byte_identical_with_zero_new_ticks() {
     server.shutdown();
 }
 
+/// An inline copy of a registry page is not the app: the app's run adds
+/// its interaction script and names the app. So a registry request after
+/// the inline one misses and runs the app.
+#[test]
+fn inline_copy_of_a_registry_page_does_not_answer_for_the_app() {
+    let server = start(ServeConfig::default());
+    let addr = server.local_addr();
+    let camanjs = ceres_workloads::by_slug("camanjs").expect("camanjs is registered");
+    let page = serde_json::to_string(&workload_html(&camanjs, 1)).expect("a string serializes");
+    let copy = roundtrip(
+        addr,
+        &format!(r#"{{"id":"i1","source":{page},"mode":"light"}}"#),
+    );
+    assert!(copy.contains("\"ok\":true"), "{copy}");
+    assert!(copy.contains("\"app\":\"inline\""), "{copy}");
+
+    let app = roundtrip(addr, r#"{"id":"a1","app":"camanjs","mode":"light"}"#);
+    assert!(app.contains("\"ok\":true"), "{app}");
+    assert!(app.contains("\"cached\":false"), "{app}");
+    assert!(app.contains("\"app\":\"CamanJS\""), "{app}");
+    server.shutdown();
+}
+
+/// A focus on no loop of the program fails the job, so no clean report
+/// is stored under its key and a repeat is refused again.
+#[test]
+fn focus_on_no_loop_is_refused_and_not_cached() {
+    let server = start(ServeConfig::default());
+    let addr = server.local_addr();
+    let req = r#"{"source":"for (var i = 0; i < 3; i++) { }","mode":"dep","focus":2}"#;
+    for _ in 0..2 {
+        let r = roundtrip(addr, req);
+        assert!(r.contains("\"ok\":false"), "{r}");
+        assert!(r.contains("\"cached\":false"), "{r}");
+        assert!(r.contains("focus loop 2 is not a loop of"), "{r}");
+    }
+    assert_eq!(server.counters().cache_hits, 0);
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Sharding and persistence
 
