@@ -29,9 +29,15 @@
 //!   where the stamp leaves the stack, and whether that level kept the
 //!   loop instance); a warning is deduplicated on it and the open loop
 //!   ids without allocating, and only a *new* warning stores those ids;
-//! * task read/write sets are FxHash sets and observed runtime types a
-//!   [`TypeSet`] bitmask, so the per-access inserts hash no more than a
-//!   `u64`.
+//! * the state kept per binding (stamp, task write mark) and per object
+//!   (stamp, task read and write marks) is one row of an `IdTable`,
+//!   indexed by the id's distance from the first id the run's interpreter
+//!   could hand out, so a stamp or a mark is one bounds-checked load, and
+//!   the tables span only the ids one run allocates;
+//! * a task's read/write sets are FxHash sets, but a location joins one
+//!   only when its row's mark says the open task has not recorded it yet,
+//!   so a repeated access in one task inserts nothing; observed runtime
+//!   types are a [`TypeSet`] bitmask.
 
 use crate::stack::{characterize, flow, matched, Characterization, Split, StackEntry};
 use crate::welford::Welford;
@@ -205,6 +211,73 @@ impl TypeSet {
     }
 }
 
+/// Per-id state, one row per id: row `id - base` for every id from
+/// `base` up, in a `Vec`, so a lookup is one bounds check. The interpreter
+/// hands ids out in order from `base`, so the table spans only the ids its
+/// run allocated; the few ids below `base` (made before the interpreter,
+/// if any reach the run) live in a map. An id never touched reads as
+/// `R::default()`.
+struct IdTable<R> {
+    base: u64,
+    rows: Vec<R>,
+    below: FxHashMap<u64, R>,
+}
+
+impl<R: Copy + Default> IdTable<R> {
+    fn new(base: u64) -> IdTable<R> {
+        IdTable {
+            base,
+            rows: Vec::new(),
+            below: FxHashMap::default(),
+        }
+    }
+
+    fn get(&self, id: u64) -> R {
+        match id.checked_sub(self.base) {
+            Some(i) => self.rows.get(i as usize).copied().unwrap_or_default(),
+            None => self.below.get(&id).copied().unwrap_or_default(),
+        }
+    }
+
+    fn row(&mut self, id: u64) -> &mut R {
+        match id.checked_sub(self.base) {
+            Some(i) => {
+                let i = i as usize;
+                if i >= self.rows.len() {
+                    self.rows.resize(i + 1, R::default());
+                }
+                &mut self.rows[i]
+            }
+            None => self.below.entry(id).or_default(),
+        }
+    }
+}
+
+/// A binding's row: its creation stamp (0, the empty stamp, until
+/// [`hooks::DECLVARS`] stamps it) and the serial of the last task whose
+/// write set it joined (0: none).
+#[derive(Clone, Copy, Default)]
+struct BindingRow {
+    stamp: u32,
+    written_by: u32,
+}
+
+/// An object's row: its creation stamp (0 until [`hooks::WRAP`] stamps
+/// it) and the serials of the last tasks whose read and write sets it
+/// joined.
+#[derive(Clone, Copy, Default)]
+struct ObjectRow {
+    stamp: u32,
+    read_by: u32,
+    written_by: u32,
+}
+
+/// Set a row's task `mark` to the open task's `serial`; true when it held
+/// another, so the open task has not recorded the location yet.
+fn first_in_task(mark: &mut u32, serial: u32) -> bool {
+    std::mem::replace(mark, serial) != serial
+}
+
 /// The engine state shared by all hooks of one run.
 pub struct Engine {
     pub mode: Mode,
@@ -247,8 +320,8 @@ pub struct Engine {
     /// every stack mutation — one table append per stack epoch, not one
     /// per access.
     cur_stamp: Option<u32>,
-    binding_stamps: FxHashMap<u64, u32>,
-    object_stamps: FxHashMap<u64, u32>,
+    bindings: IdTable<BindingRow>,
+    objects: IdTable<ObjectRow>,
     write_snapshots: FxHashMap<(u64, Sym), u32>,
     pub warnings: Vec<Warning>,
     /// (kind, subject, op, split) → indices of materialized warnings with
@@ -271,6 +344,9 @@ pub struct Engine {
     /// Completed tasks in execution order.
     pub tasks: Vec<crate::tasks::TaskRecord>,
     task_depth: usize,
+    /// Serial of the open (or last) task, counted from 1; the marks in the
+    /// binding and object rows refer to it.
+    task_serial: u32,
 
     // --- DOM attribution ---
     /// loop id → host-object tags accessed while it was open.
@@ -280,7 +356,20 @@ pub struct Engine {
 }
 
 impl Engine {
+    /// An engine for bindings and objects made from now on, on this
+    /// thread ([`attach_engine`] indexes from its interpreter's first ids
+    /// instead).
     pub fn new(mode: Mode, loops: Vec<LoopInfo>) -> Engine {
+        let first_ids = (
+            ceres_interp::env::next_binding_id(),
+            ceres_interp::value::next_object_id(),
+        );
+        Engine::indexed_from(mode, loops, first_ids)
+    }
+
+    /// An engine whose per-id tables start at `first_ids`, the first
+    /// binding id and the first object id its run can reach.
+    fn indexed_from(mode: Mode, loops: Vec<LoopInfo>, first_ids: (u64, u64)) -> Engine {
         Engine {
             mode,
             loops: loops.into_iter().map(|l| (l.id, l)).collect(),
@@ -298,8 +387,8 @@ impl Engine {
             stamp_at: vec![0, 0],
             stamp_entries: Vec::new(),
             cur_stamp: Some(0),
-            binding_stamps: FxHashMap::default(),
-            object_stamps: FxHashMap::default(),
+            bindings: IdTable::new(first_ids.0),
+            objects: IdTable::new(first_ids.1),
             write_snapshots: FxHashMap::default(),
             warnings: Vec::new(),
             warning_index: FxHashMap::default(),
@@ -308,6 +397,7 @@ impl Engine {
             observed_types: FxHashMap::default(),
             tasks: Vec::new(),
             task_depth: 0,
+            task_serial: 0,
             dom_by_loop: HashMap::new(),
             dom_outside_loops: 0,
         }
@@ -495,28 +585,28 @@ impl Engine {
     /// Stamp binding `id` with the current stack ([`hooks::DECLVARS`]).
     fn stamp_binding(&mut self, id: u64) {
         let stamp = self.current_stamp_id();
-        self.binding_stamps.insert(id, stamp);
+        self.bindings.row(id).stamp = stamp;
     }
 
     /// Stamp a freshly created object with the current stack
     /// ([`hooks::WRAP`]).
     fn stamp_object(&mut self, id: u64) {
         let stamp = self.current_stamp_id();
-        self.object_stamps.insert(id, stamp);
+        self.objects.row(id).stamp = stamp;
     }
 
     /// A write to variable `name`, whose binding id is `binding` (0 when
     /// it has none: an implicit global or a host-provided name).
     fn var_write(&mut self, name: Sym, binding: u64, op: Sym) {
         if binding != 0 {
-            self.task_write(crate::tasks::binding_location(binding));
+            self.task_write_binding(binding);
         }
         if !self.recording() {
             return;
         }
         // Unstamped binding: conservatively "created before all loops"
         // (the empty stamp). Binding ids start at 1, so 0 is never stamped.
-        let stamp = self.binding_stamps.get(&binding).copied().unwrap_or(0);
+        let stamp = self.bindings.get(binding).stamp;
         if let Some(split) = characterize(self.stamp(stamp), &self.stack) {
             let root = self.stack[0].loop_id;
             self.push_warning(WarningKind::VarWrite, name, op, Some(split), root);
@@ -526,7 +616,7 @@ impl Engine {
     /// A write to property `key` of object `obj`, reached through the
     /// variable `base` whose binding id is `binding` (0 when none).
     fn prop_write(&mut self, obj: u64, key: Sym, base: Sym, binding: u64, op: Sym) {
-        self.task_write(crate::tasks::object_location(obj));
+        self.task_write_object(obj);
         if !self.recording() {
             return;
         }
@@ -539,15 +629,14 @@ impl Engine {
         // from. This is what reproduces the paper's Fig. 6 output: `p.vX`
         // characterizes through `p`'s per-activation binding (stamped inside
         // the while), not through the particle object (created during
-        // setup, before any of the open loops). See DESIGN.md §4.
-        let obj_stamp = self.stamp(self.object_stamps.get(&obj).copied().unwrap_or(0));
-        let base_stamp = self
-            .binding_stamps
-            .get(&binding)
-            .map(|&sid| self.stamp(sid));
-        let eff = match base_stamp {
-            Some(b) if matched(b, cur) > matched(obj_stamp, cur) => b,
-            _ => obj_stamp,
+        // setup, before any of the open loops). See DESIGN.md §4. An
+        // unstamped binding's empty stamp matches no level, so it never wins.
+        let obj_stamp = self.stamp(self.objects.get(obj).stamp);
+        let base_stamp = self.stamp(self.bindings.get(binding).stamp);
+        let eff = if matched(base_stamp, cur) > matched(obj_stamp, cur) {
+            base_stamp
+        } else {
+            obj_stamp
         };
         let split = characterize(eff, cur);
         let root = cur[0].loop_id;
@@ -582,7 +671,7 @@ impl Engine {
     /// assignment (`joins_task` false) is claimed by its write half.
     fn prop_read(&mut self, obj: u64, key: Sym, base: Sym, joins_task: bool) {
         if joins_task {
-            self.task_read(crate::tasks::object_location(obj));
+            self.task_read_object(obj);
         }
         if !self.recording() {
             return;
@@ -648,6 +737,7 @@ impl Engine {
     pub fn begin_task(&mut self, label: &str, now_ticks: u64) {
         self.task_depth += 1;
         if self.task_depth == 1 {
+            self.task_serial += 1;
             self.tasks.push(crate::tasks::TaskRecord {
                 label: label.to_string(),
                 start_ticks: now_ticks,
@@ -670,18 +760,34 @@ impl Engine {
         }
     }
 
-    fn task_read(&mut self, location: u64) {
-        if self.task_depth > 0 {
+    /// Add object `obj` to the open task's read set. Its row's mark holds
+    /// the serial of the last task that added it, so a repeated read in
+    /// one task inserts nothing.
+    fn task_read_object(&mut self, obj: u64) {
+        let serial = self.task_serial;
+        if self.task_depth > 0 && first_in_task(&mut self.objects.row(obj).read_by, serial) {
             if let Some(t) = self.tasks.last_mut() {
-                t.reads.insert(location);
+                t.reads.insert(crate::tasks::object_location(obj));
             }
         }
     }
 
-    fn task_write(&mut self, location: u64) {
-        if self.task_depth > 0 {
+    /// [`Engine::task_read_object`] for the write set.
+    fn task_write_object(&mut self, obj: u64) {
+        let serial = self.task_serial;
+        if self.task_depth > 0 && first_in_task(&mut self.objects.row(obj).written_by, serial) {
             if let Some(t) = self.tasks.last_mut() {
-                t.writes.insert(location);
+                t.writes.insert(crate::tasks::object_location(obj));
+            }
+        }
+    }
+
+    /// [`Engine::task_write_object`] for binding `id`.
+    fn task_write_binding(&mut self, id: u64) {
+        let serial = self.task_serial;
+        if self.task_depth > 0 && first_in_task(&mut self.bindings.row(id).written_by, serial) {
+            if let Some(t) = self.tasks.last_mut() {
+                t.writes.insert(crate::tasks::binding_location(id));
             }
         }
     }
@@ -701,6 +807,15 @@ impl Engine {
     /// Depth of the open-loop stack (diagnostics).
     pub fn open_loops(&self) -> usize {
         self.stack.len()
+    }
+
+    /// How many binding rows and object rows the per-id tables hold
+    /// (diagnostics): at most the bindings and objects the run allocated.
+    pub fn id_rows(&self) -> (usize, usize) {
+        (
+            self.bindings.rows.len() + self.bindings.below.len(),
+            self.objects.rows.len() + self.objects.below.len(),
+        )
     }
 
     /// Warnings attributed to the nest rooted at `root`.
@@ -1034,7 +1149,8 @@ impl HookSink for EngineHooks {
 /// and DOM monitor, register every `__ceres_*` hook by name, and return
 /// the shared handle.
 pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> EngineRef {
-    let engine: EngineRef = Rc::new(std::cell::RefCell::new(Engine::new(mode, loops)));
+    let engine = Engine::indexed_from(mode, loops, interp.first_ids());
+    let engine: EngineRef = Rc::new(std::cell::RefCell::new(engine));
     interp.monitor = Some(Rc::new(EngineMonitor(engine.clone())));
     let sink = Rc::new(EngineHooks::new(engine.clone()));
     interp.hook_sink = Some(sink.clone());
@@ -1645,6 +1761,99 @@ while (steps < 3) {
             let (interp, _eng) = run(src, mode);
             assert_eq!(interp.console, vec![expected], "{mode:?}");
         }
+    }
+
+    /// Every warning of `eng`, one line each, in recording order.
+    fn warning_lines(eng: &Engine) -> Vec<String> {
+        eng.warnings
+            .iter()
+            .map(|w| {
+                format!(
+                    "{:?} `{}` op={:?} nest={} count={} | {}",
+                    w.kind,
+                    w.subject,
+                    w.op.as_deref(),
+                    w.nest_root,
+                    w.count,
+                    render(&w.characterization, &eng.loops)
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn host_globals_and_host_objects_characterize_as_before() {
+        // Host globals and host objects are made in `Interp::new` and
+        // `install_dom`, before the engine attaches; `var` keeps a host
+        // global's binding, so the declarations stamp it.
+        let (_interp, eng) = run(
+            "var Infinity;\n\
+             var total = 0;\n\
+             for (var i = 0; i < 3; i++) {\n\
+               Infinity = i;\n\
+               var NaN = i * 2;\n\
+               Math.tau = Math.PI * 2 + i;\n\
+               window.count = (window.count || 0) + 1;\n\
+               document.title = document.title + i;\n\
+               total = Math.tau + NaN + window.count;\n\
+             }",
+            Mode::Dependence,
+        );
+        assert_eq!(warning_lines(&eng.borrow()), HOST_WARNINGS);
+    }
+
+    /// [`host_globals_and_host_objects_characterize_as_before`]'s warnings,
+    /// as the engine recorded them when its stamps were hash maps keyed by
+    /// the raw id.
+    const HOST_WARNINGS: &[&str] = &[
+        r#"VarWrite `i` op=Some("init") nest=L1 count=1 | for(line 3) dependence dependence"#,
+        r#"VarWrite `Infinity` op=Some("=") nest=L1 count=3 | for(line 3) dependence dependence"#,
+        r#"VarWrite `NaN` op=Some("init") nest=L1 count=3 | for(line 3) dependence dependence"#,
+        r#"SharedPropWrite `Math.tau` op=Some("=") nest=L1 count=3 | for(line 3) dependence dependence"#,
+        r#"SharedPropWrite `window.count` op=Some("=") nest=L1 count=3 | for(line 3) dependence dependence"#,
+        r#"SharedPropWrite `document.title` op=Some("=") nest=L1 count=3 | for(line 3) dependence dependence"#,
+        r#"VarWrite `total` op=Some("=") nest=L1 count=3 | for(line 3) dependence dependence"#,
+        r#"VarWrite `i` op=Some("++") nest=L1 count=3 | for(line 3) dependence dependence"#,
+        r#"WawWrite `Math.tau` op=None nest=L1 count=2 | for(line 3) ok dependence"#,
+        r#"FlowRead `window.count` op=None nest=L1 count=2 | for(line 3) ok dependence"#,
+        r#"WawWrite `window.count` op=None nest=L1 count=2 | for(line 3) ok dependence"#,
+        r#"FlowRead `document.title` op=None nest=L1 count=2 | for(line 3) ok dependence"#,
+        r#"WawWrite `document.title` op=None nest=L1 count=2 | for(line 3) ok dependence"#,
+    ];
+
+    #[test]
+    fn a_location_two_tasks_touch_is_in_both_tasks_sets() {
+        let src = "var g = 0;\n\
+                   var shared = { v: 0 };\n\
+                   for (var i = 0; i < 3; i++) { shared.v = shared.v + i; g = i; }\n\
+                   setTimeout(function () {\n\
+                     for (var j = 0; j < 3; j++) { shared.v = shared.v + j; g = j; }\n\
+                   }, 0);";
+        let (instrumented, loops) =
+            ceres_instrument::instrument_source(src, Mode::Dependence).unwrap();
+        let mut interp = Interp::new(42);
+        ceres_dom::install_dom(&mut interp);
+        let engine = attach_engine(&mut interp, Mode::Dependence, loops);
+        engine
+            .borrow_mut()
+            .begin_task("main", interp.clock.now_ticks());
+        interp.eval_source(&instrumented).unwrap();
+        engine.borrow_mut().end_task(interp.clock.now_ticks());
+        interp.run_events(10).unwrap();
+        let global = |name| interp.global.lookup(name).unwrap();
+        let binding = crate::tasks::binding_location(global("g").borrow().id);
+        let Value::Object(shared) = global("shared").borrow().value.clone() else {
+            panic!("shared is an object")
+        };
+        let obj = crate::tasks::object_location(shared.id());
+        let eng = engine.borrow();
+        assert_eq!(eng.tasks.len(), 2);
+        for t in &eng.tasks {
+            assert!(t.reads.contains(&obj), "{}: {:?}", t.label, t.reads);
+            assert!(t.writes.contains(&obj), "{}: {:?}", t.label, t.writes);
+            assert!(t.writes.contains(&binding), "{}: {:?}", t.label, t.writes);
+        }
+        assert_eq!(crate::tasks::task_limit_study(&eng).conflicts, 1);
     }
 
     #[test]

@@ -523,7 +523,9 @@ pub fn resolve(
 
 /// Build [`AnalyzeOptions`] from a request plus the server defaults.
 /// Exposed so the daemon's resolver and the server core agree on exactly
-/// one mapping (and tests can construct the matching [`CacheKey`]).
+/// one mapping (and tests can construct the matching [`CacheKey`]). A
+/// `focus` outside dependence mode is refused: it would change nothing
+/// the run computes, yet key a separate analysis per value.
 pub fn request_options(
     req: &AnalysisRequest,
     config: &ServeConfig,
@@ -532,6 +534,12 @@ pub fn request_options(
         Some(m) => parse_mode(m)?,
         None => config.default_mode,
     };
+    if req.focus.is_some() && mode != Mode::Dependence {
+        return Err(format!(
+            "`focus` needs mode `dependence`, not `{}`",
+            mode_wire_name(mode)
+        ));
+    }
     let mut opts = AnalyzeOptions {
         mode,
         seed: req.seed.unwrap_or(config.default_seed),

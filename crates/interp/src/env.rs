@@ -29,7 +29,7 @@ thread_local! {
     static NEXT_BINDING_ID: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
 }
 
-fn next_binding_id() -> u64 {
+fn take_binding_id() -> u64 {
     NEXT_BINDING_ID.with(|c| {
         let id = c.get();
         c.set(id + 1);
@@ -37,10 +37,15 @@ fn next_binding_id() -> u64 {
     })
 }
 
+/// The id the next declared binding gets.
+pub fn next_binding_id() -> u64 {
+    NEXT_BINDING_ID.get()
+}
+
 /// Use up one binding id without declaring anything: the VM's stand-in
 /// for the `this` or `arguments` binding of a body that never names it.
 pub(crate) fn skip_binding_id() {
-    next_binding_id();
+    take_binding_id();
 }
 
 /// One lexical scope (function activation, global, or catch clause).
@@ -95,7 +100,7 @@ impl Scope {
             .entry(name)
             .or_insert_with(|| {
                 Rc::new(RefCell::new(Binding {
-                    id: next_binding_id(),
+                    id: take_binding_id(),
                     value,
                 }))
             })

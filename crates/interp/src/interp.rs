@@ -204,6 +204,10 @@ pub struct Interp {
     /// Allocation-registry mark taken at construction; `Drop` sweeps every
     /// object allocated since to break `Rc` cycles (closure env ↔ scope).
     heap_mark: usize,
+    /// The thread's next binding and object ids at construction: every
+    /// binding and object this interpreter makes, its globals included,
+    /// has an id at or above them.
+    first_ids: (u64, u64),
 }
 
 impl Drop for Interp {
@@ -217,6 +221,10 @@ impl Interp {
     /// RNG seeded to `seed` (deterministic `Math.random`).
     pub fn new(seed: u64) -> Interp {
         let heap_mark = crate::value::heap_mark();
+        let first_ids = (
+            crate::env::next_binding_id(),
+            crate::value::next_object_id(),
+        );
         let global = Scope::global();
         let mut interp = Interp {
             global,
@@ -241,9 +249,16 @@ impl Interp {
             sym_length: intern::intern("length"),
             sym_name: intern::intern("name"),
             heap_mark,
+            first_ids,
         };
         crate::builtins::install(&mut interp);
         interp
+    }
+
+    /// The first binding id and the first object id this interpreter
+    /// could hand out: analysis side tables indexed by id start there.
+    pub fn first_ids(&self) -> (u64, u64) {
+        self.first_ids
     }
 
     /// Seeded xorshift64* random in [0, 1).

@@ -100,3 +100,44 @@ fn engine_output_is_byte_identical_to_golden() {
         );
     }
 }
+
+/// The section of the golden for one app, its `== slug` line included.
+fn golden_section(slug: &str) -> &'static str {
+    let head = format!("== {slug}\n");
+    let start = GOLDEN.find(&head).expect("app in the golden");
+    let len = GOLDEN[start + head.len()..]
+        .find("\n== ")
+        .map_or(GOLDEN.len() - start, |end| head.len() + end + 1);
+    &GOLDEN[start..start + len]
+}
+
+/// The engine's per-id tables are indexed from the first ids of each
+/// run's interpreter. So a run late in a thread's life, whose ids sit far
+/// from 1, analyzes exactly as the first run did, and each run's tables
+/// span no more ids than that run allocated, however long the thread
+/// lives: the third run's ids start past both earlier runs' ids, where a
+/// table indexed by the raw id would span all three runs.
+#[test]
+fn runs_late_on_one_thread_match_the_first_and_span_only_their_ids() {
+    use ceres_interp::{env::next_binding_id, value::next_object_id};
+    let mut rendered = Vec::new();
+    for slug in ["haar", "cloth", "haar"] {
+        let w = ceres_workloads::by_slug(slug).expect("registry app");
+        let first = (next_binding_id(), next_object_id());
+        let run = ceres_workloads::run_workload(&w, Mode::Dependence, 1)
+            .unwrap_or_else(|e| panic!("{slug}: {e:?}"));
+        let allocated = (next_binding_id() - first.0, next_object_id() - first.1);
+        let engine = run.engine.borrow();
+        let (bindings, objects) = engine.id_rows();
+        assert!(
+            bindings as u64 <= allocated.0 && objects as u64 <= allocated.1,
+            "{slug}: tables hold {bindings} binding and {objects} object rows \
+             after a run that allocated {allocated:?}"
+        );
+        let mut out = String::new();
+        render_app(&mut out, slug, &engine);
+        assert_eq!(out, golden_section(slug), "{slug} drifted from the golden");
+        rendered.push(out);
+    }
+    assert_eq!(rendered[2], rendered[0]);
+}

@@ -252,6 +252,42 @@ fn focus_on_no_loop_is_refused_and_not_cached() {
     server.shutdown();
 }
 
+/// A focus outside dependence mode changes nothing the run computes, so
+/// it is refused before anything runs or is keyed; the same focus in
+/// dependence mode is served.
+#[test]
+fn focus_outside_dependence_mode_is_refused_before_running() {
+    let server = start(ServeConfig::default());
+    let addr = server.local_addr();
+    let source = "for (var i = 0; i < 3; i++) { }";
+    for mode in ["light", "loop"] {
+        let r = roundtrip(
+            addr,
+            &format!(r#"{{"source":"{source}","mode":"{mode}","focus":1}}"#),
+        );
+        assert!(r.contains("\"ok\":false"), "{r}");
+        assert!(r.contains("`focus` needs mode `dependence`, not `"), "{r}");
+    }
+    let stats = roundtrip(addr, r#"{"op":"stats","id":"s"}"#);
+    let v: serde_json::Value = serde_json::from_str(&stats).expect("stats parses");
+    let counter = |name: &str| {
+        v.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|x| x.as_u64())
+            .unwrap_or_else(|| panic!("missing {name}: {stats}"))
+    };
+    for name in ["cache_misses", "jobs_ok", "jobs_failed", "interp_ticks"] {
+        assert_eq!(counter(name), 0, "{name}: {stats}");
+    }
+    let dep = roundtrip(
+        addr,
+        &format!(r#"{{"source":"{source}","mode":"dep","focus":1}}"#),
+    );
+    assert!(dep.contains("\"ok\":true"), "{dep}");
+    assert_eq!(server.counters().jobs_ok, 1);
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Sharding and persistence
 
