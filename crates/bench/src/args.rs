@@ -197,8 +197,8 @@ pub struct DaemonArgs {
     /// job path and bytes; loses crash isolation).
     pub in_process: bool,
     /// `--workers`, `--queue-cap`, `--cache-cap`, `--cache-shards`,
-    /// `--cache-dir`, `--spill-dir`, `--mode`, `--seed` and the watchdog
-    /// budgets, each on its field.
+    /// `--cache-dir`, `--spill-dir` and the watchdog budgets, each on its
+    /// field.
     pub config: ServeConfig,
 }
 
@@ -224,8 +224,6 @@ impl DaemonArgs {
                 "--cache-shards" => config.cache_shards = f.positive()?,
                 "--cache-dir" => config.cache_dir = Some(f.value()?.into()),
                 "--spill-dir" => config.spill_dir = Some(f.value()?.into()),
-                "--mode" => config.default_mode = f.parse_with(parse_mode)?,
-                "--seed" => config.default_seed = f.integer()?,
                 "--watchdog-ticks" => config.policy.tick_budget = Some(f.integer()?),
                 "--watchdog-wall-ms" => {
                     config.policy.wall_budget = Duration::from_millis(f.integer()?)
@@ -256,8 +254,6 @@ mod tests {
         let d = DaemonArgs::parse(&[]).unwrap();
         assert_eq!(d.addr, "127.0.0.1:7015");
         assert_eq!(d.config.workers, 2);
-        assert_eq!(d.config.default_mode, Mode::LoopProfile);
-        assert_eq!(d.config.default_seed, 2015);
         assert_eq!(d.config.queue_capacity, 64);
         assert_eq!(d.config.cache_capacity, 256);
         assert_eq!(d.config.cache_shards, 8);
@@ -319,8 +315,6 @@ mod tests {
         ] {
             let f = FleetArgs::parse(&sv(&["--mode", spelling])).unwrap();
             assert_eq!(f.mode, want, "spelling `{spelling}`");
-            let d = DaemonArgs::parse(&sv(&["--mode", spelling])).unwrap();
-            assert_eq!(d.config.default_mode, want, "spelling `{spelling}`");
         }
     }
 
@@ -375,10 +369,6 @@ mod tests {
             "--spill-dir",
             "/tmp/ceres-spill",
             "--in-process",
-            "--mode",
-            "dep",
-            "--seed",
-            "9",
             "--workers",
             "3",
             "--watchdog-ticks",
@@ -396,8 +386,6 @@ mod tests {
         assert_eq!(c.cache_shards, 4);
         assert_eq!(c.cache_dir, Some(PathBuf::from("/tmp/ceres-cache")));
         assert_eq!(c.spill_dir, Some(PathBuf::from("/tmp/ceres-spill")));
-        assert_eq!(c.default_mode, Mode::Dependence);
-        assert_eq!(c.default_seed, 9);
         assert_eq!(c.workers, 3);
         assert_eq!(c.policy.tick_budget, Some(500));
         assert_eq!(c.policy.wall_budget, Duration::from_millis(9000));
@@ -417,6 +405,10 @@ mod tests {
             sv(&["--deterministic"]),
             sv(&["--inject", "panic:1.0"]),
             sv(&["--inject-seed", "7"]),
+            // A request that omits `mode` or `seed` gets the analysis
+            // defaults; the daemon has none of its own.
+            sv(&["--mode", "dep"]),
+            sv(&["--seed", "9"]),
         ] {
             let e = DaemonArgs::parse(&bad).unwrap_err();
             assert!(e.contains(&bad[0]), "{bad:?}: {e}");

@@ -21,9 +21,6 @@
 //!   --cache-shards <n>      cache shard count (default 8)
 //!   --cache-dir <dir>       persist the result cache here across
 //!                           restarts (default: memory-only)
-//!   --mode light|loop|dep   default mode for requests that omit `mode`
-//!                           (default: loop)
-//!   --seed <n>              default seed (default 2015)
 //!   --watchdog-ticks <n>    per-job deterministic tick budget
 //!   --watchdog-wall-ms <n>  per-job wall-clock backstop (default 120000)
 //! ```
@@ -39,7 +36,9 @@
 //! `result`/`error`). Requests name either
 //! a registry workload (`{"app":"nbody"}` — any slug from
 //! `jsceres analyze-all`) or inline source (`{"source":"var x = 1;"}`),
-//! plus the analysis options of `AnalyzeOptions`. Results
+//! plus the analysis options of `AnalyzeOptions`; an option a request
+//! omits takes `AnalyzeOptions::default()`'s value (mode `loop-profile`,
+//! seed 2015), so the daemon has no defaults of its own. Results
 //! are content-addressed: a repeated request is served byte-identically
 //! from the cache without re-entering the interpreter.
 //!
@@ -64,13 +63,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 const USAGE: &str = "usage: jsceresd [--addr HOST:PORT] [--workers N] [--in-process] [--worker]\n\
 \x20               [--queue-cap N] [--spill-dir DIR]\n\
 \x20               [--cache-cap N] [--cache-shards N] [--cache-dir DIR]\n\
-\x20               [--mode light|loop|dep] [--seed N] [--watchdog-ticks N]\n\
-\x20               [--watchdog-wall-ms N]";
+\x20               [--watchdog-ticks N] [--watchdog-wall-ms N]";
 
 /// The argument vector for spawning ourselves as a worker: `--worker`
 /// plus the supervision policy, from which a worker takes each job's
-/// wall-clock cap and tick budget. Mode and seed are not passed: every
-/// job line spells them out (`ceres_core::request_wire_json`).
+/// wall-clock cap and tick budget. Every job line spells out the job's
+/// analysis options (`ceres_core::request_wire_json`).
 fn worker_args(config: &ServeConfig) -> Vec<String> {
     let mut args = vec![
         "--worker".to_string(),

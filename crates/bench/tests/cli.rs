@@ -185,7 +185,10 @@ fn jsceres_rejects_bad_usage() {
             "jsceresd --queue-cap 0",
             "--queue-cap needs a positive integer (got `0`)",
         ),
-        ("jsceresd --seed abc", "--seed needs an integer (got `abc`)"),
+        // A request that omits `mode` or `seed` gets the analysis
+        // defaults; the daemon has no flag for either.
+        ("jsceresd --mode dep", "unknown argument `--mode`"),
+        ("jsceresd --seed 9", "unknown argument `--seed`"),
         ("jsceresd --scale 3", "unknown argument `--scale`"),
         ("jsceresd --frobnicate", "unknown argument `--frobnicate`"),
     ];

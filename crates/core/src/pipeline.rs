@@ -25,6 +25,7 @@ use crate::report::{
 use ceres_dom::{extract_scripts, splice_scripts, DomHandle};
 use ceres_instrument::{instrument_program, Mode};
 use ceres_interp::{Control, Interp, JsResult, TICKS_PER_MS};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// A document the web server can serve.
@@ -287,16 +288,17 @@ pub fn analyze(
     // golden-pinnable). serde_json formats the floats exactly like the
     // final report serializer, so a partial frame never shows a value
     // the terminal report then prints differently.
-    crate::obs::emit_progress(&crate::obs::Progress::Partial(partial_timing_fragment(
+    let row = TimingRow {
         total_ms,
         active_ms,
         loops_ms,
-        if total_ms == 0.0 {
+        loop_pct: if total_ms == 0.0 {
             0.0
         } else {
             100.0 * loops_ms / total_ms
         },
-    )));
+    };
+    crate::obs::emit_progress(&crate::obs::Progress::Partial(crate::serve::members(&row)));
 
     let counters = {
         let e = engine.borrow();
@@ -336,17 +338,14 @@ pub fn analyze(
     })
 }
 
-/// Render the deterministic early-timing fragment for a `partial`
-/// streaming frame (object body, no braces).
-fn partial_timing_fragment(total_ms: f64, active_ms: f64, loops_ms: f64, loop_pct: f64) -> String {
-    let f = |v: f64| serde_json::to_string(&v).expect("f64 serializes");
-    format!(
-        "\"total_ms\":{},\"active_ms\":{},\"loops_ms\":{},\"loop_pct\":{}",
-        f(total_ms),
-        f(active_ms),
-        f(loops_ms),
-        f(loop_pct)
-    )
+/// The deterministic early-timing row a `partial` streaming frame
+/// carries.
+#[derive(Serialize)]
+struct TimingRow {
+    total_ms: f64,
+    active_ms: f64,
+    loops_ms: f64,
+    loop_pct: f64,
 }
 
 /// Fig. 5 steps 6–7: render the run's results and commit them to the

@@ -73,17 +73,20 @@
 
 use crate::cache::{CacheKey, Digested, ShardedCache};
 use crate::fleet::{
-    page_work, with_faults, AppOutcome, Fault, FleetPolicy, JobWork, API_SCHEMA_VERSION,
+    page_work, with_faults, AppOutcome, AppReport, Fault, FleetPolicy, JobWork,
+    API_SCHEMA_VERSION,
 };
 use crate::obs::{FleetMetrics, ServeCounters};
 use crate::pipeline::{AnalyzeOptions, Document};
-use crate::spill::SpillQueue;
+use crate::spill::{SpillQueue, SpillStats};
 use crate::supervisor::{run_job, FrameSink, SlotOutcome, WorkerResponse, WorkerSlot, WorkerSpec};
 use ceres_dom::DomHandle;
 use ceres_instrument::Mode;
 use ceres_interp::{Interp, JsResult};
+use serde::value::escape_json;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -114,39 +117,53 @@ pub const ONESHOT_SCHEMA_VERSION: u32 = 1;
 // ---------------------------------------------------------------------
 
 /// One request line. Every field is optional on the wire; `op` defaults
-/// to `"analyze"` and the analysis fields default per [`ServeConfig`].
-/// The analysis fields mirror the [`AnalyzeOptions`] fields one-to-one.
+/// to `"analyze"` and the analysis fields to [`AnalyzeOptions::default`]
+/// and the server's [`FleetPolicy`]. The analysis fields mirror the
+/// [`AnalyzeOptions`] fields one-to-one. Its serde form leaves out every
+/// absent field, so it is also the job line ([`request_wire_json`]).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AnalysisRequest {
     /// `"analyze"` (default), `"ping"`, `"stats"`, or `"shutdown"`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub op: Option<String>,
     /// Client-chosen correlation id, echoed in the response.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub id: Option<String>,
     /// Registry workload slug to analyze (mutually exclusive with
     /// `source`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub app: Option<String>,
     /// Raw JavaScript (or HTML with inline scripts) to analyze.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub source: Option<String>,
     /// Instrumentation mode: `lightweight`, `loop-profile`, `dependence`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub mode: Option<String>,
     /// Virtual-clock seed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
     /// Dependence-mode focus loop id.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub focus: Option<u32>,
     /// Event-processing cap.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_events: Option<u64>,
     /// Deterministic watchdog tick budget.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_ticks: Option<u64>,
-    /// Registry workload scale factor.
+    /// Registry workload scale factor, at least 1; only with `app`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub scale: Option<u32>,
     /// Fault to inject into this request's job (`panic`, `hang`, `error`,
     /// or — process-worker backend only — `crash`), exercising the
     /// supervisor; injected requests are never cached.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub inject: Option<String>,
     /// `true` ⇒ answer with the schema-2 multi-frame stream
     /// (`accepted`/`phase`/`partial`/`notice` frames before the
     /// terminal `result`/`error`). Absent or `false` ⇒ the schema-1
     /// one-shot envelope, byte-identical to pre-streaming servers.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub stream: Option<bool>,
 }
 
@@ -172,61 +189,74 @@ pub fn mode_wire_name(mode: Mode) -> &'static str {
     }
 }
 
-/// Minimal JSON string escaping for hand-assembled envelope fields.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a request as a self-contained single-line job spec: the
-/// analysis options are written out *explicitly* from the resolved
-/// `opts` (not the raw request), so a worker process — or a replay after
-/// restart — computes the identical [`CacheKey`] regardless of its own
-/// defaults. This is both the spill-queue payload and the
-/// supervisor→worker job line. Only fields that are present are
-/// emitted, so the output round-trips through the ordinary
+/// The job line of `req`: its serde form with the analysis options
+/// filled in from the resolved `opts`, so a worker process — or a replay
+/// after restart — computes the identical [`CacheKey`] whatever its own
+/// defaults. `op` and `id` describe the client's request, not the job,
+/// and are dropped; `stream` is kept only when true, so a worker
+/// *process* knows to write frame lines on its stdout pipe (a replayed
+/// spill job with no waiting client keeps the flag, and its frames are
+/// discarded supervisor-side). This is both the spill-queue payload and
+/// the supervisor→worker job line, and it parses back with the ordinary
 /// [`AnalysisRequest`] parser.
 pub fn request_wire_json(req: &AnalysisRequest, opts: &AnalyzeOptions) -> String {
-    let mut parts = Vec::with_capacity(8);
-    if let Some(app) = &req.app {
-        parts.push(format!("\"app\":\"{}\"", json_escape(app)));
-    }
-    if let Some(src) = &req.source {
-        parts.push(format!("\"source\":\"{}\"", json_escape(src)));
-    }
-    parts.push(format!("\"mode\":\"{}\"", mode_wire_name(opts.mode)));
-    parts.push(format!("\"seed\":{}", opts.seed));
-    if let Some(f) = opts.focus {
-        parts.push(format!("\"focus\":{}", f.0));
-    }
-    parts.push(format!("\"max_events\":{}", opts.max_events));
-    if let Some(t) = opts.max_ticks {
-        parts.push(format!("\"max_ticks\":{t}"));
-    }
-    if let Some(s) = req.scale {
-        parts.push(format!("\"scale\":{s}"));
-    }
-    if let Some(i) = &req.inject {
-        parts.push(format!("\"inject\":\"{}\"", json_escape(i)));
-    }
-    if req.stream == Some(true) {
-        // Carried so a worker *process* knows to emit frame lines on its
-        // stdout pipe; a replayed spill job with no waiting client keeps
-        // the flag but its frames are discarded supervisor-side.
-        parts.push("\"stream\":true".to_string());
-    }
-    format!("{{{}}}", parts.join(","))
+    let job = AnalysisRequest {
+        op: None,
+        id: None,
+        mode: Some(mode_wire_name(opts.mode).to_string()),
+        seed: Some(opts.seed),
+        focus: opts.focus.map(|f| f.0),
+        max_events: Some(opts.max_events as u64),
+        max_ticks: opts.max_ticks,
+        stream: req.stream.filter(|&stream| stream),
+        ..req.clone()
+    };
+    serde_json::to_string(&job).expect("a request serializes")
+}
+
+/// The members of `value`'s JSON object, without its braces: the form in
+/// which every body is stored, cached and spliced into a line by
+/// [`render_frame`].
+pub(crate) fn members<T: Serialize + ?Sized>(value: &T) -> String {
+    unbrace(serde_json::to_string(value).expect("wire bodies serialize"))
+}
+
+fn unbrace(mut object: String) -> String {
+    object.pop();
+    object.remove(0);
+    object
+}
+
+/// The body of a reply that names no job: an op's acknowledgement.
+#[derive(Serialize)]
+struct OpReply {
+    op: &'static str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    draining: Option<bool>,
+}
+
+/// The body of a refused request, or of a job that never ran.
+#[derive(Serialize)]
+struct Refusal {
+    error: String,
+}
+
+/// A job's fragment, success or failure: what the cache stores and the
+/// terminal frame carries. A job that produced a report carries it and
+/// its metrics; any other carries its `error`.
+#[derive(Serialize)]
+struct JobFragment {
+    key: String,
+    app: String,
+    slug: String,
+    status: String,
+    attempts: u32,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    report: Option<AppReport>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    metrics: Option<FleetMetrics>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    error: Option<String>,
 }
 
 // ---------------------------------------------------------------------
@@ -318,90 +348,85 @@ impl Frame {
     }
 }
 
-/// Render one frame as one wire line (sans newline). Schema 1 renders
-/// only terminal frames — no `type`, no `seq`, the legacy envelope
-/// byte-for-byte. Schema 2 stamps every frame with its type and the
-/// per-response sequence number.
+/// Render one frame as one wire line (sans newline): an envelope head,
+/// then the frame's body. Schema 1 renders only terminal frames — no
+/// `type`, no `seq`, the legacy envelope byte-for-byte. Schema 2 stamps
+/// every frame with its type and the per-response sequence number. A
+/// terminal or `partial` frame's body is its stored fragment, copied as
+/// is; any other frame's body is its fields' serde form.
 pub fn render_frame(schema: u32, id: &str, seq: u64, frame: &Frame) -> String {
-    if schema == ONESHOT_SCHEMA_VERSION {
-        let (ok, cached, fragment) = match frame {
-            Frame::Result {
-                ok,
-                cached,
-                fragment,
-            } => (*ok, *cached, fragment.clone()),
-            Frame::Error { fragment } => (false, false, fragment.clone()),
-            // Non-terminal frames have no schema-1 form; the one-shot
-            // path never writes them. A defensive render keeps this
-            // function total.
-            other => (
-                false,
-                false,
-                error_fragment(&format!(
-                    "internal: `{}` frame in a one-shot response",
-                    other.type_name()
-                )),
-            ),
-        };
-        return format!(
-            "{{\"schema\":{schema},\"id\":\"{}\",\"ok\":{ok},\"cached\":{cached},{fragment}}}",
-            json_escape(id)
-        );
-    }
-    let body = match frame {
-        Frame::Accepted { queue_depth } => format!("\"queue_depth\":{queue_depth}"),
-        Frame::Phase {
-            phase,
-            start_ticks,
-            end_ticks,
-        } => format!(
-            "\"phase\":\"{}\",\"start_ticks\":{start_ticks},\"end_ticks\":{end_ticks}",
-            json_escape(phase)
-        ),
-        Frame::Partial { fragment } => fragment.clone(),
-        Frame::Notice { notice } => format!("\"notice\":\"{}\"", json_escape(notice)),
-        Frame::Result {
-            ok,
-            cached,
-            fragment,
-        } => format!("\"ok\":{ok},\"cached\":{cached},{fragment}"),
-        Frame::Error { fragment } => format!("\"ok\":false,\"cached\":false,{fragment}"),
+    let oneshot = schema == ONESHOT_SCHEMA_VERSION;
+    let internal;
+    let frame = if oneshot && !frame.is_terminal() {
+        // Non-terminal frames have no schema-1 form; the one-shot path
+        // never writes them. A defensive render keeps this function
+        // total.
+        internal = refused(format!(
+            "internal: `{}` frame in a one-shot response",
+            frame.type_name()
+        ));
+        &internal
+    } else {
+        frame
     };
-    format!(
-        "{{\"schema\":{schema},\"type\":\"{}\",\"id\":\"{}\",\"seq\":{seq},{body}}}",
-        frame.type_name(),
-        json_escape(id)
-    )
+    let fields;
+    let body = match frame {
+        Frame::Partial { fragment } | Frame::Result { fragment, .. } | Frame::Error { fragment } => {
+            fragment
+        }
+        tagged => {
+            let Ok(serde_json::Value::Map(mut tagged)) = serde_json::to_value(tagged) else {
+                unreachable!("a struct variant serializes as a one-entry map")
+            };
+            fields = unbrace(tagged.pop().expect("one variant tag").1.to_string());
+            &fields
+        }
+    };
+    let mut line = String::with_capacity(body.len() + id.len() + 96);
+    let _ = write!(line, "{{\"schema\":{schema},");
+    if !oneshot {
+        let _ = write!(line, "\"type\":\"{}\",", frame.type_name());
+    }
+    line.push_str("\"id\":\"");
+    escape_json(id, &mut line);
+    line.push_str("\",");
+    if !oneshot {
+        let _ = write!(line, "\"seq\":{seq},");
+    }
+    match frame {
+        Frame::Result { ok, cached, .. } => {
+            let _ = write!(line, "\"ok\":{ok},\"cached\":{cached},");
+        }
+        Frame::Error { .. } => line.push_str("\"ok\":false,\"cached\":false,"),
+        _ => {}
+    }
+    line.push_str(body);
+    line.push('}');
+    line
 }
 
-/// The legacy one-shot envelope: a degenerate single-`result` render.
-fn envelope(id: &str, ok: bool, cached: bool, fragment: &str) -> String {
-    render_frame(
-        ONESHOT_SCHEMA_VERSION,
-        id,
-        0,
-        &Frame::Result {
-            ok,
-            cached,
-            fragment: fragment.to_string(),
-        },
-    )
+/// A one-shot reply line: a degenerate single-terminal render.
+fn envelope(id: &str, frame: &Frame) -> String {
+    render_frame(ONESHOT_SCHEMA_VERSION, id, 0, frame)
 }
 
-/// An error response line (bad request, queue full, draining, ...).
-fn error_line(id: &str, error: &str) -> String {
-    envelope(
-        id,
-        false,
-        false,
-        &format!("\"error\":\"{}\"", json_escape(error)),
-    )
+/// The terminal frame of a successful op, with `reply` as its body.
+fn op_done(reply: OpReply) -> Frame {
+    Frame::Result {
+        ok: true,
+        cached: false,
+        fragment: members(&reply),
+    }
 }
 
-/// An error payload *fragment* (for replies routed through the job
-/// queue, which the connection handler wraps in an envelope itself).
-fn error_fragment(error: &str) -> String {
-    format!("\"error\":\"{}\"", json_escape(error))
+/// The terminal frame of a refused request (bad request, queue full,
+/// draining, ...) or of a job that never ran.
+fn refused(error: impl Into<String>) -> Frame {
+    Frame::Error {
+        fragment: members(&Refusal {
+            error: error.into(),
+        }),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -521,18 +546,22 @@ pub fn resolve(
     Ok((job, key))
 }
 
-/// Build [`AnalyzeOptions`] from a request plus the server defaults.
+/// Build [`AnalyzeOptions`] from a request: [`AnalyzeOptions::default`]
+/// for every option it omits, and the server's supervision policy.
 /// Exposed so the daemon's resolver and the server core agree on exactly
-/// one mapping (and tests can construct the matching [`CacheKey`]). A
-/// `focus` outside dependence mode is refused: it would change nothing
-/// the run computes, yet key a separate analysis per value.
+/// one mapping (and tests can construct the matching [`CacheKey`]). An
+/// option that would change nothing the run computes, yet key a separate
+/// analysis per value, is refused: a `focus` outside dependence mode,
+/// and a `scale` on an inline `source`. So is a `scale` of 0, which the
+/// fleet commands refuse too.
 pub fn request_options(
     req: &AnalysisRequest,
     config: &ServeConfig,
 ) -> Result<AnalyzeOptions, String> {
+    let defaults = AnalyzeOptions::default();
     let mode = match &req.mode {
         Some(m) => parse_mode(m)?,
-        None => config.default_mode,
+        None => defaults.mode,
     };
     if req.focus.is_some() && mode != Mode::Dependence {
         return Err(format!(
@@ -540,28 +569,22 @@ pub fn request_options(
             mode_wire_name(mode)
         ));
     }
-    let mut opts = AnalyzeOptions {
+    match req.scale {
+        Some(_) if req.app.is_none() => {
+            return Err("`scale` needs `app`: an inline `source` has no scale".to_string())
+        }
+        Some(0) => return Err("`scale` needs a positive integer (got `0`)".to_string()),
+        _ => {}
+    }
+    Ok(AnalyzeOptions {
         mode,
-        seed: req.seed.unwrap_or(config.default_seed),
+        seed: req.seed.unwrap_or(defaults.seed),
         focus: req.focus.map(ceres_ast::LoopId),
+        max_events: req.max_events.map_or(defaults.max_events, |n| n as usize),
         max_ticks: req.max_ticks.or(config.policy.tick_budget),
         wall_budget: config.policy.wall_budget.checked_div(2),
-        ..AnalyzeOptions::default()
-    };
-    if let Some(me) = req.max_events {
-        opts.max_events = me as usize;
-    }
-    Ok(opts)
-}
-
-/// The fields every job fragment leads with.
-fn fragment_head(fingerprint: &str, app: &str, slug: &str, status: &str, attempts: u32) -> String {
-    format!(
-        "\"key\":\"{fingerprint}\",\"app\":\"{}\",\"slug\":\"{}\",\"status\":\"{}\",\"attempts\":{attempts}",
-        json_escape(app),
-        json_escape(slug),
-        json_escape(status),
-    )
+        ..defaults
+    })
 }
 
 /// Build the result fragment for a finished job. `Ok` outcomes carry
@@ -571,12 +594,11 @@ fn fragment_head(fingerprint: &str, app: &str, slug: &str, status: &str, attempt
 /// [`crate::supervisor::run_job`], whichever transport runs it, which is
 /// what keeps envelopes byte-identical across backends.
 pub fn result_fragment(key: &CacheKey, outcome: &AppOutcome) -> (bool, String) {
-    let fingerprint = key.fingerprint();
     let status = outcome.status.label();
     let Some(report) = &outcome.report else {
         let detail = outcome.status.detail().unwrap_or("");
         let fragment = failure_fragment(
-            &fingerprint,
+            &key.fingerprint(),
             &outcome.app,
             &outcome.slug,
             &status,
@@ -585,31 +607,23 @@ pub fn result_fragment(key: &CacheKey, outcome: &AppOutcome) -> (bool, String) {
         );
         return (false, fragment);
     };
-    let head = fragment_head(
-        &fingerprint,
-        &outcome.app,
-        &outcome.slug,
-        &status,
-        outcome.attempts,
-    );
-    let canonical = report.canonical();
-    let metrics = FleetMetrics::single(
-        &canonical.app,
-        &canonical.slug,
-        &canonical.mode,
-        &canonical.obs,
-        true,
-    );
-    let report_json = serde_json::to_string(&canonical).expect("AppReport serializes");
-    let metrics_json = serde_json::to_string(&metrics).expect("FleetMetrics serializes");
-    (
-        true,
-        format!("{head},\"report\":{report_json},\"metrics\":{metrics_json}"),
-    )
+    let report = report.canonical();
+    let metrics = FleetMetrics::single(&report.app, &report.slug, &report.mode, &report.obs, true);
+    let fragment = JobFragment {
+        key: key.fingerprint(),
+        app: outcome.app.clone(),
+        slug: outcome.slug.clone(),
+        status,
+        attempts: outcome.attempts,
+        report: Some(report),
+        metrics: Some(metrics),
+        error: None,
+    };
+    (true, members(&fragment))
 }
 
 /// The fragment of a job that ended without a report: the
-/// [`result_fragment`] head, then the error. Every failure the server
+/// [`result_fragment`] fields, then the error. Every failure the server
 /// reports — a failed outcome, a crashed or unspawnable worker, a bad
 /// worker job line — is rendered here.
 pub fn failure_fragment(
@@ -620,11 +634,16 @@ pub fn failure_fragment(
     attempts: u32,
     error: &str,
 ) -> String {
-    format!(
-        "{},\"error\":\"{}\"",
-        fragment_head(fingerprint, app, slug, status, attempts),
-        json_escape(error)
-    )
+    members(&JobFragment {
+        key: fingerprint.into(),
+        app: app.into(),
+        slug: slug.into(),
+        status: status.into(),
+        attempts,
+        report: None,
+        metrics: None,
+        error: Some(error.into()),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -660,10 +679,6 @@ pub struct ServeConfig {
     pub worker_spec: Option<WorkerSpec>,
     /// Supervision policy for every served job.
     pub policy: FleetPolicy,
-    /// Mode used when a request omits `mode`.
-    pub default_mode: Mode,
-    /// Seed used when a request omits `seed`.
-    pub default_seed: u64,
 }
 
 impl Default for ServeConfig {
@@ -677,8 +692,6 @@ impl Default for ServeConfig {
             spill_dir: None,
             worker_spec: None,
             policy: FleetPolicy::default(),
-            default_mode: Mode::LoopProfile,
-            default_seed: 2015,
         }
     }
 }
@@ -865,14 +878,12 @@ fn tell_flushed(reply: &mpsc::Sender<Frame>, persisted: bool) {
     let _ = reply.send(Frame::Notice {
         notice: "draining: flushing the queued tail".to_string(),
     });
-    let _ = reply.send(Frame::Error {
-        fragment: error_fragment(if persisted {
-            "draining: job flushed to the spill queue; it will run after \
-             restart — retry then for a cache hit"
-        } else {
-            "draining: job not started; retry"
-        }),
-    });
+    let _ = reply.send(refused(if persisted {
+        "draining: job flushed to the spill queue; it will run after \
+         restart — retry then for a cache hit"
+    } else {
+        "draining: job not started; retry"
+    }));
 }
 
 /// Start serving on `listener` (bind it yourself; `127.0.0.1:0` works
@@ -1048,9 +1059,7 @@ fn exec_loop(shared: &Shared) {
             Ok(resolved) => resolved,
             Err(e) => {
                 shared.bump(|c| c.jobs_failed += 1);
-                job.send(Frame::Error {
-                    fragment: error_fragment(&e),
-                });
+                job.send(refused(e));
                 continue;
             }
         };
@@ -1188,23 +1197,75 @@ pub(crate) fn write_line(out: &mut dyn Write, mut line: String) -> std::io::Resu
 fn handle_line(line: &str, shared: &Arc<Shared>, out: &mut dyn Write) -> std::io::Result<()> {
     let req: AnalysisRequest = match serde_json::from_str(line) {
         Ok(r) => r,
-        Err(e) => return write_line(out, error_line("", &format!("bad request: {e}"))),
+        Err(e) => return write_line(out, envelope("", &refused(format!("bad request: {e}")))),
     };
     let id = req.id.clone().unwrap_or_default();
     let response = match req.op.as_deref().unwrap_or("analyze") {
-        "ping" => envelope(&id, true, false, "\"op\":\"ping\""),
-        "stats" => stats_line(&id, shared),
+        "ping" => op_done(OpReply {
+            op: "ping",
+            draining: None,
+        }),
+        "stats" => Frame::Result {
+            ok: true,
+            cached: false,
+            fragment: members(&stats(shared)),
+        },
         "shutdown" => {
             begin_drain(shared);
-            envelope(&id, true, false, "\"op\":\"shutdown\",\"draining\":true")
+            op_done(OpReply {
+                op: "shutdown",
+                draining: Some(true),
+            })
         }
         "analyze" => return handle_analyze(&req, &id, shared, out),
-        other => error_line(&id, &format!("unknown op `{other}`")),
+        other => refused(format!("unknown op `{other}`")),
     };
-    write_line(out, response)
+    write_line(out, envelope(&id, &response))
 }
 
-fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
+/// The `stats` op's payload, schema [`SERVE_STATS_SCHEMA`]; its keys are
+/// listed in `docs/METRICS.md`.
+#[derive(Serialize)]
+struct Stats {
+    op: &'static str,
+    stats_schema: u32,
+    counters: ServeCounters,
+    cache: CacheReport,
+    queue_depth: usize,
+    /// `None` when the server runs without a spill queue.
+    spill: Option<SpillStats>,
+    workers: usize,
+    backend: &'static str,
+    draining: bool,
+}
+
+/// The cache section of [`Stats`]: the totals, the persistence counters
+/// and each shard's traffic.
+#[derive(Serialize)]
+struct CacheReport {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    len: usize,
+    capacity: usize,
+    shards: usize,
+    persistent: bool,
+    loaded: u64,
+    load_corrupt: u64,
+    persisted: u64,
+    per_shard: Vec<ShardTraffic>,
+}
+
+/// One shard's traffic in [`CacheReport`].
+#[derive(Serialize)]
+struct ShardTraffic {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    len: usize,
+}
+
+fn stats(shared: &Shared) -> Stats {
     let cache = shared.cache.stats();
     let mut counters = *relock(&shared.counters);
     // The eviction odometer lives in the cache shards; mirror the
@@ -1212,58 +1273,45 @@ fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
     counters.cache_evictions = cache.total.evictions;
     let (queue_depth, spill) = {
         let q = relock(&shared.queue);
-        (q.memory.len(), q.spill.as_ref().map(|s| s.stats()))
+        (q.memory.len(), q.spill.as_ref().map(SpillQueue::stats))
     };
-    let counters_json = serde_json::to_string(&counters).expect("ServeCounters serializes");
     let per_shard = cache
         .shards
         .iter()
-        .map(|s| {
-            format!(
-                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"len\":{}}}",
-                s.hits, s.misses, s.evictions, s.len
-            )
+        .map(|s| ShardTraffic {
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            len: s.len,
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let spill_json = match spill {
-        Some(s) => format!(
-            "{{\"depth\":{},\"pushed\":{},\"replayed\":{},\"corrupt\":{},\"peak_depth\":{}}}",
-            s.depth, s.pushed, s.replayed, s.corrupt, s.peak_depth
-        ),
-        None => "null".to_string(),
-    };
-    let backend = if shared.config.worker_spec.is_some() {
-        "process"
-    } else {
-        "in-process"
-    };
-    envelope(
-        id,
-        true,
-        false,
-        &format!(
-            "\"op\":\"stats\",\"stats_schema\":{SERVE_STATS_SCHEMA},\
-             \"counters\":{counters_json},\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"len\":{},\"capacity\":{},\
-             \"shards\":{},\"persistent\":{},\"loaded\":{},\"load_corrupt\":{},\"persisted\":{},\
-             \"per_shard\":[{per_shard}]}},\
-             \"queue_depth\":{queue_depth},\"spill\":{spill_json},\
-             \"workers\":{},\"backend\":\"{backend}\",\"draining\":{}",
-            cache.total.hits,
-            cache.total.misses,
-            cache.total.evictions,
-            cache.total.len,
-            cache.total.capacity,
-            cache.shards.len(),
-            cache.persistent,
-            cache.loaded,
-            cache.load_corrupt,
-            cache.persisted,
-            shared.config.workers,
-            shared.draining.load(Ordering::SeqCst),
-        ),
-    )
+        .collect();
+    Stats {
+        op: "stats",
+        stats_schema: SERVE_STATS_SCHEMA,
+        counters,
+        cache: CacheReport {
+            hits: cache.total.hits,
+            misses: cache.total.misses,
+            evictions: cache.total.evictions,
+            len: cache.total.len,
+            capacity: cache.total.capacity,
+            shards: cache.shards.len(),
+            persistent: cache.persistent,
+            loaded: cache.loaded,
+            load_corrupt: cache.load_corrupt,
+            persisted: cache.persisted,
+            per_shard,
+        },
+        queue_depth,
+        spill,
+        workers: shared.config.workers,
+        backend: if shared.config.worker_spec.is_some() {
+            "process"
+        } else {
+            "in-process"
+        },
+        draining: shared.draining.load(Ordering::SeqCst),
+    }
 }
 
 /// Writes the frames of one analyze response, stamping `seq` at write
@@ -1327,9 +1375,7 @@ fn handle_analyze(
     let ((job, key), opts) = match resolved {
         Ok(r) => r,
         Err(e) => {
-            return fw.send(&Frame::Error {
-                fragment: error_fragment(&e),
-            })
+            return fw.send(&refused(e))
         }
     };
     shared.bump(|c| {
@@ -1358,9 +1404,7 @@ fn handle_analyze(
 
     if shared.draining.load(Ordering::SeqCst) {
         shared.bump(|c| c.rejected_draining += 1);
-        return fw.send(&Frame::Error {
-            fragment: error_fragment("draining: not accepting new work"),
-        });
+        return fw.send(&refused("draining: not accepting new work"));
     }
 
     let wire = request_wire_json(req, &opts);
@@ -1370,9 +1414,7 @@ fn handle_analyze(
         if !q.open {
             drop(q);
             shared.bump(|c| c.rejected_draining += 1);
-            return fw.send(&Frame::Error {
-                fragment: error_fragment("draining: not accepting new work"),
-            });
+            return fw.send(&refused("draining: not accepting new work"));
         }
         // Strict FIFO admission: once anything is on disk, new arrivals
         // queue behind it.
@@ -1428,9 +1470,7 @@ fn handle_analyze(
     match admitted {
         Admitted::Rejected(e) => {
             shared.bump(|c| c.rejected_queue_full += 1);
-            return fw.send(&Frame::Error {
-                fragment: error_fragment(&e),
-            });
+            return fw.send(&refused(e));
         }
         Admitted::Ring(depth) => {
             if stream_mode {
@@ -1455,9 +1495,9 @@ fn handle_analyze(
     }
 
     loop {
-        let frame = rx.recv().unwrap_or_else(|_| Frame::Error {
-            fragment: error_fragment("worker exited before finishing the job"),
-        });
+        let frame = rx
+            .recv()
+            .unwrap_or_else(|_| refused("worker exited before finishing the job"));
         if frame.is_terminal() {
             return fw.send(&frame);
         }
@@ -1559,7 +1599,13 @@ mod tests {
 
     #[test]
     fn write_line_sends_each_line_in_one_write() {
-        let ping = envelope("p", true, false, "\"op\":\"ping\"");
+        let ping = envelope(
+            "p",
+            &op_done(OpReply {
+                op: "ping",
+                draining: None,
+            }),
+        );
         let frame = render_frame(
             API_SCHEMA_VERSION,
             "s",
@@ -2052,7 +2098,7 @@ mod tests {
     fn request_wire_json_round_trips_and_pins_options() {
         let config = ServeConfig::default();
         let req: AnalysisRequest = serde_json::from_str(
-            r#"{"id":"x","source":"var q = 1;","mode":"dep","scale":2,"inject":"error"}"#,
+            r#"{"id":"x","app":"haar","mode":"dep","scale":2,"inject":"error"}"#,
         )
         .unwrap();
         let opts = request_options(&req, &config).unwrap();
@@ -2062,7 +2108,7 @@ mod tests {
         assert!(!wire.contains("\"id\""), "{wire}");
         assert!(wire.contains("\"mode\":\"dependence\""), "{wire}");
         assert!(
-            wire.contains(&format!("\"seed\":{}", config.default_seed)),
+            wire.contains(&format!("\"seed\":{}", AnalyzeOptions::default().seed)),
             "{wire}"
         );
         assert!(wire.contains("\"scale\":2"), "{wire}");

@@ -38,6 +38,7 @@
 #![deny(missing_docs)]
 
 use crate::cache::sha256_hex;
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
@@ -53,7 +54,7 @@ struct Slot {
 
 /// Counters describing one spill queue's lifetime (surfaced through the
 /// daemon's `stats` op and `docs/METRICS.md`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SpillStats {
     /// Records currently waiting on disk.
     pub depth: usize,

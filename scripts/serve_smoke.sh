@@ -7,9 +7,10 @@
 # injected abort and a raw kill -9) and require the supervisor to restart
 # it with every non-killed job succeeding, drive the schema-2 streaming
 # protocol with concurrent clients (plus a kill -9 mid-stream drill that
-# must still end every stream in a terminal frame), then shut down
-# cleanly and restart to prove the persisted cache serves a warm hit with
-# zero new interpreter ticks. Run from anywhere; needs only python3 and
+# must still end every stream in a terminal frame), hold an inline source
+# that needs escaping to the bytes an --in-process daemon answers, then
+# shut down cleanly and restart to prove the persisted cache serves a
+# warm hit with zero new interpreter ticks. Run from anywhere; needs only python3 and
 # the release binaries. The operator-facing story is docs/OPERATIONS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,28 +19,33 @@ BIN=target/release
 cargo build --release --bins
 
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"; [ -n "${daemon_pid:-}" ] && kill "$daemon_pid" 2>/dev/null || true' EXIT
+trap 'rm -rf "$tmp"; for pid in ${daemon_pid:-} ${inproc_pid:-}; do kill "$pid" 2>/dev/null; done; true' EXIT
 
-start_daemon() { # out-file err-file
-    "$BIN/jsceresd" --addr 127.0.0.1:0 --workers 3 \
-        --cache-dir "$tmp/cache" --spill-dir "$tmp/spill" \
-        > "$1" 2> "$2" &
+start_daemon() { # out-file err-file [flag...]
+    local out=$1 err=$2
+    shift 2
+    "$BIN/jsceresd" --addr 127.0.0.1:0 "$@" > "$out" 2> "$err" &
     daemon_pid=$!
     for _ in $(seq 1 50); do
-        grep -q "^listening on " "$1" 2>/dev/null && break
+        grep -q "^listening on " "$out" 2>/dev/null && break
         kill -0 "$daemon_pid" 2>/dev/null || {
             echo "FAIL: daemon died before binding" >&2
-            cat "$2" >&2
+            cat "$err" >&2
             exit 1
         }
         sleep 0.1
     done
-    addr=$(sed -n 's/^listening on //p' "$1" | head -1)
+    addr=$(sed -n 's/^listening on //p' "$out" | head -1)
     [ -n "$addr" ] || { echo "FAIL: no ready line" >&2; exit 1; }
 }
 
+# The daemon under test: 3 worker processes, persistent cache and spill.
+start_process_daemon() { # out-file err-file
+    start_daemon "$1" "$2" --workers 3 --cache-dir "$tmp/cache" --spill-dir "$tmp/spill"
+}
+
 echo "== jsceresd serve smoke (cold start, 3 worker processes) =="
-start_daemon "$tmp/daemon.out" "$tmp/daemon.err"
+start_process_daemon "$tmp/daemon.out" "$tmp/daemon.err"
 echo "daemon up at $addr (pid $daemon_pid)"
 
 # Phase 1 — cache behavior under concurrency, plus the supervised-retry
@@ -150,6 +156,51 @@ assert all(v < 20 for v in medians.values()), \
     f"kept-alive median at or above 20 ms (a delayed-ACK wait?): {line}"
 print(f"OK phase 1b: kept-alive medians {line}")
 EOF
+
+# Phase 1c — an inline source crosses the worker pipe inside the job
+# line. One source holding `"`, `\`, a newline, a tab, U+0001 and a
+# non-ASCII letter, sent one-shot and with stream:true, must get the
+# same terminal line, byte for byte, from this daemon and from a second,
+# --in-process daemon, whose jobs never leave the process.
+process_pid=$daemon_pid process_addr=$addr
+start_daemon "$tmp/inproc.out" "$tmp/inproc.err" --in-process
+inproc_pid=$daemon_pid inproc_addr=$addr
+daemon_pid=$process_pid addr=$process_addr
+python3 - "$addr" "$inproc_addr" <<'EOF'
+import json, socket, sys
+
+def terminal(addr, line):
+    """Send one request line; return its terminal response line, raw."""
+    host, port = addr.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=120) as s:
+        s.sendall(line.encode() + b"\n")
+        for raw in s.makefile("rb"):
+            if json.loads(raw).get("type") not in ("accepted", "phase", "partial", "notice"):
+                return raw
+    raise AssertionError(f"no terminal line for {line}")
+
+source = 'var s = "q\\"b\\\\s\u0001é";\n\tfor (var i = 0; i < 3; i++) { s += i; }'
+for request in [
+    {"id": "esc", "source": source, "mode": "light"},
+    {"id": "esc", "stream": True, "source": source, "mode": "dep"},
+]:
+    line = json.dumps(request, ensure_ascii=False)
+    process, inproc = (terminal(addr, line) for addr in sys.argv[1:3])
+    assert process == inproc, f"{line}:\n  process    {process!r}\n  in-process {inproc!r}"
+    reply = json.loads(process)
+    assert reply["ok"] and not reply["cached"], reply
+print("OK phase 1c: an escaped inline source gets the same terminal line, "
+      "one-shot and streamed, from worker processes and in process")
+EOF
+python3 - "$inproc_addr" <<'EOF'
+import json, socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+with socket.create_connection((host, int(port)), timeout=120) as s:
+    s.sendall(b'{"op":"shutdown"}\n')
+    assert json.loads(s.makefile("rb").readline())["ok"]
+EOF
+wait "$inproc_pid" || { echo "FAIL: in-process daemon exited non-zero" >&2; exit 1; }
+inproc_pid=
 
 # Phase 2 — crash a worker process mid-run, twice over: an injected
 # abort racing three real jobs, then a raw kill -9 of a live worker.
@@ -404,7 +455,7 @@ sed -n 's/^drained/daemon: drained/p' "$tmp/daemon.err"
 # serve the phase-1 entry as a cache hit without a single interpreter
 # tick.
 echo "== warm start from persisted cache =="
-start_daemon "$tmp/daemon2.out" "$tmp/daemon2.err"
+start_process_daemon "$tmp/daemon2.out" "$tmp/daemon2.err"
 echo "daemon up at $addr (pid $daemon_pid)"
 python3 - "$addr" <<'EOF'
 import json, socket, sys

@@ -268,6 +268,49 @@ fn focus_outside_dependence_mode_is_refused_before_running() {
         assert!(r.contains("\"ok\":false"), "{r}");
         assert!(r.contains("`focus` needs mode `dependence`, not `"), "{r}");
     }
+    assert_nothing_ran(addr);
+    let dep = roundtrip(
+        addr,
+        &format!(r#"{{"source":"{source}","mode":"dep","focus":1}}"#),
+    );
+    assert!(dep.contains("\"ok\":true"), "{dep}");
+    assert_eq!(server.counters().jobs_ok, 1);
+    server.shutdown();
+}
+
+/// `scale` sizes a registry app's page. On an inline source it changes
+/// nothing the run computes, yet would key a separate analysis per
+/// value; a scale of 0 makes a degenerate page, which the fleet commands
+/// refuse too. Both are refused before anything runs or is keyed.
+#[test]
+fn scale_without_app_or_of_zero_is_refused_before_running() {
+    let server = start(ServeConfig::default());
+    let addr = server.local_addr();
+    let source = "for (var i = 0; i < 3; i++) { }";
+    for (request, want) in [
+        (
+            format!(r#"{{"source":"{source}","scale":1}}"#),
+            "`scale` needs `app`",
+        ),
+        (
+            format!(r#"{{"source":"{source}","scale":7}}"#),
+            "`scale` needs `app`",
+        ),
+        (
+            r#"{"app":"haar","mode":"light","scale":0}"#.to_string(),
+            "`scale` needs a positive integer (got `0`)",
+        ),
+    ] {
+        let r = roundtrip(addr, &request);
+        assert!(r.contains("\"ok\":false"), "{request}: {r}");
+        assert!(r.contains(want), "{request}: {r}");
+    }
+    assert_nothing_ran(addr);
+    server.shutdown();
+}
+
+/// The server's `stats` show no cache miss, no job and no tick.
+fn assert_nothing_ran(addr: SocketAddr) {
     let stats = roundtrip(addr, r#"{"op":"stats","id":"s"}"#);
     let v: serde_json::Value = serde_json::from_str(&stats).expect("stats parses");
     let counter = |name: &str| {
@@ -279,13 +322,6 @@ fn focus_outside_dependence_mode_is_refused_before_running() {
     for name in ["cache_misses", "jobs_ok", "jobs_failed", "interp_ticks"] {
         assert_eq!(counter(name), 0, "{name}: {stats}");
     }
-    let dep = roundtrip(
-        addr,
-        &format!(r#"{{"source":"{source}","mode":"dep","focus":1}}"#),
-    );
-    assert!(dep.contains("\"ok\":true"), "{dep}");
-    assert_eq!(server.counters().jobs_ok, 1);
-    server.shutdown();
 }
 
 // ---------------------------------------------------------------------
