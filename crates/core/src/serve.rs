@@ -411,11 +411,11 @@ fn envelope(id: &str, frame: &Frame) -> String {
 }
 
 /// The terminal frame of a successful op, with `reply` as its body.
-fn op_done(reply: OpReply) -> Frame {
+fn op_done(reply: &impl Serialize) -> Frame {
     Frame::Result {
         ok: true,
         cached: false,
-        fragment: members(&reply),
+        fragment: members(reply),
     }
 }
 
@@ -1201,18 +1201,14 @@ fn handle_line(line: &str, shared: &Arc<Shared>, out: &mut dyn Write) -> std::io
     };
     let id = req.id.clone().unwrap_or_default();
     let response = match req.op.as_deref().unwrap_or("analyze") {
-        "ping" => op_done(OpReply {
+        "ping" => op_done(&OpReply {
             op: "ping",
             draining: None,
         }),
-        "stats" => Frame::Result {
-            ok: true,
-            cached: false,
-            fragment: members(&stats(shared)),
-        },
+        "stats" => op_done(&stats(shared)),
         "shutdown" => {
             begin_drain(shared);
-            op_done(OpReply {
+            op_done(&OpReply {
                 op: "shutdown",
                 draining: Some(true),
             })
@@ -1601,7 +1597,7 @@ mod tests {
     fn write_line_sends_each_line_in_one_write() {
         let ping = envelope(
             "p",
-            &op_done(OpReply {
+            &op_done(&OpReply {
                 op: "ping",
                 draining: None,
             }),
