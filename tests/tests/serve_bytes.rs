@@ -1,9 +1,9 @@
 //! Byte pins for every JSON body `jsceresd` writes: the job line (the
 //! spill payload and the worker's stdin line), frames at both schemas,
-//! the `stats` line of a fresh server, the ok, failed and
-//! worker-crashed job fragments, the worker pipe's lines, the `partial`
-//! timing row, and the envelopes of the non-analyze ops and of refused
-//! requests. The goldens pin whole responses for a few requests; these
+//! the `stats` line of a fresh server and of one after traffic, the ok,
+//! failed and worker-crashed job fragments, the worker pipe's lines, the
+//! `partial` timing row, and the envelopes of the non-analyze ops and of
+//! refused requests. The goldens pin whole responses for a few requests; these
 //! pin each encoder on inputs that need escaping, so a change to how a
 //! body is built cannot move a byte unnoticed.
 //!
@@ -238,8 +238,20 @@ fn frames_are_pinned_at_both_schemas() {
 
 #[test]
 fn fresh_stats_line_is_pinned() {
+    let stats = r#"{"op":"stats","id":"s"}"#;
     let server = start(ServeConfig::default());
-    let got = exchange(server.local_addr(), r#"{"op":"stats","id":"s"}"#).remove(0);
+    let fresh = exchange(server.local_addr(), stats).remove(0);
+    server.shutdown();
+    // One shard of one entry: `b` evicts `a`, then hits.
+    let server = start(ServeConfig {
+        cache_capacity: 1,
+        cache_shards: 1,
+        ..ServeConfig::default()
+    });
+    for source in ["var a = 1;", "var b = 2;", "var b = 2;"] {
+        exchange(server.local_addr(), &format!(r#"{{"source":"{source}"}}"#));
+    }
+    let after_traffic = exchange(server.local_addr(), stats).remove(0);
     server.shutdown();
     let want = concat!(
         r#"{"schema":1,"id":"s","ok":true,"cached":false,"op":"stats","stats_schema":4,"#,
@@ -257,8 +269,31 @@ fn fresh_stats_line_is_pinned() {
         r#""queue_depth":0,"spill":{"depth":0,"pushed":0,"replayed":0,"corrupt":0,"peak_depth":0},"#,
         r#""workers":2,"backend":"in-process","draining":false}"#,
     );
-    check(&[pin("stats of a fresh in-process server", got, want)]);
+    check(&[
+        pin("stats of a fresh in-process server", fresh, want),
+        pin(
+            "stats after an eviction and a hit",
+            after_traffic,
+            AFTER_TRAFFIC.concat(),
+        ),
+    ]);
 }
+
+/// The `stats` line of [`fresh_stats_line_is_pinned`]'s one-entry server
+/// after its three requests.
+const AFTER_TRAFFIC: &[&str] = &[
+    r#"{"schema":1,"id":"s","ok":true,"cached":false,"op":"stats","stats_schema":4,"#,
+    r#""counters":{"requests":3,"cache_hits":1,"cache_misses":2,"cache_evictions":1,"#,
+    r#""rejected_queue_full":0,"rejected_draining":0,"queue_peak_depth":1,"jobs_ok":2,"#,
+    r#""jobs_failed":0,"interp_ticks":4,"worker_restarts":0,"jobs_spilled":0,"#,
+    r#""spill_replayed":0,"spill_peak_depth":0,"jobs_flushed_on_drain":0,"streams":0,"#,
+    r#""frames_streamed":0,"spill_notices":0},"#,
+    r#""cache":{"hits":1,"misses":2,"evictions":1,"len":1,"capacity":1,"shards":1,"#,
+    r#""persistent":false,"loaded":0,"load_corrupt":0,"persisted":0,"per_shard":["#,
+    r#"{"hits":1,"misses":2,"evictions":1,"len":1}]},"#,
+    r#""queue_depth":0,"spill":{"depth":0,"pushed":0,"replayed":0,"corrupt":0,"peak_depth":0},"#,
+    r#""workers":2,"backend":"in-process","draining":false}"#,
+];
 
 #[test]
 fn job_fragments_are_pinned() {
