@@ -197,7 +197,7 @@ fn main() {
         run.total_ms,
         run.active_ms,
         run.loops_ms,
-        100.0 * run.loop_fraction()
+        run.loop_pct()
     );
 
     {

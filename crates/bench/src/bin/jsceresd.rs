@@ -159,11 +159,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let backend = if opts.config.worker_spec.is_some() {
-        "process"
-    } else {
-        "in-process"
-    };
+    let backend = opts.config.backend();
     let workers = opts.config.workers;
     let handle = serve(listener, opts.config, registry_resolver(policy));
     install_signal_drain(handle.drain_handle());

@@ -267,7 +267,7 @@ fn table2() {
             run.total_ms,
             run.active_ms,
             run.loops_ms,
-            100.0 * run.loop_fraction(),
+            run.loop_pct(),
             p.1,
             p.2,
             p.3
@@ -568,7 +568,7 @@ fn amdahl() {
         println!(
             "{:<22}{:>7.0}%{:>11.2}{:>10}",
             w.name,
-            100.0 * run.loop_fraction(),
+            run.loop_pct(),
             p,
             if bound.is_infinite() {
                 "inf".to_string()

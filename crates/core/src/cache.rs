@@ -32,6 +32,7 @@
 #![deny(missing_docs)]
 
 use crate::pipeline::AnalyzeOptions;
+use serde::Serialize;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -232,9 +233,9 @@ impl CacheKey {
 // The sharded, persistent cache
 // ---------------------------------------------------------------------
 
-/// Cache occupancy and traffic counters (surfaced through the daemon's
-/// `stats` op; see [`crate::obs::ServeCounters`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One shard's traffic and occupancy: an entry of
+/// [`ShardedCacheStats::per_shard`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Lookups that returned a stored payload.
     pub hits: u64,
@@ -244,19 +245,29 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently stored.
     pub len: usize,
-    /// Maximum entries stored at once.
-    pub capacity: usize,
 }
 
-/// Stats for a [`ShardedCache`]: the aggregate view plus per-shard
-/// traffic and the persistence counters (surfaced through the daemon's
-/// `stats` op; schema documented in `docs/METRICS.md`).
-#[derive(Debug, Clone)]
+/// Stats for a [`ShardedCache`]: the totals over its shards, the
+/// persistence counters and each shard's traffic. Serialized as it is,
+/// this is the `cache` block of the daemon's `stats` op (schema in
+/// `docs/METRICS.md`), and its totals are the `cache_*` counters of
+/// [`crate::obs::ServeCounters`].
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ShardedCacheStats {
-    /// Aggregate across all shards.
-    pub total: CacheStats,
-    /// Per-shard traffic, indexed by shard id.
-    pub shards: Vec<CacheStats>,
+    /// Lookups that returned a stored payload, over all shards.
+    pub hits: u64,
+    /// Lookups that found nothing, over all shards.
+    pub misses: u64,
+    /// Entries evicted to respect the capacity bound, over all shards.
+    pub evictions: u64,
+    /// Entries currently stored, over all shards.
+    pub len: usize,
+    /// Maximum entries stored at once: the sum of the shards' bounds.
+    pub capacity: usize,
+    /// Number of shards.
+    pub shards: usize,
+    /// True when a cache directory is configured (write-through on).
+    pub persistent: bool,
     /// Entries replayed from shard files at open time.
     pub loaded: u64,
     /// Entries whose checksum or framing failed during load (truncated
@@ -264,8 +275,8 @@ pub struct ShardedCacheStats {
     pub load_corrupt: u64,
     /// Entries written through to shard files over this process lifetime.
     pub persisted: u64,
-    /// True when a cache directory is configured (write-through on).
-    pub persistent: bool,
+    /// Per-shard traffic, indexed by shard id.
+    pub per_shard: Vec<CacheStats>,
 }
 
 /// One shard, guarded by its own lock: a bounded, insert-ordered map
@@ -308,7 +319,6 @@ impl Shard {
             misses: self.misses,
             evictions: self.evictions,
             len: self.entries.len(),
-            capacity: self.capacity,
         }
     }
 }
@@ -441,36 +451,27 @@ impl ShardedCache {
         payload
     }
 
-    /// Aggregate + per-shard stats snapshot.
+    /// Totals + per-shard stats snapshot.
     pub fn stats(&self) -> ShardedCacheStats {
-        let mut total = CacheStats {
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            len: 0,
-            capacity: 0,
+        let mut stats = ShardedCacheStats {
+            shards: self.shards.len(),
+            persistent: self.dir.is_some(),
+            loaded: self.loaded,
+            load_corrupt: self.load_corrupt,
+            ..ShardedCacheStats::default()
         };
-        let mut shards = Vec::with_capacity(self.shards.len());
-        let mut persisted = 0u64;
         for shard in &self.shards {
             let s = relock_shard(shard);
             let st = s.stats();
-            total.hits += st.hits;
-            total.misses += st.misses;
-            total.evictions += st.evictions;
-            total.len += st.len;
-            total.capacity += st.capacity;
-            persisted += s.persisted;
-            shards.push(st);
+            stats.hits += st.hits;
+            stats.misses += st.misses;
+            stats.evictions += st.evictions;
+            stats.len += st.len;
+            stats.capacity += s.capacity;
+            stats.persisted += s.persisted;
+            stats.per_shard.push(st);
         }
-        ShardedCacheStats {
-            total,
-            shards,
-            loaded: self.loaded,
-            load_corrupt: self.load_corrupt,
-            persisted,
-            persistent: self.dir.is_some(),
-        }
+        stats
     }
 }
 
@@ -617,7 +618,7 @@ mod tests {
         let stored = cache.insert_or_get(&k, "payload-one".to_string());
         assert_eq!(stored, "payload-one");
         assert_eq!(cache.lookup(&k).as_deref(), Some("payload-one"));
-        let s = cache.stats().total;
+        let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
     }
 
@@ -655,10 +656,10 @@ mod tests {
             "64 distinct keys should spread over most of 8 shards, got {used:?}"
         );
         let stats = cache.stats();
-        assert_eq!(stats.total.len, 64);
+        assert_eq!(stats.len, 64);
         assert_eq!(
-            stats.shards.iter().map(|s| s.len).sum::<usize>(),
-            stats.total.len,
+            stats.per_shard.iter().map(|s| s.len).sum::<usize>(),
+            stats.len,
             "per-shard occupancy must sum to the aggregate"
         );
         // Routing is stable: the same key always lands on the same shard.
@@ -695,7 +696,7 @@ mod tests {
             );
         }
         // The replay itself must not count as client traffic.
-        assert_eq!(cache.stats().total.hits, 12, "only our lookups count");
+        assert_eq!(cache.stats().hits, 12, "only our lookups count");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -712,10 +713,10 @@ mod tests {
             for (i, k) in keys.iter().enumerate() {
                 cache.insert_or_get(k, format!("w-{i}"));
             }
-            assert_eq!(cache.stats().total.len, 4);
+            assert_eq!(cache.stats().len, 4);
         }
         let cache = ShardedCache::open(4, 1, Some(&dir)).unwrap();
-        assert_eq!(cache.stats().total.len, 4);
+        assert_eq!(cache.stats().len, 4);
         for (i, k) in keys.iter().enumerate() {
             let want = if i >= 6 { Some(format!("w-{i}")) } else { None };
             assert_eq!(cache.lookup(k), want, "entry {i}");
@@ -755,8 +756,8 @@ mod tests {
         assert_eq!(cache.lookup(&k1), None, "oldest entry evicted");
         assert_eq!(cache.lookup(&k2).as_deref(), Some("2"));
         assert_eq!(cache.lookup(&k3).as_deref(), Some("3"));
-        assert_eq!(cache.stats().total.evictions, 1);
-        assert_eq!(cache.stats().total.len, 2);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.stats().len, 2);
     }
 
     /// Open a one-shard cache over `bytes` as its shard log, and check the

@@ -284,7 +284,7 @@ impl AppReport {
             total_ms: run.total_ms,
             active_ms: run.active_ms,
             loops_ms: run.loops_ms,
-            loop_pct: 100.0 * run.loop_fraction(),
+            loop_pct: run.loop_pct(),
             nests,
             warnings,
             obs,

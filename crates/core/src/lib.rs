@@ -79,9 +79,8 @@ pub use fleet::{
     API_SCHEMA_VERSION,
 };
 pub use obs::{
-    chrome_trace, emit_progress, install_progress_sink, AppMetrics, Counters, FleetMetrics,
-    PhaseSpan, Progress, ProgressSink, ProgressSinkGuard, RunObs, ServeCounters,
-    METRICS_SCHEMA_VERSION,
+    chrome_trace, emit_frame, install_frame_sink, AppMetrics, Counters, FleetMetrics,
+    FrameSinkGuard, PhaseSpan, RunObs, ServeCounters, METRICS_SCHEMA_VERSION,
 };
 pub use parallel::{
     equivalence, run_parallel, EquivalenceReport, ParallelError, ParallelRunOutput, ParallelSpec,

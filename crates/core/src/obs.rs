@@ -28,6 +28,8 @@
 
 #![deny(missing_docs)]
 
+use crate::serve::Frame;
+use crate::supervisor::FrameSink;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -79,74 +81,63 @@ impl PhaseSpan {
 }
 
 // ---------------------------------------------------------------------
-// Live progress sink (streaming serve protocol)
+// Live frame sink (streaming serve protocol)
 // ---------------------------------------------------------------------
 
-/// One mid-run progress event, emitted at the moment the pipeline
-/// records it (not after the run finishes). The streaming serve
-/// protocol turns these into schema-2 `phase`/`partial` wire frames;
-/// every other consumer (fleet, CLIs) leaves the sink uninstalled and
-/// pays one thread-local read per phase.
-#[derive(Debug, Clone)]
-pub enum Progress {
-    /// A pipeline phase just completed; carries the span as recorded
-    /// (tick range deterministic, wall fields noisy — wire renderers
-    /// must use the tick fields only).
-    Phase(PhaseSpan),
-    /// An early per-app result fragment: the Table-2 timing row, known
-    /// as soon as interpretation ends and long before the nest
-    /// classification and report render. Pre-rendered JSON object body
-    /// (no braces), deterministic.
-    Partial(String),
-}
-
-/// A thread's progress callback (see [`install_progress_sink`]).
-pub type ProgressSink = Box<dyn FnMut(&Progress)>;
-
 thread_local! {
-    static PROGRESS_SINK: RefCell<Option<ProgressSink>> = const { RefCell::new(None) };
+    static FRAME_SINK: RefCell<Option<FrameSink>> = const { RefCell::new(None) };
 }
 
 /// Restores the previously installed sink (usually `None`) when
 /// dropped, so a panicking attempt cannot leak its sink into the next
 /// job that reuses the thread.
-pub struct ProgressSinkGuard {
-    prev: Option<ProgressSink>,
-    armed: bool,
+pub struct FrameSinkGuard {
+    prev: Option<FrameSink>,
 }
 
-impl Drop for ProgressSinkGuard {
+impl Drop for FrameSinkGuard {
     fn drop(&mut self) {
-        if self.armed {
-            let prev = self.prev.take();
-            PROGRESS_SINK.with(|cell| *cell.borrow_mut() = prev);
-        }
+        let prev = self.prev.take();
+        FRAME_SINK.with(|cell| *cell.borrow_mut() = prev);
     }
 }
 
-/// Install a progress sink on *this thread* for the lifetime of the
-/// returned guard. The pipeline's span recording points call the sink
-/// synchronously, so a job wrapper (see `serve`/`supervisor`) installs
-/// one on the runner thread to stream phase frames mid-run.
-pub fn install_progress_sink(sink: ProgressSink) -> ProgressSinkGuard {
-    let prev = PROGRESS_SINK.with(|cell| cell.borrow_mut().replace(sink));
-    ProgressSinkGuard { prev, armed: true }
+/// Install a frame sink on *this thread* for the lifetime of the
+/// returned guard. The pipeline calls it synchronously, the moment it
+/// records them, with a `phase` frame per phase and the `partial`
+/// timing row, so a job wrapper ([`crate::supervisor::run_job`])
+/// installs one on the runner thread to stream them mid-run. Every
+/// other consumer (fleet, CLIs) leaves the sink uninstalled and pays one
+/// thread-local read per frame.
+pub fn install_frame_sink(sink: FrameSink) -> FrameSinkGuard {
+    let prev = FRAME_SINK.with(|cell| cell.borrow_mut().replace(sink));
+    FrameSinkGuard { prev }
 }
 
-/// Feed one event to this thread's sink, if any. The sink is taken out
-/// for the duration of the call, so a sink that (indirectly) records a
-/// span does not recurse or double-borrow.
-pub fn emit_progress(p: &Progress) {
-    let taken = PROGRESS_SINK.with(|cell| cell.borrow_mut().take());
+/// Feed the frame `make` builds to this thread's sink; without a sink
+/// the frame is not built. The sink is taken out for the duration of
+/// the call, so a sink that (indirectly) records a span does not recurse
+/// or double-borrow.
+pub fn emit_frame(make: impl FnOnce() -> Frame) {
+    let taken = FRAME_SINK.with(|cell| cell.borrow_mut().take());
     if let Some(mut sink) = taken {
-        sink(p);
-        PROGRESS_SINK.with(|cell| {
+        sink(make());
+        FRAME_SINK.with(|cell| {
             let mut slot = cell.borrow_mut();
             if slot.is_none() {
                 *slot = Some(sink);
             }
         });
     }
+}
+
+/// Stream `span` as a `phase` frame, which carries its tick range only.
+fn emit_phase(span: &PhaseSpan) {
+    emit_frame(|| Frame::Phase {
+        phase: span.phase.clone(),
+        start_ticks: span.start_ticks,
+        end_ticks: span.end_ticks,
+    });
 }
 
 /// Monotonic event counters for one app run (or, in
@@ -240,7 +231,7 @@ impl RunObs {
             wall_start_us,
             wall_us,
         };
-        emit_progress(&Progress::Phase(span.clone()));
+        emit_phase(&span);
         self.spans.push(span);
     }
 
@@ -303,7 +294,7 @@ impl SpanRecorder {
             wall_start_us,
             wall_us,
         };
-        emit_progress(&Progress::Phase(span.clone()));
+        emit_phase(&span);
         self.spans.push(span);
     }
 
@@ -553,11 +544,14 @@ pub fn chrome_trace(metrics: &FleetMetrics) -> String {
 pub struct ServeCounters {
     /// Analysis requests accepted (cache hits included).
     pub requests: u64,
-    /// Requests answered from the content-addressed cache.
+    /// Requests answered from the content-addressed cache: the cache's
+    /// own [`crate::cache::ShardedCacheStats::hits`].
     pub cache_hits: u64,
-    /// Requests that had to run the pipeline.
+    /// Requests that had to run the pipeline: the cache's own
+    /// [`crate::cache::ShardedCacheStats::misses`].
     pub cache_misses: u64,
-    /// Cache entries evicted to respect the capacity bound.
+    /// Cache entries evicted to respect the capacity bound: the cache's
+    /// own [`crate::cache::ShardedCacheStats::evictions`].
     pub cache_evictions: u64,
     /// Requests rejected because the bounded job queue was full.
     pub rejected_queue_full: u64,

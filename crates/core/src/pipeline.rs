@@ -109,6 +109,13 @@ impl AppRun {
         }
     }
 
+    /// [`Self::loop_fraction`] as a percentage: the `loop_pct` of the
+    /// report and of the streamed `partial` row, computed here only so
+    /// the two never print different digits.
+    pub fn loop_pct(&self) -> f64 {
+        100.0 * self.loop_fraction()
+    }
+
     /// The Fortuna-style task-parallelism limit study over this run's
     /// tasks (main script + every event callback) — see [`crate::tasks`].
     pub fn task_study(&self) -> crate::tasks::TaskLimitStudy {
@@ -281,24 +288,6 @@ pub fn analyze(
     let active_ms = interp.clock.active_ms();
     let loops_ms = engine.borrow().lw_loop_ticks as f64 / TICKS_PER_MS as f64;
     steps.push("5: browser sends analysis results back through the proxy".to_string());
-    // Early result for streaming consumers: the Table-2 timing row is
-    // fully determined the moment interpretation ends, well before nest
-    // classification and report rendering. All four fields are
-    // virtual-clock-derived, so the fragment is deterministic (and
-    // golden-pinnable). serde_json formats the floats exactly like the
-    // final report serializer, so a partial frame never shows a value
-    // the terminal report then prints differently.
-    let row = TimingRow {
-        total_ms,
-        active_ms,
-        loops_ms,
-        loop_pct: if total_ms == 0.0 {
-            0.0
-        } else {
-            100.0 * loops_ms / total_ms
-        },
-    };
-    crate::obs::emit_progress(&crate::obs::Progress::Partial(crate::serve::members(&row)));
 
     let counters = {
         let e = engine.borrow();
@@ -325,7 +314,7 @@ pub fn analyze(
         wall_start_us: 0,
     };
 
-    Ok(AppRun {
+    let run = AppRun {
         total_ms,
         active_ms,
         loops_ms,
@@ -335,7 +324,24 @@ pub fn analyze(
         steps,
         source: combined_source,
         obs,
-    })
+    };
+    // Early result for streaming consumers: the Table-2 timing row is
+    // fully determined the moment interpretation ends, well before nest
+    // classification and report rendering. All four fields are
+    // virtual-clock-derived, so the fragment is deterministic (and
+    // golden-pinnable). They are the report's own values, and serde_json
+    // formats them as the report serializer does, so a partial frame
+    // never shows a value the terminal report then prints differently.
+    let row = TimingRow {
+        total_ms,
+        active_ms,
+        loops_ms,
+        loop_pct: run.loop_pct(),
+    };
+    crate::obs::emit_frame(|| crate::serve::Frame::Partial {
+        fragment: crate::serve::members(&row),
+    });
+    Ok(run)
 }
 
 /// The deterministic early-timing row a `partial` streaming frame
@@ -371,7 +377,7 @@ pub fn publish_report(
                 run.total_ms,
                 run.active_ms,
                 run.loops_ms,
-                100.0 * run.loop_fraction()
+                run.loop_pct()
             ),
         ),
         ("loops.txt", render_loop_profile(&engine)),

@@ -1,18 +1,15 @@
 //! `jsceresd`: the persistent analysis service.
 //!
-//! Five PRs in, the daemon was a *single process* with a bounded
-//! in-memory queue: a segfault-class failure killed it, a burst past the
-//! queue bound rejected jobs, and a restart lost the entire result
-//! cache. This module is the serving core of the multi-process redesign
-//! (see `docs/OPERATIONS.md` for the operator's view):
+//! This module is the daemon's serving core, which keeps serving through
+//! a crashed worker, a burst past its queue bound and a restart (see
+//! `docs/OPERATIONS.md` for the operator's view):
 //!
 //! 1. **A stable, versioned wire surface.** Clients send one
 //!    line-delimited JSON [`AnalysisRequest`] per request over TCP. A
 //!    default (one-shot) request is answered with a single JSON
-//!    envelope rendered at [`ONESHOT_SCHEMA_VERSION`] — byte-identical
-//!    to every prior PR and golden-pinned. A `stream:true` request is
-//!    answered with the schema-2 multi-frame protocol
-//!    ([`crate::fleet::API_SCHEMA_VERSION`]): `accepted`, per-phase
+//!    envelope rendered at [`ONESHOT_SCHEMA_VERSION`], golden-pinned. A
+//!    `stream:true` request is answered with the schema-2 multi-frame
+//!    protocol ([`crate::fleet::API_SCHEMA_VERSION`]): `accepted`, per-phase
 //!    `phase` frames as each pipeline phase completes, an early
 //!    `partial` timing frame, `notice` frames for queue events, and a
 //!    terminal `result`/`error` frame whose payload fragment is the
@@ -71,10 +68,9 @@
 
 #![deny(missing_docs)]
 
-use crate::cache::{CacheKey, Digested, ShardedCache};
+use crate::cache::{CacheKey, Digested, ShardedCache, ShardedCacheStats};
 use crate::fleet::{
-    page_work, with_faults, AppOutcome, AppReport, Fault, FleetPolicy, JobWork,
-    API_SCHEMA_VERSION,
+    page_work, with_faults, AppOutcome, AppReport, Fault, FleetPolicy, JobWork, API_SCHEMA_VERSION,
 };
 use crate::obs::{FleetMetrics, ServeCounters};
 use crate::pipeline::{AnalyzeOptions, Document};
@@ -371,9 +367,9 @@ pub fn render_frame(schema: u32, id: &str, seq: u64, frame: &Frame) -> String {
     };
     let fields;
     let body = match frame {
-        Frame::Partial { fragment } | Frame::Result { fragment, .. } | Frame::Error { fragment } => {
-            fragment
-        }
+        Frame::Partial { fragment }
+        | Frame::Result { fragment, .. }
+        | Frame::Error { fragment } => fragment,
         tagged => {
             let Ok(serde_json::Value::Map(mut tagged)) = serde_json::to_value(tagged) else {
                 unreachable!("a struct variant serializes as a one-entry map")
@@ -583,7 +579,6 @@ pub fn request_options(
         max_events: req.max_events.map_or(defaults.max_events, |n| n as usize),
         max_ticks: req.max_ticks.or(config.policy.tick_budget),
         wall_budget: config.policy.wall_budget.checked_div(2),
-        ..defaults
     })
 }
 
@@ -681,6 +676,19 @@ pub struct ServeConfig {
     pub policy: FleetPolicy,
 }
 
+impl ServeConfig {
+    /// The worker backend's name, as `stats` and the daemon's start line
+    /// print it: `"process"` with a [`ServeConfig::worker_spec`], else
+    /// `"in-process"`.
+    pub fn backend(&self) -> &'static str {
+        if self.worker_spec.is_some() {
+            "process"
+        } else {
+            "in-process"
+        }
+    }
+}
+
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
@@ -762,6 +770,18 @@ impl Shared {
     fn bump(&self, f: impl FnOnce(&mut ServeCounters)) {
         f(&mut relock(&self.counters));
     }
+
+    /// A snapshot of the serving counters, their `cache_*` fields read
+    /// from `cache`, a snapshot of the cache: the cache is the only
+    /// counter of its own traffic.
+    fn counters(&self, cache: &ShardedCacheStats) -> ServeCounters {
+        ServeCounters {
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            ..*relock(&self.counters)
+        }
+    }
 }
 
 /// Handle to a running server: the bound address plus the threads to
@@ -797,7 +817,7 @@ impl ServerHandle {
 
     /// Snapshot of the serving counters.
     pub fn counters(&self) -> ServeCounters {
-        *relock(&self.shared.counters)
+        self.shared.counters(&self.shared.cache.stats())
     }
 
     /// Begin a graceful drain without blocking (safe from a signal
@@ -825,7 +845,7 @@ impl ServerHandle {
     /// [`ServerHandle::request_drain`]) drains the server.
     pub fn join(mut self) -> ServeCounters {
         self.join_threads();
-        *relock(&self.shared.counters)
+        self.counters()
     }
 
     fn join_threads(&mut self) {
@@ -1226,7 +1246,7 @@ struct Stats {
     op: &'static str,
     stats_schema: u32,
     counters: ServeCounters,
-    cache: CacheReport,
+    cache: ShardedCacheStats,
     queue_depth: usize,
     /// `None` when the server runs without a spill queue.
     spill: Option<SpillStats>,
@@ -1235,77 +1255,21 @@ struct Stats {
     draining: bool,
 }
 
-/// The cache section of [`Stats`]: the totals, the persistence counters
-/// and each shard's traffic.
-#[derive(Serialize)]
-struct CacheReport {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    len: usize,
-    capacity: usize,
-    shards: usize,
-    persistent: bool,
-    loaded: u64,
-    load_corrupt: u64,
-    persisted: u64,
-    per_shard: Vec<ShardTraffic>,
-}
-
-/// One shard's traffic in [`CacheReport`].
-#[derive(Serialize)]
-struct ShardTraffic {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    len: usize,
-}
-
 fn stats(shared: &Shared) -> Stats {
     let cache = shared.cache.stats();
-    let mut counters = *relock(&shared.counters);
-    // The eviction odometer lives in the cache shards; mirror the
-    // aggregate into the counters snapshot for one-stop scraping.
-    counters.cache_evictions = cache.total.evictions;
     let (queue_depth, spill) = {
         let q = relock(&shared.queue);
         (q.memory.len(), q.spill.as_ref().map(SpillQueue::stats))
     };
-    let per_shard = cache
-        .shards
-        .iter()
-        .map(|s| ShardTraffic {
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            len: s.len,
-        })
-        .collect();
     Stats {
         op: "stats",
         stats_schema: SERVE_STATS_SCHEMA,
-        counters,
-        cache: CacheReport {
-            hits: cache.total.hits,
-            misses: cache.total.misses,
-            evictions: cache.total.evictions,
-            len: cache.total.len,
-            capacity: cache.total.capacity,
-            shards: cache.shards.len(),
-            persistent: cache.persistent,
-            loaded: cache.loaded,
-            load_corrupt: cache.load_corrupt,
-            persisted: cache.persisted,
-            per_shard,
-        },
+        counters: shared.counters(&cache),
+        cache,
         queue_depth,
         spill,
         workers: shared.config.workers,
-        backend: if shared.config.worker_spec.is_some() {
-            "process"
-        } else {
-            "in-process"
-        },
+        backend: shared.config.backend(),
         draining: shared.draining.load(Ordering::SeqCst),
     }
 }
@@ -1370,9 +1334,7 @@ fn handle_analyze(
         .and_then(|opts| Ok((resolve(req, &opts, &shared.resolver)?, opts)));
     let ((job, key), opts) = match resolved {
         Ok(r) => r,
-        Err(e) => {
-            return fw.send(&refused(e))
-        }
+        Err(e) => return fw.send(&refused(e)),
     };
     shared.bump(|c| {
         c.requests += 1;
@@ -1386,7 +1348,6 @@ fn handle_analyze(
     // exercise, and storing the result would leak injection artifacts.
     if job.cacheable {
         if let Some(fragment) = shared.cache.lookup(&key) {
-            shared.bump(|c| c.cache_hits += 1);
             // A warm hit needs no pipeline: the stream collapses to its
             // terminal frame (`accepted` always implies real work).
             return fw.send(&Frame::Result {
@@ -1395,7 +1356,6 @@ fn handle_analyze(
                 fragment,
             });
         }
-        shared.bump(|c| c.cache_misses += 1);
     }
 
     if shared.draining.load(Ordering::SeqCst) {

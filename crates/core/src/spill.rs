@@ -1,13 +1,13 @@
 //! Disk-backed spill queue for the serving layer.
 //!
-//! `jsceresd` used to reject work the moment its bounded in-memory queue
-//! filled up. This module is the other half of the admission story: when
-//! the ring is full, job payloads overflow to a crash-safe, append-only
-//! **segment file** and are drained strictly FIFO behind the in-memory
-//! head — the GNU-parallel `disk_buffer` pattern (ROADMAP item 2).
-//! Memory stays bounded (the in-process index holds only `(seq, offset,
-//! len)` triples, ~24 bytes per spilled job), while admission becomes
-//! effectively unbounded: the backlog is limited by disk, not RAM.
+//! This module is the other half of `jsceresd`'s admission story: when
+//! its bounded in-memory ring is full, job payloads overflow to a
+//! crash-safe, append-only **segment file** and are drained strictly
+//! FIFO behind the in-memory head — the GNU-parallel `disk_buffer`
+//! pattern — instead of being rejected. Memory stays bounded (the
+//! in-process index holds only `(seq, offset, len)` triples, ~24 bytes
+//! per spilled job), while admission becomes effectively unbounded: the
+//! backlog is limited by disk, not RAM.
 //!
 //! Crash safety is *at-least-once*: every record carries its own SHA-256
 //! checksum, the consumed watermark lives in a tiny checksummed sidecar

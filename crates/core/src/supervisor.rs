@@ -1,12 +1,11 @@
 //! Worker *process* supervision for `jsceresd`.
 //!
-//! Through PR 5 the daemon ran every job on an in-process thread pool:
 //! `catch_unwind` contains a Rust panic, but a segfault-class failure
-//! (stack overflow in native code, an `abort`, an OOM kill) takes the
-//! whole daemon — and its queue, cache, and every connected client —
-//! down with it. The Servo experience report (arXiv:1505.07383) names
-//! the fix: make the **process** the isolation boundary. This module
-//! implements it:
+//! (stack overflow in native code, an `abort`, an OOM kill) on a thread
+//! of the daemon takes the whole daemon — and its queue, cache, and
+//! every connected client — down with it. The Servo experience report
+//! (arXiv:1505.07383) names the fix: make the **process** the isolation
+//! boundary. This module implements it:
 //!
 //! * [`run_job`] is the one code path that supervises a served job: it
 //!   takes a job already resolved by [`crate::serve::resolve`], runs it
@@ -51,7 +50,7 @@
 
 use crate::cache::CacheKey;
 use crate::fleet::{supervise, FleetJob, FleetPolicy};
-use crate::obs::{install_progress_sink, Progress, PHASES};
+use crate::obs::install_frame_sink;
 use crate::serve::{
     failure_fragment, request_options, resolve, result_fragment, write_line, AnalysisRequest,
     Frame, ResolvedJob, Resolver, ServeConfig,
@@ -98,8 +97,10 @@ impl WorkerResponse {
     }
 }
 
-/// Where [`run_job`] delivers a streaming job's `phase`/`partial` frames.
-/// It is called on the supervised runner thread, hence `Send`.
+/// Where [`run_job`] delivers a streaming job's `phase`/`partial` frames,
+/// and what it installs on the runner thread for the pipeline to call
+/// ([`crate::obs::install_frame_sink`]). It is called on the supervised
+/// runner thread, hence `Send`.
 pub type FrameSink = Box<dyn FnMut(Frame) + Send>;
 
 /// Base respawn backoff after a worker crash; doubles per consecutive
@@ -419,9 +420,9 @@ pub fn run_job(
         let (inner, gate) = (work, Arc::clone(&gate));
         work = Arc::new(move |worker, attempt| {
             let gate = Arc::clone(&gate);
-            let _guard = install_progress_sink(Box::new(move |p| {
+            let _guard = install_frame_sink(Box::new(move |frame| {
                 let mut open = gate.lock().unwrap_or_else(PoisonError::into_inner);
-                if let (Some(sink), Some(frame)) = (open.as_mut(), frame_for_progress(p)) {
+                if let Some(sink) = open.as_mut() {
                     sink(frame);
                 }
             }));
@@ -445,23 +446,6 @@ pub fn run_job(
         ok,
         ticks,
         fragment,
-    }
-}
-
-/// Map a pipeline progress event to its streamed frame, if it has one:
-/// the phases in [`PHASES`] and the `partial` timing row. Sub-spans like
-/// `interp.compile` are an implementation detail and stay off the wire.
-fn frame_for_progress(p: &Progress) -> Option<Frame> {
-    match p {
-        Progress::Phase(span) if PHASES.contains(&span.phase.as_str()) => Some(Frame::Phase {
-            phase: span.phase.clone(),
-            start_ticks: span.start_ticks,
-            end_ticks: span.end_ticks,
-        }),
-        Progress::Phase(_) => None,
-        Progress::Partial(fragment) => Some(Frame::Partial {
-            fragment: fragment.clone(),
-        }),
     }
 }
 

@@ -38,7 +38,7 @@ fn main() {
         light.total_ms,
         light.active_ms,
         light.loops_ms,
-        100.0 * light.loop_fraction()
+        light.loop_pct()
     );
 
     // Step 2 (Sec. 3.2): which loop nests dominate?

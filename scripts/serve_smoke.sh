@@ -2,7 +2,8 @@
 # jsceresd serving smoke, multi-process edition: start the daemon with 3
 # worker processes and persistence dirs, hit it with concurrent clients
 # (registry app, inline source, repeats, one fault-injected), assert the
-# content-addressed cache actually hit, time pings, warm hits and streamed
+# content-addressed cache actually hit and that the counters repeat the
+# cache's own totals, time pings, warm hits and streamed
 # jobs on one kept-alive connection, crash one worker mid-run (both an
 # injected abort and a raw kill -9) and require the supervisor to restart
 # it with every non-killed job succeeding, drive the schema-2 streaming
@@ -101,6 +102,10 @@ assert stats["stats_schema"] == 4, stats
 assert stats["backend"] == "process", stats
 c = stats["counters"]
 assert c["cache_hits"] > 0, f"no cache hits: {stats}"
+# The cache counts its own traffic; the counters repeat its totals.
+for name in ("hits", "misses", "evictions"):
+    assert c["cache_" + name] == stats["cache"][name], \
+        f"counters.cache_{name} != cache.{name}: {stats}"
 assert c["jobs_failed"] == 0, f"unexpected failures: {stats}"
 assert c["requests"] >= 5, stats
 print(f"OK phase 1: {c['requests']} requests, {c['cache_hits']} cache hits, "

@@ -12,7 +12,7 @@
 use ceres_core::fleet::{FleetOutcome, API_SCHEMA_VERSION};
 use ceres_core::serve::ONESHOT_SCHEMA_VERSION;
 use ceres_core::supervisor::WorkerSpec;
-use ceres_core::{serve, AnalyzeOptions, CacheKey, Mode, ServeConfig, ServerHandle};
+use ceres_core::{serve, AnalyzeOptions, CacheKey, Mode, ServeConfig, ServeCounters, ServerHandle};
 use ceres_workloads::{registry_resolver, workload_html};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -61,22 +61,15 @@ fn serve_envelope_is_byte_identical_to_golden() {
         args: Vec::new(),
     };
     for worker_spec in [None, Some(harness)] {
-        let backend = if worker_spec.is_some() {
-            "process"
-        } else {
-            "in-process"
-        };
-        check_envelope_golden(
-            ServeConfig {
-                worker_spec,
-                ..ServeConfig::default()
-            },
-            backend,
-        );
+        check_envelope_golden(ServeConfig {
+            worker_spec,
+            ..ServeConfig::default()
+        });
     }
 }
 
-fn check_envelope_golden(config: ServeConfig, backend: &str) {
+fn check_envelope_golden(config: ServeConfig) {
+    let backend = config.backend();
     let server = start(config);
     let addr = server.local_addr();
     let req = r#"{"id":"golden","source":"var t = 0; for (var i = 0; i < 6; i++) { t += i; }","mode":"dep","seed":2015}"#;
@@ -312,16 +305,42 @@ fn scale_without_app_or_of_zero_is_refused_before_running() {
 /// The server's `stats` show no cache miss, no job and no tick.
 fn assert_nothing_ran(addr: SocketAddr) {
     let stats = roundtrip(addr, r#"{"op":"stats","id":"s"}"#);
-    let v: serde_json::Value = serde_json::from_str(&stats).expect("stats parses");
-    let counter = |name: &str| {
-        v.get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(|x| x.as_u64())
-            .unwrap_or_else(|| panic!("missing {name}: {stats}"))
-    };
     for name in ["cache_misses", "jobs_ok", "jobs_failed", "interp_ticks"] {
-        assert_eq!(counter(name), 0, "{name}: {stats}");
+        assert_eq!(counter(&stats, name), 0, "{name}: {stats}");
     }
+}
+
+/// The counter `name` of a `stats` line.
+fn counter(stats: &str, name: &str) -> u64 {
+    let v: serde_json::Value = serde_json::from_str(stats).expect("stats parses");
+    v.get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(|x| x.as_u64())
+        .unwrap_or_else(|| panic!("missing {name}: {stats}"))
+}
+
+/// `ServerHandle::counters()` and `join()` read the cache's traffic as
+/// `stats` reports it: on a one-entry cache, where `b` evicts `a` and
+/// then hits, all three agree on hits, misses and evictions.
+#[test]
+fn counters_and_join_repeat_the_cache_traffic_of_stats() {
+    let server = start(ServeConfig {
+        cache_capacity: 1,
+        cache_shards: 1,
+        ..ServeConfig::default()
+    });
+    let addr = server.local_addr();
+    for source in ["var a = 1;", "var b = 2;", "var b = 2;"] {
+        let r = roundtrip(addr, &format!(r#"{{"source":"{source}"}}"#));
+        assert!(r.contains("\"ok\":true"), "{r}");
+    }
+    let stats = roundtrip(addr, r#"{"op":"stats"}"#);
+    let reported = ["cache_hits", "cache_misses", "cache_evictions"].map(|c| counter(&stats, c));
+    assert_eq!(reported, [1, 2, 1], "{stats}");
+    let traffic = |c: ServeCounters| [c.cache_hits, c.cache_misses, c.cache_evictions];
+    assert_eq!(traffic(server.counters()), reported, "counters()");
+    server.request_drain();
+    assert_eq!(traffic(server.join()), reported, "join()");
 }
 
 // ---------------------------------------------------------------------

@@ -154,22 +154,15 @@ fn assert_stream_hygiene(frames: &[FrameRec], id: &str) {
 #[test]
 fn serve_stream_golden_is_byte_identical() {
     for worker_spec in [None, Some(harness_spec())] {
-        let backend = if worker_spec.is_some() {
-            "process"
-        } else {
-            "in-process"
-        };
-        check_stream_golden(
-            ServeConfig {
-                worker_spec,
-                ..ServeConfig::default()
-            },
-            backend,
-        );
+        check_stream_golden(ServeConfig {
+            worker_spec,
+            ..ServeConfig::default()
+        });
     }
 }
 
-fn check_stream_golden(config: ServeConfig, backend: &str) {
+fn check_stream_golden(config: ServeConfig) {
+    let backend = config.backend();
     let server = start(config);
     let addr = server.local_addr();
     let req = r#"{"id":"golden-stream","stream":true,"source":"var t = 0; for (var i = 0; i < 6; i++) { t += i; }","mode":"dep","seed":2015}"#;
@@ -244,6 +237,43 @@ fn stream_result_fragment_matches_oneshot_envelope() {
             oneshot.contains(&format!("\"cached\":{cached}")),
             "{oneshot}"
         );
+    }
+    server.shutdown();
+}
+
+/// Each field of a stream's `partial` row equals the terminal report's
+/// field of that name, digit for digit: the row is the report's timing,
+/// sent early.
+#[test]
+fn partial_row_matches_the_terminal_report() {
+    let server = start(ServeConfig::default());
+    let addr = server.local_addr();
+    for src in [
+        "var t = 0; for (var i = 0; i < 6; i++) { t += i; }",
+        "var t = 0; for (var i = 0; i < 7; i++) { t += i; }",
+        "var s = 1; for (var i = 0; i < 300; i++) { s = s * 3 % 7; }",
+        "var z = 0;",
+    ] {
+        let frames = stream_job(
+            addr,
+            &format!(r#"{{"id":"p","stream":true,"source":"{src}"}}"#),
+        );
+        let partial = frames.iter().find(|f| f.ty() == "partial");
+        let report = frames.last().and_then(|f| f.field("report"));
+        let (Some(partial), Some(report)) = (partial, report) else {
+            panic!("{src}: no partial row or no report");
+        };
+        // The row's fields follow the envelope's `schema`, `type`, `id`
+        // and `seq`.
+        let row = &partial.v.as_map().expect("a frame is an object")[4..];
+        assert!(!row.is_empty(), "{src}: an empty row: {}", partial.line);
+        for (name, value) in row {
+            assert_eq!(
+                Some(value.to_string()),
+                report.get(name).map(ToString::to_string),
+                "{src}: `{name}` of the partial row and of the report"
+            );
+        }
     }
     server.shutdown();
 }
